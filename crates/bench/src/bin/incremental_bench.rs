@@ -13,18 +13,24 @@
 //! 1. generates a deterministic *local* edit script
 //!    ([`vsfs_workloads::edit_script_local`]: each edit appends a
 //!    private non-escaping epilogue to one function — the realistic
-//!    save-and-reanalyze workload; full-body rewrites are covered by the
-//!    equivalence property suite instead, since a rewrite renames every
-//!    object in the function and cannot be absorbed locally),
+//!    save-and-reanalyze workload),
 //! 2. cold-solves the base text through [`vsfs_core::solve_program`],
-//! 3. for every edit, times a full from-scratch re-solve of the edited
-//!    text against [`vsfs_core::resolve_edit`] from the resident warm
-//!    state, asserting the two fingerprints are identical,
-//! 4. samples warm-query latency (may-alias over the resident result).
+//! 3. on `ninja` only, re-solves one *full-body rewrite* of the base
+//!    ([`vsfs_workloads::edit_script`]'s first step) from the base
+//!    state. A rewrite renames every object in the function and cannot
+//!    be absorbed locally; its region usually covers most of the graph,
+//!    so it is recorded as a count (waves, dirty ratio) plus its time
+//!    relative to a cold solve of the same text,
+//! 4. for every local edit, times a full from-scratch re-solve of the
+//!    edited text against [`vsfs_core::resolve_edit`] from the resident
+//!    warm state, asserting the two fingerprints are identical,
+//! 5. samples warm-query latency (may-alias over the resident result).
 //!
 //! With `--gate X` (default 5) the run doubles as the CI incremental
 //! gate: it fails (exit 1) unless every workload's **median**
-//! edit-speedup (full seconds / incremental seconds) is at least `X`.
+//! edit-speedup (full seconds / incremental seconds) is at least `X`,
+//! and unless every rewrite ran at most one fixpoint wave. The wave
+//! count is deterministic, so no host noise can flip that half.
 //! Results always go to `results/BENCH_incremental.json`
 //! (`PhaseTimer::to_json` format).
 
@@ -33,12 +39,18 @@ use vsfs_adt::stats::PhaseTimer;
 use vsfs_core::queries::AliasQueries;
 use vsfs_core::{resolve_edit, solve_program, IncrementalOptions};
 use vsfs_ir::ValueId;
-use vsfs_workloads::edit_script_local;
+use vsfs_workloads::{edit_script, edit_script_local};
 
 /// Edit-stream seed: fixed so the benchmark is reproducible run to run.
 const EDIT_SEED: u64 = 0xED17_5EED;
 /// May-alias queries sampled per resident state.
 const QUERY_SAMPLES: u64 = 10_000;
+/// Workloads that also time one full-body rewrite. `bake`'s would cost
+/// two more cold-sized solves for no extra coverage.
+const REWRITE_WORKLOADS: &[&str] = &["ninja"];
+/// Most fixpoint waves a rewrite may run: a region past the half-graph
+/// rule is solved once, unaudited.
+const MAX_REWRITE_WAVES: usize = 1;
 
 fn main() {
     let mut names: Vec<String> = vec!["ninja".into(), "bake".into()];
@@ -79,6 +91,12 @@ fn main() {
             .unwrap_or_else(|e| fail(name, "base solve", &e.to_string()));
         let cold_secs = t.elapsed().as_secs_f64();
         timer.record(&format!("{name}.cold_solve"), t.elapsed());
+
+        if REWRITE_WORKLOADS.contains(&name.as_str()) {
+            let rewrite = edit_script(&cfg, EDIT_SEED, 1);
+            assert_eq!(rewrite.base.to_string(), base_text, "both scripts share one base");
+            failed |= !time_rewrite(name, &state, &rewrite.steps[0], opts, &mut timer);
+        }
 
         let mut speedups = Vec::with_capacity(script.steps.len());
         for (i, step) in script.steps.iter().enumerate() {
@@ -167,7 +185,69 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-    println!("incremental gate OK: every median speedup >= {gate:.0}x");
+    println!(
+        "incremental gate OK: every median speedup >= {gate:.0}x, \
+         every rewrite <= {MAX_REWRITE_WAVES} wave"
+    );
+}
+
+/// Times one full-body rewrite of `state`'s program against a cold
+/// solve of the same text and records its counts. Returns `false` if it
+/// ran more than [`MAX_REWRITE_WAVES`] waves; exits on a fingerprint
+/// mismatch or a cold fallback, like the local edits.
+fn time_rewrite(
+    name: &str,
+    state: &vsfs_core::ProgramState,
+    step: &vsfs_workloads::EditStep,
+    opts: IncrementalOptions,
+    timer: &mut PhaseTimer,
+) -> bool {
+    let text = step.program.to_string();
+    let t = Instant::now();
+    let (full_state, full_report) = solve_program(&text, opts, None, None)
+        .unwrap_or_else(|e| fail(name, "rewrite cold solve", &e.to_string()));
+    let full_secs = t.elapsed().as_secs_f64();
+    drop(full_state);
+
+    let t = Instant::now();
+    let (next, report) = resolve_edit(state, &text, opts, None, None)
+        .unwrap_or_else(|e| fail(name, "rewrite re-solve", &e.to_string()));
+    let inc_secs = t.elapsed().as_secs_f64();
+    drop(next);
+
+    if !report.incremental {
+        fail(name, "rewrite", "engine fell back to a cold solve");
+    }
+    if report.fingerprint != full_report.fingerprint {
+        eprintln!(
+            "FAIL: {name} rewrite (@{}): incremental fingerprint {:016x} != from-scratch {:016x}",
+            step.name, report.fingerprint, full_report.fingerprint
+        );
+        std::process::exit(1);
+    }
+    let dirty_ratio = report.dirty_nodes as f64 / report.total_nodes.max(1) as f64;
+    let cold_ratio = inc_secs / full_secs.max(f64::MIN_POSITIVE);
+    let key = |m: &str| format!("{name}.rewrite.{m}");
+    timer.record(&key("full"), std::time::Duration::from_secs_f64(full_secs));
+    timer.record(&key("incremental"), std::time::Duration::from_secs_f64(inc_secs));
+    timer.count(&key("waves"), report.waves as u64);
+    timer.count(&key("dirty_nodes"), report.dirty_nodes as u64);
+    timer.count(&key("total_nodes"), report.total_nodes as u64);
+    timer.count(&key("dirty_ratio_x1000"), (dirty_ratio * 1000.0).round() as u64);
+    timer.count(&key("cold_ratio_x100"), (cold_ratio * 100.0).round() as u64);
+    println!(
+        "{name} rewrite (@{}): full {full_secs:.3}s vs incremental {inc_secs:.3}s \
+         ({cold_ratio:.2}x cold, {}/{} dirty, {} wave(s))",
+        step.name, report.dirty_nodes, report.total_nodes, report.waves
+    );
+    if report.waves > MAX_REWRITE_WAVES {
+        eprintln!(
+            "FAIL: {name} rewrite ran {} waves; a rewrite may run at most {MAX_REWRITE_WAVES}",
+            report.waves
+        );
+        return false;
+    }
+    true
 }
 
 fn parse_arg<T: std::str::FromStr>(arg: Option<String>, flag: &str) -> T {

@@ -45,7 +45,13 @@
 //!    clean/dirty boundary. After [`MAX_AUDIT_WAVES`] audits, or once
 //!    the region covers half the graph, the loop switches to the plain
 //!    forward closure of the dirty set (audit-free and exact, at the
-//!    price of re-solving everything downstream).
+//!    price of re-solving everything downstream). The half-graph rule
+//!    is checked before the first wave as well: a full-body rewrite's
+//!    seed region usually covers most of the graph, and auditing it
+//!    would only buy a failed audit and a second near-whole-graph wave,
+//!    so it is forward-closed up front and solved once, unaudited.
+//!    Signatures are computed once per front: invalidation reads them
+//!    and delivery moves the same table into the new warm state.
 //! 4. **Seeding.** Clean nodes' `IN`/`OUT` entries, clean-defined
 //!    top-level sets, and clean call activations are carried into a
 //!    fresh-epoch [`vsfs_adt::PtsStore`] ([`vsfs_adt::PtsCarry`]) with
@@ -66,6 +72,7 @@ use crate::result::{FlowSensitiveResult, GovernedAnalysis};
 use crate::schedule::SolveOrder;
 use crate::sfs::{run_sfs_seeded, SfsHarvest, SfsSeed};
 use crate::solver::SolverKind;
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use vsfs_adt::govern::{Completion, DegradeReason, Governor};
@@ -83,7 +90,8 @@ use vsfs_svfg::{StableKeys, Svfg, SvfgNodeId, SvfgNodeKind};
 /// Audit waves before giving up on change-driven invalidation and
 /// switching to the (exact but pessimistic) forward closure. Each wave
 /// re-solves the dirty region, so the cap bounds worst-case re-solve
-/// work at a small multiple of the final region's cost.
+/// work at a small multiple of the final region's cost. Regions past
+/// the half-graph rule never reach it: they run one unaudited wave.
 const MAX_AUDIT_WAVES: usize = 4;
 
 /// Knobs for [`solve_program`]/[`resolve_edit`].
@@ -156,8 +164,10 @@ pub struct SolveReport {
     pub restored: bool,
     /// Points-to sets carried across the epoch boundary.
     pub carried_sets: usize,
-    /// Audited re-solve waves the incremental engine ran (0 on a cold
-    /// solve, 1 when the first audit already passed).
+    /// Re-solve waves the incremental engine ran: 0 on a cold solve, 1
+    /// when the first audit already passed *or* when the region was
+    /// past the half-graph rule from the start and ran one unaudited
+    /// wave over its forward closure.
     pub waves: usize,
     /// Flow-sensitive solve wall-clock seconds.
     pub solve_seconds: f64,
@@ -168,7 +178,8 @@ pub struct SolveReport {
 /// Warm state of a *completed* flow-sensitive solve: what the next edit
 /// seeds from.
 pub(crate) struct WarmState {
-    /// Per-node transfer/edge signatures under `ProgramState::keys`.
+    /// Per-node transfer/edge signatures under `ProgramState::keys`: the
+    /// delivering front's own table, moved in rather than recomputed.
     sigs: IndexVec<SvfgNodeId, u64>,
     /// Final `IN` table, object-sorted per node.
     pub(crate) ins: IndexVec<SvfgNodeId, Vec<(ObjId, PtsId)>>,
@@ -285,6 +296,20 @@ pub(crate) struct Front {
     pub(crate) staged: Option<Staged>,
     pub(crate) keys: StableKeys,
     pub(crate) solver: SolverKind,
+    /// [`node_signatures`] of a staged front, computed on first use:
+    /// [`WaveCtx::prepare`] reads it and [`deliver`] moves it into the
+    /// next [`WarmState`], so every front pays for one pass at most.
+    sigs: OnceCell<IndexVec<SvfgNodeId, u64>>,
+}
+
+impl Front {
+    /// The node signatures of this (staged) front, computed once.
+    fn signatures(&self) -> &IndexVec<SvfgNodeId, u64> {
+        self.sigs.get_or_init(|| {
+            let staged = self.staged.as_ref().expect("signatures need a staged front");
+            node_signatures(&self.prog, &self.aux, &staged.mssa, &staged.svfg, &self.keys)
+        })
+    }
 }
 
 /// How the front of the pipeline ended: complete, or with the Andersen
@@ -347,7 +372,14 @@ pub(crate) fn build_front_ladder(
         // program-level keys still back fingerprints and lookups.
         (None, StableKeys::build_program(&prog))
     };
-    Ok(FrontBuild::Complete(Box::new(Front { prog, aux, staged, keys, solver: opts.solver })))
+    Ok(FrontBuild::Complete(Box::new(Front {
+        prog,
+        aux,
+        staged,
+        keys,
+        solver: opts.solver,
+        sigs: OnceCell::new(),
+    })))
 }
 
 /// Packages the second rung of the degradation ladder: the Andersen
@@ -484,7 +516,7 @@ fn solve_cold_only(
             unreachable!("staged solvers always build a staged front")
         }
     };
-    let Front { prog, aux, staged: _, keys, solver } = front;
+    let Front { prog, aux, keys, solver, .. } = front;
     let total = prog.insts.len();
     let fingerprint = result_fingerprint(&prog, &keys, &analysis.result);
     let report = SolveReport {
@@ -524,13 +556,15 @@ pub(crate) fn deliver(
     harvest: Option<SfsHarvest>,
     outcome: Outcome,
 ) -> (ProgramState, SolveReport) {
-    let Front { prog, aux, staged, keys, solver } = front;
+    let Front { prog, aux, staged, keys, solver, sigs } = front;
     let staged = staged.expect("deliver is only reached by staged solvers");
     let total_nodes = staged.svfg.node_count();
     let (analysis, warm) = match completion {
         Completion::Complete => {
             let warm = harvest.filter(|_| keys.is_unambiguous()).map(|h| WarmState {
-                sigs: node_signatures(&prog, &aux, &staged.mssa, &staged.svfg, &keys),
+                sigs: sigs.into_inner().unwrap_or_else(|| {
+                    node_signatures(&prog, &aux, &staged.mssa, &staged.svfg, &keys)
+                }),
                 ins: h.ins,
                 outs: h.outs,
             });
@@ -566,18 +600,23 @@ pub(crate) fn deliver(
 }
 
 /// The invalidation state of one audited-wave solve: the conservative
-/// value-flow graph, its SCCs, and the (always SCC-closed) dirty set.
+/// value-flow graph, its SCCs, the (always SCC-closed) dirty set, and
+/// whether the next wave still needs an audit.
 struct WaveCtx {
     graph: DiGraph<SvfgNodeId>,
     sccs: Sccs<SvfgNodeId>,
     dirty: IndexVec<SvfgNodeId, bool>,
     dirty_count: usize,
+    /// `false` once the dirty set is forward-closed: no clean node then
+    /// has a dirty predecessor, so a wave's result is final unaudited.
+    audited: bool,
 }
 
 impl WaveCtx {
     /// Seeds the dirty set from unmapped / signature-changed nodes of
-    /// the new SVFG (step 2 of the module docs), SCC-closed. `None` when
-    /// only a cold solve is safe (no warm state or ambiguous keys).
+    /// the new SVFG (step 2 of the module docs), SCC-closed, and applies
+    /// the half-graph rule before the first wave. `None` when only a
+    /// cold solve is safe (no warm state or ambiguous keys).
     fn prepare(prev: &ProgramState, front: &Front) -> Option<WaveCtx> {
         let warm = prev.warm.as_ref()?;
         let staged = front.staged.as_ref()?;
@@ -585,7 +624,7 @@ impl WaveCtx {
         if !prev.keys.is_unambiguous() || !front.keys.is_unambiguous() {
             return None;
         }
-        let sigs = node_signatures(&front.prog, &front.aux, &staged.mssa, svfg, &front.keys);
+        let sigs = front.signatures();
         let graph = conservative_graph(&front.prog, svfg);
         let sccs = Sccs::compute(&graph);
         let mut ctx = WaveCtx {
@@ -593,6 +632,7 @@ impl WaveCtx {
             sccs,
             dirty: IndexVec::from_elem_n(false, svfg.node_count()),
             dirty_count: 0,
+            audited: true,
         };
         for node in svfg.node_ids() {
             let seed = match prev.keys.node_of_key(front.keys.node_key[node]) {
@@ -606,10 +646,11 @@ impl WaveCtx {
 
         // Objects of the old parse with no counterpart in the new one
         // make any carried state mentioning them unrepresentable in the
-        // new epoch — and certainly stale. Dirty every node whose warm
-        // state or defined-value set touches one, so the seed never has
-        // to carry it (keeping `assemble_seed`'s bail-out a safety net,
-        // not a hot path).
+        // new epoch — and certainly stale. Dirty every clean node whose
+        // warm state or defined-value set touches one, so the seed never
+        // has to carry it (keeping `assemble_seed`'s bail-out a safety
+        // net, not a hot path). Dirty nodes carry nothing, so the scan
+        // skips them.
         let old_store = &prev.analysis.result.store;
         let mut dead: IndexVec<ObjId, bool> = IndexVec::from_elem_n(false, prev.prog.objects.len());
         let mut any_dead = false;
@@ -625,6 +666,9 @@ impl WaveCtx {
                 *stale_memo.entry(id).or_insert_with(|| old_store.iter_set(id).any(|o| dead[o]))
             };
             for node in svfg.node_ids() {
+                if ctx.dirty[node] {
+                    continue;
+                }
                 let Some(old) = prev.keys.node_of_key(front.keys.node_key[node]) else {
                     continue;
                 };
@@ -638,7 +682,7 @@ impl WaveCtx {
             }
             let def_node = value_def_nodes(&front.prog, svfg);
             for (v, _) in front.prog.values.iter_enumerated() {
-                let Some(node) = def_node[v] else { continue };
+                let Some(node) = def_node[v].filter(|&n| !ctx.dirty[n]) else { continue };
                 let Some(old_v) = prev.keys.value_of_key(front.keys.value_key[v]) else {
                     ctx.mark_scc(node);
                     continue;
@@ -648,6 +692,11 @@ impl WaveCtx {
                 }
             }
         }
+        // The half-graph rule, checked before the first wave: a region
+        // this large (a full-body rewrite's usually is) would fail its
+        // audit and pay for a second near-whole-graph wave, so solve its
+        // forward closure once, unaudited.
+        ctx.stop_auditing_past_half();
         Some(ctx)
     }
 
@@ -663,10 +712,20 @@ impl WaveCtx {
         }
     }
 
+    /// Gives up auditing once the dirty set covers more than half the
+    /// graph: extends it to its forward closure, after which no clean
+    /// node has a dirty predecessor and the next wave needs no audit.
+    fn stop_auditing_past_half(&mut self) {
+        if self.dirty_count * 2 > self.dirty.len() {
+            self.forward_close();
+        }
+    }
+
     /// Extends the dirty set to its forward closure — the pre-audit
     /// invalidation rule, used as the exact fallback when auditing stops
-    /// paying for itself.
+    /// paying for itself — and turns auditing off.
     fn forward_close(&mut self) {
+        self.audited = false;
         let mut queue: Vec<SvfgNodeId> = self.graph.nodes().filter(|&v| self.dirty[v]).collect();
         while let Some(node) = queue.pop() {
             for &s in self.graph.successors(node) {
@@ -721,8 +780,9 @@ fn conservative_graph(prog: &Program, svfg: &Svfg) -> DiGraph<SvfgNodeId> {
 /// region seeded from the carried frontier, audit the clean side of the
 /// boundary for values that actually changed, extend the region and
 /// repeat. Falls back to the forward closure after [`MAX_AUDIT_WAVES`]
-/// audits or once the region covers half the graph, and to a cold solve
-/// whenever the seed fails to assemble.
+/// audits or once the region covers half the graph (which
+/// [`WaveCtx::prepare`] already checks before the first wave), and to a
+/// cold solve whenever the seed fails to assemble.
 fn solve_incremental(
     prev: &ProgramState,
     source: &str,
@@ -732,10 +792,8 @@ fn solve_incremental(
     mut ctx: WaveCtx,
 ) -> (ProgramState, SolveReport) {
     let warm = prev.warm.as_ref().expect("WaveCtx::prepare checked warm state");
-    let total = front.staged.as_ref().expect("WaveCtx::prepare checked staged").svfg.node_count();
     let mut waves = 0;
     let mut prior_seconds = 0.0;
-    let mut audited = true;
     loop {
         waves += 1;
         let Some((seed, carried_sets)) = assemble_seed(prev, warm, &front, ctx.clean_mask()) else {
@@ -767,7 +825,7 @@ fn solve_incremental(
             // partial fixpoint would be meaningless.
             return deliver(source, front, result, completion, harvest, outcome);
         }
-        if audited {
+        if ctx.audited {
             let h = harvest.as_ref().expect("complete solves always harvest");
             let newly = audit_frontier(prev, warm, &front, &ctx.dirty, &result, h);
             if !newly.is_empty() {
@@ -775,13 +833,12 @@ fn solve_incremental(
                 for node in newly {
                     ctx.mark_scc(node);
                 }
-                if waves >= MAX_AUDIT_WAVES || ctx.dirty_count * 2 > total {
-                    // Auditing stopped paying for itself: extend to the
-                    // full forward closure, after which no clean node has
-                    // a dirty predecessor and the next wave needs no
-                    // audit.
+                // Once auditing stops paying for itself, the next wave
+                // solves the full forward closure, unaudited.
+                if waves >= MAX_AUDIT_WAVES {
                     ctx.forward_close();
-                    audited = false;
+                } else {
+                    ctx.stop_auditing_past_half();
                 }
                 continue;
             }

@@ -145,7 +145,7 @@ fn write_string(out: &mut String, text: &str) {
 
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -156,6 +156,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -261,12 +262,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in
+                    // one slice. Both are ASCII, which never occurs
+                    // inside a multi-byte UTF-8 sequence, so the run
+                    // ends on a character boundary.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -349,6 +353,36 @@ mod tests {
         assert!(parse("[1,2,]").is_err());
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn parses_multibyte_utf8_strings() {
+        let text = "héllo → wörld 🦀 ∀x";
+        let v = parse(&format!("{{\"k\":\"{text}\",\"{text}\":1}}")).unwrap();
+        assert_eq!(v.get("k").and_then(Json::as_str), Some(text));
+        assert_eq!(v.get(text).and_then(Json::as_u64), Some(1));
+        // Runs of multi-byte characters around escapes.
+        let v = parse("\"é\\n🦀\\\"ü\"").unwrap();
+        assert_eq!(v, Json::Str("é\n🦀\"ü".to_string()));
+    }
+
+    #[test]
+    fn decodes_every_escape() {
+        let v = parse(r#""q\"b\\s\/n\nr\rt\tb\bf\fu\u0041\u00e9\u2192""#).unwrap();
+        assert_eq!(v, Json::Str("q\"b\\s/n\nr\rt\tb\u{8}f\u{c}uAé→".to_string()));
+        assert!(parse(r#""\x""#).is_err(), "unknown escape");
+        assert!(parse(r#""\u12""#).is_err(), "truncated \\u escape");
+        assert!(parse(r#""\uzzzz""#).is_err(), "non-hex \\u escape");
+        assert!(parse("\"abc\\").is_err(), "escape at end of input");
+    }
+
+    #[test]
+    fn parses_a_one_mebibyte_string() {
+        let body: String = "abc→🦀\n".repeat((1 << 20) / 11 + 1);
+        assert!(body.len() >= 1 << 20);
+        let line = Json::Str(body.clone()).to_line();
+        // `assert!`, not `assert_eq!`: a failure must not print 1 MiB.
+        assert!(parse(&line).unwrap() == Json::Str(body), "1 MiB string did not round-trip");
     }
 
     #[test]

@@ -21,11 +21,12 @@ use vsfs_core::queries::AliasQueries;
 use vsfs_core::result::precision_diff;
 use vsfs_core::{
     resolve_edit, result_fingerprint, solve_program, IncrementalOptions, ProgramState, SolveOrder,
+    SolveReport,
 };
 use vsfs_ir::Program;
 use vsfs_testkit::Rng;
 use vsfs_workloads::edit_script;
-use vsfs_workloads::gen::WorkloadConfig;
+use vsfs_workloads::gen::{generate_edited, WorkloadConfig};
 
 const CASES: u32 = 10;
 
@@ -209,4 +210,104 @@ fn localized_edits_dirty_strict_subsets() {
             report.total_nodes
         );
     });
+}
+
+/// Solves `base` cold, re-solves `edited` from its warm state, checks
+/// the result against a from-scratch SFS solve of `edited`, and returns
+/// the edit's report.
+fn edit_against_cold(label: &str, base: &str, edited: &str) -> SolveReport {
+    let opts = IncrementalOptions::default();
+    let (state, _) = solve_program(base, opts, None, None).expect("base solves");
+    let (next, report) = resolve_edit(&state, edited, opts, None, None).expect("edit solves");
+    assert!(report.incremental, "{label}: the edit must be solved incrementally");
+    let cold = cold_pipeline(edited, 1);
+    let r = vsfs_core::run_sfs_ordered(
+        &cold.prog,
+        &cold.aux,
+        &cold.mssa,
+        &cold.svfg,
+        SolveOrder::default(),
+    );
+    assert_matches(label, &next, &cold, &r, &mut Rng::seed_from_u64(7));
+    report
+}
+
+/// A fixed generated program before and after `f0` is re-salted with
+/// `salt` (odd: full-body rewrite, even: local epilogue).
+fn salted_texts(salt: u64) -> (String, String) {
+    let cfg = WorkloadConfig { seed: 2, edit_fraction: 0.5, ..WorkloadConfig::small() };
+    let mut salts = vec![0u64; cfg.functions];
+    let base = generate_edited(&cfg, &salts).to_string();
+    salts[0] = salt;
+    (base, generate_edited(&cfg, &salts).to_string())
+}
+
+/// A full-body rewrite (odd salt) whose seed region already covers more
+/// than half the SVFG takes the half-graph rule before its first wave:
+/// one unaudited wave over the forward closure, not an audited wave
+/// that fails and a second near-whole-graph one.
+#[test]
+fn half_graph_rewrites_solve_in_one_wave() {
+    let (base, edited) = salted_texts(3);
+    let report = edit_against_cold("rewrite of f0", &base, &edited);
+    assert!(
+        report.dirty_nodes * 2 > report.total_nodes,
+        "the rewrite must cover more than half the graph ({}/{} dirty)",
+        report.dirty_nodes,
+        report.total_nodes
+    );
+    assert_eq!(report.waves, 1, "a half-graph region runs exactly one wave");
+}
+
+/// A local edit (even salt) stays audited: its region is a small subset
+/// of the graph and is not widened to its forward closure.
+#[test]
+fn local_edits_stay_audited() {
+    let (base, edited) = salted_texts(4);
+    let report = edit_against_cold("epilogue of f0", &base, &edited);
+    assert!(report.dirty_nodes > 0, "a real edit must dirty something");
+    assert!(
+        report.dirty_nodes * 2 < report.total_nodes,
+        "a local edit must stay below the half-graph rule ({}/{} dirty)",
+        report.dirty_nodes,
+        report.total_nodes
+    );
+    assert_eq!(report.waves, 1, "the epilogue is private, so the first audit passes");
+}
+
+/// A rewrite that deletes an object mentioned by clean nodes' warm state
+/// (`H` flows through `@g` into `@reader`, whose text is unchanged). The
+/// dead-object scan must dirty those clean nodes even though it skips
+/// already-dirty ones, or the seed could not be carried and the edit
+/// would fall back to a cold solve. Padding keeps the region below half
+/// the graph, so the audited path runs.
+#[test]
+fn deleted_objects_dirty_the_clean_nodes_that_mention_them() {
+    let mut pads = String::new();
+    let mut calls = String::new();
+    for k in 0..12 {
+        pads.push_str(&format!(
+            "func @pad{k}() {{\nentry:\n  %c = alloc stack P{k}\n  %d = alloc heap Q{k}\n  \
+             store %d, %c\n  %e = load %c\n  store %c, %e\n  %f = load %e\n  ret\n}}\n\n"
+        ));
+        calls.push_str(&format!("  call @pad{k}()\n"));
+    }
+    let program = |make: &str| {
+        format!(
+            "global @g\n\n{make}\n\
+             func @reader() {{\nentry:\n  %v = load @g\n  %box = alloc stack RB\n  \
+             store %v, %box\n  %w = load %box\n  ret %w\n}}\n\n{pads}\
+             func @main() {{\nentry:\n  %a = call @make()\n  store %a, @g\n  \
+             %r = call @reader()\n{calls}  ret\n}}\n"
+        )
+    };
+    let base = program("func @make() {\nentry:\n  %h = alloc heap H\n  ret %h\n}\n");
+    let edited = program("func @make() {\nentry:\n  %n = alloc heap FRESH\n  ret %n\n}\n");
+    let report = edit_against_cold("rewrite of @make", &base, &edited);
+    assert!(
+        report.dirty_nodes * 2 < report.total_nodes,
+        "padding must keep the region audited ({}/{} dirty)",
+        report.dirty_nodes,
+        report.total_nodes
+    );
 }
