@@ -5,8 +5,8 @@
 //! each distinct label to a dense `u32` id so the solver can compare and
 //! index versions in O(1) and store the label set only once.
 
+use crate::fxhash::FxHashMap;
 use crate::sbv::SparseBitVector;
-use std::collections::HashMap;
 use std::fmt;
 
 /// A fixed-capacity id space ran out of ids.
@@ -47,7 +47,7 @@ impl std::error::Error for CapacityOverflow {}
 /// ```
 #[derive(Debug)]
 pub struct SbvInterner {
-    map: HashMap<SparseBitVector, u32>,
+    map: FxHashMap<SparseBitVector, u32>,
     vecs: Vec<SparseBitVector>,
     limit: usize,
 }
@@ -77,7 +77,7 @@ impl SbvInterner {
     /// exceeds the `u32` id space.
     pub fn with_limit(limit: usize) -> Self {
         assert!(limit >= 1 && limit <= u32::MAX as usize + 1, "bad interner limit {limit}");
-        let mut i = SbvInterner { map: HashMap::new(), vecs: Vec::new(), limit };
+        let mut i = SbvInterner { map: FxHashMap::default(), vecs: Vec::new(), limit };
         let id = i.try_intern(&SparseBitVector::new()).expect("limit >= 1");
         debug_assert_eq!(id, Self::EMPTY);
         i

@@ -15,6 +15,15 @@
 //! * [`mem`] — a counting global allocator used by the benchmark harness to
 //!   report peak live bytes (the reproduction's substitute for GNU `time`'s
 //!   max-RSS column in Table III).
+//! * [`fxhash`] — the in-tree Fx hasher and the [`FxHashMap`] /
+//!   [`FxHashSet`] aliases. The keying rule: a map keyed by ids the
+//!   program mints (arena indices, interned set ids, sets of them) uses
+//!   the Fx aliases; a map keyed by text from outside the program
+//!   (identifier names in a request, or keys hashed from them) keeps
+//!   std's randomly keyed SipHash, so a client cannot craft collisions.
+//!   `clippy.toml` bans the bare std maps to hold the rule. Iteration
+//!   order of either kind of map is not a contract: anything that
+//!   leaves a map for output or a fingerprint is sorted first.
 //! * [`interner`] — hash-consing of sparse bit vectors, used to map meld
 //!   labels to dense version ids.
 //! * [`ptstore`] — hash-consed points-to sets ([`PtsId`] handles into a
@@ -42,6 +51,7 @@
 //! assert_eq!(a.iter().collect::<Vec<_>>(), vec![3, 7, 400]);
 //! ```
 
+pub mod fxhash;
 pub mod govern;
 pub mod index;
 pub mod interner;
@@ -53,6 +63,7 @@ pub mod sbv;
 pub mod stats;
 pub mod worklist;
 
+pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use govern::{
     Budget, CancelToken, Completion, DegradeReason, FaultKind, FaultSpec, Governor, Outcome,
     WorkerFault,

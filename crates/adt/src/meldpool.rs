@@ -17,8 +17,8 @@
 //! Used by the `ablations` benchmark to quantify the idea against plain
 //! sparse bit vectors.
 
+use crate::fxhash::FxHashMap;
 use crate::sbv::SparseBitVector;
-use std::collections::HashMap;
 
 /// A dense id of an interned label.
 pub type LabelId = u32;
@@ -42,8 +42,8 @@ pub type LabelId = u32;
 #[derive(Debug, Default)]
 pub struct MeldPool {
     sets: Vec<SparseBitVector>,
-    ids: HashMap<SparseBitVector, LabelId>,
-    memo: HashMap<(LabelId, LabelId), LabelId>,
+    ids: FxHashMap<SparseBitVector, LabelId>,
+    memo: FxHashMap<(LabelId, LabelId), LabelId>,
 }
 
 impl MeldPool {

@@ -47,9 +47,9 @@
 //! assert!(store.contains(ab, ObjId::new(1)));
 //! ```
 
+use crate::fxhash::FxHashMap;
 use crate::index::Idx;
 use crate::PointsToSet;
-use std::collections::HashMap;
 use std::marker::PhantomData;
 
 crate::define_index!(
@@ -148,19 +148,19 @@ impl PtsStoreStats {
 pub struct PtsStore<I: Idx> {
     /// Interned chunk data, indexed by [`ChunkId`].
     chunks: Vec<Chunk>,
-    chunk_ids: HashMap<Chunk, ChunkId>,
+    chunk_ids: FxHashMap<Chunk, ChunkId>,
     /// Chunk-level union memo on unordered handle pairs (same base).
-    chunk_union_memo: HashMap<(ChunkId, ChunkId), ChunkId>,
+    chunk_union_memo: FxHashMap<(ChunkId, ChunkId), ChunkId>,
     /// Spine arena: each set's chunk handles, ascending by chunk base.
     spine_arena: Vec<ChunkId>,
     /// Per-set `(arena start, chunk count)`, indexed by [`PtsId`].
     sets: Vec<(u32, u32)>,
     /// Interning map from spine content to id.
-    ids: HashMap<Box<[ChunkId]>, PtsId>,
-    union_memo: HashMap<(PtsId, PtsId), PtsId>,
-    insert_memo: HashMap<(PtsId, u32), PtsId>,
-    diff_memo: HashMap<(PtsId, PtsId), PtsId>,
-    intersect_memo: HashMap<(PtsId, PtsId), PtsId>,
+    ids: FxHashMap<Box<[ChunkId]>, PtsId>,
+    union_memo: FxHashMap<(PtsId, PtsId), PtsId>,
+    insert_memo: FxHashMap<(PtsId, u32), PtsId>,
+    diff_memo: FxHashMap<(PtsId, PtsId), PtsId>,
+    intersect_memo: FxHashMap<(PtsId, PtsId), PtsId>,
     stats: PtsStoreStats,
     epoch: u64,
     _marker: PhantomData<I>,
@@ -174,15 +174,15 @@ impl<I: Idx> PtsStore<I> {
     pub fn new() -> Self {
         let mut s = PtsStore {
             chunks: Vec::new(),
-            chunk_ids: HashMap::new(),
-            chunk_union_memo: HashMap::new(),
+            chunk_ids: FxHashMap::default(),
+            chunk_union_memo: FxHashMap::default(),
             spine_arena: Vec::new(),
             sets: Vec::new(),
-            ids: HashMap::new(),
-            union_memo: HashMap::new(),
-            insert_memo: HashMap::new(),
-            diff_memo: HashMap::new(),
-            intersect_memo: HashMap::new(),
+            ids: FxHashMap::default(),
+            union_memo: FxHashMap::default(),
+            insert_memo: FxHashMap::default(),
+            diff_memo: FxHashMap::default(),
+            intersect_memo: FxHashMap::default(),
             stats: PtsStoreStats::default(),
             epoch: 0,
             _marker: PhantomData,
@@ -767,13 +767,13 @@ impl<I: Idx> Iterator for SetIter<'_, I> {
 /// the materialisation) and serves references from then on.
 #[derive(Debug, Clone, Default)]
 pub struct FlatReader<I: Idx> {
-    map: HashMap<PtsId, PointsToSet<I>>,
+    map: FxHashMap<PtsId, PointsToSet<I>>,
 }
 
 impl<I: Idx> FlatReader<I> {
     /// Materialises each distinct id in `ids` from `store`.
     pub fn new(store: &PtsStore<I>, ids: impl IntoIterator<Item = PtsId>) -> Self {
-        let mut map = HashMap::new();
+        let mut map = FxHashMap::default();
         for id in ids {
             map.entry(id).or_insert_with(|| store.materialize(id));
         }
@@ -815,7 +815,7 @@ pub struct CarryStats {
 /// ids in the old store keeps sharing them in the successor.
 #[derive(Debug, Default)]
 pub struct PtsCarry {
-    memo: HashMap<PtsId, PtsId>,
+    memo: FxHashMap<PtsId, PtsId>,
     /// Counters for this carry generation.
     pub stats: CarryStats,
 }
@@ -868,14 +868,14 @@ pub struct PtsScratch<'s, I: Idx> {
     store: &'s PtsStore<I>,
     /// Flat sets materialised by this worker, memoized per id so repeat
     /// resolutions of hot ids pay the chunk decode once.
-    resolved: HashMap<PtsId, PointsToSet<I>>,
+    resolved: FxHashMap<PtsId, PointsToSet<I>>,
     changed: Vec<(usize, PointsToSet<I>)>,
 }
 
 impl<'s, I: Idx> PtsScratch<'s, I> {
     /// Creates a scratch view over `store`.
     pub fn new(store: &'s PtsStore<I>) -> Self {
-        PtsScratch { store, resolved: HashMap::new(), changed: Vec::new() }
+        PtsScratch { store, resolved: FxHashMap::default(), changed: Vec::new() }
     }
 
     /// Resolves an id to a flat set, materialising (and caching) it on

@@ -5,7 +5,7 @@
 //! functions and recursive functions — inputs to δ-node identification
 //! (Section IV-C1) and strong-update eligibility.
 
-use std::collections::{HashMap, HashSet};
+use vsfs_adt::{FxHashMap, FxHashSet};
 use vsfs_graph::{DiGraph, Sccs};
 use vsfs_ir::{FuncId, InstId, Program};
 
@@ -13,11 +13,11 @@ use vsfs_ir::{FuncId, InstId, Program};
 #[derive(Debug, Clone, Default)]
 pub struct CallGraph {
     /// Callees of each call instruction.
-    callees: HashMap<InstId, Vec<FuncId>>,
+    callees: FxHashMap<InstId, Vec<FuncId>>,
     /// Call instructions targeting each function.
-    callers: HashMap<FuncId, Vec<InstId>>,
+    callers: FxHashMap<FuncId, Vec<InstId>>,
     /// Functions whose address is taken (possible indirect-call targets).
-    address_taken: HashSet<FuncId>,
+    address_taken: FxHashSet<FuncId>,
 }
 
 impl CallGraph {
@@ -90,7 +90,7 @@ impl CallGraph {
 
     /// Computes the set of functions involved in recursion (a call-graph
     /// cycle, including self-recursion).
-    pub fn recursive_functions(&self, prog: &Program) -> HashSet<FuncId> {
+    pub fn recursive_functions(&self, prog: &Program) -> FxHashSet<FuncId> {
         let mut g: DiGraph<u32> = DiGraph::with_nodes(prog.functions.len());
         for (call, callee) in self.edges() {
             let caller = prog.insts[call].func;
@@ -101,8 +101,8 @@ impl CallGraph {
     }
 
     /// The functions transitively reachable from `roots` (inclusive).
-    pub fn reachable_functions(&self, prog: &Program, roots: &[FuncId]) -> HashSet<FuncId> {
-        let mut seen: HashSet<FuncId> = roots.iter().copied().collect();
+    pub fn reachable_functions(&self, prog: &Program, roots: &[FuncId]) -> FxHashSet<FuncId> {
+        let mut seen: FxHashSet<FuncId> = roots.iter().copied().collect();
         let mut stack: Vec<FuncId> = roots.to_vec();
         while let Some(f) = stack.pop() {
             for call in prog.func_insts(f) {

@@ -12,7 +12,8 @@
 //!   (Addr/Copy/Load/Store/Gep), plus call-site records for on-the-fly
 //!   call-graph construction.
 //! * [`solver`] — a difference-propagation worklist solver with periodic
-//!   strongly-connected-component collapsing (online cycle elimination).
+//!   strongly-connected-component collapsing (online cycle elimination),
+//!   each pass linear in the copy graph.
 //! * [`callgraph`] — the call graph discovered while solving.
 //! * [`singletons`] — the `SN` set of Table I: objects representing
 //!   exactly one runtime object, eligible for strong updates.

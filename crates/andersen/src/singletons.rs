@@ -13,8 +13,7 @@
 //! arrays (one abstract object summarising many elements), and function
 //! objects are never singletons.
 
-use std::collections::HashSet;
-use vsfs_adt::PointsToSet;
+use vsfs_adt::{FxHashSet, PointsToSet};
 use vsfs_ir::{ObjId, ObjKind, Program};
 
 use crate::callgraph::CallGraph;
@@ -35,7 +34,7 @@ pub fn compute_singletons(prog: &Program, callgraph: &CallGraph) -> PointsToSet<
     out
 }
 
-fn is_singleton(prog: &Program, recursive: &HashSet<vsfs_ir::FuncId>, o: ObjId) -> bool {
+fn is_singleton(prog: &Program, recursive: &FxHashSet<vsfs_ir::FuncId>, o: ObjId) -> bool {
     let obj = &prog.objects[o];
     if obj.is_array {
         return false;

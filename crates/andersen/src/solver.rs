@@ -7,7 +7,11 @@
 //! periodically with a full SCC pass over representative nodes (online
 //! cycle elimination à la wave propagation); the interval is configurable
 //! and collapsing can be disabled entirely — an ablation the benchmark
-//! harness exercises.
+//! harness exercises. Each collapse pass costs O(nodes + copy edges): the
+//! SCC graph over representatives is built with a per-source stamp that
+//! drops the duplicate edges earlier merges left in successor lists,
+//! rather than a scan of the out-list per edge (quadratic in the
+//! out-degree of a hub node).
 //!
 //! With `jobs > 1` the solver switches to a *sharded wave-propagation*
 //! schedule: instead of popping one node at a time it drains the whole
@@ -24,11 +28,12 @@
 
 use crate::callgraph::CallGraph;
 use crate::pag::{CallSiteId, Constraint, Pag, PagNodeId};
-use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use vsfs_adt::govern::{panic_message, DegradeReason, Governor, Outcome, WorkerFault};
 use vsfs_adt::par::{self, ParConfig};
-use vsfs_adt::{FifoWorklist, FlatReader, PointsToSet, PtsId, PtsScratch, PtsStore, PtsStoreStats};
+use vsfs_adt::{
+    FifoWorklist, FlatReader, FxHashSet, PointsToSet, PtsId, PtsScratch, PtsStore, PtsStoreStats,
+};
 use vsfs_graph::{DiGraph, Sccs};
 use vsfs_ir::{FuncId, ObjId, Program, ValueId};
 
@@ -235,13 +240,13 @@ struct Solver<'p> {
     stores: Vec<Vec<u32>>,
     geps: Vec<Vec<(u32, u32)>>,
     icalls: Vec<Vec<CallSiteId>>,
-    resolved: HashSet<(CallSiteId, FuncId)>,
+    resolved: FxHashSet<(CallSiteId, FuncId)>,
     /// Alias region of every PAG node, when a unification pre-analysis
     /// seeds the union shards (`u32::MAX` = never points anywhere).
     regions: Option<Vec<u32>>,
     /// Global copy-edge dedup (may contain stale pre-merge pairs, which
     /// only costs an occasional duplicate edge, never correctness).
-    edge_seen: HashSet<(u32, u32)>,
+    edge_seen: FxHashSet<(u32, u32)>,
     callgraph: CallGraph,
     worklist: FifoWorklist<usize>,
     stats: AndersenStats,
@@ -264,9 +269,9 @@ impl<'p> Solver<'p> {
             stores: vec![Vec::new(); n],
             geps: vec![Vec::new(); n],
             icalls: vec![Vec::new(); n],
-            resolved: HashSet::new(),
+            resolved: FxHashSet::default(),
             regions: None,
-            edge_seen: HashSet::new(),
+            edge_seen: FxHashSet::default(),
             callgraph: CallGraph::new(),
             worklist: FifoWorklist::new(n),
             pag,
@@ -748,6 +753,11 @@ impl<'p> Solver<'p> {
         self.stats.scc_runs += 1;
         let n = self.uf.len();
         let mut g: DiGraph<u32> = DiGraph::with_nodes(n);
+        // `seen_from[d] == i` once `i -> d` is in the graph: a per-source
+        // stamp that drops the duplicate edges merges leave behind in O(1),
+        // so the build is linear in the successor lists. Sources are below
+        // `n`, so the initial `u32::MAX` stamp matches none.
+        let mut seen_from: Vec<u32> = vec![u32::MAX; n];
         // Split-borrow: only the union-find is mutated while walking the
         // successor lists, so no per-node clone is needed.
         let uf = &mut self.uf;
@@ -757,8 +767,9 @@ impl<'p> Solver<'p> {
             }
             for &s in &self.copy_succs[i] {
                 let d = find_in(uf, s as usize);
-                if d != i {
-                    g.add_edge_dedup(i as u32, d as u32);
+                if d != i && seen_from[d] != i as u32 {
+                    seen_from[d] = i as u32;
+                    g.add_edge(i as u32, d as u32);
                 }
             }
         }
@@ -1037,8 +1048,7 @@ mod tests {
 
     #[test]
     fn results_invariant_under_scc_interval() {
-        let prog = parse_program(
-            r#"
+        let recursive = r#"
             func @rec(%n) {
             entry:
               %l = load %n
@@ -1053,29 +1063,58 @@ mod tests {
               %x = call @rec(%p)
               ret
             }
-            "#,
-        )
-        .unwrap();
-        let base =
-            analyze_with_config(&prog, AndersenConfig { scc_interval: None, ..Default::default() });
-        let scc = analyze_with_config(
-            &prog,
-            AndersenConfig { scc_interval: Some(1), ..Default::default() },
+            "#;
+        for (name, src) in [("recursive", recursive.to_string()), ("hub", hub_program(256))] {
+            let prog = parse_program(&src).unwrap();
+            let base = analyze_with_config(
+                &prog,
+                AndersenConfig { scc_interval: None, ..Default::default() },
+            );
+            let scc = analyze_with_config(
+                &prog,
+                AndersenConfig { scc_interval: Some(1), ..Default::default() },
+            );
+            if name == "hub" {
+                assert!(scc.stats.nodes_collapsed > 0, "hub: no cycle was collapsed");
+            }
+            for (v, _) in prog.values.iter_enumerated() {
+                assert_eq!(
+                    base.value_pts(v).iter().collect::<Vec<_>>(),
+                    scc.value_pts(v).iter().collect::<Vec<_>>(),
+                    "{name}: mismatch for {v:?}"
+                );
+            }
+            for (o, _) in prog.objects.iter_enumerated() {
+                assert_eq!(
+                    base.object_pts(o).iter().collect::<Vec<_>>(),
+                    scc.object_pts(o).iter().collect::<Vec<_>>(),
+                    "{name}: mismatch for {o:?}"
+                );
+            }
+        }
+    }
+
+    /// A hub `%h` with `4 * groups` copy successors `%s*`. Each group of
+    /// four successors forms a cycle through `%c{k}` and feeds one
+    /// `%t{k}`, so collapsing a group leaves its representative with four
+    /// edges to `%t{k}` and the hub with four edges to the representative.
+    /// Group 0 also closes a cycle back through the hub.
+    fn hub_program(groups: usize) -> String {
+        let mut src = String::from(
+            "func @main() {\nentry:\n  %p = alloc stack A\n  %q = alloc heap H\n  \
+             %h = phi %p, %t0\n",
         );
-        for (v, _) in prog.values.iter_enumerated() {
-            assert_eq!(
-                base.value_pts(v).iter().collect::<Vec<_>>(),
-                scc.value_pts(v).iter().collect::<Vec<_>>(),
-                "mismatch for {:?}",
-                v
-            );
+        for k in 0..groups {
+            let members: Vec<String> = (4 * k..4 * k + 4).map(|i| format!("%s{i}")).collect();
+            for m in &members {
+                src += &format!("  {m} = phi %h, %c{k}\n");
+            }
+            src += &format!("  %c{k} = phi {}\n", members.join(", "));
+            src += &format!("  %t{k} = phi {}\n", members.join(", "));
+            src += &format!("  store %q, %s{}\n", 4 * k);
+            src += &format!("  %l{k} = load %t{k}\n");
         }
-        for (o, _) in prog.objects.iter_enumerated() {
-            assert_eq!(
-                base.object_pts(o).iter().collect::<Vec<_>>(),
-                scc.object_pts(o).iter().collect::<Vec<_>>()
-            );
-        }
+        src + "  ret\n}\n"
     }
 
     /// Asserts that `a` and `b` agree on every value/object points-to set

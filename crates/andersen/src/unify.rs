@@ -65,10 +65,9 @@
 
 use crate::callgraph::CallGraph;
 use crate::pag::{CallSiteId, Constraint, Pag};
-use std::collections::HashSet;
 use std::time::Instant;
 use vsfs_adt::govern::{Governor, Outcome};
-use vsfs_adt::{FifoWorklist, FlatReader, PointsToSet, PtsId, PtsStore, PtsStoreStats};
+use vsfs_adt::{FifoWorklist, FlatReader, FxHashSet, PointsToSet, PtsId, PtsStore, PtsStoreStats};
 use vsfs_ir::{ObjId, Program, ValueId};
 
 /// The empty-set id of the solver's store.
@@ -299,6 +298,9 @@ struct Ecrs {
     ptd: Vec<u32>,
     joins: usize,
     placeholders: usize,
+    /// The pending-pair stack of [`Ecrs::join`], kept between calls so a
+    /// join allocates nothing.
+    stack: Vec<(u32, u32)>,
 }
 
 impl Ecrs {
@@ -309,6 +311,7 @@ impl Ecrs {
             ptd: vec![NO_PTD; n],
             joins: 0,
             placeholders: 0,
+            stack: Vec::new(),
         }
     }
 
@@ -347,7 +350,8 @@ impl Ecrs {
     /// recursively (via an explicit stack — chains of `**p` never
     /// recurse on the call stack).
     fn join(&mut self, a: u32, b: u32) {
-        let mut stack = vec![(a, b)];
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.push((a, b));
         while let Some((a, b)) = stack.pop() {
             let ra = self.find(a);
             let rb = self.find(b);
@@ -367,6 +371,7 @@ impl Ecrs {
                 (pk, pg) => stack.push((pk, pg)),
             }
         }
+        self.stack = stack;
     }
 }
 
@@ -411,7 +416,7 @@ impl<'p> UnifySolver<'p> {
         // Call-binding copies stay directional under the refinement:
         // re-derive the binding pairs of every direct call and skip
         // their unification (phase 2 processes all copies anyway).
-        let mut directional: HashSet<(u32, u32)> = HashSet::new();
+        let mut directional: FxHashSet<(u32, u32)> = FxHashSet::default();
         if refined {
             for &(call, callee) in &self.pag.direct_calls {
                 let (args, dst) = match &self.prog.insts[call].kind {
@@ -499,8 +504,8 @@ impl<'p> UnifySolver<'p> {
         let mut stores: Vec<Vec<u32>> = vec![Vec::new(); classes];
         let mut geps: Vec<Vec<(u32, u32)>> = vec![Vec::new(); classes];
         let mut icalls: Vec<Vec<CallSiteId>> = vec![Vec::new(); classes];
-        let mut edge_seen: HashSet<(u32, u32)> = HashSet::new();
-        let mut resolved: HashSet<(CallSiteId, vsfs_ir::FuncId)> = HashSet::new();
+        let mut edge_seen: FxHashSet<(u32, u32)> = FxHashSet::default();
+        let mut resolved: FxHashSet<(CallSiteId, vsfs_ir::FuncId)> = FxHashSet::default();
         let mut callgraph = CallGraph::new();
         let mut worklist: FifoWorklist<usize> = FifoWorklist::new(classes);
 
@@ -600,8 +605,17 @@ impl<'p> UnifySolver<'p> {
             // per-object loops below then only pay for geps (fields
             // are per object) and call resolution (callees are per
             // object).
+            // Most classes have no load, store, gep or indirect call: their
+            // pops only propagate along copy edges, so the delta's objects
+            // (often hundreds) are listed only where something reads them.
             delta_objs.clear();
-            delta_objs.extend(store.iter_set(delta));
+            if !loads[n].is_empty()
+                || !stores[n].is_empty()
+                || !geps[n].is_empty()
+                || !icalls[n].is_empty()
+            {
+                delta_objs.extend(store.iter_set(delta));
+            }
             if !loads[n].is_empty() || !stores[n].is_empty() {
                 epoch += 1;
                 delta_cls.clear();
@@ -990,7 +1004,7 @@ mod tests {
         // Every class's set lies within exactly one region.
         for (v, _) in prog.values.iter_enumerated() {
             let set = res.value_pts(v);
-            let rs: HashSet<u32> =
+            let rs: FxHashSet<u32> =
                 set.iter().map(|o| regions.region_of_object[o.index()]).collect();
             assert!(rs.len() <= 1, "value {v:?} set spans regions {rs:?}");
             if let Some(&r) = rs.iter().next() {
@@ -1002,7 +1016,7 @@ mod tests {
         // are subsets of unify sets, so they respect regions too.
         let ander = analyze(&prog);
         for (v, _) in prog.values.iter_enumerated() {
-            let rs: HashSet<u32> =
+            let rs: FxHashSet<u32> =
                 ander.value_pts(v).iter().map(|o| regions.region_of_object[o.index()]).collect();
             assert!(rs.len() <= 1, "andersen set for {v:?} spans regions {rs:?}");
         }

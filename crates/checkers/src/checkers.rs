@@ -1,6 +1,7 @@
 //! The four memory-safety checkers, expressed as source-sink queries.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
+use vsfs_adt::FxHashSet;
 use vsfs_ir::{BlockId, InstId, InstKind, ObjId, Program};
 use vsfs_svfg::{Svfg, SvfgNodeId, SvfgNodeKind};
 
@@ -94,7 +95,7 @@ fn check_freed_memory(
             continue;
         }
         let wave = graph.reach(svfg.inst_node(free), &objs);
-        let mut reported: HashSet<(CheckerKind, InstId, ObjId)> = HashSet::new();
+        let mut reported: FxHashSet<(CheckerKind, InstId, ObjId)> = FxHashSet::default();
         for &(from, obj, to) in &wave.edges {
             let SvfgNodeKind::Inst(sink) = svfg.kind(to) else { continue };
             let checker = match prog.insts[sink].kind {
@@ -186,7 +187,7 @@ fn has_free_avoiding_exit_path(prog: &Program, alloc: InstId, frees: &[InstId]) 
     // BFS over blocks, skipping any that execute a free. The allocation
     // block itself is *re-enterable* (via a loop), and on re-entry its
     // pre-allocation frees run too, so it gets the ordinary test.
-    let mut visited: HashSet<BlockId> = HashSet::new();
+    let mut visited: FxHashSet<BlockId> = FxHashSet::default();
     let mut queue: VecDeque<BlockId> =
         prog.blocks[alloc_block].term.successors().iter().copied().collect();
     while let Some(b) = queue.pop_front() {

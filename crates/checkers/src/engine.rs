@@ -19,7 +19,8 @@
 //! solver itself does on the fly — so the Andersen view walks more
 //! interprocedural edges than the flow-sensitive view, as it should.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
+use vsfs_adt::{FxHashMap, FxHashSet};
 use vsfs_ir::{ObjId, Program};
 use vsfs_svfg::{Svfg, SvfgNodeId};
 
@@ -29,14 +30,14 @@ use crate::view::PtsView;
 pub struct TaintGraph<'a> {
     svfg: &'a Svfg,
     /// Activated `CallBinding` edges, keyed by source node.
-    extra_succs: HashMap<SvfgNodeId, Vec<(SvfgNodeId, ObjId)>>,
+    extra_succs: FxHashMap<SvfgNodeId, Vec<(SvfgNodeId, ObjId)>>,
 }
 
 /// One BFS wave from a single source node: every traversed edge in BFS
 /// order, plus the parent map for path reconstruction.
 pub struct Wave {
     seed: SvfgNodeId,
-    parent: HashMap<(SvfgNodeId, ObjId), (SvfgNodeId, ObjId)>,
+    parent: FxHashMap<(SvfgNodeId, ObjId), (SvfgNodeId, ObjId)>,
     /// Every `(from, object, to)` edge the wave crossed, in BFS order.
     /// Edges into already-visited nodes are included (a loop can carry a
     /// freed object back into its own `FREE`), so sink scans must
@@ -70,7 +71,7 @@ impl<'a> TaintGraph<'a> {
     /// indirect edges plus the deferred call-binding edges of every call
     /// edge the view resolves.
     pub fn new(prog: &Program, svfg: &'a Svfg, view: &dyn PtsView) -> TaintGraph<'a> {
-        let mut extra_succs: HashMap<SvfgNodeId, Vec<(SvfgNodeId, ObjId)>> = HashMap::new();
+        let mut extra_succs: FxHashMap<SvfgNodeId, Vec<(SvfgNodeId, ObjId)>> = FxHashMap::default();
         for (call, callee) in view.call_edges() {
             let Some(binding) = svfg.call_binding(call, callee) else { continue };
             let f = &prog.functions[callee];
@@ -91,8 +92,8 @@ impl<'a> TaintGraph<'a> {
     /// Forward BFS from `seed`, carrying each object in `objs` along its
     /// own labelled edges. `objs` must be sorted for deterministic order.
     pub fn reach(&self, seed: SvfgNodeId, objs: &[ObjId]) -> Wave {
-        let mut wave = Wave { seed, parent: HashMap::new(), edges: Vec::new() };
-        let mut visited: HashSet<(SvfgNodeId, ObjId)> = HashSet::new();
+        let mut wave = Wave { seed, parent: FxHashMap::default(), edges: Vec::new() };
+        let mut visited: FxHashSet<(SvfgNodeId, ObjId)> = FxHashSet::default();
         let mut queue: VecDeque<(SvfgNodeId, ObjId)> = VecDeque::new();
         for &o in objs {
             if visited.insert((seed, o)) {

@@ -12,6 +12,7 @@
 //! `null_fraction` knobs on, so frees, possibly-null pointers, loops,
 //! diamonds, and indirect calls all mix.
 
+use vsfs_adt::FxHashSet;
 use vsfs_checkers::{run_checkers, AndersenView, CheckerKind, FlowView};
 use vsfs_testkit::Rng;
 use vsfs_workloads::gen::{generate, WorkloadConfig};
@@ -48,8 +49,8 @@ fn flow_sensitive_findings_refine_andersen() {
         // Compare on (checker, inst, obj, src) — the path is a property
         // of the view's activated edges, not of the defect.
         let key = |f: &vsfs_checkers::Finding| (f.checker, f.inst, f.obj, f.src);
-        let ander_keys: std::collections::HashSet<_> = ander.iter().map(key).collect();
-        let flow_keys: std::collections::HashSet<_> = flow.iter().map(key).collect();
+        let ander_keys: FxHashSet<_> = ander.iter().map(key).collect();
+        let flow_keys: FxHashSet<_> = flow.iter().map(key).collect();
         for k in &flow_keys {
             if k.0 == CheckerKind::Leak {
                 continue;

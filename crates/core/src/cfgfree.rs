@@ -40,10 +40,9 @@
 
 use crate::result::{FlowSensitiveResult, GovernedAnalysis, SolveStats};
 use crate::schedule::SolveOrder;
-use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 use vsfs_adt::govern::{Completion, Governor};
-use vsfs_adt::{IndexVec, PointsToSet, PtsId, PtsStore, Worklist};
+use vsfs_adt::{FxHashMap, FxHashSet, IndexVec, PointsToSet, PtsId, PtsStore, Worklist};
 use vsfs_andersen::AndersenResult;
 use vsfs_graph::{condensation_ranks, DiGraph};
 use vsfs_ir::{Callee, Cfg, DefUse, FuncId, InstId, InstKind, ObjId, Program, ValueId};
@@ -167,16 +166,16 @@ struct CfgFreeSolver<'a> {
     /// Global points-to set per top-level value.
     pt: IndexVec<ValueId, PtsId>,
     singletons: PointsToSet<ObjId>,
-    active_callees: HashMap<InstId, Vec<FuncId>>,
-    active_callers: HashMap<FuncId, Vec<InstId>>,
-    activated: HashSet<(InstId, FuncId)>,
+    active_callees: FxHashMap<InstId, Vec<FuncId>>,
+    active_callers: FxHashMap<FuncId, Vec<InstId>>,
+    activated: FxHashSet<(InstId, FuncId)>,
     defs: Vec<DefEvent>,
     uses: Vec<UseEvent>,
     /// Def / use events of each instruction (block-walk order).
     defs_at: IndexVec<InstId, Vec<u32>>,
     uses_at: IndexVec<InstId, Vec<u32>>,
-    def_index: HashMap<(InstId, ObjId), u32>,
-    use_index: HashMap<(InstId, ObjId), u32>,
+    def_index: FxHashMap<(InstId, ObjId), u32>,
+    use_index: FxHashMap<(InstId, ObjId), u32>,
     /// Static reach edges per def: `(use, frontier)` — the set id last
     /// shipped along the edge, for difference propagation.
     reach: Vec<Vec<(u32, PtsId)>>,
@@ -211,15 +210,15 @@ impl<'a> CfgFreeSolver<'a> {
             store,
             pt,
             singletons,
-            active_callees: HashMap::new(),
-            active_callers: HashMap::new(),
-            activated: HashSet::new(),
+            active_callees: FxHashMap::default(),
+            active_callers: FxHashMap::default(),
+            activated: FxHashSet::default(),
             defs: Vec::new(),
             uses: Vec::new(),
             defs_at: (0..prog.insts.len()).map(|_| Vec::new()).collect(),
             uses_at: (0..prog.insts.len()).map(|_| Vec::new()).collect(),
-            def_index: HashMap::new(),
-            use_index: HashMap::new(),
+            def_index: FxHashMap::default(),
+            use_index: FxHashMap::default(),
             reach: Vec::new(),
             val: Vec::new(),
             uval: Vec::new(),
@@ -367,7 +366,7 @@ impl<'a> CfgFreeSolver<'a> {
                 }
                 let k = local_defs.len();
                 let words = k.div_ceil(64);
-                let local_of: HashMap<u32, usize> =
+                let local_of: FxHashMap<u32, usize> =
                     local_defs.iter().enumerate().map(|(i, &d)| (d, i)).collect();
 
                 // GEN per block + whether the block kills (strong def).

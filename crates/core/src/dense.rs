@@ -20,10 +20,9 @@
 //! for every value, `pt_vsfs(v) ⊆ pt_dense(v) ⊆ pt_andersen(v)`.
 
 use crate::result::{FlowSensitiveResult, GovernedAnalysis, SolveStats};
-use std::collections::HashMap;
 use std::time::Instant;
 use vsfs_adt::govern::{Completion, Governor};
-use vsfs_adt::{FifoWorklist, IndexVec, PointsToSet, PtsId, PtsStore};
+use vsfs_adt::{FifoWorklist, FxHashMap, IndexVec, PointsToSet, PtsId, PtsStore};
 use vsfs_andersen::AndersenResult;
 use vsfs_ir::{DefUse, Icfg, InstId, InstKind, ObjId, Program, ValueId};
 
@@ -75,7 +74,7 @@ fn solve_impl(
     (FlowSensitiveResult::new(store, pt, callgraph_edges, stats), completion)
 }
 
-type ObjMap = HashMap<ObjId, PointsToSet<ObjId>>;
+type ObjMap = FxHashMap<ObjId, PointsToSet<ObjId>>;
 
 struct DenseSolver<'a> {
     prog: &'a Program,
@@ -113,8 +112,8 @@ impl<'a> DenseSolver<'a> {
             defuse: DefUse::compute(prog),
             singletons: vsfs_andersen::compute_singletons(prog, &aux.callgraph),
             pt,
-            ins: (0..n).map(|_| ObjMap::new()).collect(),
-            outs: (0..n).map(|_| ObjMap::new()).collect(),
+            ins: (0..n).map(|_| ObjMap::default()).collect(),
+            outs: (0..n).map(|_| ObjMap::default()).collect(),
             dirty: (0..n).map(|_| PointsToSet::new()).collect(),
             worklist,
             stats: SolveStats::default(),

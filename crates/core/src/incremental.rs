@@ -73,10 +73,9 @@ use crate::schedule::SolveOrder;
 use crate::sfs::{run_sfs_seeded, SfsHarvest, SfsSeed};
 use crate::solver::SolverKind;
 use std::cell::OnceCell;
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use vsfs_adt::govern::{Completion, DegradeReason, Governor};
-use vsfs_adt::{IndexVec, PtsCarry, PtsId};
+use vsfs_adt::{FxHashMap, IndexVec, PtsCarry, PtsId};
 use vsfs_andersen::{
     analyze_governed, analyze_unify, analyze_unify_governed, analyze_with_config, AndersenConfig,
     AndersenResult, UnifyConfig,
@@ -84,7 +83,7 @@ use vsfs_andersen::{
 use vsfs_graph::{DiGraph, Sccs};
 use vsfs_ir::{Callee, FuncId, InstId, InstKind, ObjId, ObjKind, Program, ValueId};
 use vsfs_mssa::MemorySsa;
-use vsfs_svfg::stable::{fnv1a, mix, mssa_def_node};
+use vsfs_svfg::stable::{fnv1a, mix, mssa_def_node, KeyMap, KeySet};
 use vsfs_svfg::{StableKeys, Svfg, SvfgNodeId, SvfgNodeKind};
 
 /// Audit waves before giving up on change-driven invalidation and
@@ -661,7 +660,7 @@ impl WaveCtx {
             }
         }
         if any_dead {
-            let mut stale_memo: HashMap<PtsId, bool> = HashMap::new();
+            let mut stale_memo: FxHashMap<PtsId, bool> = FxHashMap::default();
             let mut set_stale = |id: PtsId| -> bool {
                 *stale_memo.entry(id).or_insert_with(|| old_store.iter_set(id).any(|o| dead[o]))
             };
@@ -952,7 +951,7 @@ fn audit_frontier(
         }
     }
     // New activations grouped by call site.
-    let mut acts: HashMap<InstId, Vec<FuncId>> = HashMap::new();
+    let mut acts: FxHashMap<InstId, Vec<FuncId>> = FxHashMap::default();
     for &(call, f) in &result.callgraph_edges {
         acts.entry(call).or_default().push(f);
     }
@@ -996,14 +995,14 @@ fn audit_frontier(
 
     // Activation audit. Old activations keyed by (call-site key, callee
     // name hash); functions of the new parse looked up by name hash.
-    let mut old_acts: HashMap<u64, HashSet<u64>> = HashMap::new();
+    let mut old_acts: KeyMap<KeySet> = KeyMap::new();
     for &(call, f) in &old_result.callgraph_edges {
         old_acts
             .entry(prev.keys.inst_key[call])
             .or_default()
             .insert(fnv1a(prev.prog.functions[f].name.as_bytes()));
     }
-    let name_to_func: HashMap<u64, FuncId> = front
+    let name_to_func: KeyMap<FuncId> = front
         .prog
         .functions
         .iter_enumerated()
@@ -1022,7 +1021,7 @@ fn audit_frontier(
         }
         let ret_node = svfg.callret_node(call);
         let old_set = old_acts.get(&front.keys.inst_key[call]);
-        let mut new_names: HashSet<u64> = HashSet::new();
+        let mut new_names: KeySet = KeySet::new();
         for &callee in acts.get(&call).map_or(&[] as &[FuncId], Vec::as_slice) {
             let func = &front.prog.functions[callee];
             let name_hash = fnv1a(func.name.as_bytes());
@@ -1211,7 +1210,7 @@ pub fn node_signatures(
     // Auxiliary call-graph callers per function, as sorted inst keys —
     // part of every FUNENTRY signature so caller-set changes (new or
     // removed potential call sites) dirty the entry.
-    let mut aux_callers: HashMap<FuncId, Vec<u64>> = HashMap::new();
+    let mut aux_callers: FxHashMap<FuncId, Vec<u64>> = FxHashMap::default();
     for (call, f) in aux.callgraph.edges() {
         aux_callers.entry(f).or_default().push(keys.inst_key[call]);
     }

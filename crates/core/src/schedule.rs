@@ -165,6 +165,7 @@ pub(crate) fn slot_ranks(prog: &Program, svfg: &Svfg, tables: &VersionTables) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vsfs_adt::FxHashSet;
     use vsfs_ir::parse_program;
     use vsfs_mssa::MemorySsa;
 
@@ -201,7 +202,7 @@ mod tests {
         assert_eq!(ranks.len(), svfg.node_count());
         assert_eq!(comps.len(), svfg.node_count());
         // This graph is acyclic, so component ids are distinct per node.
-        let distinct: std::collections::HashSet<u32> = comps.iter().copied().collect();
+        let distinct: FxHashSet<u32> = comps.iter().copied().collect();
         assert_eq!(distinct.len(), svfg.node_count());
         // Every static edge is (weakly) rank-ordered.
         for n in svfg.node_ids() {

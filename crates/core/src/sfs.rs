@@ -15,10 +15,9 @@ use crate::region::RegionMemo;
 use crate::result::{FlowSensitiveResult, GovernedAnalysis, SolveStats};
 use crate::schedule::{svfg_schedule, SolveConfig, SolveOrder};
 use crate::toplevel::{TopLevel, EMPTY};
-use std::collections::HashMap;
 use std::time::Instant;
 use vsfs_adt::govern::{Completion, Governor};
-use vsfs_adt::{IndexVec, PointsToSet, PtsId, PtsStore, Worklist};
+use vsfs_adt::{FxHashMap, IndexVec, PointsToSet, PtsId, PtsStore, Worklist};
 use vsfs_andersen::AndersenResult;
 use vsfs_ir::{FuncId, InstId, InstKind, ObjId, Program, ValueId};
 use vsfs_mssa::MemorySsa;
@@ -194,7 +193,7 @@ fn solve_impl(
 /// `IN`/`OUT` entries hold ids into the run's shared
 /// [`vsfs_adt::PtsStore`] (`TopLevel::store`); identical sets across
 /// nodes are stored once.
-type ObjMap = HashMap<ObjId, PtsId>;
+type ObjMap = FxHashMap<ObjId, PtsId>;
 
 struct SfsSolver<'a> {
     prog: &'a Program,
@@ -260,8 +259,8 @@ impl<'a> SfsSolver<'a> {
             mssa,
             svfg,
             top,
-            ins: (0..n).map(|_| ObjMap::new()).collect(),
-            outs: (0..n).map(|_| ObjMap::new()).collect(),
+            ins: (0..n).map(|_| ObjMap::default()).collect(),
+            outs: (0..n).map(|_| ObjMap::default()).collect(),
             dyn_succs: (0..n).map(|_| Vec::new()).collect(),
             edge_frontier: svfg
                 .node_ids()

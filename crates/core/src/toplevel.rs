@@ -13,8 +13,7 @@
 //! `IN`/`OUT` entries, VSFS version slots), so identical sets across
 //! layers are stored once and repeated unions hit the store's memo.
 
-use std::collections::{HashMap, HashSet};
-use vsfs_adt::{IndexVec, PointsToSet, PtsId, PtsStore, Worklist};
+use vsfs_adt::{FxHashMap, FxHashSet, IndexVec, PointsToSet, PtsId, PtsStore, Worklist};
 use vsfs_andersen::AndersenResult;
 use vsfs_ir::{Callee, DefUse, FuncId, InstId, InstKind, ObjId, Program, ValueId};
 use vsfs_svfg::{Svfg, SvfgNodeId};
@@ -33,10 +32,10 @@ pub struct TopLevel<'a> {
     /// Global points-to set per top-level value (ids into [`TopLevel::store`]).
     pub pt: IndexVec<ValueId, PtsId>,
     /// Flow-sensitively activated callees per call site.
-    active_callees: HashMap<InstId, Vec<FuncId>>,
+    active_callees: FxHashMap<InstId, Vec<FuncId>>,
     /// Flow-sensitively activated call sites per function.
-    active_callers: HashMap<FuncId, Vec<InstId>>,
-    activated: HashSet<(InstId, FuncId)>,
+    active_callers: FxHashMap<FuncId, Vec<InstId>>,
+    activated: FxHashSet<(InstId, FuncId)>,
     /// Singleton objects (strong-update eligible).
     pub singletons: PointsToSet<ObjId>,
 }
@@ -57,9 +56,9 @@ impl<'a> TopLevel<'a> {
             defuse: DefUse::compute(prog),
             store,
             pt,
-            active_callees: HashMap::new(),
-            active_callers: HashMap::new(),
-            activated: HashSet::new(),
+            active_callees: FxHashMap::default(),
+            active_callers: FxHashMap::default(),
+            activated: FxHashSet::default(),
             singletons: vsfs_andersen::compute_singletons(prog, &aux.callgraph),
         }
     }

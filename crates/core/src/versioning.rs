@@ -28,11 +28,10 @@
 //! proportional to the largest single object subgraph, not to the whole
 //! SVFG.
 
-use std::collections::HashMap;
 use std::time::Instant;
 use vsfs_adt::govern::{Completion, DegradeReason, Governor, Outcome};
 use vsfs_adt::par::{self, ParConfig};
-use vsfs_adt::{CapacityOverflow, SbvInterner, SparseBitVector};
+use vsfs_adt::{CapacityOverflow, FxHashMap, SbvInterner, SparseBitVector};
 use vsfs_graph::{DiGraph, Sccs};
 use vsfs_ir::{InstKind, ObjId, Program};
 use vsfs_mssa::MemorySsa;
@@ -615,11 +614,11 @@ fn process_object(
 
     // Intern labels -> object-local versions.
     let mut interner = SbvInterner::new();
-    let mut slot_of_label: HashMap<u32, u32> = HashMap::new();
+    let mut slot_of_label: FxHashMap<u32, u32> = FxHashMap::default();
     let mut local_slots: u32 = 0;
     let mut slot = |label: &SparseBitVector,
                     interner: &mut SbvInterner,
-                    slot_of_label: &mut HashMap<u32, u32>|
+                    slot_of_label: &mut FxHashMap<u32, u32>|
      -> Result<u32, CapacityOverflow> {
         let lid = interner.try_intern(label)?;
         Ok(*slot_of_label.entry(lid).or_insert_with(|| {

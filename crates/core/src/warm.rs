@@ -30,10 +30,10 @@ use crate::result::FlowSensitiveResult;
 use crate::sfs::{run_sfs_seeded, SfsSeed};
 use crate::solver::SolverKind;
 use crate::{result_fingerprint, IncrementalOptions};
-use std::collections::HashMap;
 use vsfs_adt::govern::{Completion, Governor};
-use vsfs_adt::{PointsToSet, PtsId, PtsStore};
+use vsfs_adt::{FxHashMap, PointsToSet, PtsId, PtsStore};
 use vsfs_ir::{FuncId, InstId, InstKind, ObjId, ValueId};
+use vsfs_svfg::stable::KeyMap;
 
 /// A completed solve's warm state, re-keyed by stable keys so it is
 /// meaningful across parses and process restarts. All `u32` indices
@@ -74,7 +74,7 @@ pub fn export_warm(state: &ProgramState) -> Option<WarmExport> {
     let result = &state.analysis.result;
     let keys = &state.keys;
 
-    let mut set_index: HashMap<PtsId, u32> = HashMap::new();
+    let mut set_index: FxHashMap<PtsId, u32> = FxHashMap::default();
     let mut sets: Vec<Vec<u64>> = Vec::new();
     let mut index_of = |id: PtsId, result: &FlowSensitiveResult| -> u32 {
         *set_index.entry(id).or_insert_with(|| {
@@ -211,7 +211,7 @@ fn assemble_restore_seed(front: &Front, export: &WarmExport) -> Option<(SfsSeed,
     // Top-level sets for every value with a defining node (globals and
     // never-defined values are re-seeded by the solver, as on any seeded
     // solve).
-    let pt_by_key: HashMap<u64, u32> = export.pt.iter().copied().collect();
+    let pt_by_key: KeyMap<u32> = export.pt.iter().copied().collect();
     if pt_by_key.len() != export.pt.len() {
         return None;
     }
@@ -246,7 +246,7 @@ fn assemble_restore_seed(front: &Front, export: &WarmExport) -> Option<(SfsSeed,
 
     // Call activations: call-site instruction keys back to call insts,
     // callees by name.
-    let mut inst_of_key: HashMap<u64, InstId> = HashMap::new();
+    let mut inst_of_key: KeyMap<InstId> = KeyMap::new();
     for (inst, i) in front.prog.insts.iter_enumerated() {
         if matches!(i.kind, InstKind::Call { .. })
             && inst_of_key.insert(keys.inst_key[inst], inst).is_some()

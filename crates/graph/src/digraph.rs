@@ -6,8 +6,7 @@ use vsfs_adt::IndexVec;
 /// A directed graph storing successor and predecessor adjacency lists.
 ///
 /// Parallel edges are permitted by [`DiGraph::add_edge`]; use
-/// [`DiGraph::add_edge_dedup`] to skip duplicates (linear scan — fine for
-/// the small out-degrees typical of CFGs and SVFGs).
+/// [`DiGraph::add_edge_dedup`] to skip duplicates one edge at a time.
 ///
 /// # Examples
 ///
@@ -58,6 +57,12 @@ impl<I: Idx> DiGraph<I> {
     }
 
     /// Adds `from -> to` unless already present; returns `true` if added.
+    ///
+    /// Costs O(out-degree of `from`) per call: it scans the successor
+    /// list. Fine for the small out-degrees of CFGs and call graphs, but
+    /// not for bulk builds, where a quadratic blow-up hides behind one
+    /// high-degree node; dedup there with a per-source stamp array over
+    /// the targets and call [`DiGraph::add_edge`].
     pub fn add_edge_dedup(&mut self, from: I, to: I) -> bool {
         if self.succs[from].contains(&to) {
             return false;

@@ -120,7 +120,7 @@ mod tests {
 #[cfg(test)]
 mod more_tests {
     use super::*;
-    use vsfs_adt::define_index;
+    use vsfs_adt::{define_index, FxHashMap};
 
     define_index!(M, "m");
 
@@ -144,8 +144,7 @@ mod more_tests {
             }
         }
         let rpo = reverse_post_order(&g, M::new(0));
-        let pos: std::collections::HashMap<M, usize> =
-            rpo.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+        let pos: FxHashMap<M, usize> = rpo.iter().enumerate().map(|(i, &v)| (v, i)).collect();
         for (f, t) in g.edges() {
             assert!(pos[&f] < pos[&t], "edge {f:?}->{t:?} out of order");
         }

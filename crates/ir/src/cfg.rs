@@ -6,7 +6,7 @@
 
 use crate::ids::{BlockId, FuncId};
 use crate::program::Program;
-use std::collections::HashMap;
+use vsfs_adt::FxHashMap;
 use vsfs_graph::{DiGraph, DomTree};
 
 /// The control-flow graph of one function.
@@ -16,7 +16,7 @@ pub struct Cfg {
     /// Local index -> program-wide block id.
     blocks: Vec<BlockId>,
     /// Program-wide block id -> local index.
-    local: HashMap<BlockId, u32>,
+    local: FxHashMap<BlockId, u32>,
     graph: DiGraph<u32>,
 }
 
@@ -24,7 +24,7 @@ impl Cfg {
     /// Builds the CFG of `func`.
     pub fn build(prog: &Program, func: FuncId) -> Self {
         let blocks = prog.functions[func].blocks.clone();
-        let local: HashMap<BlockId, u32> =
+        let local: FxHashMap<BlockId, u32> =
             blocks.iter().enumerate().map(|(i, &b)| (b, i as u32)).collect();
         let mut graph: DiGraph<u32> = DiGraph::with_nodes(blocks.len());
         for (i, &b) in blocks.iter().enumerate() {

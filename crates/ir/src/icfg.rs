@@ -20,8 +20,7 @@
 use crate::ids::{FuncId, InstId};
 use crate::inst::InstKind;
 use crate::program::Program;
-use std::collections::HashMap;
-use vsfs_adt::IndexVec;
+use vsfs_adt::{FxHashMap, IndexVec};
 
 /// The instruction-level interprocedural CFG.
 #[derive(Debug, Clone)]
@@ -29,7 +28,7 @@ pub struct Icfg {
     succs: IndexVec<InstId, Vec<InstId>>,
     preds: IndexVec<InstId, Vec<InstId>>,
     /// The instruction control returns to after each call.
-    return_site: HashMap<InstId, InstId>,
+    return_site: FxHashMap<InstId, InstId>,
     edge_count: usize,
 }
 
@@ -41,7 +40,7 @@ impl Icfg {
         let mut icfg = Icfg {
             succs: (0..n).map(|_| Vec::new()).collect(),
             preds: (0..n).map(|_| Vec::new()).collect(),
-            return_site: HashMap::new(),
+            return_site: FxHashMap::default(),
             edge_count: 0,
         };
         // First instruction(s) reached when control enters a block;

@@ -53,6 +53,11 @@
 //! # Ok::<(), vsfs_ir::ParseProgramError>(())
 //! ```
 
+// The parser's maps are keyed by identifier text from the program source,
+// which a server client supplies in `load`/`edit` requests; they keep std's
+// randomly keyed SipHash so a client cannot craft colliding names.
+#![allow(clippy::disallowed_types)]
+
 use crate::build::{GInitVal, ProgramBuilder};
 use crate::ids::{BlockId, FuncId, ValueId};
 use crate::program::Program;

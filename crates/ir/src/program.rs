@@ -3,8 +3,7 @@
 
 use crate::ids::{BlockId, FuncId, InstId, ObjId, ValueId};
 use crate::inst::{Block, Inst};
-use std::collections::HashMap;
-use vsfs_adt::IndexVec;
+use vsfs_adt::{FxHashMap, IndexVec};
 
 /// What kind of memory an abstract object models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -133,15 +132,15 @@ pub struct Program {
     /// The program entry function (`main`).
     pub entry: Option<FuncId>,
     /// Field-object lookup: `(base, offset) -> field object`.
-    pub(crate) field_map: HashMap<(ObjId, u32), ObjId>,
+    pub(crate) field_map: FxHashMap<(ObjId, u32), ObjId>,
     /// Function-address object per function (for functions whose address
     /// is taken).
-    pub(crate) func_obj: HashMap<FuncId, ObjId>,
+    pub(crate) func_obj: FxHashMap<FuncId, ObjId>,
     /// The singleton null pseudo-object, if any `null` occurs.
     pub(crate) null_obj: Option<ObjId>,
     /// Source spans (`line`, `column`), 1-based, for instructions that
     /// came from the textual form. Builder-made programs leave this empty.
-    pub(crate) inst_spans: HashMap<InstId, (u32, u32)>,
+    pub(crate) inst_spans: FxHashMap<InstId, (u32, u32)>,
 }
 
 impl Program {

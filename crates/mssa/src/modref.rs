@@ -23,8 +23,7 @@
 //! function would annotate every transitive call site, inflating the SVFG
 //! quadratically.
 
-use std::collections::HashMap;
-use vsfs_adt::{FifoWorklist, IndexVec, PointsToSet};
+use vsfs_adt::{FifoWorklist, FxHashMap, IndexVec, PointsToSet};
 use vsfs_andersen::AndersenResult;
 use vsfs_ir::{FuncId, InstKind, ObjId, ObjKind, Program};
 
@@ -208,7 +207,7 @@ fn compute_escaped(prog: &Program, aux: &AndersenResult) -> PointsToSet<ObjId> {
     }
     // Closure: pointers stored inside escaped objects escape too, and so
     // do an escaped aggregate's fields.
-    let mut fields_of: HashMap<ObjId, Vec<ObjId>> = HashMap::new();
+    let mut fields_of: FxHashMap<ObjId, Vec<ObjId>> = FxHashMap::default();
     for (o, obj) in prog.objects.iter_enumerated() {
         if let ObjKind::Field { base, .. } = obj.kind {
             fields_of.entry(base).or_default().push(o);

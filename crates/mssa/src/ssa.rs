@@ -12,8 +12,7 @@
 use crate::annot::Annotations;
 use crate::modref::ModRef;
 use crate::{Chi, MemPhi, MemPhiId, MemorySsa, MssaDef, Mu};
-use std::collections::HashMap;
-use vsfs_adt::IndexVec;
+use vsfs_adt::{FxHashMap, IndexVec};
 use vsfs_ir::{BlockId, Cfg, FuncId, InstId, InstKind, ObjId, Program};
 
 /// Runs MEMPHI insertion and renaming, producing the final [`MemorySsa`].
@@ -48,7 +47,7 @@ fn rename_function(
 
     // Definition blocks per object (entry always defines everything
     // relevant through the FUNENTRY χ).
-    let mut def_blocks: HashMap<ObjId, Vec<u32>> = HashMap::new();
+    let mut def_blocks: FxHashMap<ObjId, Vec<u32>> = FxHashMap::default();
     for o in relevant.iter() {
         def_blocks.insert(o, vec![0]);
     }
@@ -67,7 +66,7 @@ fn rename_function(
     }
 
     // MEMPHI placement at iterated dominance frontiers.
-    let mut phis_by_block: HashMap<BlockId, Vec<MemPhiId>> = HashMap::new();
+    let mut phis_by_block: FxHashMap<BlockId, Vec<MemPhiId>> = FxHashMap::default();
     let mut objs: Vec<ObjId> = relevant.iter().collect();
     objs.sort_unstable();
     for o in objs {
@@ -81,7 +80,7 @@ fn rename_function(
     }
 
     // Renaming: iterative dominator-tree walk with per-object stacks.
-    let mut stacks: HashMap<ObjId, Vec<MssaDef>> = HashMap::new();
+    let mut stacks: FxHashMap<ObjId, Vec<MssaDef>> = FxHashMap::default();
     // (local block, next dom child index, number of pushes per object done
     // at this block in visit order).
     let mut walk: Vec<(u32, usize, Vec<ObjId>)> = Vec::new();
@@ -135,8 +134,8 @@ fn visit_block(
     prog: &Program,
     ann: &Annotations,
     cfg: &Cfg,
-    phis_by_block: &HashMap<BlockId, Vec<MemPhiId>>,
-    stacks: &mut HashMap<ObjId, Vec<MssaDef>>,
+    phis_by_block: &FxHashMap<BlockId, Vec<MemPhiId>>,
+    stacks: &mut FxHashMap<ObjId, Vec<MssaDef>>,
     mus: &mut IndexVec<InstId, Vec<Mu>>,
     chis: &mut IndexVec<InstId, Vec<Chi>>,
     memphis: &mut IndexVec<MemPhiId, MemPhi>,

@@ -674,8 +674,11 @@ impl Server {
             },
             None => None,
         };
+        // The function test goes first: it reads the value record the
+        // scan already has in hand, while each name comparison may chase
+        // a pointer to a separate heap string.
         for (v, val) in prog.values.iter_enumerated() {
-            if val.name == name && (func.is_none() || val.func == func) {
+            if (func.is_none() || val.func == func) && val.name == name {
                 return Ok(v);
             }
         }

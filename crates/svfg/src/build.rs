@@ -1,8 +1,7 @@
 //! SVFG construction from the IR, auxiliary results, and memory SSA.
 
 use crate::{CallBinding, ObjSetId, Svfg, SvfgNodeId, SvfgNodeKind};
-use std::collections::{HashMap, HashSet};
-use vsfs_adt::IndexVec;
+use vsfs_adt::{FxHashMap, FxHashSet, IndexVec};
 use vsfs_andersen::AndersenResult;
 use vsfs_ir::{Callee, DefUse, InstId, InstKind, ObjId, Program, ValueDef};
 use vsfs_mssa::{MemorySsa, MssaDef};
@@ -19,7 +18,7 @@ struct Builder<'a> {
     aux: &'a AndersenResult,
     mssa: &'a MemorySsa,
     svfg: Svfg,
-    seen_dir: HashSet<(SvfgNodeId, SvfgNodeId)>,
+    seen_dir: FxHashSet<(SvfgNodeId, SvfgNodeId)>,
     /// Raw labelled indirect edges, possibly with duplicates. Grouping
     /// and dedup happen in one sort at the end of construction —
     /// markedly cheaper in peak heap than a per-edge dedup set (the
@@ -33,7 +32,7 @@ impl<'a> Builder<'a> {
         // Allocate nodes.
         let mut nodes: IndexVec<SvfgNodeId, SvfgNodeKind> = IndexVec::new();
         let mut node_of_inst: IndexVec<InstId, SvfgNodeId> = IndexVec::new();
-        let mut node_of_callret: HashMap<InstId, SvfgNodeId> = HashMap::new();
+        let mut node_of_callret: FxHashMap<InstId, SvfgNodeId> = FxHashMap::default();
         for (i, inst) in prog.insts.iter_enumerated() {
             let id = nodes.push(SvfgNodeKind::Inst(i));
             debug_assert_eq!(node_of_inst.next_index(), i);
@@ -59,12 +58,12 @@ impl<'a> Builder<'a> {
             ind_preds: (0..n).map(|_| Vec::new()).collect(),
             obj_set_arena: Vec::new(),
             obj_set_spans: Vec::new(),
-            call_bindings: HashMap::new(),
+            call_bindings: FxHashMap::default(),
             delta: IndexVec::from_elem_n(false, n),
             direct_edges: 0,
             indirect_edges: 0,
         };
-        Builder { prog, aux, mssa, svfg, seen_dir: HashSet::new(), raw_ind: Vec::new() }
+        Builder { prog, aux, mssa, svfg, seen_dir: FxHashSet::default(), raw_ind: Vec::new() }
     }
 
     fn run(mut self) -> Svfg {
@@ -97,7 +96,7 @@ impl<'a> Builder<'a> {
         raw.dedup();
         self.svfg.indirect_edges += raw.len();
 
-        let mut set_ids: HashMap<Box<[ObjId]>, ObjSetId> = HashMap::new();
+        let mut set_ids: FxHashMap<Box<[ObjId]>, ObjSetId> = FxHashMap::default();
         let mut intern = |svfg: &mut Svfg, objs: &[ObjId]| -> ObjSetId {
             if let Some(&s) = set_ids.get(objs) {
                 return s;

@@ -8,8 +8,8 @@
 //! source/sink highlighting.
 
 use crate::{Svfg, SvfgNodeId, SvfgNodeKind};
-use std::collections::HashMap;
 use std::fmt::Write as _;
+use vsfs_adt::FxHashMap;
 use vsfs_ir::Program;
 
 /// How a node should be highlighted in the rendered graph.
@@ -25,10 +25,10 @@ pub enum DotRole {
 #[derive(Debug, Clone, Default)]
 pub struct DotAnnotations {
     /// Extra label lines appended under a node's base label.
-    pub extra_lines: HashMap<SvfgNodeId, Vec<String>>,
+    pub extra_lines: FxHashMap<SvfgNodeId, Vec<String>>,
     /// Fill highlighting. Sources render salmon, sinks gold; a node that
     /// is both keeps the role set here (callers decide precedence).
-    pub roles: HashMap<SvfgNodeId, DotRole>,
+    pub roles: FxHashMap<SvfgNodeId, DotRole>,
 }
 
 impl Svfg {

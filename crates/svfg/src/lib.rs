@@ -48,8 +48,7 @@ pub mod stable;
 pub use dot::{DotAnnotations, DotRole};
 pub use stable::StableKeys;
 
-use std::collections::HashMap;
-use vsfs_adt::{define_index, IndexVec};
+use vsfs_adt::{define_index, FxHashMap, IndexVec};
 use vsfs_ir::{FuncId, InstId, ObjId};
 use vsfs_mssa::MemPhiId;
 
@@ -97,7 +96,7 @@ pub struct CallBinding {
 pub struct Svfg {
     pub(crate) nodes: IndexVec<SvfgNodeId, SvfgNodeKind>,
     pub(crate) node_of_inst: IndexVec<InstId, SvfgNodeId>,
-    pub(crate) node_of_callret: HashMap<InstId, SvfgNodeId>,
+    pub(crate) node_of_callret: FxHashMap<InstId, SvfgNodeId>,
     pub(crate) node_of_memphi: IndexVec<MemPhiId, SvfgNodeId>,
     pub(crate) direct_succs: IndexVec<SvfgNodeId, Vec<SvfgNodeId>>,
     /// Grouped indirect edges: one entry per `(from, to)` pair, labelled
@@ -108,7 +107,7 @@ pub struct Svfg {
     /// `(start, len)` spans, indexed by [`ObjSetId`].
     pub(crate) obj_set_arena: Vec<ObjId>,
     pub(crate) obj_set_spans: Vec<(u32, u32)>,
-    pub(crate) call_bindings: HashMap<(InstId, FuncId), CallBinding>,
+    pub(crate) call_bindings: FxHashMap<(InstId, FuncId), CallBinding>,
     pub(crate) delta: IndexVec<SvfgNodeId, bool>,
     pub(crate) direct_edges: usize,
     pub(crate) indirect_edges: usize,

@@ -30,10 +30,19 @@
 //! never rests on 64-bit injectivity.
 
 use crate::{Svfg, SvfgNodeId, SvfgNodeKind};
-use std::collections::HashMap;
 use vsfs_adt::IndexVec;
 use vsfs_ir::{InstId, InstKind, ObjId, ObjKind, Program, ValueId};
 use vsfs_mssa::{MemorySsa, MssaDef};
+
+/// A map keyed by stable keys. The keys are hashed from program text,
+/// which a client chooses, so the map keeps std's randomly keyed SipHash
+/// rather than the fixed Fx hash (see `vsfs_adt::fxhash`).
+#[allow(clippy::disallowed_types)]
+pub type KeyMap<V> = std::collections::HashMap<u64, V>;
+
+/// A set of stable keys, on SipHash for the reason given at [`KeyMap`].
+#[allow(clippy::disallowed_types)]
+pub type KeySet = std::collections::HashSet<u64>;
 
 /// FNV-1a over a byte string.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -75,9 +84,9 @@ pub struct StableKeys {
     pub inst_key: IndexVec<InstId, u64>,
     /// Key of each SVFG node.
     pub node_key: IndexVec<SvfgNodeId, u64>,
-    node_of_key: HashMap<u64, SvfgNodeId>,
-    value_of_key: HashMap<u64, ValueId>,
-    obj_of_key: HashMap<u64, ObjId>,
+    node_of_key: KeyMap<SvfgNodeId>,
+    value_of_key: KeyMap<ValueId>,
+    obj_of_key: KeyMap<ObjId>,
     ambiguous: bool,
 }
 
@@ -91,11 +100,11 @@ impl StableKeys {
     pub fn build_program(prog: &Program) -> StableKeys {
         let (obj_key, value_key, inst_key) = Self::program_keys(prog);
         let mut ambiguous = false;
-        let mut obj_of_key = HashMap::with_capacity(obj_key.len());
+        let mut obj_of_key = KeyMap::with_capacity(obj_key.len());
         for (id, &key) in obj_key.iter_enumerated() {
             ambiguous |= obj_of_key.insert(key, id).is_some();
         }
-        let mut value_of_key = HashMap::with_capacity(value_key.len());
+        let mut value_of_key = KeyMap::with_capacity(value_key.len());
         for (id, &key) in value_key.iter_enumerated() {
             ambiguous |= value_of_key.insert(key, id).is_some();
         }
@@ -104,7 +113,7 @@ impl StableKeys {
             value_key,
             inst_key,
             node_key: IndexVec::new(),
-            node_of_key: HashMap::new(),
+            node_of_key: KeyMap::new(),
             value_of_key,
             obj_of_key,
             ambiguous,
@@ -119,7 +128,7 @@ impl StableKeys {
 
         // Objects: non-field kinds first (field bases are never fields —
         // the IR collapses field-of-field), then fields over base keys.
-        let mut occurrence: HashMap<u64, u32> = HashMap::new();
+        let mut occurrence: KeyMap<u32> = KeyMap::new();
         let mut obj_key: IndexVec<ObjId, u64> = IndexVec::new();
         for (_, obj) in prog.objects.iter_enumerated() {
             let raw = match obj.kind {
@@ -187,11 +196,11 @@ impl StableKeys {
         let (obj_key, value_key, inst_key) = Self::program_keys(prog);
         let mut ambiguous = false;
         let fname = |f| fnv1a(prog.functions[f].name.as_bytes());
-        let mut obj_of_key = HashMap::with_capacity(obj_key.len());
+        let mut obj_of_key = KeyMap::with_capacity(obj_key.len());
         for (id, &key) in obj_key.iter_enumerated() {
             ambiguous |= obj_of_key.insert(key, id).is_some();
         }
-        let mut value_of_key = HashMap::with_capacity(value_key.len());
+        let mut value_of_key = KeyMap::with_capacity(value_key.len());
         for (id, &key) in value_key.iter_enumerated() {
             ambiguous |= value_of_key.insert(key, id).is_some();
         }
@@ -219,7 +228,7 @@ impl StableKeys {
             };
             node_key.push(key);
         }
-        let mut node_of_key = HashMap::with_capacity(node_key.len());
+        let mut node_of_key = KeyMap::with_capacity(node_key.len());
         for (id, &key) in node_key.iter_enumerated() {
             ambiguous |= node_of_key.insert(key, id).is_some();
         }

@@ -249,7 +249,7 @@ impl ProtocolFuzzer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use vsfs_adt::FxHashSet;
 
     #[test]
     fn sessions_are_deterministic_per_seed() {
@@ -275,7 +275,7 @@ mod tests {
     #[test]
     fn long_sessions_cover_every_kind() {
         let mut f = ProtocolFuzzer::new(3, 512);
-        let kinds: HashSet<_> = f.session(400).into_iter().map(|c| c.kind).collect();
+        let kinds: FxHashSet<_> = f.session(400).into_iter().map(|c| c.kind).collect();
         for k in ALL_KINDS {
             assert!(kinds.contains(k), "kind {k:?} never generated");
         }
