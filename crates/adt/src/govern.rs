@@ -442,7 +442,7 @@ impl Governor {
     /// The cooperative checkpoint. Solvers call this at each iteration
     /// boundary with the number of steps since the last call; the
     /// governor accounts them, runs injected faults, and polls the
-    /// clock/allocator every [`POLL_INTERVAL`] checkpoints. Returns
+    /// clock/allocator every `POLL_INTERVAL` checkpoints. Returns
     /// `Err(reason)` once tripped — sticky, so callers can simply break
     /// their loop.
     pub fn check(&self, new_steps: u64) -> Result<(), DegradeReason> {

@@ -29,7 +29,7 @@
 use crate::callgraph::CallGraph;
 use crate::pag::{CallSiteId, Constraint, Pag, PagNodeId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use vsfs_adt::govern::{panic_message, DegradeReason, Governor, Outcome, WorkerFault};
+use vsfs_adt::govern::{panic_message, Completion, DegradeReason, Governor, Outcome, WorkerFault};
 use vsfs_adt::par::{self, ParConfig};
 use vsfs_adt::{
     FifoWorklist, FlatReader, FxHashSet, PointsToSet, PtsId, PtsScratch, PtsStore, PtsStoreStats,
@@ -85,7 +85,7 @@ pub struct AndersenStats {
     /// Worker threads used by the parallel schedule (0 for sequential runs).
     pub par_workers: usize,
     /// `true` when the union shards were seeded by unification alias
-    /// regions ([`crate::solver::analyze_with_config_regions`]).
+    /// regions ([`analyze_with`]).
     pub region_seeded: bool,
     /// Hash-consed points-to store counters (unique sets, memo hit rates).
     pub store: PtsStoreStats,
@@ -140,35 +140,24 @@ impl AndersenResult {
 
 /// Runs Andersen's analysis with the default configuration.
 pub fn analyze(prog: &Program) -> AndersenResult {
-    analyze_with_config(prog, AndersenConfig::default())
+    analyze_with(prog, AndersenConfig::default(), None, None).result
 }
 
-/// Runs Andersen's analysis with an explicit configuration.
-pub fn analyze_with_config(prog: &Program, config: AndersenConfig) -> AndersenResult {
-    Solver::new(prog, config).run()
-}
-
-/// Runs Andersen's analysis with the wave shards seeded by the alias
-/// regions of a unification pre-analysis ([`crate::unify`]): the union
-/// phase orders its target groups region-major before the cost split,
-/// so targets of the same (provably-disjoint) alias region land on the
-/// same worker wherever load balance permits. A pure scheduling hint —
-/// the result is bit-identical to [`analyze_with_config`] for every
-/// `jobs` and every region assignment.
-pub fn analyze_with_config_regions(
-    prog: &Program,
-    config: AndersenConfig,
-    regions: &crate::unify::AliasRegions,
-) -> AndersenResult {
-    let mut solver = Solver::new(prog, config);
-    solver.regions = Some(regions.region_of_node.clone());
-    solver.run()
-}
-
-/// Runs Andersen's analysis under a [`Governor`]: the solver checkpoints
-/// at every sequential pop (or wave boundary in the parallel schedule)
-/// and stops once the governor trips, and parallel worker panics are
-/// caught and reported through the governor instead of aborting.
+/// Runs Andersen's analysis with an explicit configuration, optionally
+/// region-seeded and optionally governed. Without a governor the
+/// outcome is always complete.
+///
+/// `regions` seeds the wave shards with the alias regions of a
+/// unification pre-analysis ([`crate::unify`]): the union phase orders
+/// its target groups region-major before the cost split, so targets of
+/// the same (provably-disjoint) alias region land on the same worker
+/// wherever load balance permits. A pure scheduling hint — the result
+/// is bit-identical for every `jobs` and every region assignment.
+///
+/// Under a [`Governor`] the solver checkpoints at every sequential pop
+/// (or wave boundary in the parallel schedule) and stops once the
+/// governor trips, and parallel worker panics are caught and reported
+/// through the governor instead of aborting.
 ///
 /// **A degraded Andersen result is a partial fixpoint — an
 /// under-approximation — and therefore unsound to analyse with or to
@@ -178,17 +167,19 @@ pub fn analyze_with_config_regions(
 /// Step accounting caveat: the sequential and wave schedules pop in
 /// different granularities, so step budgets are *not* schedule-portable
 /// here. Deterministic budget tests target the flow-sensitive stage;
-/// this entry point exists to bound wall-clock/memory and to propagate
-/// cancellation.
-pub fn analyze_governed(
+/// governing this stage exists to bound wall-clock/memory and to
+/// propagate cancellation.
+pub fn analyze_with(
     prog: &Program,
     config: AndersenConfig,
-    governor: &Governor,
+    regions: Option<&crate::unify::AliasRegions>,
+    governor: Option<&Governor>,
 ) -> Outcome<AndersenResult> {
     let mut solver = Solver::new(prog, config);
-    solver.gov = Some(governor);
+    solver.regions = regions.map(|r| r.region_of_node.clone());
+    solver.gov = governor;
     let result = solver.run();
-    Outcome { result, completion: governor.completion() }
+    Outcome { result, completion: governor.map_or(Completion::Complete, Governor::completion) }
 }
 
 /// What one wave-scan of a dirty node produced: the node's unprocessed
@@ -911,7 +902,7 @@ mod tests {
             AndersenConfig { scc_interval: Some(1), ..Default::default() },
             AndersenConfig { scc_interval: None, ..Default::default() },
         ] {
-            let res = analyze_with_config(&prog, cfg);
+            let res = analyze_with(&prog, cfg, None, None).result;
             assert_eq!(pts_names(&prog, res.value_pts(value(&prog, "c"))), vec!["A"]);
         }
     }
@@ -1066,14 +1057,20 @@ mod tests {
             "#;
         for (name, src) in [("recursive", recursive.to_string()), ("hub", hub_program(256))] {
             let prog = parse_program(&src).unwrap();
-            let base = analyze_with_config(
+            let base = analyze_with(
                 &prog,
                 AndersenConfig { scc_interval: None, ..Default::default() },
-            );
-            let scc = analyze_with_config(
+                None,
+                None,
+            )
+            .result;
+            let scc = analyze_with(
                 &prog,
                 AndersenConfig { scc_interval: Some(1), ..Default::default() },
-            );
+                None,
+                None,
+            )
+            .result;
             if name == "hub" {
                 assert!(scc.stats.nodes_collapsed > 0, "hub: no cycle was collapsed");
             }
@@ -1181,9 +1178,11 @@ mod tests {
         )
         .unwrap();
         for scc_interval in [Some(1), Some(4), None] {
-            let seq = analyze_with_config(&prog, AndersenConfig { scc_interval, jobs: 1 });
+            let seq =
+                analyze_with(&prog, AndersenConfig { scc_interval, jobs: 1 }, None, None).result;
             for jobs in [2usize, 8] {
-                let wave = analyze_with_config(&prog, AndersenConfig { scc_interval, jobs });
+                let wave =
+                    analyze_with(&prog, AndersenConfig { scc_interval, jobs }, None, None).result;
                 assert_same_result(
                     &prog,
                     &seq,
@@ -1239,8 +1238,8 @@ mod tests {
         let regions = crate::unify::analyze_unify(&prog).alias_regions(prog.objects.len());
         for jobs in [2usize, 4, 8] {
             let cfg = AndersenConfig::with_jobs(jobs);
-            let base = analyze_with_config(&prog, cfg);
-            let seeded = analyze_with_config_regions(&prog, cfg, &regions);
+            let base = analyze_with(&prog, cfg, None, None).result;
+            let seeded = analyze_with(&prog, cfg, Some(&regions), None).result;
             assert_same_result(&prog, &base, &seeded, &format!("jobs={jobs}"));
             // Region seeding is a scheduling hint: the internal run must
             // match exactly, not just the fixpoint.
@@ -1275,9 +1274,9 @@ mod tests {
             "#,
         )
         .unwrap();
-        let base = analyze_with_config(&prog, AndersenConfig::with_jobs(2));
+        let base = analyze_with(&prog, AndersenConfig::with_jobs(2), None, None).result;
         for jobs in [3usize, 8] {
-            let other = analyze_with_config(&prog, AndersenConfig::with_jobs(jobs));
+            let other = analyze_with(&prog, AndersenConfig::with_jobs(jobs), None, None).result;
             // The wave schedule is thread-count independent, so even the
             // internal run (merges, pushes, counters) matches exactly.
             assert_same_result(&prog, &base, &other, &format!("jobs={jobs}"));
@@ -1420,10 +1419,13 @@ mod more_tests {
         .unwrap();
         // With aggressive SCC the copies may merge; entries must not be
         // double-counted either way.
-        let res = analyze_with_config(
+        let res = analyze_with(
             &prog,
             AndersenConfig { scc_interval: Some(1), ..Default::default() },
-        );
+            None,
+            None,
+        )
+        .result;
         assert!(res.total_pts_entries() >= 1);
         assert!(res.total_pts_entries() <= 3);
     }

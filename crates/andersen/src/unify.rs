@@ -66,7 +66,7 @@
 use crate::callgraph::CallGraph;
 use crate::pag::{CallSiteId, Constraint, Pag};
 use std::time::Instant;
-use vsfs_adt::govern::{Governor, Outcome};
+use vsfs_adt::govern::{Completion, Governor, Outcome};
 use vsfs_adt::{FifoWorklist, FlatReader, FxHashSet, PointsToSet, PtsId, PtsStore, PtsStoreStats};
 use vsfs_ir::{ObjId, Program, ValueId};
 
@@ -262,31 +262,27 @@ impl AliasRegions {
 /// Runs the unification analysis with the default (no-oversharing)
 /// configuration.
 pub fn analyze_unify(prog: &Program) -> UnifyResult {
-    analyze_unify_with_config(prog, UnifyConfig::default())
+    analyze_unify_with(prog, UnifyConfig::default(), None).result
 }
 
-/// Runs the unification analysis with an explicit configuration.
-pub fn analyze_unify_with_config(prog: &Program, config: UnifyConfig) -> UnifyResult {
-    UnifySolver::new(prog, config, None).run()
-}
-
-/// Runs the unification analysis under a [`Governor`]: phase 1
-/// checkpoints per constraint, phase 2 per pop.
+/// Runs the unification analysis with an explicit configuration,
+/// optionally under a [`Governor`] (phase 1 checkpoints per constraint,
+/// phase 2 per pop). Without a governor the outcome is always complete.
 ///
-/// Like the governed Andersen entry point, **a degraded unification
-/// result is a partial fixpoint and unsound to fall back to** — and
-/// unification is the *last* sound rung of the degradation ladder, so
-/// callers must treat `Degraded` here as a hard error (exit 1). The
-/// ladder's fallback path therefore runs this solver ungoverned: its
-/// cost is a small fraction of the Andersen stage that already tripped,
-/// and an answer of last resort must actually be produced.
-pub fn analyze_unify_governed(
+/// Like a governed Andersen run, **a degraded unification result is a
+/// partial fixpoint and unsound to fall back to** — and unification is
+/// the *last* sound rung of the degradation ladder, so callers must
+/// treat `Degraded` here as a hard error (exit 1). The ladder's
+/// fallback path therefore runs this solver ungoverned: its cost is a
+/// small fraction of the Andersen stage that already tripped, and an
+/// answer of last resort must actually be produced.
+pub fn analyze_unify_with(
     prog: &Program,
     config: UnifyConfig,
-    governor: &Governor,
+    governor: Option<&Governor>,
 ) -> Outcome<UnifyResult> {
-    let result = UnifySolver::new(prog, config, Some(governor)).run();
-    Outcome { result, completion: governor.completion() }
+    let result = UnifySolver::new(prog, config, governor).run();
+    Outcome { result, completion: governor.map_or(Completion::Complete, Governor::completion) }
 }
 
 /// Phase-1 union-find over ECRs. Indices `0..pag.node_count()` are PAG
@@ -749,7 +745,7 @@ mod tests {
     /// steensgaard ⊇ unify ⊇ andersen.
     fn assert_chain(src: &str) {
         let prog = parse_program(src).unwrap();
-        let coarse = analyze_unify_with_config(&prog, UnifyConfig::steensgaard());
+        let coarse = analyze_unify_with(&prog, UnifyConfig::steensgaard(), None).result;
         let refined = analyze_unify(&prog);
         let ander = analyze(&prog);
         for (v, _) in prog.values.iter_enumerated() {
@@ -879,7 +875,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let coarse = analyze_unify_with_config(&prog, UnifyConfig::steensgaard());
+        let coarse = analyze_unify_with(&prog, UnifyConfig::steensgaard(), None).result;
         let x = value(&prog, "x");
         // The phi merges p and q's pointee classes, so A and B share a
         // contents class and x sees both heaps.
@@ -915,7 +911,7 @@ mod tests {
             "#;
         let prog = parse_program(src).unwrap();
         let refined = analyze_unify(&prog);
-        let coarse = analyze_unify_with_config(&prog, UnifyConfig::steensgaard());
+        let coarse = analyze_unify_with(&prog, UnifyConfig::steensgaard(), None).result;
         // Both tiers must see the callee results soundly.
         for res in [&refined, &coarse] {
             let r1 = pts_names(&prog, res.value_pts(value(&prog, "r1")));
@@ -1039,7 +1035,7 @@ mod tests {
         )
         .unwrap();
         let g = Governor::new(Budget::default());
-        let out = analyze_unify_governed(&prog, UnifyConfig::default(), &g);
+        let out = analyze_unify_with(&prog, UnifyConfig::default(), Some(&g));
         assert!(out.completion.is_complete());
         assert_eq!(pts_names(&prog, out.result.value_pts(value(&prog, "r"))), vec!["H"]);
     }

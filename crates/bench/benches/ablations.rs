@@ -44,16 +44,26 @@ fn andersen_scc(h: &mut Harness) {
     };
     let prog = vsfs_workloads::generate(&cfg);
     h.bench("ablation/andersen_cycle_elimination/scc_on", || {
-        black_box(vsfs_andersen::analyze_with_config(
-            &prog,
-            AndersenConfig { scc_interval: Some(10_000), ..Default::default() },
-        ))
+        black_box(
+            vsfs_andersen::analyze_with(
+                &prog,
+                AndersenConfig { scc_interval: Some(10_000), ..Default::default() },
+                None,
+                None,
+            )
+            .result,
+        )
     });
     h.bench("ablation/andersen_cycle_elimination/scc_off", || {
-        black_box(vsfs_andersen::analyze_with_config(
-            &prog,
-            AndersenConfig { scc_interval: None, ..Default::default() },
-        ))
+        black_box(
+            vsfs_andersen::analyze_with(
+                &prog,
+                AndersenConfig { scc_interval: None, ..Default::default() },
+                None,
+                None,
+            )
+            .result,
+        )
     });
 }
 

@@ -22,6 +22,7 @@ use std::time::Instant;
 use vsfs_adt::mem::CountingAlloc;
 use vsfs_adt::stats::PhaseTimer;
 use vsfs_checkers::{run_checkers, AndersenView, CheckReport, CheckerKind, FlowView};
+use vsfs_core::{SolveRequest, SolverKind};
 use vsfs_mssa::MemorySsa;
 use vsfs_svfg::Svfg;
 use vsfs_workloads::gen::WorkloadConfig;
@@ -56,7 +57,8 @@ fn main() {
         let aux = vsfs_andersen::analyze(&prog);
         let mssa = MemorySsa::build(&prog, &aux);
         let svfg = Svfg::build(&prog, &aux, &mssa);
-        let fs = vsfs_core::run_vsfs(&prog, &aux, &mssa, &svfg);
+        let req = SolveRequest::new(SolverKind::Vsfs);
+        let fs = vsfs_core::solve(&prog, &aux, Some((&mssa, &svfg)), req).result;
 
         let t = Instant::now();
         let ander = run_checkers(&prog, &svfg, &AndersenView(&aux));

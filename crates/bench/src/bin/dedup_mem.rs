@@ -33,6 +33,7 @@ use std::time::Instant;
 use vsfs_adt::mem::{CountingAlloc, MemScope};
 use vsfs_adt::stats::PhaseTimer;
 use vsfs_bench::format::{read_counter, write_json_report};
+use vsfs_core::{SolveRequest, SolverKind};
 use vsfs_mssa::MemorySsa;
 use vsfs_svfg::Svfg;
 
@@ -93,7 +94,8 @@ fn main() {
         let aux = vsfs_andersen::analyze(&prog);
         let mssa = MemorySsa::build(&prog, &aux);
         let svfg = Svfg::build(&prog, &aux, &mssa);
-        let result = vsfs_core::run_vsfs(&prog, &aux, &mssa, &svfg);
+        let req = SolveRequest::new(SolverKind::Vsfs);
+        let result = vsfs_core::solve(&prog, &aux, Some((&mssa, &svfg)), req).result;
         let elapsed = t.elapsed();
         let peak = scope.peak_bytes();
 

@@ -75,7 +75,8 @@ fn main() {
         let mut last = None;
         for _ in 0..runs {
             let t = Instant::now();
-            let r = vsfs_andersen::analyze_with_config(&prog, AndersenConfig::with_jobs(jobs));
+            let r = vsfs_andersen::analyze_with(&prog, AndersenConfig::with_jobs(jobs), None, None)
+                .result;
             best = best.min(t.elapsed());
             last = Some(r);
         }
@@ -97,7 +98,7 @@ fn main() {
         let mut last = None;
         for _ in 0..runs {
             let t = Instant::now();
-            let tables = VersionTables::build_with_jobs(&prog, &mssa, &svfg, jobs);
+            let tables = VersionTables::build_with(&prog, &mssa, &svfg, jobs, None, None).result;
             best = best.min(t.elapsed());
             last = Some(tables);
         }

@@ -7,6 +7,7 @@
 //! ```
 
 use std::time::Instant;
+use vsfs_core::{SolveRequest, SolverKind};
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "ninja".into());
@@ -69,7 +70,9 @@ fn main() {
         tables.stats.edges_collapsed
     );
 
-    let vsfs = vsfs_core::run_vsfs_with_tables(&prog, &aux, &mssa, &svfg, tables);
+    let staged = Some((&mssa, &svfg));
+    let req = SolveRequest { tables: Some(tables), ..SolveRequest::new(SolverKind::Vsfs) };
+    let vsfs = vsfs_core::solve(&prog, &aux, staged, req).result;
     let s = &vsfs.stats;
     println!(
         "vsfs solve  {:>8.3}s  {} pops, {} unions, {} sets ({} elems), {} strong updates",
@@ -81,7 +84,7 @@ fn main() {
         s.strong_updates
     );
 
-    let sfs = vsfs_core::run_sfs(&prog, &aux, &mssa, &svfg);
+    let sfs = vsfs_core::solve(&prog, &aux, staged, SolveRequest::new(SolverKind::Sfs)).result;
     let s = &sfs.stats;
     println!(
         "sfs solve   {:>8.3}s  {} pops, {} unions, {} sets ({} elems), {} strong updates",

@@ -23,7 +23,7 @@
 
 use std::time::Instant;
 use vsfs_adt::stats::PhaseTimer;
-use vsfs_core::{precision_diff, FlowSensitiveResult, SolveOrder};
+use vsfs_core::{precision_diff, FlowSensitiveResult, SolveOrder, SolveRequest, SolverKind};
 use vsfs_ir::Program;
 use vsfs_mssa::MemorySsa;
 use vsfs_svfg::Svfg;
@@ -64,14 +64,13 @@ fn main() {
         let mssa = MemorySsa::build(&prog, &aux);
         let svfg = Svfg::build(&prog, &aux, &mssa);
 
-        for solver in ["sfs", "vsfs"] {
+        for kind in [SolverKind::Sfs, SolverKind::Vsfs] {
+            let solver = kind.name();
             let mut results: Vec<(SolveOrder, FlowSensitiveResult, f64)> = Vec::new();
             for order in [SolveOrder::Fifo, SolveOrder::Topo] {
                 let t = Instant::now();
-                let r = match solver {
-                    "sfs" => vsfs_core::run_sfs_ordered(&prog, &aux, &mssa, &svfg, order),
-                    _ => vsfs_core::run_vsfs_ordered(&prog, &aux, &mssa, &svfg, order),
-                };
+                let req = SolveRequest { config: order.into(), ..SolveRequest::new(kind) };
+                let r = vsfs_core::solve(&prog, &aux, Some((&mssa, &svfg)), req).result;
                 results.push((order, r, t.elapsed().as_secs_f64()));
             }
             check_identical(&prog, name, solver, &results);

@@ -26,7 +26,7 @@
 use std::time::Instant;
 use vsfs_adt::mem::{CountingAlloc, MemScope};
 use vsfs_adt::stats::PhaseTimer;
-use vsfs_core::{compare_precision, precision_diff, FlowSensitiveResult};
+use vsfs_core::{compare_precision, precision_diff, FlowSensitiveResult, SolveRequest, SolverKind};
 use vsfs_ir::Program;
 use vsfs_mssa::MemorySsa;
 use vsfs_svfg::Svfg;
@@ -34,7 +34,7 @@ use vsfs_svfg::Svfg;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
-const SOLVERS: [&str; 3] = ["sfs", "vsfs", "cfgfree"];
+const SOLVERS: [SolverKind; 3] = [SolverKind::Sfs, SolverKind::Vsfs, SolverKind::CfgFree];
 
 fn main() {
     let mut names: Vec<String> = vec!["ninja".into(), "bake".into()];
@@ -63,23 +63,20 @@ fn main() {
         let aux = vsfs_andersen::analyze(&prog);
 
         let mut results: Vec<(&str, FlowSensitiveResult)> = Vec::new();
-        for solver in SOLVERS {
+        for kind in SOLVERS {
+            let solver = kind.name();
             let scope = MemScope::start();
             let t = Instant::now();
-            let r = match solver {
-                "cfgfree" => vsfs_core::run_cfgfree(&prog, &aux),
-                // The staged solvers pay for their own pipeline stages:
-                // a fresh memory SSA and SVFG per run, so the matrix
-                // compares true post-Andersen costs.
-                _ => {
-                    let mssa = MemorySsa::build(&prog, &aux);
-                    let svfg = Svfg::build(&prog, &aux, &mssa);
-                    match solver {
-                        "sfs" => vsfs_core::run_sfs(&prog, &aux, &mssa, &svfg),
-                        _ => vsfs_core::run_vsfs(&prog, &aux, &mssa, &svfg),
-                    }
-                }
-            };
+            // The staged solvers pay for their own pipeline stages: a
+            // fresh memory SSA and SVFG per run, so the matrix compares
+            // true post-Andersen costs.
+            let staged = kind.caps().needs_svfg.then(|| {
+                let mssa = MemorySsa::build(&prog, &aux);
+                let svfg = Svfg::build(&prog, &aux, &mssa);
+                (mssa, svfg)
+            });
+            let staged = staged.as_ref().map(|(mssa, svfg)| (mssa, svfg));
+            let r = vsfs_core::solve(&prog, &aux, staged, SolveRequest::new(kind)).result;
             let secs = t.elapsed().as_secs_f64();
             let peak = scope.peak_bytes();
             let p = compare_precision(&prog, &aux, &r);

@@ -119,29 +119,34 @@ fn main() {
         let svfg = Svfg::build(&prog, &aux, &mssa);
         let (meld_cost, meld_region, meld_speedup) = paired(runs, || {
             (
-                timed(|| VersionTables::build_with_jobs(&prog, &mssa, &svfg, jobs)),
+                timed(|| VersionTables::build_with(&prog, &mssa, &svfg, jobs, None, None).result),
                 timed(|| {
-                    VersionTables::build_with_jobs_regions(
+                    VersionTables::build_with(
                         &prog,
                         &mssa,
                         &svfg,
                         jobs,
                         Some(&regions.region_of_object),
+                        None,
                     )
+                    .result
                 }),
             )
         });
         let (waves_cost, waves_region, waves_speedup) = paired(runs, || {
             (
                 timed(|| {
-                    vsfs_andersen::analyze_with_config(&prog, AndersenConfig::with_jobs(jobs))
+                    vsfs_andersen::analyze_with(&prog, AndersenConfig::with_jobs(jobs), None, None)
+                        .result
                 }),
                 timed(|| {
-                    vsfs_andersen::analyze_with_config_regions(
+                    vsfs_andersen::analyze_with(
                         &prog,
                         AndersenConfig::with_jobs(jobs),
-                        &regions,
+                        Some(&regions),
+                        None,
                     )
+                    .result
                 }),
             )
         });
@@ -169,11 +174,13 @@ fn main() {
 
         // The hint must be pure scheduling: both shardings (and the
         // sequential reference) agree bit-for-bit.
-        let seeded = vsfs_andersen::analyze_with_config_regions(
+        let seeded = vsfs_andersen::analyze_with(
             &prog,
             AndersenConfig::with_jobs(jobs),
-            &regions,
-        );
+            Some(&regions),
+            None,
+        )
+        .result;
         for v in prog.values.indices() {
             assert_eq!(
                 aux.value_pts(v),
@@ -184,7 +191,8 @@ fn main() {
         }
 
         // Tier sanity while we are here: steensgaard ⊇ unify ⊇ andersen.
-        let steens = vsfs_andersen::analyze_unify_with_config(&prog, UnifyConfig::steensgaard());
+        let steens =
+            vsfs_andersen::analyze_unify_with(&prog, UnifyConfig::steensgaard(), None).result;
         for v in prog.values.indices() {
             assert!(
                 steens.value_pts(v).is_superset(unify.value_pts(v))

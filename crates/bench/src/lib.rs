@@ -17,7 +17,7 @@ pub mod timing;
 use std::time::Instant;
 use vsfs_adt::mem::MemScope;
 use vsfs_andersen::AndersenResult;
-use vsfs_core::{FlowSensitiveResult, VersionTables};
+use vsfs_core::{SolveRequest, SolverKind};
 use vsfs_ir::Program;
 use vsfs_mssa::MemorySsa;
 use vsfs_svfg::Svfg;
@@ -166,76 +166,41 @@ pub fn table3_row(
     runs: usize,
     mem_budget_bytes: usize,
 ) -> Table3Row {
-    let mut sfs_secs = 0.0;
-    let mut sfs_cell = None;
-    for _ in 0..runs.max(1) {
-        let scope = MemScope::start();
-        let r = vsfs_core::run_sfs(&p.prog, &p.aux, &p.mssa, &p.svfg);
-        let peak = scope.peak_bytes();
-        sfs_secs += r.stats.solve_seconds;
-        sfs_cell = Some(SolverCell {
-            seconds: 0.0,
-            peak_bytes: peak,
-            stored_sets: r.stats.stored_object_sets,
-            propagations: r.stats.object_propagations,
-            unique_sets: r.stats.store.unique_sets,
-            union_hit_rate: r.stats.store.union_hit_rate(),
-            oom: peak > mem_budget_bytes,
-        });
-    }
-    let mut sfs = sfs_cell.expect("at least one run");
-    sfs.seconds = sfs_secs / runs.max(1) as f64;
-
-    let mut vsfs_secs = 0.0;
-    let mut versioning_secs = 0.0;
-    let mut vsfs_cell = None;
-    for _ in 0..runs.max(1) {
-        let scope = MemScope::start();
-        let tables = VersionTables::build(&p.prog, &p.mssa, &p.svfg);
-        let r: FlowSensitiveResult =
-            vsfs_core::run_vsfs_with_tables(&p.prog, &p.aux, &p.mssa, &p.svfg, tables);
-        let peak = scope.peak_bytes();
-        vsfs_secs += r.stats.solve_seconds;
-        versioning_secs += r.stats.versioning_seconds;
-        vsfs_cell = Some(SolverCell {
-            seconds: 0.0,
-            peak_bytes: peak,
-            stored_sets: r.stats.stored_object_sets,
-            propagations: r.stats.object_propagations,
-            unique_sets: r.stats.store.unique_sets,
-            union_hit_rate: r.stats.store.union_hit_rate(),
-            oom: peak > mem_budget_bytes,
-        });
-    }
-    let mut vsfs = vsfs_cell.expect("at least one run");
-    vsfs.seconds = vsfs_secs / runs.max(1) as f64;
-
-    let mut cfg_secs = 0.0;
-    let mut cfg_cell = None;
-    for _ in 0..runs.max(1) {
-        let scope = MemScope::start();
-        let r = vsfs_core::run_cfgfree(&p.prog, &p.aux);
-        let peak = scope.peak_bytes();
-        cfg_secs += r.stats.solve_seconds;
-        cfg_cell = Some(SolverCell {
-            seconds: 0.0,
-            peak_bytes: peak,
-            stored_sets: r.stats.stored_object_sets,
-            propagations: r.stats.object_propagations,
-            unique_sets: r.stats.store.unique_sets,
-            union_hit_rate: r.stats.store.union_hit_rate(),
-            oom: peak > mem_budget_bytes,
-        });
-    }
-    let mut cfgfree = cfg_cell.expect("at least one run");
-    cfgfree.seconds = cfg_secs / runs.max(1) as f64;
+    // Each solver runs `runs` times; the cell keeps the last run's
+    // counters and the average main-phase (and versioning) seconds.
+    let measure = |kind: SolverKind| {
+        let (mut secs, mut versioning_secs, mut cell) = (0.0, 0.0, None);
+        for _ in 0..runs.max(1) {
+            let scope = MemScope::start();
+            let staged = Some((&p.mssa, &p.svfg));
+            let r = vsfs_core::solve(&p.prog, &p.aux, staged, SolveRequest::new(kind)).result;
+            let peak = scope.peak_bytes();
+            secs += r.stats.solve_seconds;
+            versioning_secs += r.stats.versioning_seconds;
+            cell = Some(SolverCell {
+                seconds: 0.0,
+                peak_bytes: peak,
+                stored_sets: r.stats.stored_object_sets,
+                propagations: r.stats.object_propagations,
+                unique_sets: r.stats.store.unique_sets,
+                union_hit_rate: r.stats.store.union_hit_rate(),
+                oom: peak > mem_budget_bytes,
+            });
+        }
+        let mut cell = cell.expect("at least one run");
+        cell.seconds = secs / runs.max(1) as f64;
+        (cell, versioning_secs / runs.max(1) as f64)
+    };
+    let (sfs, _) = measure(SolverKind::Sfs);
+    let (vsfs, versioning_seconds) = measure(SolverKind::Vsfs);
+    let (cfgfree, _) = measure(SolverKind::CfgFree);
 
     Table3Row {
         name: spec.name.to_string(),
         andersen_seconds: p.andersen_seconds,
         andersen_peak_bytes: p.andersen_peak_bytes,
         sfs,
-        versioning_seconds: versioning_secs / runs.max(1) as f64,
+        versioning_seconds,
         vsfs,
         cfgfree,
     }

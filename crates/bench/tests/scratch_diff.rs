@@ -8,6 +8,7 @@
 //! SVFG's call-site bypass edge always relays pre-call state), so
 //! neither containment direction holds between them in general.
 
+use vsfs_core::{SolveRequest, SolverKind};
 use vsfs_workloads::gen::{generate, WorkloadConfig};
 
 fn check(cfg: &WorkloadConfig) -> Result<(), String> {
@@ -34,7 +35,7 @@ fn check(cfg: &WorkloadConfig) -> Result<(), String> {
         }
     }
     // Dense must refine Andersen as well (pt_dense ⊆ pt_andersen).
-    let dense = vsfs_core::run_dense(&prog, &aux);
+    let dense = vsfs_core::solve(&prog, &aux, None, SolveRequest::new(SolverKind::Dense)).result;
     for v in prog.values.indices() {
         for o in dense.value_pts(v).iter() {
             if !aux.value_pts(v).contains(o) {

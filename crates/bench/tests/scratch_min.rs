@@ -1,5 +1,6 @@
 //! Scratch minimization harness (review; not for commit).
 
+use vsfs_core::{SolveRequest, SolverKind};
 use vsfs_workloads::gen::{generate, WorkloadConfig};
 
 #[test]
@@ -16,7 +17,7 @@ fn inspect_seed0() {
     let mssa = vsfs_mssa::MemorySsa::build(&prog, &aux);
     let svfg = vsfs_svfg::Svfg::build(&prog, &aux, &mssa);
     let sfs = vsfs_core::run_sfs(&prog, &aux, &mssa, &svfg);
-    let dense = vsfs_core::run_dense(&prog, &aux);
+    let dense = vsfs_core::solve(&prog, &aux, None, SolveRequest::new(SolverKind::Dense)).result;
     for v in prog.values.indices() {
         let extra: Vec<String> = sfs
             .value_pts(v)

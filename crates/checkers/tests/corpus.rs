@@ -12,6 +12,7 @@
 use vsfs_checkers::{
     load_corpus, render_findings, run_checkers, AndersenView, CheckerCase, FlowView,
 };
+use vsfs_core::{FlowSensitiveResult, SolveConfig, SolveRequest, SolverKind};
 use vsfs_ir::Program;
 
 fn corpus() -> Vec<CheckerCase> {
@@ -35,6 +36,12 @@ fn pipeline(source: &str) -> Pipeline {
     let mssa = vsfs_mssa::MemorySsa::build(&prog, &aux);
     let svfg = vsfs_svfg::Svfg::build(&prog, &aux, &mssa);
     Pipeline { prog, aux, mssa, svfg }
+}
+
+impl Pipeline {
+    fn solve(&self, req: SolveRequest) -> FlowSensitiveResult {
+        vsfs_core::solve(&self.prog, &self.aux, Some((&self.mssa, &self.svfg)), req).result
+    }
 }
 
 #[test]
@@ -62,7 +69,7 @@ fn findings_identical_across_solvers_and_jobs() {
         let sfs = vsfs_core::run_sfs(&p.prog, &p.aux, &p.mssa, &p.svfg);
         let reference = run_checkers(&p.prog, &p.svfg, &FlowView(&sfs));
         for jobs in [1usize, 2, 8] {
-            let vsfs = vsfs_core::run_vsfs_jobs(&p.prog, &p.aux, &p.mssa, &p.svfg, jobs);
+            let vsfs = p.solve(SolveRequest { jobs, ..SolveRequest::new(SolverKind::Vsfs) });
             let findings = run_checkers(&p.prog, &p.svfg, &FlowView(&vsfs));
             assert_eq!(
                 findings, reference,
@@ -78,16 +85,16 @@ fn region_memo_on_off_results_bit_identical() {
     // The SCC-level memo only skips provable no-op transfers, so every
     // corpus program must produce the same points-to sets, call graph,
     // and checker findings (paths included) with it on and off.
-    let off = vsfs_core::SolveConfig { region_memo: false, ..Default::default() };
-    let on = vsfs_core::SolveConfig::default();
     for case in corpus() {
         let p = pipeline(&case.source);
-        for (name, run) in [
-            ("sfs", vsfs_core::run_sfs_configured as fn(_, _, _, _, _) -> _),
-            ("vsfs", vsfs_core::run_vsfs_configured),
-        ] {
-            let base = run(&p.prog, &p.aux, &p.mssa, &p.svfg, off);
-            let memo = run(&p.prog, &p.aux, &p.mssa, &p.svfg, on);
+        for kind in [SolverKind::Sfs, SolverKind::Vsfs] {
+            let name = kind.name();
+            let run = |region_memo| {
+                let config = SolveConfig { region_memo, ..SolveConfig::default() };
+                p.solve(SolveRequest { config, ..SolveRequest::new(kind) })
+            };
+            let base = run(false);
+            let memo = run(true);
             assert_eq!(base.stats.scc_solves_skipped, 0, "{}/{name}: memo off", case.name);
             if let Some(diff) = vsfs_core::precision_diff(&p.prog, &base, &memo) {
                 panic!("{}/{name}: memo on diverges from memo off: {diff}", case.name);

@@ -14,6 +14,7 @@
 
 use vsfs_adt::FxHashSet;
 use vsfs_checkers::{run_checkers, AndersenView, CheckerKind, FlowView};
+use vsfs_core::{SolveRequest, SolverKind};
 use vsfs_testkit::Rng;
 use vsfs_workloads::gen::{generate, WorkloadConfig};
 
@@ -88,7 +89,8 @@ fn random_findings_identical_across_jobs() {
             let sfs = vsfs_core::run_sfs(&prog, &aux, &mssa, &svfg);
             let reference = run_checkers(&prog, &svfg, &FlowView(&sfs));
             for jobs in [1usize, 2, 8] {
-                let vsfs = vsfs_core::run_vsfs_jobs(&prog, &aux, &mssa, &svfg, jobs);
+                let req = SolveRequest { jobs, ..SolveRequest::new(SolverKind::Vsfs) };
+                let vsfs = vsfs_core::solve(&prog, &aux, Some((&mssa, &svfg)), req).result;
                 let findings = run_checkers(&prog, &svfg, &FlowView(&vsfs));
                 assert_eq!(findings, reference, "seed {}: jobs {jobs} diverged", cfg.seed);
             }

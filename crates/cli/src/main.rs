@@ -109,7 +109,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use vsfs_adt::govern::{Budget, CancelToken, Completion, DegradeReason, Governor};
 use vsfs_adt::mem::CountingAlloc;
-use vsfs_core::{FlowSensitiveResult, GovernedAnalysis, SolveOrder, SolverKind};
+use vsfs_core::{FlowSensitiveResult, SolveOrder, SolveRequest, SolverKind};
 use vsfs_ir::Program;
 use vsfs_testkit::FaultPlan;
 
@@ -581,7 +581,8 @@ fn run_check(
 ) -> Result<Vec<vsfs_checkers::Finding>, ExitCode> {
     use vsfs_checkers::{run_checkers, AndersenView, CheckReport, FlowView, UnifyView};
     let steens_result =
-        vsfs_andersen::analyze_unify_with_config(prog, vsfs_andersen::UnifyConfig::steensgaard());
+        vsfs_andersen::analyze_unify_with(prog, vsfs_andersen::UnifyConfig::steensgaard(), None)
+            .result;
     let unify_result = vsfs_andersen::analyze_unify(prog);
     let steensgaard = run_checkers(prog, svfg, &UnifyView(&steens_result));
     let unify = run_checkers(prog, svfg, &UnifyView(&unify_result));
@@ -671,10 +672,7 @@ fn run_plain(opts: &Options, prog: &Program) -> ExitCode {
     });
     let t0 = Instant::now();
     let config = vsfs_andersen::AndersenConfig::with_jobs(opts.jobs);
-    let aux = match &pre {
-        Some((_, regions)) => vsfs_andersen::analyze_with_config_regions(prog, config, regions),
-        None => vsfs_andersen::analyze_with_config(prog, config),
-    };
+    let aux = vsfs_andersen::analyze_with(prog, config, pre.as_ref().map(|(_, r)| r), None).result;
     let aux_time = t0.elapsed();
 
     if opts.analysis == Analysis::Andersen {
@@ -714,50 +712,13 @@ fn run_plain(opts: &Options, prog: &Program) -> ExitCode {
         }
     }
 
-    let result: FlowSensitiveResult = match kind {
-        SolverKind::Sfs => {
-            let (mssa, svfg) = staged.as_ref().expect("sfs is a staged solver");
-            vsfs_core::run_sfs_configured(prog, &aux, mssa, svfg, opts.config())
-        }
-        SolverKind::Vsfs => {
-            let (mssa, svfg) = staged.as_ref().expect("vsfs is a staged solver");
-            match &pre {
-                Some((_, regions)) => {
-                    let tables = vsfs_core::VersionTables::build_with_jobs_regions(
-                        prog,
-                        mssa,
-                        svfg,
-                        opts.jobs,
-                        Some(&regions.region_of_object),
-                    );
-                    vsfs_core::run_vsfs_with_tables_configured(
-                        prog,
-                        &aux,
-                        mssa,
-                        svfg,
-                        tables,
-                        opts.config(),
-                    )
-                }
-                None => vsfs_core::run_vsfs_jobs_configured(
-                    prog,
-                    &aux,
-                    mssa,
-                    svfg,
-                    opts.jobs,
-                    opts.config(),
-                ),
-            }
-        }
-        SolverKind::Dense => vsfs_core::run_dense(prog, &aux),
-        SolverKind::CfgFree => vsfs_core::run_cfgfree_ordered(prog, &aux, opts.order()),
-        SolverKind::Unify => match &pre {
-            // `--pre unify --solver unify`: the pre-analysis result IS
-            // the requested tier.
-            Some((unify, _)) => FlowSensitiveResult::from_unify(prog, unify),
-            None => FlowSensitiveResult::from_unify(prog, &vsfs_andersen::analyze_unify(prog)),
-        },
+    let req = SolveRequest {
+        config: opts.config(),
+        jobs: opts.jobs,
+        regions: pre.as_ref().map(|(_, regions)| &regions.region_of_object[..]),
+        ..SolveRequest::new(kind)
     };
+    let result = vsfs_core::solve(prog, &aux, staged.as_ref().map(|(m, s)| (m, s)), req).result;
 
     report_result(opts, prog, &aux, &result);
     if opts.check {
@@ -936,10 +897,11 @@ fn run_governed(opts: &Options, prog: &Program) -> ExitCode {
         aux_budget = aux_budget.with_mem_bytes(bytes);
     }
     let aux_gov = Governor::with_cancel(aux_budget, cancel.clone());
-    let aux_out = vsfs_andersen::analyze_governed(
+    let aux_out = vsfs_andersen::analyze_with(
         prog,
         vsfs_andersen::AndersenConfig::with_jobs(opts.jobs),
-        &aux_gov,
+        None,
+        Some(&aux_gov),
     );
     if let Completion::Degraded(reason) = &aux_out.completion {
         // Rung 3 of the soundness ladder. A partial Andersen fixpoint is
@@ -988,48 +950,13 @@ fn run_governed(opts: &Options, prog: &Program) -> ExitCode {
     let fs_gov = Governor::with_cancel(fs_budget, cancel.clone())
         .with_fault(opts.inject_fault.as_ref().and_then(FaultPlan::spec));
 
-    let ga: GovernedAnalysis = match kind {
-        SolverKind::Sfs => {
-            let (mssa, svfg) = staged.as_ref().expect("sfs is a staged solver");
-            vsfs_core::run_sfs_governed_configured(prog, &aux, mssa, svfg, &fs_gov, opts.config())
-        }
-        SolverKind::Vsfs => {
-            let (mssa, svfg) = staged.as_ref().expect("vsfs is a staged solver");
-            vsfs_core::run_vsfs_governed_configured(
-                prog,
-                &aux,
-                mssa,
-                svfg,
-                opts.jobs,
-                &fs_gov,
-                opts.config(),
-            )
-        }
-        SolverKind::Dense => vsfs_core::run_dense_governed(prog, &aux, &fs_gov),
-        SolverKind::CfgFree => {
-            vsfs_core::run_cfgfree_governed_ordered(prog, &aux, &fs_gov, opts.order())
-        }
-        SolverKind::Unify => {
-            // A partial unification fixpoint is unsound, so a governed
-            // unify run that trips cannot be served as-is. The complete
-            // Andersen aux is already in hand and over-approximates
-            // every finer answer, so it stands in — one rung *up* in
-            // precision from what was asked for, and still sound.
-            let out = vsfs_andersen::analyze_unify_governed(
-                prog,
-                vsfs_andersen::UnifyConfig::default(),
-                &fs_gov,
-            );
-            match out.completion {
-                Completion::Complete => {
-                    GovernedAnalysis::complete(FlowSensitiveResult::from_unify(prog, &out.result))
-                }
-                Completion::Degraded(reason) => {
-                    GovernedAnalysis::fallback(prog, &aux, "solve", reason)
-                }
-            }
-        }
+    let req = SolveRequest {
+        config: opts.config(),
+        jobs: opts.jobs,
+        governor: Some(&fs_gov),
+        ..SolveRequest::new(kind)
     };
+    let ga = vsfs_core::solve(prog, &aux, staged.as_ref().map(|(m, s)| (m, s)), req);
 
     report_result(opts, prog, &aux, &ga.result);
     if opts.check {

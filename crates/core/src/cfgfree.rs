@@ -38,8 +38,8 @@
 //! the same monotone system as SFS/VSFS and is query-identical to
 //! them (enforced by `tests/equivalence.rs` and the CI solver gate).
 
-use crate::result::{FlowSensitiveResult, GovernedAnalysis, SolveStats};
-use crate::schedule::SolveOrder;
+use crate::result::{FlowSensitiveResult, SolveStats};
+use crate::schedule::{SolveConfig, SolveOrder};
 use std::time::Instant;
 use vsfs_adt::govern::{Completion, Governor};
 use vsfs_adt::{FxHashMap, FxHashSet, IndexVec, PointsToSet, PtsId, PtsStore, Worklist};
@@ -51,57 +51,19 @@ use vsfs_mssa::ModRef;
 
 const EMPTY: PtsId = PtsStore::<ObjId>::EMPTY;
 
-/// Runs the CFG-free solver to a fixpoint under the default
-/// (topological) schedule. Unlike [`crate::run_sfs`]/[`crate::run_vsfs`]
-/// it takes no memory SSA and no SVFG — the Andersen result is the
-/// whole pipeline.
-pub fn run_cfgfree(prog: &Program, aux: &AndersenResult) -> FlowSensitiveResult {
-    run_cfgfree_ordered(prog, aux, SolveOrder::default())
-}
-
-/// [`run_cfgfree`] under an explicit worklist [`SolveOrder`]. The
-/// fixpoint is order-independent; only the visit counts change.
-pub fn run_cfgfree_ordered(
+/// The CFG-free engine behind [`crate::solve`] (`SolverKind::CfgFree`).
+/// Unlike the staged solvers it takes no memory SSA and no SVFG — the
+/// Andersen result is the whole pipeline — and of `config` it uses only
+/// the worklist order (the fixpoint is order-independent; only the
+/// visit counts change). Governed runs checkpoint once per worklist pop.
+pub(crate) fn solve(
     prog: &Program,
     aux: &AndersenResult,
-    order: SolveOrder,
-) -> FlowSensitiveResult {
-    solve_impl(prog, aux, None, order).0
-}
-
-/// Runs the CFG-free solver under a [`Governor`]: one cooperative
-/// checkpoint per worklist pop. On a trip the returned
-/// [`GovernedAnalysis`] carries the sound Andersen fallback.
-pub fn run_cfgfree_governed(
-    prog: &Program,
-    aux: &AndersenResult,
-    governor: &Governor,
-) -> GovernedAnalysis {
-    run_cfgfree_governed_ordered(prog, aux, governor, SolveOrder::default())
-}
-
-/// [`run_cfgfree_governed`] with an explicit worklist [`SolveOrder`].
-pub fn run_cfgfree_governed_ordered(
-    prog: &Program,
-    aux: &AndersenResult,
-    governor: &Governor,
-    order: SolveOrder,
-) -> GovernedAnalysis {
-    let (result, completion) = solve_impl(prog, aux, Some(governor), order);
-    match completion {
-        Completion::Complete => GovernedAnalysis::complete(result),
-        Completion::Degraded(reason) => GovernedAnalysis::fallback(prog, aux, "solve", reason),
-    }
-}
-
-fn solve_impl(
-    prog: &Program,
-    aux: &AndersenResult,
+    config: SolveConfig,
     governor: Option<&Governor>,
-    order: SolveOrder,
 ) -> (FlowSensitiveResult, Completion) {
     let start = Instant::now();
-    let mut solver = CfgFreeSolver::new(prog, aux, order);
+    let mut solver = CfgFreeSolver::new(prog, aux, config.order);
     for i in prog.insts.indices() {
         solver.worklist.push(i);
     }
@@ -746,13 +708,20 @@ impl<'a> CfgFreeSolver<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{GovernedAnalysis, SolveRequest, SolverKind};
     use vsfs_ir::parse_program;
+
+    const CFGFREE: SolverKind = SolverKind::CfgFree;
+
+    fn run(prog: &Program, aux: &AndersenResult, req: SolveRequest) -> GovernedAnalysis {
+        crate::solve(prog, aux, None, req)
+    }
 
     fn solve(src: &str) -> (Program, FlowSensitiveResult) {
         let prog = parse_program(src).unwrap();
         vsfs_ir::verify::verify(&prog).unwrap();
         let aux = vsfs_andersen::analyze(&prog);
-        let r = run_cfgfree(&prog, &aux);
+        let r = run(&prog, &aux, SolveRequest::new(CFGFREE)).result;
         (prog, r)
     }
 
@@ -906,7 +875,7 @@ mod tests {
             let mssa = vsfs_mssa::MemorySsa::build(&prog, &aux);
             let svfg = vsfs_svfg::Svfg::build(&prog, &aux, &mssa);
             let sfs = crate::run_sfs(&prog, &aux, &mssa, &svfg);
-            let cf = run_cfgfree(&prog, &aux);
+            let cf = run(&prog, &aux, SolveRequest::new(CFGFREE)).result;
             assert_eq!(
                 crate::precision_diff(&prog, &sfs, &cf),
                 None,
@@ -935,8 +904,18 @@ mod tests {
         let prog = parse_program(src).unwrap();
         vsfs_ir::verify::verify(&prog).unwrap();
         let aux = vsfs_andersen::analyze(&prog);
-        let fifo = run_cfgfree_ordered(&prog, &aux, SolveOrder::Fifo);
-        let topo = run_cfgfree_ordered(&prog, &aux, SolveOrder::Topo);
+        let fifo = run(
+            &prog,
+            &aux,
+            SolveRequest { config: SolveOrder::Fifo.into(), ..SolveRequest::new(CFGFREE) },
+        )
+        .result;
+        let topo = run(
+            &prog,
+            &aux,
+            SolveRequest { config: SolveOrder::Topo.into(), ..SolveRequest::new(CFGFREE) },
+        )
+        .result;
         assert_eq!(crate::precision_diff(&prog, &fifo, &topo), None);
     }
 
@@ -957,11 +936,15 @@ mod tests {
         vsfs_ir::verify::verify(&prog).unwrap();
         let aux = vsfs_andersen::analyze(&prog);
         let governor = Governor::new(Budget::unlimited().with_steps(1));
-        let out = run_cfgfree_governed(&prog, &aux, &governor);
+        let out = run(
+            &prog,
+            &aux,
+            SolveRequest { governor: Some(&governor), ..SolveRequest::new(CFGFREE) },
+        );
         assert!(!out.is_complete());
         assert_eq!(out.mode, "flow-insensitive-fallback");
         // Sound: the fallback covers the complete answer.
-        let full = run_cfgfree(&prog, &aux);
+        let full = run(&prog, &aux, SolveRequest::new(CFGFREE)).result;
         for v in prog.values.indices() {
             for o in full.value_pts(v).iter() {
                 assert!(out.result.value_pts(v).contains(o));

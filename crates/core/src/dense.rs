@@ -19,40 +19,23 @@
 //! flow, so the result may be (soundly) *less* precise than SFS/VSFS:
 //! for every value, `pt_vsfs(v) ⊆ pt_dense(v) ⊆ pt_andersen(v)`.
 
-use crate::result::{FlowSensitiveResult, GovernedAnalysis, SolveStats};
+use crate::result::{FlowSensitiveResult, SolveStats};
 use std::time::Instant;
 use vsfs_adt::govern::{Completion, Governor};
 use vsfs_adt::{FifoWorklist, FxHashMap, IndexVec, PointsToSet, PtsId, PtsStore};
 use vsfs_andersen::AndersenResult;
 use vsfs_ir::{DefUse, Icfg, InstId, InstKind, ObjId, Program, ValueId};
 
-/// Runs the dense flow-sensitive analysis to a fixpoint.
+/// The dense engine behind [`crate::solve`] (`SolverKind::Dense`): its
+/// FIFO worklist is not order-switchable, so it takes no
+/// `SolveConfig`. Governed runs checkpoint once per worklist pop,
+/// matching the staged solvers' protocol.
 ///
 /// The dense solver keeps its internal state as owned sets (the whole
 /// point of this baseline is the unshared per-point storage); only the
 /// final per-value sets are interned so the result carries the same
 /// hash-consed representation as the staged solvers.
-pub fn run_dense(prog: &Program, aux: &AndersenResult) -> FlowSensitiveResult {
-    solve_impl(prog, aux, None).0
-}
-
-/// Runs the dense solver under a [`Governor`]: one cooperative
-/// checkpoint per worklist pop, matching the staged solvers' protocol.
-/// On a trip the returned [`GovernedAnalysis`] carries the sound
-/// Andersen fallback.
-pub fn run_dense_governed(
-    prog: &Program,
-    aux: &AndersenResult,
-    governor: &Governor,
-) -> GovernedAnalysis {
-    let (result, completion) = solve_impl(prog, aux, Some(governor));
-    match completion {
-        Completion::Complete => GovernedAnalysis::complete(result),
-        Completion::Degraded(reason) => GovernedAnalysis::fallback(prog, aux, "solve", reason),
-    }
-}
-
-fn solve_impl(
+pub(crate) fn solve(
     prog: &Program,
     aux: &AndersenResult,
     governor: Option<&Governor>,

@@ -42,7 +42,7 @@
 //!    dirty region was solved against exactly those values. SCC closure
 //!    is what makes the frontier acyclic — it rules out stale facts that
 //!    would otherwise sustain themselves around a cycle spanning the
-//!    clean/dirty boundary. After [`MAX_AUDIT_WAVES`] audits, or once
+//!    clean/dirty boundary. After `MAX_AUDIT_WAVES` audits, or once
 //!    the region covers half the graph, the loop switches to the plain
 //!    forward closure of the dirty set (audit-free and exact, at the
 //!    price of re-solving everything downstream). The half-graph rule
@@ -66,20 +66,15 @@
 //! points-to relation and call graph, equal across incremental and
 //! from-scratch solves of the same text.
 
-use crate::cfgfree::{run_cfgfree_governed_ordered, run_cfgfree_ordered};
-use crate::dense::{run_dense, run_dense_governed};
 use crate::result::{FlowSensitiveResult, GovernedAnalysis};
 use crate::schedule::SolveOrder;
 use crate::sfs::{run_sfs_seeded, SfsHarvest, SfsSeed};
-use crate::solver::SolverKind;
+use crate::solver::{solve, SolveRequest, SolverKind};
 use std::cell::OnceCell;
 use std::fmt;
 use vsfs_adt::govern::{Completion, DegradeReason, Governor};
 use vsfs_adt::{FxHashMap, IndexVec, PtsCarry, PtsId};
-use vsfs_andersen::{
-    analyze_governed, analyze_unify, analyze_unify_governed, analyze_with_config, AndersenConfig,
-    AndersenResult, UnifyConfig,
-};
+use vsfs_andersen::{analyze_unify, analyze_with, AndersenConfig, AndersenResult};
 use vsfs_graph::{DiGraph, Sccs};
 use vsfs_ir::{Callee, FuncId, InstId, InstKind, ObjId, ObjKind, Program, ValueId};
 use vsfs_mssa::MemorySsa;
@@ -347,20 +342,15 @@ pub(crate) fn build_front_ladder(
         .map_err(|errs| SolveError::Parse(errs.iter().map(|e| e.to_string()).collect()))?;
     vsfs_ir::verify::verify(&prog).map_err(|e| SolveError::Verify(e.to_string()))?;
     let config = AndersenConfig::with_jobs(opts.jobs.max(1));
-    let aux = match aux_governor {
-        Some(gov) => {
-            let outcome = analyze_governed(&prog, config, gov);
-            if let Completion::Degraded(reason) = outcome.completion {
-                return Ok(FrontBuild::AuxDegraded {
-                    prog: Box::new(prog),
-                    aux: Box::new(outcome.result),
-                    reason,
-                });
-            }
-            outcome.result
-        }
-        None => analyze_with_config(&prog, config),
-    };
+    let outcome = analyze_with(&prog, config, None, aux_governor);
+    if let Completion::Degraded(reason) = outcome.completion {
+        return Ok(FrontBuild::AuxDegraded {
+            prog: Box::new(prog),
+            aux: Box::new(outcome.result),
+            reason,
+        });
+    }
+    let aux = outcome.result;
     let (staged, keys) = if opts.solver.caps().needs_svfg {
         let mssa = MemorySsa::build(&prog, &aux);
         let svfg = Svfg::build(&prog, &aux, &mssa);
@@ -473,48 +463,21 @@ pub(crate) fn solve_front(
     deliver(source, front, result, completion, harvest, outcome)
 }
 
-/// Runs a cold-only solver (no SVFG, no warm harvest) and packages the
-/// state. These engines carry their own governed entry points, so a
-/// budget trip still degrades to the sound Andersen fallback.
+/// Runs a cold-only solver (no SVFG, no warm harvest) through
+/// [`solve`] and packages the state; a budget trip still degrades to
+/// the sound Andersen fallback.
 fn solve_cold_only(
     source: &str,
     front: Front,
     opts: IncrementalOptions,
     fs_governor: Option<&Governor>,
 ) -> (ProgramState, SolveReport) {
-    let analysis = match (front.solver, fs_governor) {
-        (SolverKind::Dense, None) => GovernedAnalysis::complete(run_dense(&front.prog, &front.aux)),
-        (SolverKind::Dense, Some(gov)) => run_dense_governed(&front.prog, &front.aux, gov),
-        (SolverKind::CfgFree, None) => {
-            GovernedAnalysis::complete(run_cfgfree_ordered(&front.prog, &front.aux, opts.order))
-        }
-        (SolverKind::CfgFree, Some(gov)) => {
-            run_cfgfree_governed_ordered(&front.prog, &front.aux, gov, opts.order)
-        }
-        (SolverKind::Unify, None) => GovernedAnalysis::complete(FlowSensitiveResult::from_unify(
-            &front.prog,
-            &analyze_unify(&front.prog),
-        )),
-        (SolverKind::Unify, Some(gov)) => {
-            // A *partial* unification fixpoint is unsound, so a governed
-            // unify run that trips cannot be served as-is. The complete
-            // Andersen aux is already in hand and over-approximates every
-            // flow-sensitive answer, so it stands in — one rung *up* in
-            // precision from what was asked for, and still sound.
-            let outcome = analyze_unify_governed(&front.prog, UnifyConfig::default(), gov);
-            match outcome.completion {
-                Completion::Complete => GovernedAnalysis::complete(
-                    FlowSensitiveResult::from_unify(&front.prog, &outcome.result),
-                ),
-                Completion::Degraded(reason) => {
-                    GovernedAnalysis::fallback(&front.prog, &front.aux, "solve", reason)
-                }
-            }
-        }
-        (SolverKind::Sfs | SolverKind::Vsfs, _) => {
-            unreachable!("staged solvers always build a staged front")
-        }
+    let req = SolveRequest {
+        config: opts.order.into(),
+        governor: fs_governor,
+        ..SolveRequest::new(front.solver)
     };
+    let analysis = solve(&front.prog, &front.aux, None, req);
     let Front { prog, aux, keys, solver, .. } = front;
     let total = prog.insts.len();
     let fingerprint = result_fingerprint(&prog, &keys, &analysis.result);
@@ -1463,7 +1426,6 @@ pub fn result_fingerprint(prog: &Program, keys: &StableKeys, result: &FlowSensit
 mod tests {
     use super::*;
     use crate::result::precision_diff;
-    use crate::sfs::run_sfs_ordered;
 
     const BASE: &str = r#"
 global @g
@@ -1523,12 +1485,11 @@ entry:
             report.total_nodes
         );
         // Bit-identical to a from-scratch solve of the same text.
-        let reference = run_sfs_ordered(
+        let reference = crate::run_sfs(
             &next.prog,
             &next.aux,
             next.mssa().expect("staged solver"),
             next.svfg().expect("staged solver"),
-            SolveOrder::default(),
         );
         assert_eq!(precision_diff(&next.prog, &next.analysis.result, &reference), None);
         assert_eq!(next.fingerprint, result_fingerprint(&next.prog, &next.keys, &reference));

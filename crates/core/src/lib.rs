@@ -22,6 +22,11 @@
 //! points-to results** — the central correctness property, checked by the
 //! `tests/` suite and by property tests over randomly generated programs.
 //!
+//! Every solver of the family (these two, the dense baseline, the
+//! CFG-free solver and the unification tier; see [`solver`]) runs
+//! through [`solve`] with a [`SolveRequest`]; [`run_sfs`] and
+//! [`run_vsfs`] are its default requests.
+//!
 //! # Examples
 //!
 //! ```
@@ -62,10 +67,6 @@ pub mod versioning;
 pub mod vsfs;
 pub mod warm;
 
-pub use cfgfree::{
-    run_cfgfree, run_cfgfree_governed, run_cfgfree_governed_ordered, run_cfgfree_ordered,
-};
-pub use dense::{run_dense, run_dense_governed};
 pub use incremental::{
     resolve_edit, result_fingerprint, solve_program, IncrementalOptions, ProgramState, SolveError,
     SolveReport,
@@ -75,16 +76,8 @@ pub use result::{
     precision_diff, same_precision, FlowSensitiveResult, GovernedAnalysis, SolveStats,
 };
 pub use schedule::{SolveConfig, SolveOrder};
-pub use sfs::{
-    run_sfs, run_sfs_configured, run_sfs_governed, run_sfs_governed_configured,
-    run_sfs_governed_ordered, run_sfs_ordered,
-};
-pub use solver::{SolverCaps, SolverKind};
+pub use sfs::run_sfs;
+pub use solver::{solve, SolveRequest, SolverCaps, SolverKind};
 pub use versioning::{VersionTables, VersioningStats};
-pub use vsfs::{
-    run_vsfs, run_vsfs_configured, run_vsfs_governed, run_vsfs_governed_configured,
-    run_vsfs_governed_ordered, run_vsfs_jobs, run_vsfs_jobs_configured, run_vsfs_jobs_ordered,
-    run_vsfs_ordered, run_vsfs_with_tables, run_vsfs_with_tables_configured,
-    run_vsfs_with_tables_ordered,
-};
+pub use vsfs::{run_vsfs, run_vsfs_with_tables};
 pub use warm::{export_warm, restore_program, WarmExport};

@@ -12,8 +12,9 @@
 //! node propagates only its dirty objects.
 
 use crate::region::RegionMemo;
-use crate::result::{FlowSensitiveResult, GovernedAnalysis, SolveStats};
+use crate::result::{FlowSensitiveResult, SolveStats};
 use crate::schedule::{svfg_schedule, SolveConfig, SolveOrder};
+use crate::solver::{SolveRequest, SolverKind};
 use crate::toplevel::{TopLevel, EMPTY};
 use std::time::Instant;
 use vsfs_adt::govern::{Completion, Governor};
@@ -23,91 +24,26 @@ use vsfs_ir::{FuncId, InstId, InstKind, ObjId, Program, ValueId};
 use vsfs_mssa::MemorySsa;
 use vsfs_svfg::{Svfg, SvfgNodeId, SvfgNodeKind};
 
-/// Runs the SFS baseline to a fixpoint under the default (topological)
-/// schedule.
+/// Runs the SFS baseline to a fixpoint under the default configuration
+/// (see [`crate::solve`] for every other setting).
 pub fn run_sfs(
     prog: &Program,
     aux: &AndersenResult,
     mssa: &MemorySsa,
     svfg: &Svfg,
 ) -> FlowSensitiveResult {
-    run_sfs_ordered(prog, aux, mssa, svfg, SolveOrder::default())
+    crate::solve(prog, aux, Some((mssa, svfg)), SolveRequest::new(SolverKind::Sfs)).result
 }
 
-/// Runs the SFS baseline under an explicit worklist [`SolveOrder`]. The
-/// fixpoint is order-independent; only the visit counts change.
-pub fn run_sfs_ordered(
-    prog: &Program,
-    aux: &AndersenResult,
-    mssa: &MemorySsa,
-    svfg: &Svfg,
-    order: SolveOrder,
-) -> FlowSensitiveResult {
-    run_sfs_configured(prog, aux, mssa, svfg, SolveConfig::from(order))
-}
-
-/// Runs the SFS baseline under a full [`SolveConfig`] (worklist order
-/// plus the region memo switch). Results are bit-identical across every
-/// configuration.
-pub fn run_sfs_configured(
+/// The SFS engine behind [`crate::solve`]: a cold solve under `config`,
+/// with one cooperative checkpoint per worklist pop when governed.
+pub(crate) fn solve(
     prog: &Program,
     aux: &AndersenResult,
     mssa: &MemorySsa,
     svfg: &Svfg,
     config: SolveConfig,
-) -> FlowSensitiveResult {
-    solve_inner(prog, aux, mssa, svfg, None, config).0
-}
-
-/// Runs the SFS baseline under a [`Governor`]: one cooperative
-/// checkpoint per worklist pop. On a trip the returned
-/// [`GovernedAnalysis`] carries the sound Andersen fallback instead of a
-/// partial flow-sensitive result.
-pub fn run_sfs_governed(
-    prog: &Program,
-    aux: &AndersenResult,
-    mssa: &MemorySsa,
-    svfg: &Svfg,
-    governor: &Governor,
-) -> GovernedAnalysis {
-    run_sfs_governed_ordered(prog, aux, mssa, svfg, governor, SolveOrder::default())
-}
-
-/// [`run_sfs_governed`] with an explicit worklist [`SolveOrder`].
-pub fn run_sfs_governed_ordered(
-    prog: &Program,
-    aux: &AndersenResult,
-    mssa: &MemorySsa,
-    svfg: &Svfg,
-    governor: &Governor,
-    order: SolveOrder,
-) -> GovernedAnalysis {
-    run_sfs_governed_configured(prog, aux, mssa, svfg, governor, SolveConfig::from(order))
-}
-
-/// [`run_sfs_governed`] with a full [`SolveConfig`].
-pub fn run_sfs_governed_configured(
-    prog: &Program,
-    aux: &AndersenResult,
-    mssa: &MemorySsa,
-    svfg: &Svfg,
-    governor: &Governor,
-    config: SolveConfig,
-) -> GovernedAnalysis {
-    let (result, completion) = solve_inner(prog, aux, mssa, svfg, Some(governor), config);
-    match completion {
-        Completion::Complete => GovernedAnalysis::complete(result),
-        Completion::Degraded(reason) => GovernedAnalysis::fallback(prog, aux, "solve", reason),
-    }
-}
-
-fn solve_inner(
-    prog: &Program,
-    aux: &AndersenResult,
-    mssa: &MemorySsa,
-    svfg: &Svfg,
     governor: Option<&Governor>,
-    config: SolveConfig,
 ) -> (FlowSensitiveResult, Completion) {
     let (result, completion, _) = solve_impl(prog, aux, mssa, svfg, governor, config, None, false);
     (result, completion)

@@ -15,13 +15,25 @@
 //!   Control Flow Graph"): no memory SSA and no SVFG are ever built.
 //!
 //! [`SolverKind`] names the member; [`SolverCaps`] declares which
-//!   pipeline stages it needs and which serving features it supports.
-//! Everything downstream — `solve_program`, the incremental server, the
-//! CLI, snapshots — dispatches on these capabilities instead of
-//! hard-wiring the SVFG pipeline. A fifth solver plugs in by adding a
-//! variant, a `run_*` entry point, and an honest `caps()` row.
+//! pipeline stages it needs and which serving features it supports;
+//! [`solve`] runs it. A [`SolveRequest`] carries every setting a solve
+//! takes — worklist configuration, versioning jobs and region seeding,
+//! pre-built version tables, and an optional [`Governor`] — so the CLI,
+//! the incremental server, the bench bins and the tests all reach the
+//! engines through this one function. A new solver is one variant, one
+//! `solve` arm and one honest `caps()` row.
 //!
 //! [`FlowSensitiveResult`]: crate::FlowSensitiveResult
+
+use crate::result::{FlowSensitiveResult, GovernedAnalysis};
+use crate::schedule::SolveConfig;
+use crate::versioning::VersionTables;
+use crate::{cfgfree, dense, sfs, vsfs};
+use vsfs_adt::govern::{Completion, Governor};
+use vsfs_andersen::{analyze_unify_with, AndersenResult, UnifyConfig};
+use vsfs_ir::Program;
+use vsfs_mssa::MemorySsa;
+use vsfs_svfg::Svfg;
 
 /// Which flow-sensitive solver to run after the Andersen stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -109,6 +121,105 @@ impl SolverKind {
         SolverKind::CfgFree,
         SolverKind::Unify,
     ];
+}
+
+/// One solve: which solver to run and every setting it takes.
+/// [`SolveRequest::new`] fills in the defaults; override fields with
+/// struct-update syntax, e.g.
+/// `SolveRequest { jobs: 4, ..SolveRequest::new(SolverKind::Vsfs) }`.
+#[derive(Debug)]
+pub struct SolveRequest<'a> {
+    /// The solver to run.
+    pub kind: SolverKind,
+    /// Worklist order and region-memo switch (sparse solvers; `dense`
+    /// and `unify` ignore it, `cfgfree` reads only the order).
+    pub config: SolveConfig,
+    /// Versioning meld threads (VSFS only; `0` = all cores).
+    pub jobs: usize,
+    /// Per-object alias regions (`AliasRegions::region_of_object` from a
+    /// `--pre unify` pre-analysis) seeding the VSFS meld tasks — a pure
+    /// scheduling hint.
+    pub regions: Option<&'a [u32]>,
+    /// Pre-built version tables: VSFS skips its versioning stage.
+    pub tables: Option<VersionTables>,
+    /// Budgets, cancellation and fault injection; `None` runs with no
+    /// checkpoints at all.
+    pub governor: Option<&'a Governor>,
+}
+
+impl SolveRequest<'_> {
+    /// The default request for `kind`: default configuration, one
+    /// versioning job, no region seeding, no pre-built tables, ungoverned.
+    pub fn new(kind: SolverKind) -> Self {
+        SolveRequest {
+            kind,
+            config: SolveConfig::default(),
+            jobs: 1,
+            regions: None,
+            tables: None,
+            governor: None,
+        }
+    }
+}
+
+/// Runs the solver `req` names over `prog`, with `aux` as the auxiliary
+/// (Andersen) result. `staged` must carry the memory SSA and SVFG when
+/// the solver's [`SolverCaps::needs_svfg`] is set; the other solvers
+/// ignore it.
+///
+/// Without a governor the result is always complete. With one, a trip
+/// in any stage delivers the *sound* Andersen fallback instead of a
+/// partial fixpoint, tagged with the stage (`"versioning"` or
+/// `"solve"`) and the reason.
+///
+/// # Panics
+///
+/// If the solver needs the staged graphs and `staged` is `None`.
+pub fn solve(
+    prog: &Program,
+    aux: &AndersenResult,
+    staged: Option<(&MemorySsa, &Svfg)>,
+    req: SolveRequest,
+) -> GovernedAnalysis {
+    let SolveRequest { kind, config, jobs, regions, tables, governor } = req;
+    let staged =
+        || staged.unwrap_or_else(|| panic!("{} needs the memory SSA and SVFG stages", kind.name()));
+    let (result, completion) = match kind {
+        SolverKind::Dense => dense::solve(prog, aux, governor),
+        SolverKind::Sfs => {
+            let (mssa, svfg) = staged();
+            sfs::solve(prog, aux, mssa, svfg, config, governor)
+        }
+        SolverKind::Vsfs => {
+            let (mssa, svfg) = staged();
+            let tables = match tables {
+                Some(tables) => tables,
+                None => {
+                    let built =
+                        VersionTables::build_with(prog, mssa, svfg, jobs, regions, governor);
+                    if let Completion::Degraded(reason) = built.completion {
+                        return GovernedAnalysis::fallback(prog, aux, "versioning", reason);
+                    }
+                    built.result
+                }
+            };
+            vsfs::solve(prog, aux, mssa, svfg, tables, config, governor)
+        }
+        SolverKind::CfgFree => cfgfree::solve(prog, aux, config, governor),
+        SolverKind::Unify => {
+            // A partial unification fixpoint is unsound, so a governed
+            // unify run that trips is not served as-is: the complete
+            // Andersen aux over-approximates every finer answer and
+            // stands in below — one rung *up* in precision from what was
+            // asked for, and still sound.
+            let out = analyze_unify_with(prog, UnifyConfig::default(), governor);
+            (FlowSensitiveResult::from_unify(prog, &out.result), out.completion)
+        }
+    };
+    match completion {
+        Completion::Complete => GovernedAnalysis::complete(result),
+        Completion::Degraded(reason) => GovernedAnalysis::fallback(prog, aux, "solve", reason),
+    }
 }
 
 #[cfg(test)]

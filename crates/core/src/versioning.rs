@@ -86,66 +86,44 @@ pub struct VersionTables {
 impl VersionTables {
     /// Builds the version tables for `svfg` sequentially.
     pub fn build(prog: &Program, mssa: &MemorySsa, svfg: &Svfg) -> VersionTables {
-        VersionTables::build_with_jobs(prog, mssa, svfg, 1)
+        VersionTables::build_with(prog, mssa, svfg, 1, None, None).result
     }
 
     /// Builds the version tables using up to `jobs` worker threads
-    /// (`0` = all cores) for the per-object meld phase.
+    /// (`0` = all cores) for the per-object meld phase, optionally
+    /// seeded by alias regions and optionally governed.
     ///
     /// The result is bit-identical for every `jobs` value: each object's
     /// meld labelling is computed independently with object-local
     /// version numbering, and a sequential reduce in ascending object
     /// order assigns global slot ids as prefix-sum offsets — the same
     /// ids the sequential pass assigns.
-    pub fn build_with_jobs(
-        prog: &Program,
-        mssa: &MemorySsa,
-        svfg: &Svfg,
-        jobs: usize,
-    ) -> VersionTables {
-        VersionTables::build_with_jobs_regions(prog, mssa, svfg, jobs, None)
-    }
-
-    /// Like [`VersionTables::build_with_jobs`], but with the per-object
-    /// meld tasks seeded by unification alias regions
-    /// (`region_of_object`, from `vsfs_andersen::AliasRegions`): objects
-    /// of the same (provably-disjoint) region start on the same worker,
-    /// replacing the cost-only LPT seeding where regions exist. A pure
-    /// scheduling hint — the tables are bit-identical either way.
-    pub fn build_with_jobs_regions(
+    ///
+    /// `regions` (`region_of_object`, from `vsfs_andersen::AliasRegions`)
+    /// seeds the meld tasks so objects of the same (provably-disjoint)
+    /// region start on the same worker, replacing the cost-only LPT
+    /// seeding where regions exist. A pure scheduling hint — the tables
+    /// are bit-identical either way.
+    ///
+    /// Under a [`Governor`] worker panics are isolated, the parallel
+    /// meld phase stops at cancellation, and the sequential reduce checks
+    /// the budget once per object. On a trip the outcome is `Degraded`
+    /// and the tables are replaced by structurally valid *empty* tables
+    /// (no slots, no reliance edges) — partial version numbering is
+    /// useless for solving, so callers must treat a degraded outcome as
+    /// "no flow-sensitive result" and fall back (as [`crate::solve`]
+    /// does).
+    pub fn build_with(
         prog: &Program,
         mssa: &MemorySsa,
         svfg: &Svfg,
         jobs: usize,
         regions: Option<&[u32]>,
-    ) -> VersionTables {
-        let start = Instant::now();
-        let (mut tables, _) = build_inner(prog, mssa, svfg, ParConfig::new(jobs), regions, None);
-        tables.stats.versions = tables.slot_count as usize;
-        tables.stats.seconds = start.elapsed().as_secs_f64();
-        tables
-    }
-
-    /// Like [`VersionTables::build_with_jobs`], but under a [`Governor`]:
-    /// worker panics are isolated, the parallel meld phase stops at
-    /// cancellation, and the sequential reduce checks the budget once per
-    /// object.
-    ///
-    /// On a trip the outcome is `Degraded` and the tables are replaced by
-    /// structurally valid *empty* tables (no slots, no reliance edges) —
-    /// partial version numbering is useless for solving, so callers must
-    /// treat a degraded outcome as "no flow-sensitive result" and fall
-    /// back (see `run_vsfs_governed`).
-    pub fn build_governed(
-        prog: &Program,
-        mssa: &MemorySsa,
-        svfg: &Svfg,
-        jobs: usize,
-        governor: &Governor,
+        governor: Option<&Governor>,
     ) -> Outcome<VersionTables> {
         let start = Instant::now();
         let (mut tables, completion) =
-            build_inner(prog, mssa, svfg, ParConfig::new(jobs), None, Some(governor));
+            build_inner(prog, mssa, svfg, ParConfig::new(jobs), regions, governor);
         tables.stats.versions = tables.slot_count as usize;
         tables.stats.seconds = start.elapsed().as_secs_f64();
         Outcome { result: tables, completion }

@@ -18,8 +18,9 @@
 //! propagation — the paper's single-object sparsity.
 
 use crate::region::RegionMemo;
-use crate::result::{FlowSensitiveResult, GovernedAnalysis, SolveStats};
+use crate::result::{FlowSensitiveResult, SolveStats};
 use crate::schedule::{slot_ranks, svfg_schedule, SolveConfig, SolveOrder};
+use crate::solver::{SolveRequest, SolverKind};
 use crate::toplevel::{TopLevel, EMPTY};
 use crate::versioning::{VersionSlot, VersionTables};
 use std::time::Instant;
@@ -30,77 +31,15 @@ use vsfs_ir::{FuncId, InstId, InstKind, ObjId, Program};
 use vsfs_mssa::MemorySsa;
 use vsfs_svfg::{Svfg, SvfgNodeId, SvfgNodeKind};
 
-/// Runs versioning and the VSFS solver under the default (topological)
-/// schedule.
+/// Runs versioning and the VSFS solver under the default configuration
+/// (see [`crate::solve`] for every other setting).
 pub fn run_vsfs(
     prog: &Program,
     aux: &AndersenResult,
     mssa: &MemorySsa,
     svfg: &Svfg,
 ) -> FlowSensitiveResult {
-    run_vsfs_ordered(prog, aux, mssa, svfg, SolveOrder::default())
-}
-
-/// [`run_vsfs`] with an explicit worklist [`SolveOrder`]. The fixpoint
-/// is order-independent; only the visit counts change.
-pub fn run_vsfs_ordered(
-    prog: &Program,
-    aux: &AndersenResult,
-    mssa: &MemorySsa,
-    svfg: &Svfg,
-    order: SolveOrder,
-) -> FlowSensitiveResult {
-    let tables = VersionTables::build(prog, mssa, svfg);
-    run_vsfs_with_tables_ordered(prog, aux, mssa, svfg, tables, order)
-}
-
-/// [`run_vsfs`] with a full [`SolveConfig`].
-pub fn run_vsfs_configured(
-    prog: &Program,
-    aux: &AndersenResult,
-    mssa: &MemorySsa,
-    svfg: &Svfg,
-    config: SolveConfig,
-) -> FlowSensitiveResult {
-    let tables = VersionTables::build(prog, mssa, svfg);
-    run_vsfs_with_tables_configured(prog, aux, mssa, svfg, tables, config)
-}
-
-/// Runs versioning with `jobs` worker threads, then the VSFS solver.
-/// Results are bit-identical to [`run_vsfs`] for every job count.
-pub fn run_vsfs_jobs(
-    prog: &Program,
-    aux: &AndersenResult,
-    mssa: &MemorySsa,
-    svfg: &Svfg,
-    jobs: usize,
-) -> FlowSensitiveResult {
-    run_vsfs_jobs_ordered(prog, aux, mssa, svfg, jobs, SolveOrder::default())
-}
-
-/// [`run_vsfs_jobs`] with an explicit worklist [`SolveOrder`].
-pub fn run_vsfs_jobs_ordered(
-    prog: &Program,
-    aux: &AndersenResult,
-    mssa: &MemorySsa,
-    svfg: &Svfg,
-    jobs: usize,
-    order: SolveOrder,
-) -> FlowSensitiveResult {
-    run_vsfs_jobs_configured(prog, aux, mssa, svfg, jobs, SolveConfig::from(order))
-}
-
-/// [`run_vsfs_jobs`] with a full [`SolveConfig`].
-pub fn run_vsfs_jobs_configured(
-    prog: &Program,
-    aux: &AndersenResult,
-    mssa: &MemorySsa,
-    svfg: &Svfg,
-    jobs: usize,
-    config: SolveConfig,
-) -> FlowSensitiveResult {
-    let tables = VersionTables::build_with_jobs(prog, mssa, svfg, jobs);
-    run_vsfs_with_tables_configured(prog, aux, mssa, svfg, tables, config)
+    crate::solve(prog, aux, Some((mssa, svfg)), SolveRequest::new(SolverKind::Vsfs)).result
 }
 
 /// Runs the VSFS solver with pre-built version tables (lets benchmarks
@@ -112,94 +51,21 @@ pub fn run_vsfs_with_tables(
     svfg: &Svfg,
     tables: VersionTables,
 ) -> FlowSensitiveResult {
-    run_vsfs_with_tables_ordered(prog, aux, mssa, svfg, tables, SolveOrder::default())
+    let req = SolveRequest { tables: Some(tables), ..SolveRequest::new(SolverKind::Vsfs) };
+    crate::solve(prog, aux, Some((mssa, svfg)), req).result
 }
 
-/// [`run_vsfs_with_tables`] with an explicit worklist [`SolveOrder`].
-pub fn run_vsfs_with_tables_ordered(
-    prog: &Program,
-    aux: &AndersenResult,
-    mssa: &MemorySsa,
-    svfg: &Svfg,
-    tables: VersionTables,
-    order: SolveOrder,
-) -> FlowSensitiveResult {
-    run_vsfs_with_tables_configured(prog, aux, mssa, svfg, tables, SolveConfig::from(order))
-}
-
-/// [`run_vsfs_with_tables`] with a full [`SolveConfig`] (worklist order
-/// plus the region memo switch). Results are bit-identical across every
-/// configuration.
-pub fn run_vsfs_with_tables_configured(
+/// The VSFS engine behind [`crate::solve`]: the fixpoint over pre-built
+/// version tables under `config`, with one cooperative checkpoint per
+/// worklist pop when governed.
+pub(crate) fn solve(
     prog: &Program,
     aux: &AndersenResult,
     mssa: &MemorySsa,
     svfg: &Svfg,
     tables: VersionTables,
     config: SolveConfig,
-) -> FlowSensitiveResult {
-    solve_with_tables(prog, aux, mssa, svfg, tables, None, config).0
-}
-
-/// Runs the full governed VSFS pipeline: governed versioning, then the
-/// governed fixpoint. On a trip in either stage the returned
-/// [`GovernedAnalysis`] carries the *sound* Andersen fallback instead of
-/// a partial flow-sensitive result, tagged with the stage and reason.
-pub fn run_vsfs_governed(
-    prog: &Program,
-    aux: &AndersenResult,
-    mssa: &MemorySsa,
-    svfg: &Svfg,
-    jobs: usize,
-    governor: &Governor,
-) -> GovernedAnalysis {
-    run_vsfs_governed_ordered(prog, aux, mssa, svfg, jobs, governor, SolveOrder::default())
-}
-
-/// [`run_vsfs_governed`] with an explicit worklist [`SolveOrder`].
-pub fn run_vsfs_governed_ordered(
-    prog: &Program,
-    aux: &AndersenResult,
-    mssa: &MemorySsa,
-    svfg: &Svfg,
-    jobs: usize,
-    governor: &Governor,
-    order: SolveOrder,
-) -> GovernedAnalysis {
-    run_vsfs_governed_configured(prog, aux, mssa, svfg, jobs, governor, SolveConfig::from(order))
-}
-
-/// [`run_vsfs_governed`] with a full [`SolveConfig`].
-pub fn run_vsfs_governed_configured(
-    prog: &Program,
-    aux: &AndersenResult,
-    mssa: &MemorySsa,
-    svfg: &Svfg,
-    jobs: usize,
-    governor: &Governor,
-    config: SolveConfig,
-) -> GovernedAnalysis {
-    let vt = VersionTables::build_governed(prog, mssa, svfg, jobs, governor);
-    if let Completion::Degraded(reason) = vt.completion {
-        return GovernedAnalysis::fallback(prog, aux, "versioning", reason);
-    }
-    let (result, completion) =
-        solve_with_tables(prog, aux, mssa, svfg, vt.result, Some(governor), config);
-    match completion {
-        Completion::Complete => GovernedAnalysis::complete(result),
-        Completion::Degraded(reason) => GovernedAnalysis::fallback(prog, aux, "solve", reason),
-    }
-}
-
-/// Shared driver: solve with pre-built tables, optionally governed.
-fn solve_with_tables(
-    prog: &Program,
-    aux: &AndersenResult,
-    mssa: &MemorySsa,
-    svfg: &Svfg,
-    tables: VersionTables,
     governor: Option<&Governor>,
-    config: SolveConfig,
 ) -> (FlowSensitiveResult, Completion) {
     let versioning = tables.stats;
     let start = Instant::now();

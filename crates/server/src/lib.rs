@@ -19,12 +19,12 @@
 //! | op | fields | effect |
 //! |----|--------|--------|
 //! | `ping` | | liveness check |
-//! | `load` | `id`, `source`, [`solver`] | parse + solve (or snapshot-restore), keep resident |
-//! | `edit` | `id`, `delta`, [`solver`] | apply function deltas, re-solve incrementally |
-//! | `pts` | `id`, `value`, [`func`] | points-to set of a value |
-//! | `alias` | `id`, `p`, `q`, [`func`] | may-alias query |
+//! | `load` | `id`, `source`, \[`solver`\] | parse + solve (or snapshot-restore), keep resident |
+//! | `edit` | `id`, `delta`, \[`solver`\] | apply function deltas, re-solve incrementally |
+//! | `pts` | `id`, `value`, \[`func`\] | points-to set of a value |
+//! | `alias` | `id`, `p`, `q`, \[`func`\] | may-alias query |
 //! | `check` | `id` | run the memory-safety checkers |
-//! | `stats` | [`id`] | server or per-program statistics |
+//! | `stats` | \[`id`\] | server or per-program statistics |
 //! | `unload` | `id` | drop a resident program (and its snapshot) |
 //! | `debug_panic` | `id` | fault drill: panic inside the handler |
 //! | `shutdown` | | stop serving (drains in-flight requests) |

@@ -156,9 +156,10 @@ cargo run --release -p vsfs-bench --bin unify_bench -- bake --runs 3 \
   --gate-ratio 50 --gate-sharding
 
 echo
-echo "== lint gate: rustfmt clean, clippy clean at -D warnings =="
+echo "== lint gate: rustfmt clean, clippy and rustdoc clean at -D warnings =="
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo
 echo "CI OK"

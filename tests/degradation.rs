@@ -13,10 +13,15 @@
 //!    afterwards — no global state is corrupted by an interrupted run.
 //! 3. **Schedule independence**: with a seeded fault plan, jobs 1, 2 and
 //!    8 produce bit-identical results, completions and degraded stages.
+//!
+//! Every solver kind is governed through the same `vsfs_core::solve`
+//! request: an unlimited governor changes nothing, and a tripped step
+//! budget degrades every kind to the sound Andersen fallback.
 
 use vsfs::prelude::*;
 use vsfs_adt::govern::{Budget, CancelToken, Completion, DegradeReason, FaultKind, Governor};
-use vsfs_core::GovernedAnalysis;
+use vsfs_core::{result_fingerprint, GovernedAnalysis, SolveRequest, SolverKind};
+use vsfs_svfg::StableKeys;
 use vsfs_testkit::FaultPlan;
 
 struct Pipeline {
@@ -28,20 +33,49 @@ struct Pipeline {
 
 fn pipeline(source: &str, jobs: usize) -> Pipeline {
     let prog = parse_program(source).expect("corpus parses");
-    let aux = andersen::analyze_with_config(&prog, andersen::AndersenConfig::with_jobs(jobs));
+    let config = andersen::AndersenConfig::with_jobs(jobs);
+    let aux = andersen::analyze_with(&prog, config, None, None).result;
     let mssa = MemorySsa::build(&prog, &aux);
     let svfg = Svfg::build(&prog, &aux, &mssa);
     Pipeline { prog, aux, mssa, svfg }
 }
 
-fn run_governed(p: &Pipeline, jobs: usize, gov: &Governor) -> GovernedAnalysis {
-    vsfs_core::run_vsfs_governed(&p.prog, &p.aux, &p.mssa, &p.svfg, jobs, gov)
+impl Pipeline {
+    /// Solves `kind` with `jobs` versioning workers, optionally governed.
+    fn solve(
+        &self,
+        kind: SolverKind,
+        jobs: usize,
+        governor: Option<&Governor>,
+    ) -> GovernedAnalysis {
+        let req = SolveRequest { jobs, governor, ..SolveRequest::new(kind) };
+        vsfs_core::solve(&self.prog, &self.aux, Some((&self.mssa, &self.svfg)), req)
+    }
 }
 
-/// The fallback (= Andersen) must contain the complete flow-sensitive
-/// result: per-value points-to supersets and a call-edge superset.
-fn assert_fallback_is_superset(p: &Pipeline, complete: &FlowSensitiveResult, label: &str) {
-    let fallback = FlowSensitiveResult::from_andersen(&p.prog, &p.aux);
+/// The governed VSFS pipeline (versioning, then the fixpoint).
+fn run_governed(p: &Pipeline, jobs: usize, gov: &Governor) -> GovernedAnalysis {
+    p.solve(SolverKind::Vsfs, jobs, Some(gov))
+}
+
+/// The delivered `fallback` must be the Andersen result and contain the
+/// `complete` flow-sensitive result: per-value points-to supersets and a
+/// call-edge superset.
+fn assert_fallback_is_superset(
+    p: &Pipeline,
+    fallback: &FlowSensitiveResult,
+    complete: &FlowSensitiveResult,
+    label: &str,
+) {
+    let andersen = FlowSensitiveResult::from_andersen(&p.prog, &p.aux);
+    for v in p.prog.values.indices() {
+        assert_eq!(
+            fallback.value_pts(v),
+            andersen.value_pts(v),
+            "{label}: not the Andersen result"
+        );
+    }
+    assert_eq!(fallback.callgraph_edges, andersen.callgraph_edges, "{label}");
     for v in p.prog.values.indices() {
         assert!(
             fallback.value_pts(v).is_superset(complete.value_pts(v)),
@@ -62,7 +96,8 @@ fn andersen_fallback_over_approximates_complete_vsfs() {
     for c in vsfs_workloads::corpus::corpus() {
         let p = pipeline(c.source, 1);
         let complete = vsfs_core::run_vsfs(&p.prog, &p.aux, &p.mssa, &p.svfg);
-        assert_fallback_is_superset(&p, &complete, c.name);
+        let fallback = FlowSensitiveResult::from_andersen(&p.prog, &p.aux);
+        assert_fallback_is_superset(&p, &fallback, &complete, c.name);
     }
 }
 
@@ -83,7 +118,7 @@ fn step_budget_trips_at_every_checkpoint_without_deadlock_or_poison() {
                 let ga = run_governed(&p, jobs, &gov);
                 match &ga.completion {
                     Completion::Degraded(DegradeReason::StepBudget) => {
-                        assert_fallback_is_superset(&p, &complete, c.name);
+                        assert_fallback_is_superset(&p, &ga.result, &complete, c.name);
                         assert_eq!(ga.mode, "flow-insensitive-fallback", "{}", c.name);
                         assert!(ga.degraded_stage.is_some(), "{}", c.name);
                     }
@@ -94,6 +129,46 @@ fn step_budget_trips_at_every_checkpoint_without_deadlock_or_poison() {
             // was poisoned by the interrupted runs above.
             let gov = Governor::new(Budget::unlimited().with_steps(total));
             assert!(run_governed(&p, jobs, &gov).is_complete(), "{}", c.name);
+        }
+    }
+}
+
+/// The governed matrix: every solver kind through one `solve` request.
+/// An unlimited governor leaves the result fingerprint-identical to the
+/// ungoverned solve; a step budget that trips mid-run degrades every
+/// kind to the sound Andersen fallback, tagged with the stage that
+/// tripped.
+#[test]
+fn every_solver_kind_degrades_soundly_under_a_step_budget() {
+    for c in vsfs_workloads::corpus::corpus() {
+        let p = pipeline(c.source, 1);
+        let keys = StableKeys::build(&p.prog, &p.mssa, &p.svfg);
+        let fingerprint = |r: &FlowSensitiveResult| result_fingerprint(&p.prog, &keys, r);
+        let flow = p.solve(SolverKind::Vsfs, 1, None).result;
+        for kind in SolverKind::ALL {
+            let label = format!("{} {}", c.name, kind.name());
+            let plain = p.solve(kind, 1, None);
+            assert!(plain.is_complete(), "{label}: ungoverned solves always complete");
+            let probe = Governor::unlimited();
+            let governed = p.solve(kind, 1, Some(&probe));
+            assert!(governed.is_complete(), "{label}: unlimited budget must complete");
+            assert_eq!(governed.mode, "flow-sensitive", "{label}");
+            assert_eq!(fingerprint(&governed.result), fingerprint(&plain.result), "{label}");
+
+            let total = probe.steps();
+            assert!(total > 0, "{label}: a governed solve passes checkpoints");
+            let gov = Governor::new(Budget::unlimited().with_steps(total / 2));
+            let ga = p.solve(kind, 1, Some(&gov));
+            assert_eq!(ga.completion, Completion::Degraded(DegradeReason::StepBudget), "{label}");
+            assert_eq!(ga.mode, "flow-insensitive-fallback", "{label}");
+            let stages: &[&str] =
+                if kind == SolverKind::Vsfs { &["versioning", "solve"] } else { &["solve"] };
+            let stage = ga.degraded_stage.expect("a degraded run names its stage");
+            assert!(stages.contains(&stage), "{label}: degraded at {stage}");
+            // Unification is coarser than the Andersen stand-in, so its
+            // fallback is checked against the flow-sensitive answer.
+            let complete = if kind == SolverKind::Unify { &flow } else { &plain.result };
+            assert_fallback_is_superset(&p, &ga.result, complete, &label);
         }
     }
 }

@@ -19,14 +19,19 @@
 //! On programs without calls the two formulations coincide exactly.
 
 use vsfs::prelude::*;
+use vsfs_core::{SolveRequest, SolverKind};
 use vsfs_workloads::gen::{generate, WorkloadConfig};
+
+fn solve_dense(prog: &Program, aux: &andersen::AndersenResult) -> FlowSensitiveResult {
+    vsfs_core::solve(prog, aux, None, SolveRequest::new(SolverKind::Dense)).result
+}
 
 #[test]
 fn dense_refines_andersen_everywhere() {
     for seed in 0..10 {
         let prog = generate(&WorkloadConfig { seed, ..WorkloadConfig::small() });
         let aux = andersen::analyze(&prog);
-        let dense = vsfs_core::run_dense(&prog, &aux);
+        let dense = solve_dense(&prog, &aux);
         for v in prog.values.indices() {
             assert!(
                 aux.value_pts(v).is_superset(dense.value_pts(v)),
@@ -51,7 +56,7 @@ fn dense_matches_staged_on_call_free_programs() {
         let mssa = MemorySsa::build(&prog, &aux);
         let svfg = Svfg::build(&prog, &aux, &mssa);
         let staged = vsfs_core::run_vsfs(&prog, &aux, &mssa, &svfg);
-        let dense = vsfs_core::run_dense(&prog, &aux);
+        let dense = solve_dense(&prog, &aux);
         for v in prog.values.indices() {
             assert_eq!(
                 dense.value_pts(v),
@@ -68,7 +73,7 @@ fn dense_matches_staged_on_call_free_programs() {
 fn dense_gets_flow_sensitive_basics_right() {
     let prog = parse_program(vsfs_workloads::corpus::STRONG_UPDATE).unwrap();
     let aux = andersen::analyze(&prog);
-    let dense = vsfs_core::run_dense(&prog, &aux);
+    let dense = solve_dense(&prog, &aux);
     let val = |n: &str| {
         prog.values.iter_enumerated().find(|(_, v)| v.name == n).map(|(id, _)| id).unwrap()
     };
@@ -109,7 +114,7 @@ fn dense_kills_across_calls_where_staged_cannot() {
     let mssa = MemorySsa::build(&prog, &aux);
     let svfg = Svfg::build(&prog, &aux, &mssa);
     let staged = vsfs_core::run_vsfs(&prog, &aux, &mssa, &svfg);
-    let dense = vsfs_core::run_dense(&prog, &aux);
+    let dense = solve_dense(&prog, &aux);
     let after =
         prog.values.iter_enumerated().find(|(_, v)| v.name == "after").map(|(id, _)| id).unwrap();
     let names = |r: &vsfs_core::FlowSensitiveResult| {
@@ -153,7 +158,7 @@ fn dense_does_more_object_work_than_vsfs() {
     let mssa = MemorySsa::build(&prog, &aux);
     let svfg = Svfg::build(&prog, &aux, &mssa);
     let vsfs = vsfs_core::run_vsfs(&prog, &aux, &mssa, &svfg);
-    let dense = vsfs_core::run_dense(&prog, &aux);
+    let dense = solve_dense(&prog, &aux);
     // Stored *elements* (actual points-to data) and propagation work both
     // blow up without sparsity. (Set *counts* are not comparable across
     // the two accountings: VSFS pre-allocates a slot per (object,

@@ -8,6 +8,7 @@
 use vsfs::prelude::*;
 use vsfs_core::queries::AliasQueries;
 use vsfs_core::result::precision_diff;
+use vsfs_core::{SolveRequest, SolverKind};
 use vsfs_workloads::gen::{generate, WorkloadConfig};
 
 fn full_pipeline(
@@ -19,7 +20,7 @@ fn full_pipeline(
     let svfg = Svfg::build(prog, &aux, &mssa);
     let sfs = vsfs_core::run_sfs(prog, &aux, &mssa, &svfg);
     let vsfs = vsfs_core::run_vsfs(prog, &aux, &mssa, &svfg);
-    let cfgfree = vsfs_core::run_cfgfree(prog, &aux);
+    let cfgfree = vsfs_core::solve(prog, &aux, None, SolveRequest::new(SolverKind::CfgFree)).result;
     (sfs, vsfs, cfgfree)
 }
 
@@ -274,16 +275,21 @@ fn cfgfree_checker_findings_are_bit_identical_across_jobs_and_orders() {
         vsfs_ir::verify::verify(&prog).expect("program verifies");
         let mut reference: Option<Vec<String>> = None;
         for jobs in [1usize, 2, 8] {
-            let aux = vsfs_andersen::analyze_with_config(
+            let aux = vsfs_andersen::analyze_with(
                 &prog,
                 AndersenConfig { jobs, ..AndersenConfig::default() },
-            );
+                None,
+                None,
+            )
+            .result;
             // The checkers traverse the SVFG for witness paths; the
             // view under test is still the CFG-free result.
             let mssa = MemorySsa::build(&prog, &aux);
             let svfg = Svfg::build(&prog, &aux, &mssa);
             for order in [SolveOrder::Fifo, SolveOrder::Topo] {
-                let r = vsfs_core::run_cfgfree_ordered(&prog, &aux, order);
+                let req =
+                    SolveRequest { config: order.into(), ..SolveRequest::new(SolverKind::CfgFree) };
+                let r = vsfs_core::solve(&prog, &aux, None, req).result;
                 let findings = run_checkers(&prog, &svfg, &FlowView(&r));
                 let rendered = render_findings(&prog, &findings);
                 match &reference {

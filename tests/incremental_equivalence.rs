@@ -20,8 +20,8 @@ use vsfs_checkers::{run_checkers, FlowView};
 use vsfs_core::queries::AliasQueries;
 use vsfs_core::result::precision_diff;
 use vsfs_core::{
-    resolve_edit, result_fingerprint, solve_program, IncrementalOptions, ProgramState, SolveOrder,
-    SolveReport,
+    resolve_edit, result_fingerprint, solve_program, FlowSensitiveResult, IncrementalOptions,
+    ProgramState, SolveOrder, SolveReport, SolveRequest, SolverKind,
 };
 use vsfs_ir::Program;
 use vsfs_testkit::Rng;
@@ -59,11 +59,20 @@ struct ColdPipeline {
 /// arena ids line up and results are directly comparable.
 fn cold_pipeline(source: &str, jobs: usize) -> ColdPipeline {
     let prog = vsfs_ir::parse_program(source).expect("edit-script text parses");
-    let aux =
-        vsfs_andersen::analyze_with_config(&prog, vsfs_andersen::AndersenConfig::with_jobs(jobs));
+    let config = vsfs_andersen::AndersenConfig::with_jobs(jobs);
+    let aux = vsfs_andersen::analyze_with(&prog, config, None, None).result;
     let mssa = vsfs_mssa::MemorySsa::build(&prog, &aux);
     let svfg = vsfs_svfg::Svfg::build(&prog, &aux, &mssa);
     ColdPipeline { prog, aux, mssa, svfg }
+}
+
+impl ColdPipeline {
+    /// A from-scratch solve of `kind` under `order`, with the pipeline's
+    /// own job count for versioning.
+    fn solve(&self, kind: SolverKind, order: SolveOrder, jobs: usize) -> FlowSensitiveResult {
+        let req = SolveRequest { config: order.into(), jobs, ..SolveRequest::new(kind) };
+        vsfs_core::solve(&self.prog, &self.aux, Some((&self.mssa, &self.svfg)), req).result
+    }
 }
 
 /// Asserts the incremental `state` matches `cold_result` on points-to
@@ -131,34 +140,19 @@ fn edit_sequences_match_from_scratch_solves() {
                 "{label}: warm state must be available after a complete solve"
             );
 
-            // From-scratch SFS, both worklist orders.
-            let cold = cold_pipeline(&text, 1);
-            for order in [SolveOrder::Fifo, SolveOrder::Topo] {
-                let r = vsfs_core::run_sfs_ordered(
-                    &cold.prog, &cold.aux, &cold.mssa, &cold.svfg, order,
-                );
-                assert_matches(&format!("{label} vs sfs/{order:?}"), &next, &cold, &r, rng);
-            }
-            // From-scratch VSFS at three parallelism levels.
-            for (jobs, order) in
-                [(1, SolveOrder::Topo), (2, SolveOrder::Fifo), (8, SolveOrder::Topo)]
-            {
-                let cold_j = cold_pipeline(&text, jobs);
-                let r = vsfs_core::run_vsfs_jobs_ordered(
-                    &cold_j.prog,
-                    &cold_j.aux,
-                    &cold_j.mssa,
-                    &cold_j.svfg,
-                    jobs,
-                    order,
-                );
-                assert_matches(
-                    &format!("{label} vs vsfs/j{jobs}/{order:?}"),
-                    &next,
-                    &cold_j,
-                    &r,
-                    rng,
-                );
+            // From-scratch SFS under both worklist orders, and VSFS at
+            // three parallelism levels.
+            for (kind, jobs, order) in [
+                (SolverKind::Sfs, 1, SolveOrder::Fifo),
+                (SolverKind::Sfs, 1, SolveOrder::Topo),
+                (SolverKind::Vsfs, 1, SolveOrder::Topo),
+                (SolverKind::Vsfs, 2, SolveOrder::Fifo),
+                (SolverKind::Vsfs, 8, SolveOrder::Topo),
+            ] {
+                let cold = cold_pipeline(&text, jobs);
+                let r = cold.solve(kind, order, jobs);
+                let ctx = format!("{label} vs {}/j{jobs}/{order:?}", kind.name());
+                assert_matches(&ctx, &next, &cold, &r, rng);
             }
             state = next;
         }
@@ -221,13 +215,7 @@ fn edit_against_cold(label: &str, base: &str, edited: &str) -> SolveReport {
     let (next, report) = resolve_edit(&state, edited, opts, None, None).expect("edit solves");
     assert!(report.incremental, "{label}: the edit must be solved incrementally");
     let cold = cold_pipeline(edited, 1);
-    let r = vsfs_core::run_sfs_ordered(
-        &cold.prog,
-        &cold.aux,
-        &cold.mssa,
-        &cold.svfg,
-        SolveOrder::default(),
-    );
+    let r = cold.solve(SolverKind::Sfs, SolveOrder::default(), 1);
     assert_matches(label, &next, &cold, &r, &mut Rng::seed_from_u64(7));
     report
 }

@@ -13,6 +13,7 @@ use vsfs::prelude::*;
 use vsfs_andersen::AndersenConfig;
 use vsfs_core::queries::AliasQueries;
 use vsfs_core::result::precision_diff;
+use vsfs_core::{SolveRequest, SolverKind};
 use vsfs_workloads::gen::{generate, WorkloadConfig};
 
 const JOB_COUNTS: [usize; 3] = [1, 2, 8];
@@ -44,10 +45,11 @@ fn test_programs() -> Vec<(String, Program)> {
 /// Runs the whole pipeline — parallel Andersen, memory SSA, SVFG,
 /// parallel versioning, VSFS main phase — with `jobs` workers.
 fn pipeline_at(prog: &Program, jobs: usize) -> FlowSensitiveResult {
-    let aux = andersen::analyze_with_config(prog, AndersenConfig::with_jobs(jobs));
+    let aux = andersen::analyze_with(prog, AndersenConfig::with_jobs(jobs), None, None).result;
     let mssa = MemorySsa::build(prog, &aux);
     let svfg = Svfg::build(prog, &aux, &mssa);
-    vsfs_core::run_vsfs_jobs(prog, &aux, &mssa, &svfg, jobs)
+    let req = SolveRequest { jobs, ..SolveRequest::new(SolverKind::Vsfs) };
+    vsfs_core::solve(prog, &aux, Some((&mssa, &svfg)), req).result
 }
 
 fn sorted_edges(r: &FlowSensitiveResult) -> Vec<(vsfs_ir::InstId, vsfs_ir::FuncId)> {
@@ -108,7 +110,8 @@ fn andersen_wave_mode_matches_sequential_everywhere() {
     for (name, prog) in test_programs() {
         let seq = andersen::analyze(&prog);
         for &jobs in &JOB_COUNTS[1..] {
-            let wave = andersen::analyze_with_config(&prog, AndersenConfig::with_jobs(jobs));
+            let wave =
+                andersen::analyze_with(&prog, AndersenConfig::with_jobs(jobs), None, None).result;
             for v in prog.values.indices() {
                 assert_eq!(
                     seq.value_pts(v).iter().collect::<Vec<_>>(),
@@ -141,17 +144,19 @@ fn solvers_agree_with_all_parallel_phases_enabled() {
     // two formulations only coincide without call boundaries — see
     // tests/dense_baseline.rs).
     for (name, prog) in test_programs() {
-        let aux = andersen::analyze_with_config(&prog, AndersenConfig::with_jobs(8));
+        let aux = andersen::analyze_with(&prog, AndersenConfig::with_jobs(8), None, None).result;
         let mssa = MemorySsa::build(&prog, &aux);
         let svfg = Svfg::build(&prog, &aux, &mssa);
         let sfs = run_sfs(&prog, &aux, &mssa, &svfg);
-        let vsfs = vsfs_core::run_vsfs_jobs(&prog, &aux, &mssa, &svfg, 8);
+        let req = SolveRequest { jobs: 8, ..SolveRequest::new(SolverKind::Vsfs) };
+        let vsfs = vsfs_core::solve(&prog, &aux, Some((&mssa, &svfg)), req).result;
         if let Some(diff) = precision_diff(&prog, &sfs, &vsfs) {
             panic!("{name}: SFS and VSFS disagree under parallel phases: {diff}");
         }
         let has_calls = prog.insts.iter().any(|i| matches!(i.kind, vsfs_ir::InstKind::Call { .. }));
         if !has_calls {
-            let dense = vsfs_core::run_dense(&prog, &aux);
+            let dense =
+                vsfs_core::solve(&prog, &aux, None, SolveRequest::new(SolverKind::Dense)).result;
             for v in prog.values.indices() {
                 assert_eq!(
                     dense.value_pts(v),

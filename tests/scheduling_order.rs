@@ -13,7 +13,7 @@ use vsfs::prelude::*;
 use vsfs_checkers::{run_checkers, Finding, FlowView};
 use vsfs_core::queries::AliasQueries;
 use vsfs_core::result::precision_diff;
-use vsfs_core::SolveOrder;
+use vsfs_core::{SolveOrder, SolveRequest, SolverKind};
 use vsfs_testkit::Rng;
 use vsfs_workloads::gen::{generate, WorkloadConfig};
 
@@ -76,8 +76,12 @@ fn vsfs_is_identical_across_orders_and_jobs() {
         let aux = andersen::analyze(&prog);
         let mssa = MemorySsa::build(&prog, &aux);
         let svfg = Svfg::build(&prog, &aux, &mssa);
+        let solve = |kind, order: SolveOrder, jobs| {
+            let req = SolveRequest { config: order.into(), jobs, ..SolveRequest::new(kind) };
+            vsfs_core::solve(&prog, &aux, Some((&mssa, &svfg)), req).result
+        };
 
-        let base = vsfs_core::run_vsfs_jobs_ordered(&prog, &aux, &mssa, &svfg, 1, ORDERS[0]);
+        let base = solve(SolverKind::Vsfs, ORDERS[0], 1);
         let base_findings = observe(&prog, &base, &svfg);
         for &order in &ORDERS {
             for &jobs in &JOB_COUNTS {
@@ -85,7 +89,7 @@ fn vsfs_is_identical_across_orders_and_jobs() {
                     continue;
                 }
                 let ctx = format!("seed {} order {} jobs {jobs}", cfg.seed, order.name());
-                let r = vsfs_core::run_vsfs_jobs_ordered(&prog, &aux, &mssa, &svfg, jobs, order);
+                let r = solve(SolverKind::Vsfs, order, jobs);
                 if let Some(diff) = precision_diff(&prog, &base, &r) {
                     panic!("{ctx}: {diff}");
                 }
@@ -106,9 +110,13 @@ fn sfs_orders_agree_with_each_other_and_with_vsfs() {
         let aux = andersen::analyze(&prog);
         let mssa = MemorySsa::build(&prog, &aux);
         let svfg = Svfg::build(&prog, &aux, &mssa);
+        let solve = |kind, order: SolveOrder, jobs| {
+            let req = SolveRequest { config: order.into(), jobs, ..SolveRequest::new(kind) };
+            vsfs_core::solve(&prog, &aux, Some((&mssa, &svfg)), req).result
+        };
 
-        let fifo = vsfs_core::run_sfs_ordered(&prog, &aux, &mssa, &svfg, SolveOrder::Fifo);
-        let topo = vsfs_core::run_sfs_ordered(&prog, &aux, &mssa, &svfg, SolveOrder::Topo);
+        let fifo = solve(SolverKind::Sfs, SolveOrder::Fifo, 1);
+        let topo = solve(SolverKind::Sfs, SolveOrder::Topo, 1);
         if let Some(diff) = precision_diff(&prog, &fifo, &topo) {
             panic!("seed {}: sfs fifo vs topo: {diff}", cfg.seed);
         }
@@ -118,7 +126,7 @@ fn sfs_orders_agree_with_each_other_and_with_vsfs() {
             "seed {}: sfs findings differ across orders",
             cfg.seed
         );
-        let vsfs = vsfs_core::run_vsfs_ordered(&prog, &aux, &mssa, &svfg, SolveOrder::Topo);
+        let vsfs = solve(SolverKind::Vsfs, SolveOrder::Topo, 1);
         if let Some(diff) = precision_diff(&prog, &fifo, &vsfs) {
             panic!("seed {}: sfs vs vsfs(topo): {diff}", cfg.seed);
         }

@@ -13,7 +13,7 @@
 //! four-tier `check-summary:` report runs over).
 
 use vsfs::prelude::*;
-use vsfs_andersen::{analyze_unify_with_config, UnifyConfig, UnifyResult};
+use vsfs_andersen::{analyze_unify_with, UnifyConfig, UnifyResult};
 use vsfs_testkit::Rng;
 use vsfs_workloads::gen::{generate, WorkloadConfig};
 
@@ -44,8 +44,8 @@ fn sorted_unify_edges(r: &UnifyResult) -> Vec<(vsfs_ir::InstId, vsfs_ir::FuncId)
 
 /// Asserts the full four-tier chain on one program.
 fn assert_chain(prog: &Program, label: &str) {
-    let steens = analyze_unify_with_config(prog, UnifyConfig::steensgaard());
-    let unify = analyze_unify_with_config(prog, UnifyConfig::default());
+    let steens = analyze_unify_with(prog, UnifyConfig::steensgaard(), None).result;
+    let unify = analyze_unify_with(prog, UnifyConfig::default(), None).result;
     let aux = andersen::analyze(prog);
     let mssa = MemorySsa::build(prog, &aux);
     let svfg = Svfg::build(prog, &aux, &mssa);
