@@ -24,8 +24,8 @@
 //!   `clippy.toml` bans the bare std maps to hold the rule. Iteration
 //!   order of either kind of map is not a contract: anything that
 //!   leaves a map for output or a fingerprint is sorted first.
-//! * [`interner`] — hash-consing of sparse bit vectors, used to map meld
-//!   labels to dense version ids.
+//! * [`meldpool`] — hash-consed meld labels with memoized melds, the
+//!   label representation of object versioning.
 //! * [`ptstore`] — hash-consed points-to sets ([`PtsId`] handles into a
 //!   shared [`PtsStore`]) with memoized `union`/`insert` algebra, the
 //!   storage representation of every solver stage.
@@ -54,7 +54,6 @@
 pub mod fxhash;
 pub mod govern;
 pub mod index;
-pub mod interner;
 pub mod meldpool;
 pub mod mem;
 pub mod par;
@@ -69,8 +68,7 @@ pub use govern::{
     WorkerFault,
 };
 pub use index::IndexVec;
-pub use interner::{CapacityOverflow, SbvInterner};
-pub use meldpool::MeldPool;
+pub use meldpool::{CapacityOverflow, MeldPool};
 pub use par::{ParConfig, ParStats, ShardedWorklist};
 pub use ptstore::{CarryStats, FlatReader, PtsCarry, PtsId, PtsScratch, PtsStore, PtsStoreStats};
 pub use sbv::SparseBitVector;

@@ -36,6 +36,36 @@ impl Block {
     }
 }
 
+/// Appends the merge join `a ∪ b` to `out`; returns `true` if it differs
+/// from `a`.
+fn merge_union(out: &mut Vec<Block>, a: &[Block], b: &[Block]) -> bool {
+    let mut changed = false;
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        if x.base < y.base {
+            out.push(x);
+            i += 1;
+        } else if x.base > y.base {
+            out.push(y);
+            changed = true;
+            j += 1;
+        } else {
+            let mut merged = x;
+            for k in 0..WORDS_PER_BLOCK {
+                merged.words[k] |= y.words[k];
+            }
+            changed |= merged != x;
+            out.push(merged);
+            i += 1;
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    changed || j < b.len()
+}
+
 /// A sparse set of `u32` values.
 ///
 /// # Examples
@@ -138,42 +168,19 @@ impl SparseBitVector {
         if other.blocks.is_empty() {
             return false;
         }
-        let mut changed = false;
         let mut out = Vec::with_capacity(self.blocks.len().max(other.blocks.len()));
-        let mut i = 0;
-        let mut j = 0;
-        while i < self.blocks.len() && j < other.blocks.len() {
-            let (a, b) = (self.blocks[i], other.blocks[j]);
-            if a.base < b.base {
-                out.push(a);
-                i += 1;
-            } else if a.base > b.base {
-                out.push(b);
-                changed = true;
-                j += 1;
-            } else {
-                let mut merged = a;
-                for k in 0..WORDS_PER_BLOCK {
-                    let w = a.words[k] | b.words[k];
-                    if w != a.words[k] {
-                        changed = true;
-                    }
-                    merged.words[k] = w;
-                }
-                out.push(merged);
-                i += 1;
-                j += 1;
-            }
-        }
-        if j < other.blocks.len() {
-            changed = true;
-        }
-        out.extend_from_slice(&self.blocks[i..]);
-        out.extend_from_slice(&other.blocks[j..]);
+        let changed = merge_union(&mut out, &self.blocks, &other.blocks);
         if changed {
             self.blocks = out;
         }
         changed
+    }
+
+    /// Sets `self` to `a ∪ b`, reusing `self`'s buffer — the
+    /// allocation-free union of [`crate::MeldPool`]'s recycled sets.
+    pub fn assign_union(&mut self, a: &SparseBitVector, b: &SparseBitVector) {
+        self.blocks.clear();
+        merge_union(&mut self.blocks, &a.blocks, &b.blocks);
     }
 
     /// Removes every element of `other` from `self`; returns `true` if
@@ -516,6 +523,10 @@ mod tests {
             let mu: BTreeSet<u32> = ma.union(&mb).copied().collect();
             assert_eq!(changed, mu != ma);
             assert_eq!(u.iter().collect::<Vec<_>>(), mu.iter().copied().collect::<Vec<_>>());
+            // assign_union overwrites whatever the buffer held.
+            let mut w = b.clone();
+            w.assign_union(&a, &b);
+            assert_eq!(w, u);
 
             let mut d = a.clone();
             let changed = d.subtract(&b);

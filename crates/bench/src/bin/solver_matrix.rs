@@ -3,6 +3,7 @@
 //!
 //! ```text
 //! solver_matrix [WORKLOADS] [--out FILE] [--gate-equivalence]
+//!               [--gate-versioning-share X]
 //! ```
 //!
 //! `WORKLOADS` is a comma-separated list of suite benchmark names
@@ -13,20 +14,26 @@
 //! pair, versioning for VSFS, nothing for cfgfree), peak live-heap
 //! bytes over the same span, and the precision deltas vs Andersen
 //! (values refined, flow-sensitive call edges, proven-uninitialised
-//! loads). Without `--gate-equivalence` the run writes
-//! `results/BENCH_solvers.json` (`PhaseTimer::to_json` format).
+//! loads), and for VSFS its versioning and main-phase seconds
+//! (`{w}.vsfs.versioning`, `{w}.vsfs.main`). Without a gate flag the run
+//! writes `results/BENCH_solvers.json` (`PhaseTimer::to_json` format).
 //!
 //! The three solvers must be query-identical — the engine's central
 //! equivalence property, extended to cfgfree by the constraint-ordering
 //! construction. Any pairwise `precision_diff` is fatal (exit 1). With
 //! `--gate-equivalence` the run acts as the CI gate: it verifies that
 //! property over every workload and skips the JSON write so the
-//! recorded baseline is untouched.
+//! recorded baseline is untouched. `--gate-versioning-share X` gates the
+//! paper's claim that versioning is cheap: exit 1 unless, on every
+//! workload, the median over three VSFS runs of versioning / main phase
+//! is at most `X`.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use vsfs_adt::mem::{CountingAlloc, MemScope};
 use vsfs_adt::stats::PhaseTimer;
-use vsfs_core::{compare_precision, precision_diff, FlowSensitiveResult, SolveRequest, SolverKind};
+use vsfs_core::{
+    compare_precision, precision_diff, FlowSensitiveResult, SolveRequest, SolveStats, SolverKind,
+};
 use vsfs_ir::Program;
 use vsfs_mssa::MemorySsa;
 use vsfs_svfg::Svfg;
@@ -35,16 +42,21 @@ use vsfs_svfg::Svfg;
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
 const SOLVERS: [SolverKind; 3] = [SolverKind::Sfs, SolverKind::Vsfs, SolverKind::CfgFree];
+const SHARE_RUNS: usize = 3;
 
 fn main() {
     let mut names: Vec<String> = vec!["ninja".into(), "bake".into()];
     let mut out = "results/BENCH_solvers.json".to_string();
     let mut gate = false;
+    let mut share_gate: Option<f64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--out" => out = args.next().unwrap_or_else(|| usage()),
             "--gate-equivalence" => gate = true,
+            "--gate-versioning-share" => {
+                share_gate = args.next().and_then(|x| x.parse().ok()).or_else(|| usage());
+            }
             "--help" | "-h" => usage(),
             other if !other.starts_with('-') => {
                 names = other.split(',').map(|s| s.trim().to_string()).collect();
@@ -54,6 +66,7 @@ fn main() {
     }
 
     let mut timer = PhaseTimer::new();
+    let mut share_failed = false;
     for name in &names {
         let spec = vsfs_workloads::suite::benchmark(name).unwrap_or_else(|| {
             eprintln!("unknown workload `{name}`");
@@ -81,7 +94,7 @@ fn main() {
             let peak = scope.peak_bytes();
             let p = compare_precision(&prog, &aux, &r);
             let key = |metric: &str| format!("{name}.{solver}.{metric}");
-            timer.record(&key("solve"), std::time::Duration::from_secs_f64(secs));
+            timer.record(&key("solve"), Duration::from_secs_f64(secs));
             timer.count(&key("peak_bytes"), peak as u64);
             timer.count(&key("refined_values"), p.refined_values as u64);
             timer.count(&key("call_edges"), p.fs_call_edges as u64);
@@ -95,13 +108,43 @@ fn main() {
                 p.aux_call_edges,
                 p.fs_call_edges,
             );
+            if kind == SolverKind::Vsfs {
+                let stats = &r.stats;
+                timer.record(&key("versioning"), Duration::from_secs_f64(stats.versioning_seconds));
+                timer.record(&key("main"), Duration::from_secs_f64(stats.solve_seconds));
+                if let Some(max) = share_gate {
+                    let share = |s: &SolveStats| s.versioning_seconds / s.solve_seconds;
+                    let (mssa, svfg) = staged.expect("VSFS is staged");
+                    let mut shares: Vec<f64> = (1..SHARE_RUNS)
+                        .map(|_| {
+                            let req = SolveRequest::new(kind);
+                            share(
+                                &vsfs_core::solve(&prog, &aux, Some((mssa, svfg)), req)
+                                    .result
+                                    .stats,
+                            )
+                        })
+                        .chain([share(stats)])
+                        .collect();
+                    shares.sort_by(f64::total_cmp);
+                    let median = shares[SHARE_RUNS / 2];
+                    println!("{name}: versioning / main phase median {median:.3} (gate <= {max})");
+                    share_failed |= median > max;
+                }
+            }
             results.push((solver, r));
         }
         check_equivalent(&prog, name, &results);
     }
 
+    if share_failed {
+        eprintln!("FAIL: versioning takes more than the gated share of the main phase");
+        std::process::exit(1);
+    }
     if gate {
         println!("solver equivalence gate OK: sfs = vsfs = cfgfree on {}", names.join(", "));
+    }
+    if gate || share_gate.is_some() {
         return;
     }
 
@@ -121,6 +164,9 @@ fn check_equivalent(prog: &Program, name: &str, results: &[(&str, FlowSensitiveR
 }
 
 fn usage() -> ! {
-    eprintln!("usage: solver_matrix [WORKLOAD,WORKLOAD,...] [--out FILE] [--gate-equivalence]");
+    eprintln!(
+        "usage: solver_matrix [WORKLOAD,WORKLOAD,...] [--out FILE] [--gate-equivalence] \
+         [--gate-versioning-share X]"
+    );
     std::process::exit(2);
 }

@@ -11,28 +11,33 @@
 //!    yield into the target's consume (unless the target is a frozen δ
 //!    node), `[INTERNAL]^V` makes every non-`STORE` node yield what it
 //!    consumes — until a fixed point.
-//! 3. **Interning**: each distinct label (a set of prelabels, represented
-//!    as a sparse bit vector melded with bitwise-or) becomes a dense
-//!    *version*; `(object, version)` pairs index the global points-to
-//!    table during solving. The *version reliance* edges are the
-//!    deduplicated `[A-PROP]` constraints: one per `(yield version →
-//!    consume version)` pair with distinct endpoints — equal endpoints
-//!    need no propagation at all, which is where VSFS wins.
+//! 3. **Interning**: each distinct label (a set of prelabels, melded with
+//!    bitwise-or) becomes a dense *version*; `(object, version)` pairs
+//!    index the global points-to table during solving. The *version
+//!    reliance* edges are the deduplicated `[A-PROP]` constraints: one
+//!    per `(yield version → consume version)` pair with distinct
+//!    endpoints — equal endpoints need no propagation at all, which is
+//!    where VSFS wins.
 //!
 //! # Implementation notes
 //!
 //! Meld labelling runs one object at a time over that object's edge
-//! subgraph, using dense per-object node indices and per-object prelabel
-//! numbering (labels of different objects never meld, so ids can restart
-//! at 0 for each object, keeping the bit vectors small). Peak memory is
-//! proportional to the largest single object subgraph, not to the whole
-//! SVFG.
+//! subgraph, with dense per-object node indices and per-object prelabel
+//! numbering (labels of different objects never meld). It allocates
+//! nothing per node: each worker's `ObjArea` keeps the subgraph as a CSR,
+//! runs [`Tarjan`] on it with the relay filter inline, and holds labels
+//! as ids of a [`MeldPool`] — melds are memoized id operations, and
+//! equal labels have equal ids, so a version number is a table lookup by
+//! label id. All of it is cleared, never freed, between objects. The
+//! ordered reduce stores the per-node consume/yield lists as one CSR
+//! each instead of a `Vec` per node.
 
 use std::time::Instant;
 use vsfs_adt::govern::{Completion, DegradeReason, Governor, Outcome};
+use vsfs_adt::meldpool::LabelId;
 use vsfs_adt::par::{self, ParConfig};
-use vsfs_adt::{CapacityOverflow, FxHashMap, SbvInterner, SparseBitVector};
-use vsfs_graph::{DiGraph, Sccs};
+use vsfs_adt::{CapacityOverflow, MeldPool};
+use vsfs_graph::Tarjan;
 use vsfs_ir::{InstKind, ObjId, Program};
 use vsfs_mssa::MemorySsa;
 use vsfs_svfg::{Svfg, SvfgNodeId};
@@ -67,13 +72,13 @@ pub struct VersioningStats {
 /// The versioning tables consumed by the VSFS solver.
 #[derive(Debug, Clone)]
 pub struct VersionTables {
-    /// Consume slot per `(node, object)`: per-node vectors sorted by
-    /// object id (objects are versioned in ascending order, so pushes
-    /// arrive sorted), looked up by binary search.
-    consume: Vec<Vec<(ObjId, VersionSlot)>>,
+    /// Consume slot per `(node, object)`, sorted by object id per node
+    /// (objects are versioned in ascending order), looked up by binary
+    /// search.
+    consume: SlotLists,
     /// Yield slot per `(node, object)` where it differs from consume
     /// (stores); non-store nodes yield what they consume.
-    yield_: Vec<Vec<(ObjId, VersionSlot)>>,
+    yield_: SlotLists,
     /// Version reliance: `reliance[y]` lists consume slots that must
     /// include `pts[y]` (the deduplicated `[A-PROP]` constraints).
     reliance: Vec<Vec<VersionSlot>>,
@@ -132,13 +137,13 @@ impl VersionTables {
     /// The version slot consumed by `node` for `obj`, if `(node, obj)`
     /// participates in any indirect flow.
     pub fn consume_slot(&self, node: SvfgNodeId, obj: ObjId) -> Option<VersionSlot> {
-        let list = &self.consume[node.index()];
+        let list = self.consume.get(node);
         list.binary_search_by_key(&obj, |&(o, _)| o).ok().map(|i| list[i].1)
     }
 
     /// The version slot yielded by `node` for `obj`.
     pub fn yield_slot(&self, node: SvfgNodeId, obj: ObjId) -> Option<VersionSlot> {
-        let list = &self.yield_[node.index()];
+        let list = self.yield_.get(node);
         list.binary_search_by_key(&obj, |&(o, _)| o)
             .ok()
             .map(|i| list[i].1)
@@ -147,14 +152,14 @@ impl VersionTables {
 
     /// Every `(object, version)` pair `node` consumes, sorted by object.
     pub fn consume_entries(&self, node: SvfgNodeId) -> &[(ObjId, VersionSlot)] {
-        &self.consume[node.index()]
+        self.consume.get(node)
     }
 
     /// Every `(object, version)` pair `node` yields, sorted by object.
     /// Nodes that relay an object unchanged appear only in
     /// [`VersionTables::consume_entries`].
     pub fn yield_entries(&self, node: SvfgNodeId) -> &[(ObjId, VersionSlot)] {
-        &self.yield_[node.index()]
+        self.yield_.get(node)
     }
 
     /// Total `(object, version)` slots.
@@ -178,22 +183,78 @@ impl VersionTables {
     }
 }
 
-/// Work area reused across objects.
+/// Per-node `(object, slot)` lists in CSR form: node `n`'s list is
+/// `entries[start[n]..start[n + 1]]`. Filled by a count pass (lengths
+/// into `start[n + 1]`), [`SlotLists::prepare_fill`], then one
+/// [`SlotLists::fill`] per entry.
+#[derive(Debug, Clone)]
+struct SlotLists {
+    start: Vec<u32>,
+    entries: Vec<(ObjId, VersionSlot)>,
+}
+
+impl SlotLists {
+    fn empty(node_count: usize) -> Self {
+        SlotLists { start: vec![0; node_count + 1], entries: Vec::new() }
+    }
+
+    fn get(&self, n: SvfgNodeId) -> &[(ObjId, VersionSlot)] {
+        &self.entries[self.start[n.index()] as usize..self.start[n.index() + 1] as usize]
+    }
+
+    /// Turns the counted lengths into fill cursors: `start[n + 1]` holds
+    /// node `n`'s first entry and advances to its end as entries arrive.
+    fn prepare_fill(&mut self) {
+        let mut total = 0u32;
+        for d in &mut self.start[1..] {
+            let len = *d;
+            *d = total;
+            total += len;
+        }
+        self.entries = vec![(ObjId::new(0), 0); total as usize];
+    }
+
+    fn fill(&mut self, n: SvfgNodeId, entry: (ObjId, VersionSlot)) {
+        let cursor = &mut self.start[n.index() + 1];
+        self.entries[*cursor as usize] = entry;
+        *cursor += 1;
+    }
+}
+
+/// Work area reused across objects: its buffers are cleared, never
+/// freed, so labelling allocates nothing per node once they have grown.
 #[derive(Default)]
 struct ObjArea {
-    /// Local node index per SVFG node involved with the current object
-    /// (dense; `u32::MAX` = absent; reset via the `nodes` list).
+    /// Local id per SVFG node of the current object (`u32::MAX` =
+    /// absent; reset via `nodes`), and the SVFG node per local id.
     local_of: Vec<u32>,
     nodes: Vec<SvfgNodeId>,
-    /// Consume label per local node.
-    consume: Vec<SparseBitVector>,
-    /// Yield prelabel per local node (stores only), else `None` —
-    /// `[INTERNAL]^V` says such nodes yield their consume label.
-    yield_pre: Vec<Option<SparseBitVector>>,
-    frozen: Vec<bool>,
-    is_store: Vec<bool>,
-    succs: Vec<Vec<u32>>,
-    queued: Vec<bool>,
+    /// The subgraph as a CSR: local node `l`'s out-edges `(l, t)` are
+    /// `succ[succ_start[l]..succ_start[l + 1]]`, in edge order.
+    succ_start: Vec<u32>,
+    succ: Vec<(u32, u32)>,
+    /// Per local node: the yield prelabel of stores and the frozen
+    /// consume prelabel of δ nodes, `ε` elsewhere (other nodes yield what
+    /// they consume, `[INTERNAL]^V`).
+    yield_pre: Vec<LabelId>,
+    frozen_pre: Vec<LabelId>,
+    /// The SCCs of the relay subgraph, and each component's label.
+    sccs: Tarjan,
+    comp_label: Vec<LabelId>,
+    /// Version per label id (`u32::MAX` = not numbered yet), and the
+    /// consume and yield version per node.
+    slot_of_label: Vec<u32>,
+    c_slot: Vec<u32>,
+    y_slot: Vec<u32>,
+    /// Scratch pairs (the local edges, then the candidate reliance
+    /// edges), the candidates grouped by yield version, and the last
+    /// yield version that reached each consume version.
+    pairs: Vec<(u32, u32)>,
+    grouped: Vec<(u32, u32)>,
+    y_start: Vec<u32>,
+    seen_by: Vec<u32>,
+    /// Hash-consed labels of the current object.
+    pool: MeldPool,
 }
 
 impl ObjArea {
@@ -206,12 +267,10 @@ impl ObjArea {
             self.local_of[n.index()] = u32::MAX;
         }
         self.nodes.clear();
-        self.consume.clear();
         self.yield_pre.clear();
-        self.frozen.clear();
-        self.is_store.clear();
-        self.succs.clear();
-        self.queued.clear();
+        self.frozen_pre.clear();
+        self.pairs.clear();
+        self.pool.clear();
     }
 
     fn local(&mut self, n: SvfgNodeId) -> u32 {
@@ -222,13 +281,24 @@ impl ObjArea {
         let l = self.nodes.len() as u32;
         self.local_of[n.index()] = l;
         self.nodes.push(n);
-        self.consume.push(SparseBitVector::new());
-        self.yield_pre.push(None);
-        self.frozen.push(false);
-        self.is_store.push(false);
-        self.succs.push(Vec::new());
-        self.queued.push(false);
+        self.yield_pre.push(MeldPool::EMPTY);
+        self.frozen_pre.push(MeldPool::EMPTY);
         l
+    }
+
+    /// The range of `succ` holding `l`'s out-edges.
+    fn out_edges(&self, l: u32) -> std::ops::Range<usize> {
+        self.succ_start[l as usize] as usize..self.succ_start[l as usize + 1] as usize
+    }
+
+    /// Relay nodes (neither store nor δ) forward the label they consume;
+    /// the others emit a constant prelabel whatever reaches them.
+    fn is_relay(&self, l: u32) -> bool {
+        self.yield_pre[l as usize] == MeldPool::EMPTY && !self.is_frozen(l)
+    }
+
+    fn is_frozen(&self, l: u32) -> bool {
+        self.frozen_pre[l as usize] != MeldPool::EMPTY
     }
 }
 
@@ -236,8 +306,8 @@ impl ObjArea {
 /// placeholder: every lookup misses, `slot_count` is 0.
 fn empty_tables(node_count: usize) -> VersionTables {
     VersionTables {
-        consume: vec![Vec::new(); node_count],
-        yield_: vec![Vec::new(); node_count],
+        consume: SlotLists::empty(node_count),
+        yield_: SlotLists::empty(node_count),
         reliance: Vec::new(),
         slot_count: 0,
         stats: VersioningStats::default(),
@@ -374,16 +444,12 @@ fn build_inner(
         },
     };
 
-    // Ordered reduce: ascending object order keeps every node's slot
-    // list sorted by object and assigns global ids deterministically.
-    let mut consume_slots: Vec<Vec<(ObjId, VersionSlot)>> = vec![Vec::new(); node_count];
-    let mut yield_slots: Vec<Vec<(ObjId, VersionSlot)>> = vec![Vec::new(); node_count];
-    let mut reliance: Vec<Vec<VersionSlot>> = Vec::new();
-    let mut next_slot: u32 = 0;
-    let mut stats = VersioningStats::default();
+    // Ordered reduce, count pass: one checkpoint per object (the reduce
+    // is sequential, so the trip point is identical for every `jobs`
+    // value) and the per-node list lengths.
+    let mut consume = SlotLists::empty(node_count);
+    let mut yield_ = SlotLists::empty(node_count);
     for (i, out) in outcomes.iter().enumerate() {
-        // One checkpoint per object: the reduce is sequential, so the
-        // trip point is identical for every `jobs` value.
         if governor.is_some_and(|g| g.check(1).is_err()) {
             let g = governor.expect("checked above");
             return (empty_tables(node_count), g.completion());
@@ -401,14 +467,29 @@ fn build_inner(
                 None => panic!("versioning object {}: {overflow}", objs[i].index()),
             },
         };
-        let o = objs[i];
+        for &(n, c, y) in &out.nodes {
+            consume.start[n.index() + 1] += 1;
+            if y != c {
+                yield_.start[n.index() + 1] += 1;
+            }
+        }
+    }
+    // Fill pass: ascending object order keeps every node's slot list
+    // sorted by object and assigns global ids deterministically.
+    consume.prepare_fill();
+    yield_.prepare_fill();
+    let mut reliance: Vec<Vec<VersionSlot>> = Vec::new();
+    let mut next_slot: u32 = 0;
+    let mut stats = VersioningStats::default();
+    // Every outcome is `Ok` here: the count pass returned on the first error.
+    for (&o, out) in objs.iter().zip(outcomes.iter().flatten()) {
         let base = next_slot;
         next_slot += out.local_slots;
         reliance.resize_with(next_slot as usize, Vec::new);
         for &(n, c, y) in &out.nodes {
-            consume_slots[n.index()].push((o, base + c));
+            consume.fill(n, (o, base + c));
             if y != c {
-                yield_slots[n.index()].push((o, base + y));
+                yield_.fill(n, (o, base + y));
             }
         }
         for &(y, c) in &out.reliance {
@@ -423,13 +504,7 @@ fn build_inner(
     stats.par_steals = pstats.steals;
     stats.par_seconds = pstats.wall.as_secs_f64();
 
-    let tables = VersionTables {
-        consume: consume_slots,
-        yield_: yield_slots,
-        reliance,
-        slot_count: next_slot,
-        stats,
-    };
+    let tables = VersionTables { consume, yield_, reliance, slot_count: next_slot, stats };
     let completion = governor.map_or(Completion::Complete, Governor::completion);
     if completion.is_complete() {
         (tables, completion)
@@ -441,14 +516,15 @@ fn build_inner(
 }
 
 /// One object's meld-labelling outcome, with object-local version ids.
+#[derive(Debug)]
 struct ObjOutcome {
     /// `(node, consume slot, yield slot)` per participating node, in
     /// local-node discovery order.
     nodes: Vec<(SvfgNodeId, u32, u32)>,
     /// Number of distinct object-local version slots.
     local_slots: u32,
-    /// Deduplicated reliance edges `(yield slot → consume slot)`, in
-    /// discovery order.
+    /// Deduplicated reliance edges `(yield slot → consume slot)`,
+    /// grouped by ascending yield slot, each group in discovery order.
     reliance: Vec<(u32, u32)>,
     /// Fresh prelabels created for this object.
     prelabels: usize,
@@ -456,14 +532,44 @@ struct ObjOutcome {
     edges_collapsed: usize,
 }
 
+/// Stable counting sort of `pairs` by first element (below `buckets`)
+/// into `out`: bucket `k` ends up at `out[start[k]..start[k + 1]]`, in
+/// input order.
+fn group_by_first(
+    pairs: &[(u32, u32)],
+    buckets: usize,
+    start: &mut Vec<u32>,
+    out: &mut Vec<(u32, u32)>,
+) {
+    start.clear();
+    start.resize(buckets + 1, 0);
+    for &(k, _) in pairs {
+        start[k as usize] += 1;
+    }
+    let mut end = 0;
+    for s in start.iter_mut() {
+        end += *s;
+        *s = end;
+    }
+    // Each bucket's entry is now its end; filling backwards with
+    // pre-decrements keeps input order and leaves it at the start.
+    out.clear();
+    out.resize(pairs.len(), (0, 0));
+    for &p in pairs.iter().rev() {
+        let s = &mut start[p.0 as usize];
+        *s -= 1;
+        out[*s as usize] = p;
+    }
+}
+
 /// Meld-labels one object's SVFG subgraph. Pure in its inputs: the
 /// outcome depends only on `edges`/`stores`/`deltas`, never on other
 /// objects or on scheduling, which is what makes the per-object phase
 /// safely parallel.
 ///
-/// Returns [`CapacityOverflow`] when the per-object label interner runs
-/// out of ids; the ordered reduce in [`build_inner`] surfaces it through
-/// the governed-degradation path instead of panicking mid-worker.
+/// Returns [`CapacityOverflow`] when the per-object label pool runs out
+/// of ids; the ordered reduce in [`build_inner`] surfaces it through the
+/// governed-degradation path instead of panicking mid-worker.
 fn process_object(
     edges: &[(SvfgNodeId, SvfgNodeId)],
     stores: &[SvfgNodeId],
@@ -471,31 +577,27 @@ fn process_object(
     area: &mut ObjArea,
 ) -> Result<ObjOutcome, CapacityOverflow> {
     area.clear();
-    // Build the local subgraph. SVFG edges are already unique per
-    // (from, to, object), so no dedup is needed here.
+    // Local ids in discovery order: edge endpoints, then stores, then δ
+    // nodes. SVFG edges are already unique per (from, to, object), so no
+    // dedup is needed.
     for &(f, t) in edges {
-        let lf = area.local(f);
-        let lt = area.local(t);
-        area.succs[lf as usize].push(lt);
+        let e = (area.local(f), area.local(t));
+        area.pairs.push(e);
     }
     // Prelabels: per-object numbering starts at 0.
     let mut next_pre: u32 = 0;
     for &n in stores {
         let l = area.local(n) as usize;
-        area.is_store[l] = true;
-        let mut s = SparseBitVector::new();
-        s.insert(next_pre);
+        area.yield_pre[l] = area.pool.try_singleton(next_pre)?;
         next_pre += 1;
-        area.yield_pre[l] = Some(s);
     }
     for &n in deltas {
         let l = area.local(n) as usize;
-        area.frozen[l] = true;
-        let mut s = SparseBitVector::new();
-        s.insert(next_pre);
+        area.frozen_pre[l] = area.pool.try_singleton(next_pre)?;
         next_pre += 1;
-        area.consume[l] = s;
     }
+    let n_local = area.nodes.len() as u32;
+    group_by_first(&area.pairs, n_local as usize, &mut area.succ_start, &mut area.succ);
 
     // Meld labelling ([EXTERNAL]^V + [INTERNAL]^V) in one linear
     // pass instead of a chaotic fixpoint. Observation: only *relay*
@@ -511,135 +613,122 @@ fn process_object(
     //     into its target's component;
     //  3. fold components in topological order: each component's
     //     label is the meld of its injections and its predecessor
-    //     components' labels — one union per edge, total O(E) melds.
-    let n_local = area.nodes.len();
-    let mut relay_graph: DiGraph<u32> = DiGraph::with_nodes(n_local);
-    for (li, succs) in area.succs.iter().enumerate() {
-        let src_is_const = area.yield_pre[li].is_some() || area.frozen[li];
-        if src_is_const {
+    //     components' labels — one memoized meld per edge.
+    // The relay subgraph, filtered on the fly: out-edges of relay nodes,
+    // minus self-loops and edges into frozen δ nodes.
+    let (succ, succ_start) = (&area.succ, &area.succ_start);
+    let (yield_pre, frozen_pre) = (&area.yield_pre, &area.frozen_pre);
+    let frozen = |l: u32| frozen_pre[l as usize] != MeldPool::EMPTY;
+    area.sccs.run(n_local as usize, |v, pos| {
+        let vi = v as usize;
+        if yield_pre[vi] != MeldPool::EMPTY || frozen(v) {
+            return None;
+        }
+        let edges = &succ[(succ_start[vi] + pos) as usize..succ_start[vi + 1] as usize];
+        let k = edges.iter().position(|&(_, t)| t != v && !frozen(t))?;
+        Some((pos + k as u32 + 1, edges[k].1))
+    });
+    let n_comps = area.sccs.count();
+    area.comp_label.clear();
+    area.comp_label.resize(n_comps, MeldPool::EMPTY);
+    for l in 0..n_local {
+        if area.is_relay(l) {
             continue;
         }
-        for &t in succs {
-            let ti = t as usize;
-            if ti != li && !area.frozen[ti] {
-                relay_graph.add_edge(li as u32, t);
-            }
-        }
-    }
-    let sccs = Sccs::compute(&relay_graph);
-    let n_comps = sccs.count();
-    let mut comp_label: Vec<SparseBitVector> = vec![SparseBitVector::new(); n_comps];
-    // Injections from constant sources.
-    for (li, succs) in area.succs.iter().enumerate() {
-        let constant: Option<&SparseBitVector> = if let Some(y) = &area.yield_pre[li] {
-            Some(y)
-        } else if area.frozen[li] {
-            Some(&area.consume[li])
-        } else {
-            None
+        let constant = match area.yield_pre[l as usize] {
+            MeldPool::EMPTY => area.frozen_pre[l as usize],
+            label => label,
         };
-        let Some(constant) = constant else { continue };
-        for &t in succs {
-            let ti = t as usize;
-            if ti != li && !area.frozen[ti] {
-                comp_label[sccs.component(t) as usize].union_with(constant);
+        for &(_, t) in &area.succ[area.out_edges(l)] {
+            if t != l && !area.is_frozen(t) {
+                let tc = area.sccs.component(t) as usize;
+                area.comp_label[tc] = area.pool.try_meld(area.comp_label[tc], constant)?;
             }
         }
     }
-    // Fold in topological order (predecessor components have larger
-    // ids in `Sccs`' reverse-topological numbering).
-    for c in (0..n_comps as u32).rev() {
-        if comp_label[c as usize].is_empty() {
+    // Predecessor components have larger ids in Tarjan's numbering, so a
+    // descending sweep finishes each label before forwarding it.
+    for c in (0..n_comps).rev() {
+        let label = area.comp_label[c];
+        if label == MeldPool::EMPTY {
             continue;
         }
-        // Propagate this component's finished label to successor
-        // components (which have smaller ids and are processed later).
-        for &m in sccs.members(c) {
-            for &t in &area.succs[m as usize] {
-                let ti = t as usize;
-                if area.frozen[ti] {
-                    continue;
-                }
-                // Only relay members forward the component label.
-                if area.yield_pre[m as usize].is_some() || area.frozen[m as usize] {
-                    continue;
-                }
-                let tc = sccs.component(t);
-                if tc != c {
-                    let (src, dst) = (c as usize, tc as usize);
-                    let (a, b) = if src < dst {
-                        let (lo, hi) = comp_label.split_at_mut(dst);
-                        (&lo[src], &mut hi[0])
-                    } else {
-                        let (lo, hi) = comp_label.split_at_mut(src);
-                        (&hi[0], &mut lo[dst])
-                    };
-                    b.union_with(a);
-                }
-            }
-        }
-    }
-    // Write back consume labels for non-frozen nodes.
-    for li in 0..n_local {
-        if area.frozen[li] {
-            continue;
-        }
-        let c = sccs.component(li as u32) as usize;
-        if !comp_label[c].is_empty() {
-            area.consume[li].union_with(&comp_label[c]);
-        }
-    }
-
-    // Intern labels -> object-local versions.
-    let mut interner = SbvInterner::new();
-    let mut slot_of_label: FxHashMap<u32, u32> = FxHashMap::default();
-    let mut local_slots: u32 = 0;
-    let mut slot = |label: &SparseBitVector,
-                    interner: &mut SbvInterner,
-                    slot_of_label: &mut FxHashMap<u32, u32>|
-     -> Result<u32, CapacityOverflow> {
-        let lid = interner.try_intern(label)?;
-        Ok(*slot_of_label.entry(lid).or_insert_with(|| {
-            let s = local_slots;
-            local_slots += 1;
-            s
-        }))
-    };
-
-    let mut c_slot: Vec<u32> = Vec::with_capacity(area.nodes.len());
-    let mut y_slot: Vec<u32> = Vec::with_capacity(area.nodes.len());
-    for li in 0..area.nodes.len() {
-        let c = slot(&area.consume[li], &mut interner, &mut slot_of_label)?;
-        c_slot.push(c);
-        let y = match &area.yield_pre[li] {
-            Some(yl) => slot(yl, &mut interner, &mut slot_of_label)?,
-            None => c,
-        };
-        y_slot.push(y);
-    }
-    // Reliance edges ([A-PROP], deduplicated; skipped when shared).
-    let mut per_y: Vec<Vec<u32>> = vec![Vec::new(); local_slots as usize];
-    let mut rel: Vec<(u32, u32)> = Vec::new();
-    let mut edges_collapsed = 0usize;
-    for (li, &y) in y_slot.iter().enumerate() {
-        for &t in &area.succs[li] {
-            let c = c_slot[t as usize];
-            if y == c {
-                edges_collapsed += 1;
+        for &m in area.sccs.members(c as u32) {
+            // Only relay members forward the component label.
+            if !area.is_relay(m) {
                 continue;
             }
-            if per_y[y as usize].contains(&c) {
-                edges_collapsed += 1;
-            } else {
-                per_y[y as usize].push(c);
-                rel.push((y, c));
+            for &(_, t) in &area.succ[area.out_edges(m)] {
+                let tc = area.sccs.component(t) as usize;
+                if tc != c && !area.is_frozen(t) {
+                    area.comp_label[tc] = area.pool.try_meld(area.comp_label[tc], label)?;
+                }
             }
+        }
+    }
+
+    // Labels -> object-local versions, numbered by first appearance in
+    // local-node order, consume before yield. Equal labels have equal
+    // ids, so a label id indexes its version directly.
+    area.slot_of_label.clear();
+    area.slot_of_label.resize(area.pool.len(), u32::MAX);
+    area.c_slot.clear();
+    area.y_slot.clear();
+    let mut local_slots: u32 = 0;
+    let mut slot = |slot_of_label: &mut [u32], label: LabelId| {
+        let s = &mut slot_of_label[label as usize];
+        if *s == u32::MAX {
+            *s = local_slots;
+            local_slots += 1;
+        }
+        *s
+    };
+    for l in 0..n_local as usize {
+        let consume = match area.frozen_pre[l] {
+            MeldPool::EMPTY => area.comp_label[area.sccs.component(l as u32) as usize],
+            label => label,
+        };
+        let c = slot(&mut area.slot_of_label, consume);
+        let y = match area.yield_pre[l] {
+            MeldPool::EMPTY => c,
+            label => slot(&mut area.slot_of_label, label),
+        };
+        area.c_slot.push(c);
+        area.y_slot.push(y);
+    }
+
+    // Reliance edges ([A-PROP], deduplicated; skipped when shared): the
+    // edges whose ends carry different versions, grouped by yield
+    // version with each group in discovery order, then deduplicated with
+    // one stamp per consume version.
+    area.pairs.clear();
+    let mut edges_collapsed = 0usize;
+    for &(f, t) in &area.succ {
+        let (y, c) = (area.y_slot[f as usize], area.c_slot[t as usize]);
+        if y == c {
+            edges_collapsed += 1;
+        } else {
+            area.pairs.push((y, c));
+        }
+    }
+    group_by_first(&area.pairs, local_slots as usize, &mut area.y_start, &mut area.grouped);
+    area.seen_by.clear();
+    area.seen_by.resize(local_slots as usize, u32::MAX);
+    let mut reliance: Vec<(u32, u32)> = Vec::new();
+    for &(y, c) in &area.grouped {
+        if area.seen_by[c as usize] == y {
+            edges_collapsed += 1;
+        } else {
+            area.seen_by[c as usize] = y;
+            reliance.push((y, c));
         }
     }
     Ok(ObjOutcome {
-        nodes: area.nodes.iter().enumerate().map(|(li, &n)| (n, c_slot[li], y_slot[li])).collect(),
+        nodes: (area.nodes.iter().zip(&area.c_slot).zip(&area.y_slot))
+            .map(|((&n, &c), &y)| (n, c, y))
+            .collect(),
         local_slots,
-        reliance: rel,
+        reliance,
         prelabels: next_pre as usize,
         edges_collapsed,
     })
@@ -647,9 +736,10 @@ fn process_object(
 
 #[cfg(test)]
 mod meld_reference_tests {
-    //! Differential test: the one-pass SCC meld must match a naive
-    //! chaotic-iteration reference on random labelled subgraphs.
-    use vsfs_adt::SparseBitVector;
+    //! Differential test: `process_object`'s one-pass SCC meld must match
+    //! a naive chaotic-iteration reference on random labelled subgraphs.
+    use super::*;
+    use vsfs_adt::{FxHashMap, FxHashSet, SparseBitVector};
     use vsfs_testkit::gen;
 
     /// Reference: chaotic iteration of [EXTERNAL]^V/[INTERNAL]^V.
@@ -671,14 +761,7 @@ mod meld_reference_tests {
                 if f == tt || frozen_pre[tt].is_some() {
                     continue;
                 }
-                let y = match store_yield[f] {
-                    Some(l) => {
-                        let mut s = SparseBitVector::new();
-                        s.insert(l);
-                        s
-                    }
-                    None => consume[f].clone(),
-                };
+                let y = yield_label(f, store_yield, &consume);
                 if consume[tt].union_with(&y) {
                     changed = true;
                 }
@@ -689,113 +772,115 @@ mod meld_reference_tests {
         }
     }
 
-    /// The production one-pass algorithm, extracted over the same input
-    /// shape (mirrors `build_inner`'s meld stage).
-    fn scc_meld(
+    /// `[INTERNAL]^V`: stores yield their prelabel, everything else yields
+    /// what it consumes.
+    fn yield_label(
         n: usize,
-        edges: &[(usize, usize)],
         store_yield: &[Option<u32>],
-        frozen_pre: &[Option<u32>],
-    ) -> Vec<SparseBitVector> {
-        use vsfs_graph::{DiGraph, Sccs};
-        let mut consume = vec![SparseBitVector::new(); n];
-        for (i, f) in frozen_pre.iter().enumerate() {
-            if let Some(l) = f {
-                consume[i].insert(*l);
-            }
+        consume: &[SparseBitVector],
+    ) -> SparseBitVector {
+        match store_yield[n] {
+            Some(l) => [l].into_iter().collect(),
+            None => consume[n].clone(),
         }
-        let mut relay: DiGraph<u32> = DiGraph::with_nodes(n);
-        for &(f, tt) in edges {
-            let src_const = store_yield[f].is_some() || frozen_pre[f].is_some();
-            if !src_const && f != tt && frozen_pre[tt].is_none() {
-                relay.add_edge(f as u32, tt as u32);
-            }
-        }
-        let sccs = Sccs::compute(&relay);
-        let mut comp_label = vec![SparseBitVector::new(); sccs.count()];
-        for &(f, tt) in edges {
-            let constant = match (store_yield[f], frozen_pre[f]) {
-                (Some(l), _) | (None, Some(l)) => Some(l),
-                _ => None,
-            };
-            if let Some(l) = constant {
-                if f != tt && frozen_pre[tt].is_none() {
-                    comp_label[sccs.component(tt as u32) as usize].insert(l);
-                }
-            }
-        }
-        for c in (0..sccs.count() as u32).rev() {
-            if comp_label[c as usize].is_empty() {
-                continue;
-            }
-            for &m in sccs.members(c) {
-                let mi = m as usize;
-                if store_yield[mi].is_some() || frozen_pre[mi].is_some() {
-                    continue;
-                }
-                for &(f, tt) in edges.iter().filter(|&&(f, _)| f == mi) {
-                    let _ = f;
-                    if tt == mi || frozen_pre[tt].is_some() {
-                        continue;
-                    }
-                    let tc = sccs.component(tt as u32);
-                    if tc != c {
-                        let (src, dst) = (c as usize, tc as usize);
-                        let (a, b) = if src < dst {
-                            let (lo, hi) = comp_label.split_at_mut(dst);
-                            (&lo[src], &mut hi[0])
-                        } else {
-                            let (lo, hi) = comp_label.split_at_mut(src);
-                            (&hi[0], &mut lo[dst])
-                        };
-                        b.union_with(a);
-                    }
-                }
-            }
-        }
-        for i in 0..n {
-            if frozen_pre[i].is_some() {
-                continue;
-            }
-            let c = sccs.component(i as u32) as usize;
-            if !comp_label[c].is_empty() {
-                consume[i].union_with(&comp_label[c]);
-            }
-        }
-        consume
     }
 
     #[test]
     fn one_pass_matches_reference() {
-        vsfs_testkit::check("versioning::one_pass_matches_reference", |rng| {
+        // Many cheap cases: enough to meet cycles whose members forward
+        // out of the cycle, which a broken condensation gets wrong.
+        vsfs_testkit::check_cases("versioning::one_pass_matches_reference", 512, |rng| {
             let n = rng.gen_range(2usize..12);
-            let raw_edges =
+            let raw =
                 gen::vec_with(rng, 0..40, |r| (r.gen_range(0usize..12), r.gen_range(0usize..12)));
             let kinds = gen::vec_with(rng, 12..12, |r| r.gen_range(0u8..4));
+            // SVFG edges are unique per (from, to, object).
+            let mut seen = FxHashSet::default();
             let edges: Vec<(usize, usize)> =
-                raw_edges.into_iter().map(|(a, b)| (a % n, b % n)).collect();
-            let mut store_yield = vec![None; n];
-            let mut frozen_pre = vec![None; n];
-            let mut next = 0u32;
-            for i in 0..n {
-                match kinds[i] {
-                    1 => {
-                        store_yield[i] = Some(next);
-                        next += 1;
-                    }
-                    2 => {
-                        frozen_pre[i] = Some(next);
-                        next += 1;
-                    }
-                    _ => {}
+                raw.into_iter().map(|(a, b)| (a % n, b % n)).filter(|&e| seen.insert(e)).collect();
+            let sites = |k: u8| (0..n).filter(|&i| kinds[i] == k).collect::<Vec<_>>();
+            let (stores, deltas) = (sites(1), sites(2));
+            // Prelabels are numbered stores first, then δ nodes, as
+            // `process_object` numbers them.
+            let (mut store_yield, mut frozen_pre) = (vec![None; n], vec![None; n]);
+            for (k, &i) in stores.iter().chain(&deltas).enumerate() {
+                let pre = if kinds[i] == 1 { &mut store_yield } else { &mut frozen_pre };
+                pre[i] = Some(k as u32);
+            }
+            let consume = reference_meld(n, &edges, &store_yield, &frozen_pre);
+            let yield_of = |i: usize| yield_label(i, &store_yield, &consume);
+
+            let id = |i: usize| SvfgNodeId::new(i as u32);
+            let out = process_object(
+                &edges.iter().map(|&(f, t)| (id(f), id(t))).collect::<Vec<_>>(),
+                &stores.iter().map(|&i| id(i)).collect::<Vec<_>>(),
+                &deltas.iter().map(|&i| id(i)).collect::<Vec<_>>(),
+                &mut ObjArea::with_node_capacity(n),
+            )
+            .expect("an unlimited pool never overflows");
+            assert_eq!(out.prelabels, stores.len() + deltas.len());
+
+            // Exactly the nodes on an edge or at a prelabel site take part,
+            // once each, and a version is a label: two slots are equal
+            // exactly when the reference labels are, numbered densely.
+            let mut involved = vec![false; n];
+            for i in edges.iter().flat_map(|&(f, t)| [f, t]).chain(stores.iter().copied()) {
+                involved[i] = true;
+            }
+            deltas.iter().for_each(|&i| involved[i] = true);
+            let mut label_of: FxHashMap<u32, SparseBitVector> = FxHashMap::default();
+            for &(node, c, y) in &out.nodes {
+                let i = node.index();
+                assert!(std::mem::take(&mut involved[i]), "node {i} is uninvolved or repeated");
+                for (slot, label) in [(c, consume[i].clone()), (y, yield_of(i))] {
+                    let prev = label_of.insert(slot, label.clone());
+                    assert!(prev.is_none_or(|p| p == label), "slot {slot} holds two labels");
                 }
             }
-            let want = reference_meld(n, &edges, &store_yield, &frozen_pre);
-            let got = scc_meld(n, &edges, &store_yield, &frozen_pre);
-            for i in 0..n {
-                assert_eq!(&got[i], &want[i], "node {i} labels differ");
-            }
+            assert!(!involved.contains(&true), "an involved node got no versions");
+            let labels: FxHashSet<&SparseBitVector> = label_of.values().collect();
+            assert_eq!(labels.len(), label_of.len(), "one slot per label");
+            assert!(label_of.keys().all(|&s| s < out.local_slots));
+            assert_eq!(label_of.len(), out.local_slots as usize);
+            // Store yields are distinct fresh versions.
+            let yields: FxHashSet<u32> = (out.nodes.iter())
+                .filter(|&&(node, _, _)| store_yield[node.index()].is_some())
+                .map(|&(_, _, y)| y)
+                .collect();
+            assert_eq!(yields.len(), stores.len());
+
+            // Reliance is the deduplicated set of [A-PROP] pairs, over
+            // labels: every edge's source yield into its target's consume,
+            // where they differ.
+            let want_rel: FxHashSet<(SparseBitVector, SparseBitVector)> = (edges.iter())
+                .map(|&(f, t)| (yield_of(f), consume[t].clone()))
+                .filter(|(y, c)| y != c)
+                .collect();
+            let got_rel: FxHashSet<(SparseBitVector, SparseBitVector)> = out
+                .reliance
+                .iter()
+                .map(|(y, c)| (label_of[y].clone(), label_of[c].clone()))
+                .collect();
+            assert_eq!(got_rel.len(), out.reliance.len(), "reliance edges are deduplicated");
+            assert_eq!(got_rel, want_rel);
+            assert_eq!(out.edges_collapsed + out.reliance.len(), edges.len());
         });
+    }
+
+    /// A pool capped below the labels an object needs makes the worker
+    /// report a typed overflow instead of panicking.
+    #[test]
+    fn capped_label_pool_reports_overflow() {
+        let id = SvfgNodeId::new;
+        // Two stores feeding a join: ε, {0}, {1} and the meld {0, 1}.
+        let edges = [(id(0), id(2)), (id(1), id(2))];
+        let stores = [id(0), id(1)];
+        let mut area = ObjArea { pool: MeldPool::with_limit(3), ..ObjArea::with_node_capacity(3) };
+        let err = process_object(&edges, &stores, &[], &mut area).unwrap_err();
+        assert_eq!(err, CapacityOverflow { limit: 3 });
+        // The same area labels a smaller object fine afterwards.
+        let out = process_object(&edges[..1], &stores[..1], &[], &mut area).expect("fits");
+        assert_eq!(out.local_slots, 2);
     }
 }
 

@@ -3,7 +3,8 @@
 //! * [`DiGraph`] — a compact directed graph with typed node indices and
 //!   successor/predecessor adjacency.
 //! * [`scc`] — iterative Tarjan strongly-connected components (used for
-//!   Andersen's online cycle elimination and for call-graph SCC fixpoints).
+//!   Andersen's online cycle elimination, call-graph SCC fixpoints, and,
+//!   through the allocation-free [`Tarjan`], object versioning).
 //! * [`dominators`] — Cooper–Harvey–Kennedy dominator trees, dominance
 //!   frontiers, and iterated dominance frontiers (used for memory-SSA
 //!   MEMPHI placement).
@@ -38,7 +39,7 @@ pub mod traversal;
 
 pub use digraph::DiGraph;
 pub use dominators::DomTree;
-pub use meld::{meld_label, meld_label_governed, meld_label_many, try_meld_label_many, MeldLabel};
+pub use meld::{meld_label, MeldLabel};
 pub use rank::condensation_ranks;
-pub use scc::Sccs;
+pub use scc::{Sccs, Tarjan};
 pub use traversal::{reachable_from, reverse_post_order};

@@ -21,7 +21,6 @@
 //! prelabelled node keep the identity label.
 
 use crate::digraph::DiGraph;
-use vsfs_adt::govern::{Completion, Governor, Outcome};
 use vsfs_adt::index::Idx;
 use vsfs_adt::{FifoWorklist, SparseBitVector};
 
@@ -87,22 +86,6 @@ pub fn meld_label<I: Idx, L: MeldLabel>(
     prelabels: Vec<L>,
     frozen: impl Fn(I) -> bool,
 ) -> Vec<L> {
-    meld_label_governed(graph, prelabels, frozen, None).result
-}
-
-/// [`meld_label`] with a cooperative checkpoint per worklist pop.
-///
-/// When a [`Governor`] is supplied, each pop accounts one step; once the
-/// governor trips the loop stops and the (partial, under-melded) labels
-/// come back tagged [`Completion::Degraded`]. Callers must not use a
-/// degraded labelling for analysis — it exists so the enclosing phase
-/// can stop promptly and fall back.
-pub fn meld_label_governed<I: Idx, L: MeldLabel>(
-    graph: &DiGraph<I>,
-    prelabels: Vec<L>,
-    frozen: impl Fn(I) -> bool,
-    governor: Option<&Governor>,
-) -> Outcome<Vec<L>> {
     assert_eq!(prelabels.len(), graph.node_count(), "one prelabel per node required");
     let mut labels = prelabels;
     let mut worklist: FifoWorklist<I> = FifoWorklist::new(graph.node_count());
@@ -111,14 +94,7 @@ pub fn meld_label_governed<I: Idx, L: MeldLabel>(
             worklist.push(v);
         }
     }
-    let mut completion = Completion::Complete;
     while let Some(v) = worklist.pop() {
-        if let Some(g) = governor {
-            if let Err(reason) = g.check(1) {
-                completion = Completion::Degraded(reason);
-                break;
-            }
-        }
         for &s in graph.successors(v) {
             if s == v || frozen(s) {
                 continue;
@@ -141,81 +117,7 @@ pub fn meld_label_governed<I: Idx, L: MeldLabel>(
             }
         }
     }
-    Outcome { result: labels, completion }
-}
-
-/// Solves a batch of *independent* meld-labelling problems, using up to
-/// `jobs` worker threads (`0` = all cores).
-///
-/// This is the graph-layer face of the paper's parallelism observation:
-/// labels of different objects never meld, so each `(graph, prelabels)`
-/// problem is a self-contained task. Results come back in input order —
-/// element `i` is exactly `meld_label(&problems[i].0, problems[i].1, …)`
-/// — so the output is bit-identical for every `jobs` value.
-///
-/// # Examples
-///
-/// ```
-/// use vsfs_adt::{define_index, SparseBitVector};
-/// use vsfs_graph::{meld_label_many, DiGraph};
-///
-/// define_index!(N, "n");
-/// let mut g: DiGraph<N> = DiGraph::with_nodes(2);
-/// g.add_edge(N::new(0), N::new(1));
-/// let mut pre = vec![SparseBitVector::new(); 2];
-/// pre[0].insert(3);
-/// let batch = vec![(g.clone(), pre.clone()), (g, pre)];
-/// let out = meld_label_many(batch, |_| false, 2);
-/// assert!(out[0][1].contains(3));
-/// assert_eq!(out[0], out[1]);
-/// ```
-pub fn meld_label_many<I: Idx + Send + Sync, L: MeldLabel + Send + Sync>(
-    problems: Vec<(DiGraph<I>, Vec<L>)>,
-    frozen: impl Fn(I) -> bool + Sync,
-    jobs: usize,
-) -> Vec<Vec<L>> {
-    let problems = &problems;
-    let (out, _stats) = vsfs_adt::par::run_tasks(
-        vsfs_adt::ParConfig::new(jobs),
-        problems.len(),
-        |i| problems[i].0.edge_count() as u64 + 1,
-        |i| {
-            let (graph, prelabels) = &problems[i];
-            meld_label(graph, prelabels.clone(), &frozen)
-        },
-    );
-    out
-}
-
-/// [`meld_label_many`] under a [`Governor`]: worker panics are caught
-/// and cancellation stops the batch. On interruption the governor is
-/// tripped and an *empty* result vector comes back tagged
-/// [`Completion::Degraded`].
-pub fn try_meld_label_many<I: Idx + Send + Sync, L: MeldLabel + Send + Sync>(
-    problems: Vec<(DiGraph<I>, Vec<L>)>,
-    frozen: impl Fn(I) -> bool + Sync,
-    jobs: usize,
-    governor: &Governor,
-) -> Outcome<Vec<Vec<L>>> {
-    let problems = &problems;
-    let outcome = vsfs_adt::par::try_run_tasks_with(
-        vsfs_adt::ParConfig::new(jobs),
-        problems.len(),
-        |i| problems[i].0.edge_count() as u64 + 1,
-        Some(governor),
-        || (),
-        |(), i| {
-            let (graph, prelabels) = &problems[i];
-            meld_label(graph, prelabels.clone(), &frozen)
-        },
-    );
-    match outcome {
-        Ok((out, _stats)) => Outcome { result: out, completion: governor.completion() },
-        Err(interrupt) => {
-            governor.note_interrupt(&interrupt);
-            Outcome { result: Vec::new(), completion: governor.completion() }
-        }
-    }
+    labels
 }
 
 #[cfg(test)]
@@ -231,42 +133,6 @@ mod tests {
 
     fn sbv(elems: &[u32]) -> SparseBitVector {
         elems.iter().copied().collect()
-    }
-
-    /// `meld_label_many` returns exactly the per-problem `meld_label`
-    /// results, for any worker count.
-    #[test]
-    fn batch_meld_matches_single_for_any_job_count() {
-        use vsfs_testkit::gen;
-        vsfs_testkit::check_cases("meld::batch_matches_single", 16, |rng| {
-            let problems: Vec<(DiGraph<N>, Vec<SparseBitVector>)> = (0..rng.gen_range(0usize..9))
-                .map(|_| {
-                    let nn = rng.gen_range(1usize..10);
-                    let mut g: DiGraph<N> = DiGraph::with_nodes(nn);
-                    for (f, t) in gen::vec_with(rng, 0..25, |r| {
-                        (r.gen_range(0..nn as u32), r.gen_range(0..nn as u32))
-                    }) {
-                        g.add_edge(n(f), n(t));
-                    }
-                    let pre = (0..nn)
-                        .map(|i| {
-                            if rng.gen_bool(0.4) {
-                                sbv(&[i as u32])
-                            } else {
-                                SparseBitVector::new()
-                            }
-                        })
-                        .collect();
-                    (g, pre)
-                })
-                .collect();
-            let want: Vec<Vec<SparseBitVector>> =
-                problems.iter().map(|(g, pre)| meld_label(g, pre.clone(), |_| false)).collect();
-            for jobs in [1usize, 2, 8] {
-                let got = meld_label_many(problems.clone(), |_| false, jobs);
-                assert_eq!(got, want, "jobs = {jobs}");
-            }
-        });
     }
 
     /// The paper's Figure 4 example: nodes prelabelled with two distinct

@@ -14,14 +14,21 @@ use vsfs_adt::index::Idx;
 pub struct Sccs<I> {
     /// Component id of each node.
     component_of: Vec<u32>,
-    /// Members of each component.
-    members: Vec<Vec<I>>,
+    /// Members of component `c` at `members[comp_start[c]..comp_start[c + 1]]`.
+    comp_start: Vec<u32>,
+    members: Vec<I>,
 }
 
 impl<I: Idx> Sccs<I> {
     /// Computes the SCCs of `graph` (all nodes, reachable or not).
     pub fn compute(graph: &DiGraph<I>) -> Self {
-        TarjanState::run(graph)
+        let mut t = Tarjan::default();
+        t.run(graph.node_count(), |v, pos| {
+            let succs = graph.successors(I::from_index(v as usize));
+            succs.get(pos as usize).map(|w| (pos + 1, w.index() as u32))
+        });
+        let members = t.members.iter().map(|&m| I::from_index(m as usize)).collect();
+        Sccs { component_of: t.comp, comp_start: t.comp_start, members }
     }
 
     /// The component id of `node`.
@@ -31,12 +38,13 @@ impl<I: Idx> Sccs<I> {
 
     /// Number of components.
     pub fn count(&self) -> usize {
-        self.members.len()
+        self.comp_start.len() - 1
     }
 
     /// The member nodes of component `c`.
     pub fn members(&self, c: u32) -> &[I] {
-        &self.members[c as usize]
+        &self.members
+            [self.comp_start[c as usize] as usize..self.comp_start[c as usize + 1] as usize]
     }
 
     /// Returns `true` if `node` is in a non-trivial cycle: its component
@@ -44,94 +52,124 @@ impl<I: Idx> Sccs<I> {
     pub fn in_cycle(&self, graph: &DiGraph<I>, node: I) -> bool {
         self.members(self.component(node)).len() > 1 || graph.has_edge(node, node)
     }
-
-    /// Iterates component ids in reverse topological order of the
-    /// condensation (successor components first).
-    pub fn ids_topo_successors_first(&self) -> impl Iterator<Item = u32> + 'static {
-        0..self.members.len() as u32
-    }
 }
 
-struct TarjanState<'g, I> {
-    graph: &'g DiGraph<I>,
+/// Tarjan over nodes `0..n` whose successors come from a callback, in
+/// buffers reused across runs: once they have grown, a run allocates
+/// nothing. The DFS stack is explicit, so deep graphs (SVFGs have very
+/// long chains) cannot overflow the call stack. Components are flat:
+/// component `c`'s members are [`Tarjan::members`]`(c)`.
+#[derive(Debug, Clone, Default)]
+pub struct Tarjan {
     index: Vec<u32>,
     lowlink: Vec<u32>,
-    on_stack: Vec<bool>,
-    stack: Vec<I>,
-    next_index: u32,
-    component_of: Vec<u32>,
-    members: Vec<Vec<I>>,
+    /// The SCC stack, and the DFS stack of `(node, next position)`.
+    stack: Vec<u32>,
+    dfs: Vec<(u32, u32)>,
+    /// Component per node (`u32::MAX` while on the SCC stack).
+    comp: Vec<u32>,
+    comp_start: Vec<u32>,
+    members: Vec<u32>,
 }
 
 const UNVISITED: u32 = u32::MAX;
 
-impl<'g, I: Idx> TarjanState<'g, I> {
-    fn run(graph: &'g DiGraph<I>) -> Sccs<I> {
-        let n = graph.node_count();
-        let mut st = TarjanState {
-            graph,
-            index: vec![UNVISITED; n],
-            lowlink: vec![0; n],
-            on_stack: vec![false; n],
-            stack: Vec::new(),
-            next_index: 0,
-            component_of: vec![0; n],
-            members: Vec::new(),
-        };
-        for v in graph.nodes() {
-            if st.index[v.index()] == UNVISITED {
-                st.strongconnect(v);
+impl Tarjan {
+    /// Computes the SCCs of the graph on `0..n` whose successors `next`
+    /// enumerates: `next(v, pos)` returns the first successor of `v` at
+    /// position `pos` or later, with the position just after it, or
+    /// `None` past the last.
+    ///
+    /// A node without successors completes as a singleton component as
+    /// soon as it is reached — exactly where Tarjan would complete it —
+    /// without the stack traffic; in sparse graphs most nodes are such
+    /// sinks.
+    pub fn run(&mut self, n: usize, mut next: impl FnMut(u32, u32) -> Option<(u32, u32)>) {
+        self.index.clear();
+        self.index.resize(n, UNVISITED);
+        self.lowlink.clear();
+        self.lowlink.resize(n, 0);
+        self.comp.clear();
+        self.comp.resize(n, u32::MAX);
+        self.comp_start.clear();
+        self.comp_start.push(0);
+        self.members.clear();
+        let mut next_index = 0u32;
+        for root in 0..n as u32 {
+            if self.index[root as usize] == UNVISITED {
+                self.visit(root, &mut next_index, &mut next);
             }
-        }
-        Sccs { component_of: st.component_of, members: st.members }
-    }
-
-    /// Iterative version of Tarjan's `strongconnect` to avoid stack
-    /// overflow on deep graphs (SVFGs can have very long chains).
-    fn strongconnect(&mut self, root: I) {
-        // Work stack of (node, next successor position).
-        let mut work: Vec<(I, usize)> = vec![(root, 0)];
-        while let Some(&mut (v, ref mut pos)) = work.last_mut() {
-            let vi = v.index();
-            if *pos == 0 {
-                self.index[vi] = self.next_index;
-                self.lowlink[vi] = self.next_index;
-                self.next_index += 1;
-                self.stack.push(v);
-                self.on_stack[vi] = true;
-            }
-            let succs = self.graph.successors(v);
-            if *pos < succs.len() {
-                let w = succs[*pos];
-                *pos += 1;
-                let wi = w.index();
-                if self.index[wi] == UNVISITED {
-                    work.push((w, 0));
-                } else if self.on_stack[wi] {
-                    self.lowlink[vi] = self.lowlink[vi].min(self.index[wi]);
+            while let Some(&(v, pos)) = self.dfs.last() {
+                let vi = v as usize;
+                if let Some((after, w)) = next(v, pos) {
+                    self.dfs.last_mut().expect("non-empty").1 = after;
+                    let wi = w as usize;
+                    if self.index[wi] == UNVISITED {
+                        self.visit(w, &mut next_index, &mut next);
+                    } else if self.comp[wi] == u32::MAX {
+                        self.lowlink[vi] = self.lowlink[vi].min(self.index[wi]);
+                    }
+                    continue;
                 }
-            } else {
+                self.dfs.pop();
                 if self.lowlink[vi] == self.index[vi] {
-                    let cid = self.members.len() as u32;
-                    let mut comp = Vec::new();
                     loop {
                         let w = self.stack.pop().expect("tarjan stack underflow");
-                        self.on_stack[w.index()] = false;
-                        self.component_of[w.index()] = cid;
-                        comp.push(w);
+                        self.close(w);
                         if w == v {
                             break;
                         }
                     }
-                    self.members.push(comp);
+                    self.comp_start.push(self.members.len() as u32);
                 }
-                work.pop();
-                if let Some(&(parent, _)) = work.last() {
-                    let pi = parent.index();
+                if let Some(&(p, _)) = self.dfs.last() {
+                    let pi = p as usize;
                     self.lowlink[pi] = self.lowlink[pi].min(self.lowlink[vi]);
                 }
             }
         }
+    }
+
+    /// Numbers `v` and either completes it at once (no successors) or
+    /// pushes it on both stacks.
+    fn visit(
+        &mut self,
+        v: u32,
+        next_index: &mut u32,
+        next: &mut impl FnMut(u32, u32) -> Option<(u32, u32)>,
+    ) {
+        self.index[v as usize] = *next_index;
+        self.lowlink[v as usize] = *next_index;
+        *next_index += 1;
+        if next(v, 0).is_none() {
+            self.close(v);
+            self.comp_start.push(self.members.len() as u32);
+        } else {
+            self.stack.push(v);
+            self.dfs.push((v, 0));
+        }
+    }
+
+    /// Adds `v` to the component being completed.
+    fn close(&mut self, v: u32) {
+        self.comp[v as usize] = self.comp_start.len() as u32 - 1;
+        self.members.push(v);
+    }
+
+    /// The component of `v`.
+    pub fn component(&self, v: u32) -> u32 {
+        self.comp[v as usize]
+    }
+
+    /// Number of components.
+    pub fn count(&self) -> usize {
+        self.comp_start.len() - 1
+    }
+
+    /// The members of component `c`.
+    pub fn members(&self, c: u32) -> &[u32] {
+        &self.members
+            [self.comp_start[c as usize] as usize..self.comp_start[c as usize + 1] as usize]
     }
 }
 

@@ -147,6 +147,10 @@ echo "== solver equivalence gate: sfs = vsfs = cfgfree on the serving workloads 
 cargo run --release -p vsfs-bench --bin solver_matrix -- ninja,bake --gate-equivalence
 
 echo
+echo "== versioning share gate: versioning <= 0.35x the VSFS main phase on bake =="
+cargo run --release -p vsfs-bench --bin solver_matrix -- bake --gate-versioning-share 0.35
+
+echo
 echo "== soundness chain: flow-sensitive <= andersen <= unify <= steensgaard =="
 cargo test --release -q --test soundness_chain
 

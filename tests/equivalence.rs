@@ -306,3 +306,67 @@ fn cfgfree_checker_findings_are_bit_identical_across_jobs_and_orders() {
         }
     }
 }
+
+/// FNV-1a over the version tables, read through public accessors only:
+/// every node's consume and yield entries, then every slot's reliance
+/// successors. Two tables hash equal exactly when a solver would see
+/// the same versions and the same `[A-PROP]` constraints.
+fn version_tables_digest(svfg: &Svfg, vt: &vsfs_core::VersionTables) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |x: u32| {
+        for b in x.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    eat(vt.slot_count());
+    for n in svfg.node_ids() {
+        for entries in [vt.consume_entries(n), vt.yield_entries(n)] {
+            eat(entries.len() as u32);
+            for &(o, s) in entries {
+                eat(o.index() as u32);
+                eat(s);
+            }
+        }
+    }
+    for y in 0..vt.slot_count() {
+        let succs = vt.reliance(y);
+        eat(succs.len() as u32);
+        succs.iter().for_each(|&c| eat(c));
+    }
+    h
+}
+
+#[test]
+fn version_tables_are_bit_identical_across_jobs_and_regions() {
+    // Golden digests of the version tables on scaled-down programs of
+    // the three suite shapes (Light, Medium, Heavy). The tables must not
+    // depend on the worker count or on alias-region seeding, and any
+    // change to the meld implementation must reproduce them exactly.
+    const GOLDEN: [(&str, u64); 3] = [
+        ("du", 0x3775_fb48_7af2_6e91),
+        ("ninja", 0xe86d_3780_2c73_6a42),
+        ("bake", 0x756b_7f09_ba4f_b057),
+    ];
+    for (name, want) in GOLDEN {
+        let spec = vsfs_workloads::suite::benchmark(name).expect("suite benchmark");
+        let prog = generate(&WorkloadConfig { functions: 10, segments: 3, ..spec.config });
+        let aux = andersen::analyze(&prog);
+        let mssa = MemorySsa::build(&prog, &aux);
+        let svfg = Svfg::build(&prog, &aux, &mssa);
+        let regions = andersen::analyze_unify(&prog).alias_regions(prog.objects.len());
+        for jobs in [1usize, 4] {
+            for seeded in [None, Some(&regions.region_of_object[..])] {
+                let vt =
+                    vsfs_core::VersionTables::build_with(&prog, &mssa, &svfg, jobs, seeded, None)
+                        .result;
+                let got = version_tables_digest(&svfg, &vt);
+                assert_eq!(
+                    got,
+                    want,
+                    "{name}: version tables changed at jobs={jobs} regions={}",
+                    seeded.is_some()
+                );
+            }
+        }
+    }
+}
