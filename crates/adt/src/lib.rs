@@ -30,8 +30,8 @@
 //!   shared [`PtsStore`]) with memoized `union`/`insert` algebra, the
 //!   storage representation of every solver stage.
 //! * [`par`] — std-only deterministic parallelism: a sharded
-//!   work-stealing worklist, cost-balanced partitioners, and a
-//!   scoped-thread task driver used by the parallel solver phases.
+//!   work-stealing worklist and the scoped-thread task driver behind
+//!   parallel versioning.
 //! * [`govern`] — resource budgets, cooperative cancellation, and typed
 //!   [`Outcome`]s so every long-running solver entry point is bounded
 //!   and degrades instead of dying.
@@ -70,7 +70,7 @@ pub use govern::{
 pub use index::IndexVec;
 pub use meldpool::{CapacityOverflow, MeldPool};
 pub use par::{ParConfig, ParStats, ShardedWorklist};
-pub use ptstore::{CarryStats, FlatReader, PtsCarry, PtsId, PtsScratch, PtsStore, PtsStoreStats};
+pub use ptstore::{CarryStats, FlatReader, PtsCarry, PtsId, PtsStore, PtsStoreStats};
 pub use sbv::SparseBitVector;
 pub use worklist::{FifoWorklist, PriorityWorklist, Worklist, WorklistStats};
 

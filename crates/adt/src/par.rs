@@ -3,24 +3,17 @@
 //! Everything here is built from `std::thread::scope`, mutex-sharded
 //! queues, and atomic counters — no external crates. The design goal is
 //! *deterministic* parallelism: callers arrange for worker output to be
-//! keyed by task index (or by disjoint contiguous slice regions), so the
-//! merged result is a pure function of the input regardless of thread
+//! keyed by task index, so the merged result is a pure function of the input regardless of thread
 //! count or scheduling. The solvers build on three pieces:
 //!
 //! * [`ParConfig`] — a thread-count knob (`--jobs N`; `0` = all cores);
 //! * [`ShardedWorklist`] — a work-stealing queue of task indices, sharded
 //!   over per-worker mutexes to keep contention off the hot path;
-//! * [`run_tasks`] — the scoped-thread driver: executes `n` independent
-//!   tasks, seeds shards by a caller-provided cost estimate (longest
-//!   processing time first), and returns results *in task order* plus
-//!   [`ParStats`] counters for the stats layer.
+//! * [`try_run_tasks_with`] — the scoped-thread driver: executes `n`
+//!   independent tasks, seeds shards by a caller-provided cost estimate
+//!   (longest processing time first), and returns results *in task
+//!   order* plus [`ParStats`] counters for the stats layer.
 //!
-//! For phases that mutate a dense array in place (e.g. applying
-//! points-to unions sharded by target node), [`split_by_cost`] computes
-//! contiguous cost-balanced ranges so the caller can hand each worker a
-//! disjoint `&mut` chunk via `split_at_mut` — data-parallel writes with
-//! no unsafe code and no locks.
-
 //! # Panic isolation
 //!
 //! Every task body runs under `catch_unwind`: a panicking task is
@@ -61,11 +54,6 @@ impl ParConfig {
         ParConfig { jobs }
     }
 
-    /// The sequential configuration.
-    pub fn sequential() -> Self {
-        ParConfig { jobs: 1 }
-    }
-
     /// The concrete worker count: `jobs`, or the machine's available
     /// parallelism when `jobs` is `0`.
     pub fn effective_jobs(&self) -> usize {
@@ -74,12 +62,6 @@ impl ParConfig {
         } else {
             self.jobs
         }
-    }
-}
-
-impl Default for ParConfig {
-    fn default() -> Self {
-        ParConfig::sequential()
     }
 }
 
@@ -122,11 +104,6 @@ impl<T> ShardedWorklist<T> {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Pushes `item` onto shard `shard % shard_count`.
     pub fn push(&self, shard: usize, item: T) {
         self.remaining.fetch_add(1, Ordering::SeqCst);
@@ -164,98 +141,18 @@ impl<T> ShardedWorklist<T> {
     }
 }
 
-/// Splits `0..len` into at most `parts` contiguous, near-even ranges.
-pub fn split_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
-    let parts = parts.max(1).min(len.max(1));
-    let base = len / parts;
-    let extra = len % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for p in 0..parts {
-        let size = base + usize::from(p < extra);
-        if size == 0 {
-            continue;
-        }
-        out.push(start..start + size);
-        start += size;
-    }
-    out
-}
-
-/// Splits `0..costs.len()` into at most `parts` *contiguous* ranges of
-/// near-equal total cost. Contiguity is what lets callers carve a dense
-/// array into disjoint `&mut` chunks with `split_at_mut`; the output
-/// depends only on `costs` and `parts`, never on scheduling.
-pub fn split_by_cost(costs: &[u64], parts: usize) -> Vec<std::ops::Range<usize>> {
-    let n = costs.len();
-    let parts = parts.max(1).min(n.max(1));
-    if parts <= 1 || n == 0 {
-        return std::iter::once(0..n).collect();
-    }
-    let total: u64 = costs.iter().sum();
-    let target = total / parts as u64;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    let mut acc = 0u64;
-    for (i, &c) in costs.iter().enumerate() {
-        acc += c;
-        // Close the range once the budget is met, keeping enough items
-        // for the remaining parts to be non-empty.
-        let remaining_parts = parts - out.len();
-        if acc >= target.max(1) && n - (i + 1) >= remaining_parts - 1 && remaining_parts > 1 {
-            out.push(start..i + 1);
-            start = i + 1;
-            acc = 0;
-        }
-    }
-    out.push(start..n);
-    out
-}
-
 /// Runs `tasks` independent tasks on `config.effective_jobs()` scoped
 /// threads and returns the results **in task order**, plus execution
-/// counters.
+/// counters. Each worker first builds private scratch state with `init`
+/// and threads it through its tasks — the pattern the per-object
+/// versioning phase uses to reuse one dense work area per worker
+/// instead of reallocating per task.
 ///
 /// `cost` estimates task weight (heavier tasks are distributed first,
 /// longest-processing-time greedy) purely to balance the initial shard
 /// assignment; the work-stealing pops make the estimate non-critical.
 /// Output order — and therefore every downstream consumer — is
 /// independent of the worker count.
-pub fn run_tasks<R: Send>(
-    config: ParConfig,
-    tasks: usize,
-    cost: impl Fn(usize) -> u64,
-    run: impl Fn(usize) -> R + Sync,
-) -> (Vec<R>, ParStats) {
-    run_tasks_with(config, tasks, cost, || (), |(), i| run(i))
-}
-
-/// Like [`run_tasks`], but each worker first builds private scratch
-/// state with `init` and threads it through its tasks — the pattern the
-/// per-object versioning phase uses to reuse one dense work area per
-/// worker instead of reallocating per task.
-pub fn run_tasks_with<S, R: Send>(
-    config: ParConfig,
-    tasks: usize,
-    cost: impl Fn(usize) -> u64,
-    init: impl Fn() -> S + Sync,
-    run: impl Fn(&mut S, usize) -> R + Sync,
-) -> (Vec<R>, ParStats) {
-    match try_run_tasks_with(config, tasks, cost, None, init, run) {
-        Ok(out) => out,
-        Err(interrupt) => {
-            // Without a governor there is no cancellation source, so an
-            // interrupt always carries at least one fault. Surface it as
-            // one clean driver-thread panic — never an abort.
-            let f = interrupt.faults.first().expect("interrupt without faults or governor");
-            panic!("parallel {f}");
-        }
-    }
-}
-
-/// The governed task driver underlying [`run_tasks_with`].
-///
-/// Identical scheduling and output ordering, plus:
 ///
 /// * every task body runs under `catch_unwind`; panics become
 ///   [`WorkerFault`]s while the remaining tasks keep running;
@@ -271,39 +168,6 @@ pub fn try_run_tasks_with<S, R: Send>(
     config: ParConfig,
     tasks: usize,
     cost: impl Fn(usize) -> u64,
-    governor: Option<&Governor>,
-    init: impl Fn() -> S + Sync,
-    run: impl Fn(&mut S, usize) -> R + Sync,
-) -> Result<(Vec<R>, ParStats), ParInterrupt> {
-    try_run_tasks_seeded(config, tasks, cost, None, governor, init, run)
-}
-
-/// Like [`try_run_tasks_with`], but shards are seeded *group-major*:
-/// `group(i)` names each task's group, whole groups are LPT-packed onto
-/// shards by their total cost, and a group's tasks start on the same
-/// worker. Used to seed per-object versioning shards from the disjoint
-/// alias regions of a unification pre-analysis, so tasks whose data can
-/// overlap share a worker's cache. Work stealing still rebalances, and
-/// results stay in task order — grouping is purely a scheduling hint
-/// and never changes the output.
-pub fn try_run_tasks_grouped<S, R: Send>(
-    config: ParConfig,
-    tasks: usize,
-    cost: impl Fn(usize) -> u64 + Copy,
-    group: impl Fn(usize) -> u64,
-    governor: Option<&Governor>,
-    init: impl Fn() -> S + Sync,
-    run: impl Fn(&mut S, usize) -> R + Sync,
-) -> Result<(Vec<R>, ParStats), ParInterrupt> {
-    let groups: Vec<u64> = (0..tasks).map(group).collect();
-    try_run_tasks_seeded(config, tasks, cost, Some(&groups), governor, init, run)
-}
-
-fn try_run_tasks_seeded<S, R: Send>(
-    config: ParConfig,
-    tasks: usize,
-    cost: impl Fn(usize) -> u64,
-    groups: Option<&[u64]>,
     governor: Option<&Governor>,
     init: impl Fn() -> S + Sync,
     run: impl Fn(&mut S, usize) -> R + Sync,
@@ -341,41 +205,16 @@ fn try_run_tasks_seeded<S, R: Send>(
         return Ok((out, ParStats { tasks, steals: 0, workers: 1, wall: start.elapsed() }));
     }
 
-    // Seed shards LPT-style: heaviest units first, each onto the
-    // currently lightest shard (ties to the lowest shard id). A unit is
-    // one task, or — with `groups` — one whole group, so grouped tasks
-    // start on the same worker.
+    // Seed shards LPT-style: heaviest tasks first, each onto the
+    // currently lightest shard (ties to the lowest shard id).
     let wl = ShardedWorklist::new(jobs);
     let mut load = vec![0u64; jobs];
-    match groups {
-        None => {
-            let mut order: Vec<usize> = (0..tasks).collect();
-            order.sort_by_key(|&i| (std::cmp::Reverse(cost(i)), i));
-            for i in order {
-                let shard = (0..jobs).min_by_key(|&s| (load[s], s)).unwrap();
-                load[shard] += cost(i).max(1);
-                wl.push(shard, i);
-            }
-        }
-        Some(gids) => {
-            // Group id -> (total cost, member tasks in ascending order).
-            let mut members: std::collections::BTreeMap<u64, (u64, Vec<usize>)> =
-                std::collections::BTreeMap::new();
-            for (i, &gid) in gids.iter().enumerate().take(tasks) {
-                let e = members.entry(gid).or_default();
-                e.0 += cost(i).max(1);
-                e.1.push(i);
-            }
-            let mut order: Vec<(u64, (u64, Vec<usize>))> = members.into_iter().collect();
-            order.sort_by_key(|&(gid, (total, _))| (std::cmp::Reverse(total), gid));
-            for (_, (total, tasks_of_group)) in order {
-                let shard = (0..jobs).min_by_key(|&s| (load[s], s)).unwrap();
-                load[shard] += total;
-                for i in tasks_of_group {
-                    wl.push(shard, i);
-                }
-            }
-        }
+    let mut order: Vec<usize> = (0..tasks).collect();
+    order.sort_by_key(|&i| (std::cmp::Reverse(cost(i)), i));
+    for i in order {
+        let shard = (0..jobs).min_by_key(|&s| (load[s], s)).unwrap();
+        load[shard] += cost(i).max(1);
+        wl.push(shard, i);
     }
 
     let mut slots: Vec<Option<R>> = Vec::with_capacity(tasks);
@@ -444,45 +283,20 @@ fn try_run_tasks_seeded<S, R: Send>(
 mod tests {
     use super::*;
 
+    /// An ungoverned run whose tasks must not panic.
+    fn run_tasks<R: Send>(
+        config: ParConfig,
+        tasks: usize,
+        cost: impl Fn(usize) -> u64,
+        run: impl Fn(usize) -> R + Sync,
+    ) -> (Vec<R>, ParStats) {
+        try_run_tasks_with(config, tasks, cost, None, || (), |(), i| run(i)).expect("no faults")
+    }
+
     #[test]
     fn effective_jobs_resolves_zero() {
         assert!(ParConfig::new(0).effective_jobs() >= 1);
         assert_eq!(ParConfig::new(3).effective_jobs(), 3);
-        assert_eq!(ParConfig::default().effective_jobs(), 1);
-    }
-
-    #[test]
-    fn split_ranges_covers_exactly() {
-        for len in [0usize, 1, 7, 64, 100] {
-            for parts in [1usize, 2, 3, 8, 200] {
-                let rs = split_ranges(len, parts);
-                let mut next = 0;
-                for r in &rs {
-                    assert_eq!(r.start, next);
-                    assert!(!r.is_empty());
-                    next = r.end;
-                }
-                assert_eq!(rs.iter().map(|r| r.len()).sum::<usize>(), len);
-            }
-        }
-    }
-
-    #[test]
-    fn split_by_cost_is_contiguous_and_balanced() {
-        let costs: Vec<u64> = (0..100).map(|i| (i % 7) + 1).collect();
-        let rs = split_by_cost(&costs, 4);
-        assert!(rs.len() <= 4);
-        let mut next = 0;
-        for r in &rs {
-            assert_eq!(r.start, next);
-            next = r.end;
-        }
-        assert_eq!(next, costs.len());
-        let total: u64 = costs.iter().sum();
-        for r in &rs {
-            let part: u64 = costs[r.clone()].iter().sum();
-            assert!(part <= total / 2, "part {part} of {total} too heavy");
-        }
     }
 
     #[test]
@@ -596,24 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn grouped_seeding_keeps_results_in_task_order() {
-        for jobs in [1usize, 2, 4, 8] {
-            let (out, stats) = try_run_tasks_grouped(
-                ParConfig::new(jobs),
-                40,
-                |i| (i as u64 % 5) + 1,
-                |i| (i as u64) % 3,
-                None,
-                || (),
-                |(), i| i * 2,
-            )
-            .expect("no faults");
-            assert_eq!(out, (0..40).map(|i| i * 2).collect::<Vec<_>>(), "jobs = {jobs}");
-            assert_eq!(stats.tasks, 40);
-        }
-    }
-
-    #[test]
     fn governed_run_stops_when_cancelled() {
         use crate::govern::{Budget, Governor};
         let g = Governor::new(Budget::unlimited());
@@ -622,20 +418,5 @@ mod tests {
         let interrupt = result.expect_err("cancelled run must interrupt");
         assert!(interrupt.cancelled);
         assert!(interrupt.faults.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "task five exploded")]
-    fn ungoverned_wrapper_turns_faults_into_one_clean_panic() {
-        crate::govern::silence_injected_panics();
-        let _ = run_tasks(
-            ParConfig::new(4),
-            16,
-            |_| 1,
-            |i| {
-                assert!(i != 5, "task five exploded");
-                i
-            },
-        );
     }
 }

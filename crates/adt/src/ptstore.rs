@@ -25,10 +25,7 @@
 //! materialising the union.
 //!
 //! Ids are assigned in first-intern order, so any solver that performs
-//! store operations in a deterministic order gets deterministic ids; the
-//! parallel wave phase keeps this property by confining workers to
-//! read-only [`PtsScratch`]es whose materialised results are interned at
-//! the sequential barrier in a fixed order (see DESIGN.md §6).
+//! store operations in a deterministic order gets deterministic ids.
 //!
 //! # Examples
 //!
@@ -854,64 +851,6 @@ impl PtsCarry {
     }
 }
 
-/// A read-only view of a [`PtsStore`] for one parallel worker, plus the
-/// worker's locally materialised results.
-///
-/// Workers never mutate the shared store: each resolves ids through the
-/// scratch, unions into private owned sets, and records `(slot, set)`
-/// pairs for slots that grew. The sequential barrier then interns every
-/// recorded set in a fixed order (worker-group order, ascending slot
-/// within a group), so id assignment — and therefore every downstream
-/// result — is independent of the worker count.
-#[derive(Debug)]
-pub struct PtsScratch<'s, I: Idx> {
-    store: &'s PtsStore<I>,
-    /// Flat sets materialised by this worker, memoized per id so repeat
-    /// resolutions of hot ids pay the chunk decode once.
-    resolved: FxHashMap<PtsId, PointsToSet<I>>,
-    changed: Vec<(usize, PointsToSet<I>)>,
-}
-
-impl<'s, I: Idx> PtsScratch<'s, I> {
-    /// Creates a scratch view over `store`.
-    pub fn new(store: &'s PtsStore<I>) -> Self {
-        PtsScratch { store, resolved: FxHashMap::default(), changed: Vec::new() }
-    }
-
-    /// Resolves an id to a flat set, materialising (and caching) it on
-    /// first use.
-    pub fn resolve(&mut self, id: PtsId) -> &PointsToSet<I> {
-        self.resolved.entry(id).or_insert_with(|| self.store.materialize(id))
-    }
-
-    /// Unions `adds` into the set behind `base`; if anything grew,
-    /// records the materialised result for `slot` and returns `true`.
-    pub fn union_into<'a>(
-        &mut self,
-        slot: usize,
-        base: PtsId,
-        adds: impl IntoIterator<Item = &'a PointsToSet<I>>,
-    ) -> bool
-    where
-        I: 'a,
-    {
-        let mut set = self.store.materialize(base);
-        let mut grew = false;
-        for add in adds {
-            grew |= set.union_with(add);
-        }
-        if grew {
-            self.changed.push((slot, set));
-        }
-        grew
-    }
-
-    /// The recorded `(slot, set)` pairs, in recording order.
-    pub fn into_changed(self) -> Vec<(usize, PointsToSet<I>)> {
-        self.changed
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1043,22 +982,6 @@ mod tests {
         assert_eq!(s.flat_bytes(id), set.raw().block_count() * 24);
         assert_eq!(s.lookup(&set), Some(id));
         assert_eq!(s.lookup(&PointsToSet::singleton(TObj::new(9999))), None);
-    }
-
-    #[test]
-    fn scratch_records_only_growth() {
-        let mut s = PtsStore::<TObj>::new();
-        let a = sing(&mut s, 1);
-        let b = sing(&mut s, 2);
-        let bset = s.materialize(b);
-        let aset = s.materialize(a);
-        let mut scratch = PtsScratch::new(&s);
-        assert!(scratch.union_into(0, a, [&bset]));
-        assert!(!scratch.union_into(1, a, [&aset]), "no growth, not recorded");
-        let changed = scratch.into_changed();
-        assert_eq!(changed.len(), 1);
-        assert_eq!(changed[0].0, 0);
-        assert_eq!(changed[0].1.len(), 2);
     }
 
     #[test]

@@ -44,10 +44,9 @@ impl CallGraph {
 
     /// Sorts every callee and caller list, making the exposed order a
     /// pure function of the edge *set* rather than of discovery order.
-    /// Sequential and wave-mode solving discover indirect edges in
-    /// different orders; downstream consumers (memory SSA, SVFG wiring)
-    /// iterate these lists, so canonical order is what keeps the whole
-    /// pipeline bit-identical across `--jobs`.
+    /// Downstream consumers (memory SSA, SVFG wiring) iterate these
+    /// lists, so canonical order keeps the whole pipeline independent of
+    /// the order in which a solver discovered indirect edges.
     pub fn canonicalize(&mut self) {
         for v in self.callees.values_mut() {
             v.sort_unstable();

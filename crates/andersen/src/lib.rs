@@ -49,6 +49,4 @@ pub use callgraph::CallGraph;
 pub use pag::{Pag, PagNodeId};
 pub use singletons::compute_singletons;
 pub use solver::{analyze, analyze_with, AndersenConfig, AndersenResult, AndersenStats};
-pub use unify::{
-    analyze_unify, analyze_unify_with, AliasRegions, UnifyConfig, UnifyResult, UnifyStats,
-};
+pub use unify::{analyze_unify, analyze_unify_with, UnifyConfig, UnifyResult, UnifyStats};

@@ -12,28 +12,11 @@
 //! drops the duplicate edges earlier merges left in successor lists,
 //! rather than a scan of the out-list per edge (quadratic in the
 //! out-degree of a hub node).
-//!
-//! With `jobs > 1` the solver switches to a *sharded wave-propagation*
-//! schedule: instead of popping one node at a time it drains the whole
-//! worklist into a sorted wave of dirty representatives and processes the
-//! wave in three phases — a parallel read-only scan that computes each
-//! node's delta and the structural actions it implies, a sequential
-//! commit that applies graph mutations in ascending node order, and a
-//! parallel union phase that applies delta propagations sharded by
-//! *target* node over disjoint `&mut` chunks of the points-to array.
-//! Every phase is a pure function of the wave's contents, so the entire
-//! run — including when SCC collapses fire — is identical for any
-//! `jobs >= 2`, and the final fixpoint matches the sequential schedule
-//! because the inclusion constraints have a unique least solution.
 
 use crate::callgraph::CallGraph;
 use crate::pag::{CallSiteId, Constraint, Pag, PagNodeId};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use vsfs_adt::govern::{panic_message, Completion, DegradeReason, Governor, Outcome, WorkerFault};
-use vsfs_adt::par::{self, ParConfig};
-use vsfs_adt::{
-    FifoWorklist, FlatReader, FxHashSet, PointsToSet, PtsId, PtsScratch, PtsStore, PtsStoreStats,
-};
+use vsfs_adt::govern::{Completion, Governor, Outcome};
+use vsfs_adt::{FifoWorklist, FlatReader, FxHashSet, PointsToSet, PtsId, PtsStore, PtsStoreStats};
 use vsfs_graph::{DiGraph, Sccs};
 use vsfs_ir::{FuncId, ObjId, Program, ValueId};
 
@@ -46,22 +29,11 @@ pub struct AndersenConfig {
     /// Run an SCC collapse every this many worklist pops; `None` disables
     /// online cycle elimination.
     pub scc_interval: Option<usize>,
-    /// Worker threads for the wave-propagation schedule. `1` (the
-    /// default) runs the sequential pop-at-a-time solver; any other
-    /// value (including `0` = all cores) runs sharded waves.
-    pub jobs: usize,
 }
 
 impl Default for AndersenConfig {
     fn default() -> Self {
-        AndersenConfig { scc_interval: Some(10_000), jobs: 1 }
-    }
-}
-
-impl AndersenConfig {
-    /// The default configuration with `jobs` worker threads.
-    pub fn with_jobs(jobs: usize) -> Self {
-        AndersenConfig { jobs, ..Default::default() }
+        AndersenConfig { scc_interval: Some(10_000) }
     }
 }
 
@@ -80,13 +52,6 @@ pub struct AndersenStats {
     pub nodes_collapsed: usize,
     /// `(call site, callee)` pairs resolved on the fly.
     pub indirect_resolutions: usize,
-    /// Waves executed by the parallel schedule (0 for sequential runs).
-    pub waves: usize,
-    /// Worker threads used by the parallel schedule (0 for sequential runs).
-    pub par_workers: usize,
-    /// `true` when the union shards were seeded by unification alias
-    /// regions ([`analyze_with`]).
-    pub region_seeded: bool,
     /// Hash-consed points-to store counters (unique sets, memo hit rates).
     pub store: PtsStoreStats,
 }
@@ -140,61 +105,28 @@ impl AndersenResult {
 
 /// Runs Andersen's analysis with the default configuration.
 pub fn analyze(prog: &Program) -> AndersenResult {
-    analyze_with(prog, AndersenConfig::default(), None, None).result
+    analyze_with(prog, AndersenConfig::default(), None).result
 }
 
 /// Runs Andersen's analysis with an explicit configuration, optionally
-/// region-seeded and optionally governed. Without a governor the
-/// outcome is always complete.
+/// governed. Without a governor the outcome is always complete.
 ///
-/// `regions` seeds the wave shards with the alias regions of a
-/// unification pre-analysis ([`crate::unify`]): the union phase orders
-/// its target groups region-major before the cost split, so targets of
-/// the same (provably-disjoint) alias region land on the same worker
-/// wherever load balance permits. A pure scheduling hint — the result
-/// is bit-identical for every `jobs` and every region assignment.
-///
-/// Under a [`Governor`] the solver checkpoints at every sequential pop
-/// (or wave boundary in the parallel schedule) and stops once the
-/// governor trips, and parallel worker panics are caught and reported
-/// through the governor instead of aborting.
+/// Under a [`Governor`] the solver checkpoints at every pop and stops
+/// once the governor trips.
 ///
 /// **A degraded Andersen result is a partial fixpoint — an
 /// under-approximation — and therefore unsound to analyse with or to
 /// fall back to.** Callers must treat `Degraded` as an error; only the
 /// flow-sensitive stages have a sound fallback (Andersen itself).
-///
-/// Step accounting caveat: the sequential and wave schedules pop in
-/// different granularities, so step budgets are *not* schedule-portable
-/// here. Deterministic budget tests target the flow-sensitive stage;
-/// governing this stage exists to bound wall-clock/memory and to
-/// propagate cancellation.
 pub fn analyze_with(
     prog: &Program,
     config: AndersenConfig,
-    regions: Option<&crate::unify::AliasRegions>,
     governor: Option<&Governor>,
 ) -> Outcome<AndersenResult> {
     let mut solver = Solver::new(prog, config);
-    solver.regions = regions.map(|r| r.region_of_node.clone());
     solver.gov = governor;
     let result = solver.run();
     Outcome { result, completion: governor.map_or(Completion::Complete, Governor::completion) }
-}
-
-/// What one wave-scan of a dirty node produced: the node's unprocessed
-/// delta and the structural actions it implies. Raw `u32` node ids keep
-/// the payload `Send` and compact; representatives are re-resolved at
-/// apply time.
-#[derive(Default)]
-struct WaveOutcome {
-    delta: PointsToSet<ObjId>,
-    /// New copy edges `(src, dst)` from load/store constraints.
-    copy_new: Vec<(u32, u32)>,
-    /// Field-object insertions `(gep dst node, field object)`.
-    gep_new: Vec<(u32, ObjId)>,
-    /// Indirect-call resolutions discovered.
-    calls: Vec<(CallSiteId, FuncId)>,
 }
 
 /// Path-compressing union-find lookup on a bare parent array.
@@ -232,9 +164,6 @@ struct Solver<'p> {
     geps: Vec<Vec<(u32, u32)>>,
     icalls: Vec<Vec<CallSiteId>>,
     resolved: FxHashSet<(CallSiteId, FuncId)>,
-    /// Alias region of every PAG node, when a unification pre-analysis
-    /// seeds the union shards (`u32::MAX` = never points anywhere).
-    regions: Option<Vec<u32>>,
     /// Global copy-edge dedup (may contain stale pre-merge pairs, which
     /// only costs an occasional duplicate edge, never correctness).
     edge_seen: FxHashSet<(u32, u32)>,
@@ -261,7 +190,6 @@ impl<'p> Solver<'p> {
             geps: vec![Vec::new(); n],
             icalls: vec![Vec::new(); n],
             resolved: FxHashSet::default(),
-            regions: None,
             edge_seen: FxHashSet::default(),
             callgraph: CallGraph::new(),
             worklist: FifoWorklist::new(n),
@@ -275,9 +203,6 @@ impl<'p> Solver<'p> {
     }
 
     fn run(mut self) -> AndersenResult {
-        if self.config.jobs != 1 {
-            return self.run_waves();
-        }
         self.init();
         let mut pops_since_scc = 0usize;
         while let Some(n) = self.worklist.pop() {
@@ -315,266 +240,11 @@ impl<'p> Solver<'p> {
             stats: AndersenStats {
                 copy_edges: self.copy_succs.iter().map(Vec::len).sum(),
                 store: self.store.stats(),
-                region_seeded: self.regions.is_some(),
                 ..self.stats
             },
             flat: FlatReader::new(&self.store, reps),
             store: self.store,
             pts: self.pts,
-        }
-    }
-
-    /// The sharded wave-propagation schedule (`jobs != 1`).
-    ///
-    /// Per wave: drain the worklist into a sorted list of dirty
-    /// representatives, scan them in parallel (read-only), commit the
-    /// resulting graph mutations sequentially in node order, then apply
-    /// the copy-edge unions in parallel, sharded by target node. The
-    /// schedule — and therefore every counter and merge decision — is a
-    /// pure function of the wave contents, independent of thread count.
-    fn run_waves(mut self) -> AndersenResult {
-        self.init();
-        let par = ParConfig::new(self.config.jobs);
-        self.stats.par_workers = par.effective_jobs();
-        let mut pops_since_scc = 0usize;
-        loop {
-            // Drain into a deterministic wave of dirty representatives.
-            let mut dirty: Vec<usize> = Vec::new();
-            while let Some(n) = self.worklist.pop() {
-                let r = self.find(n);
-                dirty.push(r);
-            }
-            dirty.sort_unstable();
-            dirty.dedup();
-            if dirty.is_empty() {
-                break;
-            }
-            if self.gov.is_some_and(|g| g.check(dirty.len() as u64).is_err()) {
-                break;
-            }
-            self.stats.waves += 1;
-
-            // Phase A (parallel, read-only): per-node deltas plus the
-            // structural actions they imply. Under a governor the region
-            // is cancellable and worker panics degrade instead of
-            // unwinding.
-            let this = &self;
-            let dirty_ref = &dirty;
-            let outcomes = match par::try_run_tasks_with(
-                par,
-                dirty.len(),
-                |k| {
-                    (this.store.set_len(this.pts[dirty_ref[k]])
-                        + this.copy_succs[dirty_ref[k]].len()
-                        + 1) as u64
-                },
-                this.gov,
-                || (),
-                |(), k| this.wave_scan(dirty_ref[k]),
-            ) {
-                Ok((outcomes, _)) => outcomes,
-                Err(interrupt) => match self.gov {
-                    Some(g) => {
-                        g.note_interrupt(&interrupt);
-                        break;
-                    }
-                    None => {
-                        let f = interrupt.faults.first().expect("ungoverned interrupt has fault");
-                        panic!("parallel {f}");
-                    }
-                },
-            };
-
-            // Phase B (sequential): commit deltas to `prop` — interning
-            // each delta in wave order, so store ids stay deterministic —
-            // then apply structural mutations in ascending node order.
-            for (k, out) in outcomes.iter().enumerate() {
-                if out.delta.is_empty() {
-                    continue;
-                }
-                self.stats.pops += 1;
-                pops_since_scc += 1;
-                let did = self.store.intern(&out.delta);
-                self.prop[dirty[k]] = self.store.union(self.prop[dirty[k]], did);
-            }
-            for out in &outcomes {
-                for &(src, dst) in &out.copy_new {
-                    self.add_copy_edge(src as usize, dst as usize);
-                }
-                for &(dst, f) in &out.gep_new {
-                    let d = self.find(dst as usize);
-                    let new = self.store.insert(self.pts[d], f);
-                    if new != self.pts[d] {
-                        self.pts[d] = new;
-                        self.worklist.push(d);
-                    }
-                }
-                for &(cs, callee) in &out.calls {
-                    self.resolve_call(cs, callee);
-                }
-            }
-
-            // Phase C (parallel): propagate deltas along copy edges,
-            // sharded by target so each target's unions land on exactly
-            // one worker. Messages reference outcomes by index. The
-            // successor lists are only read, so resolving targets needs
-            // just a split borrow of the union-find — no clone per node.
-            let mut msgs: Vec<(u32, u32)> = Vec::new();
-            let uf = &mut self.uf;
-            for (k, out) in outcomes.iter().enumerate() {
-                if out.delta.is_empty() {
-                    continue;
-                }
-                let n = dirty[k];
-                for &s in &self.copy_succs[n] {
-                    let t = find_in(uf, s as usize);
-                    if t != n {
-                        msgs.push((t as u32, k as u32));
-                    }
-                }
-            }
-            msgs.sort_unstable();
-            msgs.dedup();
-            self.stats.propagations += msgs.len();
-            self.apply_unions(&msgs, &outcomes, par);
-
-            if let Some(interval) = self.config.scc_interval {
-                if pops_since_scc >= interval {
-                    pops_since_scc = 0;
-                    self.collapse_cycles();
-                }
-            }
-        }
-        self.finish()
-    }
-
-    /// Phase A worker: computes the unprocessed delta of representative
-    /// `n` and the actions it implies, without mutating any solver state.
-    fn wave_scan(&self, n: usize) -> WaveOutcome {
-        let mut out =
-            WaveOutcome { delta: self.store.materialize(self.pts[n]), ..Default::default() };
-        out.delta.subtract(&self.store.materialize(self.prop[n]));
-        if out.delta.is_empty() {
-            return out;
-        }
-        let loads = &self.loads[n];
-        let stores = &self.stores[n];
-        let geps = &self.geps[n];
-        let icalls = &self.icalls[n];
-        for o in out.delta.iter().collect::<Vec<_>>() {
-            let obj_node = self.pag.object_node(o).raw();
-            for &dst in loads {
-                out.copy_new.push((obj_node, dst));
-            }
-            for &val in stores {
-                out.copy_new.push((val, obj_node));
-            }
-            for &(offset, dst) in geps {
-                out.gep_new.push((dst, self.prog.field_object(o, offset)));
-            }
-            if !icalls.is_empty() {
-                if let Some(callee) = self.prog.object_as_function(o) {
-                    for &cs in icalls {
-                        out.calls.push((cs, callee));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Phase C: applies `msgs` — sorted `(target, outcome index)` union
-    /// requests — with one worker per cost-balanced group chunk. Workers
-    /// are *read-only* over the shared store: each resolves its targets'
-    /// current sets through a [`PtsScratch`], unions the message deltas
-    /// into private owned sets, and reports `(target, set)` pairs for the
-    /// targets that grew. The sequential barrier then sorts the grown
-    /// targets (each target lives on exactly one worker, so the order is
-    /// total) and interns them ascending, so store ids and the next wave
-    /// are identical for any worker count and any shard assignment.
-    ///
-    /// When a unification pre-analysis seeds the shards, groups are
-    /// ordered region-major before the cost split: targets of the same
-    /// alias region — the only ones whose sets can share elements — land
-    /// on the same worker wherever balance permits, and an oversized
-    /// region still splits rather than serialising the wave.
-    fn apply_unions(&mut self, msgs: &[(u32, u32)], outcomes: &[WaveOutcome], par: ParConfig) {
-        if msgs.is_empty() {
-            return;
-        }
-        // Group messages by target: (target, msgs start, msgs end).
-        let mut groups: Vec<(usize, usize, usize)> = Vec::new();
-        for (i, &(t, _)) in msgs.iter().enumerate() {
-            match groups.last_mut() {
-                Some(g) if g.0 == t as usize => g.2 = i + 1,
-                _ => groups.push((t as usize, i, i + 1)),
-            }
-        }
-        if let Some(regions) = &self.regions {
-            let region_of = |t: usize| regions.get(t).copied().unwrap_or(u32::MAX);
-            groups.sort_by_key(|&(t, _, _)| (region_of(t), t));
-        }
-        let costs: Vec<u64> = groups.iter().map(|&(_, s, e)| (e - s) as u64).collect();
-        let ranges = par::split_by_cost(&costs, par.effective_jobs());
-
-        type ChangedSets = Vec<(usize, PointsToSet<ObjId>)>;
-        let this = &*self;
-        let grown: Vec<Result<ChangedSets, WorkerFault>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(ranges.len());
-            for r in &ranges {
-                if r.is_empty() {
-                    continue;
-                }
-                let chunk_groups = &groups[r.clone()];
-                handles.push(scope.spawn(move || {
-                    // Union application cannot realistically panic, but
-                    // if it ever does the fault must not unwind through
-                    // `thread::scope` (two unwinding workers abort the
-                    // process). Catch and report instead.
-                    catch_unwind(AssertUnwindSafe(move || {
-                        let mut scratch = PtsScratch::new(&this.store);
-                        for &(t, s, e) in chunk_groups {
-                            scratch.union_into(
-                                t,
-                                this.pts[t],
-                                msgs[s..e].iter().map(|&(_, k)| &outcomes[k as usize].delta),
-                            );
-                        }
-                        scratch.into_changed()
-                    }))
-                    .map_err(|payload| WorkerFault {
-                        task: chunk_groups[0].0,
-                        message: panic_message(&*payload),
-                    })
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|payload| {
-                        Err(WorkerFault { task: usize::MAX, message: panic_message(&*payload) })
-                    })
-                })
-                .collect::<Vec<Result<ChangedSets, WorkerFault>>>()
-        });
-        let mut all_changed: ChangedSets = Vec::new();
-        for outcome in grown {
-            match outcome {
-                Ok(changed) => all_changed.extend(changed),
-                Err(fault) => match self.gov {
-                    // The wave-loop checkpoint sees the trip and breaks.
-                    Some(g) => g.trip(DegradeReason::WorkerPanic(fault)),
-                    None => panic!("parallel {fault}"),
-                },
-            }
-        }
-        // Deterministic merge: every target lives on exactly one worker,
-        // so sorting gives one total ascending intern order whatever the
-        // partition (contiguous, region-seeded, or otherwise).
-        all_changed.sort_unstable_by_key(|&(t, _)| t);
-        for (t, set) in all_changed {
-            self.pts[t] = self.store.intern(&set);
-            self.worklist.push(t);
         }
     }
 
@@ -898,11 +568,9 @@ mod tests {
         )
         .unwrap();
         // With and without cycle elimination.
-        for cfg in [
-            AndersenConfig { scc_interval: Some(1), ..Default::default() },
-            AndersenConfig { scc_interval: None, ..Default::default() },
-        ] {
-            let res = analyze_with(&prog, cfg, None, None).result;
+        for cfg in [AndersenConfig { scc_interval: Some(1) }, AndersenConfig { scc_interval: None }]
+        {
+            let res = analyze_with(&prog, cfg, None).result;
             assert_eq!(pts_names(&prog, res.value_pts(value(&prog, "c"))), vec!["A"]);
         }
     }
@@ -1057,20 +725,8 @@ mod tests {
             "#;
         for (name, src) in [("recursive", recursive.to_string()), ("hub", hub_program(256))] {
             let prog = parse_program(&src).unwrap();
-            let base = analyze_with(
-                &prog,
-                AndersenConfig { scc_interval: None, ..Default::default() },
-                None,
-                None,
-            )
-            .result;
-            let scc = analyze_with(
-                &prog,
-                AndersenConfig { scc_interval: Some(1), ..Default::default() },
-                None,
-                None,
-            )
-            .result;
+            let base = analyze_with(&prog, AndersenConfig { scc_interval: None }, None).result;
+            let scc = analyze_with(&prog, AndersenConfig { scc_interval: Some(1) }, None).result;
             if name == "hub" {
                 assert!(scc.stats.nodes_collapsed > 0, "hub: no cycle was collapsed");
             }
@@ -1112,179 +768,6 @@ mod tests {
             src += &format!("  %l{k} = load %t{k}\n");
         }
         src + "  ret\n}\n"
-    }
-
-    /// Asserts that `a` and `b` agree on every value/object points-to set
-    /// and on the (sorted) call-graph edge set.
-    fn assert_same_result(prog: &Program, a: &AndersenResult, b: &AndersenResult, label: &str) {
-        for (v, _) in prog.values.iter_enumerated() {
-            assert_eq!(
-                a.value_pts(v).iter().collect::<Vec<_>>(),
-                b.value_pts(v).iter().collect::<Vec<_>>(),
-                "{label}: value pts mismatch for {v:?}"
-            );
-        }
-        for (o, _) in prog.objects.iter_enumerated() {
-            assert_eq!(
-                a.object_pts(o).iter().collect::<Vec<_>>(),
-                b.object_pts(o).iter().collect::<Vec<_>>(),
-                "{label}: object pts mismatch for {o:?}"
-            );
-        }
-        let edges = |r: &AndersenResult| {
-            let mut e: Vec<_> = r.callgraph.edges().collect();
-            e.sort();
-            e
-        };
-        assert_eq!(edges(a), edges(b), "{label}: callgraph mismatch");
-    }
-
-    #[test]
-    fn wave_mode_matches_sequential_at_any_job_count() {
-        // Exercises loads, stores, geps, indirect calls, recursion
-        // (copy cycles), and multi-target function pointers.
-        let prog = parse_program(
-            r#"
-            global @table
-            func @rec(%n) {
-            entry:
-              %l = load %n
-              %r = call @rec(%l)
-              ret %r
-            }
-            func @g(%y) {
-            entry:
-              %h = alloc heap GH
-              ret %h
-            }
-            func @main() {
-            entry:
-              %p = alloc stack A
-              %h = alloc heap H
-              store %h, %p
-              %x = call @rec(%p)
-              %s = alloc stack S fields 3
-              %f1 = gep %s, 1
-              store %h, %f1
-              %fp0 = funaddr @rec
-              store %fp0, @table
-              %fp1 = funaddr @g
-              store %fp1, @table
-              %fp = load @table
-              %ic = icall %fp(%p)
-              ret
-            }
-            "#,
-        )
-        .unwrap();
-        for scc_interval in [Some(1), Some(4), None] {
-            let seq =
-                analyze_with(&prog, AndersenConfig { scc_interval, jobs: 1 }, None, None).result;
-            for jobs in [2usize, 8] {
-                let wave =
-                    analyze_with(&prog, AndersenConfig { scc_interval, jobs }, None, None).result;
-                assert_same_result(
-                    &prog,
-                    &seq,
-                    &wave,
-                    &format!("scc={scc_interval:?} jobs={jobs}"),
-                );
-                assert!(wave.stats.waves > 0);
-                assert_eq!(wave.stats.par_workers, jobs);
-            }
-        }
-    }
-
-    #[test]
-    fn region_seeded_waves_match_cost_only_sharding_exactly() {
-        let prog = parse_program(
-            r#"
-            global @table
-            func @rec(%n) {
-            entry:
-              %l = load %n
-              %r = call @rec(%l)
-              ret %r
-            }
-            func @g(%y) {
-            entry:
-              %h = alloc heap GH
-              ret %h
-            }
-            func @main() {
-            entry:
-              %p = alloc stack A
-              %h = alloc heap H
-              store %h, %p
-              %x = call @rec(%p)
-              %s = alloc stack S fields 3
-              %f1 = gep %s, 1
-              store %h, %f1
-              %q = alloc stack B
-              %h2 = alloc heap H2
-              store %h2, %q
-              %y2 = load %q
-              %fp0 = funaddr @rec
-              store %fp0, @table
-              %fp1 = funaddr @g
-              store %fp1, @table
-              %fp = load @table
-              %ic = icall %fp(%p)
-              ret
-            }
-            "#,
-        )
-        .unwrap();
-        let regions = crate::unify::analyze_unify(&prog).alias_regions(prog.objects.len());
-        for jobs in [2usize, 4, 8] {
-            let cfg = AndersenConfig::with_jobs(jobs);
-            let base = analyze_with(&prog, cfg, None, None).result;
-            let seeded = analyze_with(&prog, cfg, Some(&regions), None).result;
-            assert_same_result(&prog, &base, &seeded, &format!("jobs={jobs}"));
-            // Region seeding is a scheduling hint: the internal run must
-            // match exactly, not just the fixpoint.
-            assert_eq!(base.stats.waves, seeded.stats.waves);
-            assert_eq!(base.stats.pops, seeded.stats.pops);
-            assert_eq!(base.stats.propagations, seeded.stats.propagations);
-            assert!(!base.stats.region_seeded);
-            assert!(seeded.stats.region_seeded);
-        }
-    }
-
-    #[test]
-    fn wave_mode_is_bit_identical_across_job_counts() {
-        let prog = parse_program(
-            r#"
-            func @id(%x) {
-            entry:
-              ret %x
-            }
-            func @main() {
-            entry:
-              %pp = alloc stack PP
-              %p = alloc stack P
-              %h = alloc heap H
-              store %p, %pp
-              store %h, %p
-              %p2 = load %pp
-              %r = load %p2
-              %c = call @id(%r)
-              ret
-            }
-            "#,
-        )
-        .unwrap();
-        let base = analyze_with(&prog, AndersenConfig::with_jobs(2), None, None).result;
-        for jobs in [3usize, 8] {
-            let other = analyze_with(&prog, AndersenConfig::with_jobs(jobs), None, None).result;
-            // The wave schedule is thread-count independent, so even the
-            // internal run (merges, pushes, counters) matches exactly.
-            assert_same_result(&prog, &base, &other, &format!("jobs={jobs}"));
-            assert_eq!(base.stats.waves, other.stats.waves);
-            assert_eq!(base.stats.pops, other.stats.pops);
-            assert_eq!(base.stats.propagations, other.stats.propagations);
-            assert_eq!(base.stats.nodes_collapsed, other.stats.nodes_collapsed);
-        }
     }
 }
 
@@ -1419,13 +902,7 @@ mod more_tests {
         .unwrap();
         // With aggressive SCC the copies may merge; entries must not be
         // double-counted either way.
-        let res = analyze_with(
-            &prog,
-            AndersenConfig { scc_interval: Some(1), ..Default::default() },
-            None,
-            None,
-        )
-        .result;
+        let res = analyze_with(&prog, AndersenConfig { scc_interval: Some(1) }, None).result;
         assert!(res.total_pts_entries() >= 1);
         assert!(res.total_pts_entries() <= 3);
     }

@@ -45,24 +45,13 @@ fn andersen_scc(h: &mut Harness) {
     let prog = vsfs_workloads::generate(&cfg);
     h.bench("ablation/andersen_cycle_elimination/scc_on", || {
         black_box(
-            vsfs_andersen::analyze_with(
-                &prog,
-                AndersenConfig { scc_interval: Some(10_000), ..Default::default() },
-                None,
-                None,
-            )
-            .result,
+            vsfs_andersen::analyze_with(&prog, AndersenConfig { scc_interval: Some(10_000) }, None)
+                .result,
         )
     });
     h.bench("ablation/andersen_cycle_elimination/scc_off", || {
         black_box(
-            vsfs_andersen::analyze_with(
-                &prog,
-                AndersenConfig { scc_interval: None, ..Default::default() },
-                None,
-                None,
-            )
-            .result,
+            vsfs_andersen::analyze_with(&prog, AndersenConfig { scc_interval: None }, None).result,
         )
     });
 }

@@ -69,7 +69,7 @@ fn main() {
             let mut results: Vec<(SolveOrder, FlowSensitiveResult, f64)> = Vec::new();
             for order in [SolveOrder::Fifo, SolveOrder::Topo] {
                 let t = Instant::now();
-                let req = SolveRequest { config: order.into(), ..SolveRequest::new(kind) };
+                let req = SolveRequest { order, ..SolveRequest::new(kind) };
                 let r = vsfs_core::solve(&prog, &aux, Some((&mssa, &svfg)), req).result;
                 results.push((order, r, t.elapsed().as_secs_f64()));
             }

@@ -12,7 +12,7 @@
 use vsfs_checkers::{
     load_corpus, render_findings, run_checkers, AndersenView, CheckerCase, FlowView,
 };
-use vsfs_core::{FlowSensitiveResult, SolveConfig, SolveRequest, SolverKind};
+use vsfs_core::{FlowSensitiveResult, SolveRequest, SolverKind};
 use vsfs_ir::Program;
 
 fn corpus() -> Vec<CheckerCase> {
@@ -76,32 +76,6 @@ fn findings_identical_across_solvers_and_jobs() {
                 "{}: VSFS --jobs {jobs} findings differ from SFS (paths included)",
                 case.name
             );
-        }
-    }
-}
-
-#[test]
-fn region_memo_on_off_results_bit_identical() {
-    // The SCC-level memo only skips provable no-op transfers, so every
-    // corpus program must produce the same points-to sets, call graph,
-    // and checker findings (paths included) with it on and off.
-    for case in corpus() {
-        let p = pipeline(&case.source);
-        for kind in [SolverKind::Sfs, SolverKind::Vsfs] {
-            let name = kind.name();
-            let run = |region_memo| {
-                let config = SolveConfig { region_memo, ..SolveConfig::default() };
-                p.solve(SolveRequest { config, ..SolveRequest::new(kind) })
-            };
-            let base = run(false);
-            let memo = run(true);
-            assert_eq!(base.stats.scc_solves_skipped, 0, "{}/{name}: memo off", case.name);
-            if let Some(diff) = vsfs_core::precision_diff(&p.prog, &base, &memo) {
-                panic!("{}/{name}: memo on diverges from memo off: {diff}", case.name);
-            }
-            let f_base = run_checkers(&p.prog, &p.svfg, &FlowView(&base));
-            let f_memo = run_checkers(&p.prog, &p.svfg, &FlowView(&memo));
-            assert_eq!(f_base, f_memo, "{}/{name}: findings differ with memo on", case.name);
         }
     }
 }

@@ -4,7 +4,7 @@
 //! ```text
 //! vsfs [OPTIONS] <program.vir | --corpus NAME | --workload NAME>
 //! vsfs serve [--socket PATH] [--corpus DIR] [--solver NAME] [--order ORDER]
-//!            [--jobs N] [--snapshot-dir DIR] [--workers N] [--queue N]
+//!            [--snapshot-dir DIR] [--workers N] [--queue N]
 //!            [--deadline SECS] [--max-request-bytes N]
 //!
 //! `serve` starts the long-running incremental analysis server (see
@@ -26,11 +26,6 @@
 //!                      `unify` (equality-based unification — the
 //!                      coarsest, fastest tier; builds no memory SSA
 //!                      or SVFG)
-//!   --pre unify|none   run the unification pre-analysis first and seed
-//!                      the parallel phases with its disjoint alias
-//!                      regions (Andersen wave sharding; VSFS
-//!                      object-partitioned versioning). Results are
-//!                      bit-identical with and without the seed.
 //!   --ander            deprecated alias for `--solver ander`
 //!   --fspta            alias for `--solver sfs`
 //!   --vfspta           alias for `--solver vsfs`
@@ -41,9 +36,10 @@
 //!   --workload NAME    a generated suite benchmark (du, ninja, ...)
 //!
 //! Execution:
-//!   --jobs N           worker threads for the parallel solver phases
+//!   --jobs N           worker threads for VSFS's per-object versioning
 //!                      (default 1 = sequential; 0 = all cores; results
-//!                      are identical for every N)
+//!                      are identical for every N). Every other stage
+//!                      runs on one thread.
 //!   --order ORDER      worklist scheduling for the flow-sensitive
 //!                      fixpoints: `topo` (SCC-condensation topological
 //!                      priority, the default) or `fifo`; the final
@@ -51,13 +47,6 @@
 //!                      visit counts change. Rejected with the `ander`
 //!                      and `dense` solvers, whose worklists are not
 //!                      order-switchable.
-//!   --scc-memo MODE    region-level operation memoization in the
-//!                      SFS/VSFS fixpoints: `on` (the default) skips a
-//!                      node's transfer when its SVFG component's input
-//!                      stamp and its operand sets are unchanged since
-//!                      its last run; `off` disables the memo. Results
-//!                      are bit-identical either way (`--stats` reports
-//!                      the hit/skip counts).
 //!
 //! Budgets (any of these switches the run into governed mode):
 //!   --time-budget SECS wall-clock deadline shared by every stage
@@ -128,9 +117,6 @@ enum Analysis {
 #[derive(Debug)]
 struct Options {
     analysis: Analysis,
-    /// `--pre unify`: seed the sharded phases with unification alias
-    /// regions.
-    pre_unify: bool,
     input: Input,
     print_pts: bool,
     print_callgraph: bool,
@@ -142,9 +128,6 @@ struct Options {
     jobs: usize,
     /// `Some` only when `--order` was given explicitly.
     order: Option<SolveOrder>,
-    /// `--scc-memo`: region-level operation memoization in the SFS/VSFS
-    /// fixpoints (default on; results are bit-identical either way).
-    scc_memo: bool,
     time_budget: Option<f64>,
     step_budget: Option<u64>,
     mem_budget_mib: Option<usize>,
@@ -154,12 +137,6 @@ struct Options {
 impl Options {
     fn order(&self) -> SolveOrder {
         self.order.unwrap_or_default()
-    }
-
-    /// The full sparse-fixpoint configuration: worklist order plus the
-    /// region memo switch.
-    fn config(&self) -> vsfs_core::SolveConfig {
-        vsfs_core::SolveConfig { order: self.order(), region_memo: self.scc_memo }
     }
 
     fn governed(&self) -> bool {
@@ -179,8 +156,8 @@ enum Input {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: vsfs [--solver ander|dense|sfs|vsfs|cfgfree|unify] [--pre unify|none] \
-         [--jobs N] [--order fifo|topo] [--scc-memo on|off] \
+        "usage: vsfs [--solver ander|dense|sfs|vsfs|cfgfree|unify] \
+         [--jobs N] [--order fifo|topo] \
          [--time-budget SECS] [--step-budget N] [--mem-budget MIB] [--inject-fault KIND:SEED] \
          [--print-pts] [--print-callgraph] [--precision-report] [--dot-svfg FILE] \
          [--check] [--check-json FILE] [--stats] \
@@ -204,7 +181,7 @@ fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
     }
 }
 
-/// Parses a named-choice flag (`--solver`, `--order`, `--pre`, in both
+/// Parses a named-choice flag (`--solver`, `--order`, in both
 /// the driver and `serve`): one place constructs the typed unknown-name
 /// error, so every such flag reports a missing value, the offending
 /// name, and the accepted names the same way, exiting with code 1.
@@ -223,7 +200,6 @@ fn name_value<T>(
 
 fn parse_args() -> Options {
     let mut analysis = Analysis::Flow(SolverKind::default());
-    let mut pre_unify = false;
     let mut input = None;
     let mut print_pts = false;
     let mut print_callgraph = false;
@@ -234,7 +210,6 @@ fn parse_args() -> Options {
     let mut check_json = None;
     let mut jobs = 1usize;
     let mut order = None;
-    let mut scc_memo = true;
     let mut time_budget = None;
     let mut step_budget = None;
     let mut mem_budget_mib = None;
@@ -246,14 +221,6 @@ fn parse_args() -> Options {
             "--order" => {
                 order =
                     Some(name_value("--order", args.next(), "`fifo` or `topo`", SolveOrder::parse));
-            }
-            "--scc-memo" => {
-                scc_memo =
-                    name_value("--scc-memo", args.next(), "`on` or `off`", |name| match name {
-                        "on" => Some(true),
-                        "off" => Some(false),
-                        _ => None,
-                    });
             }
             "--time-budget" => {
                 let secs: f64 = flag_value("--time-budget", args.next());
@@ -285,14 +252,6 @@ fn parse_args() -> Options {
                         _ => SolverKind::parse(name).map(Analysis::Flow),
                     },
                 );
-            }
-            "--pre" => {
-                pre_unify =
-                    name_value("--pre", args.next(), "`unify` or `none`", |name| match name {
-                        "unify" => Some(true),
-                        "none" => Some(false),
-                        _ => None,
-                    });
             }
             "--ander" => {
                 eprintln!("warning: --ander is deprecated; use `--solver ander`");
@@ -330,7 +289,6 @@ fn parse_args() -> Options {
     }
     Options {
         analysis,
-        pre_unify,
         input: input.unwrap_or_else(|| usage()),
         print_pts,
         print_callgraph,
@@ -341,7 +299,6 @@ fn parse_args() -> Options {
         check_json,
         jobs,
         order,
-        scc_memo,
         time_budget,
         step_budget,
         mem_budget_mib,
@@ -440,13 +397,6 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(1);
     }
-    if opts.pre_unify && opts.governed() {
-        eprintln!(
-            "error: --pre unify seeds the ungoverned sharded phases and is not \
-             budget-aware; drop the budget flags or the pre-analysis"
-        );
-        return ExitCode::from(1);
-    }
     if opts.governed() {
         run_governed(&opts, &prog)
     } else {
@@ -455,7 +405,7 @@ fn main() -> ExitCode {
 }
 
 /// `vsfs serve [--socket PATH] [--corpus DIR] [--solver NAME]
-/// [--order ORDER] [--jobs N] [--snapshot-dir DIR] [--workers N]
+/// [--order ORDER] [--snapshot-dir DIR] [--workers N]
 /// [--queue N] [--deadline SECS] [--max-request-bytes N]` — the
 /// long-running incremental analysis server (line-delimited JSON on
 /// stdin/stdout, or on a Unix socket with `--socket`). `--corpus DIR`
@@ -475,7 +425,6 @@ fn run_serve(args: Vec<String>) -> ExitCode {
         match a.as_str() {
             "--socket" => socket = Some(flag_value("--socket", it.next())),
             "--corpus" => corpus = Some(flag_value("--corpus", it.next())),
-            "--jobs" => config.opts.jobs = flag_value("--jobs", it.next()),
             "--snapshot-dir" => config.snapshot_dir = Some(flag_value("--snapshot-dir", it.next())),
             "--workers" => config.workers = flag_value("--workers", it.next()),
             "--queue" => config.queue_depth = flag_value("--queue", it.next()),
@@ -650,29 +599,9 @@ fn check_annotations(
     ann
 }
 
-/// The `--stats` line for the `--pre unify` pre-analysis.
-fn print_pre_stats(unify: &vsfs_andersen::UnifyResult, regions: &vsfs_andersen::AliasRegions) {
-    println!(
-        "pre-analysis:      {} ({:.3}s, {} classes, {} alias regions)",
-        unify.config.tier_name(),
-        unify.stats.seconds,
-        unify.stats.classes,
-        regions.region_count
-    );
-}
-
 fn run_plain(opts: &Options, prog: &Program) -> ExitCode {
-    // `--pre unify`: the unification pre-analysis runs first and its
-    // provably-disjoint alias regions seed every sharded phase below.
-    // The seed is a pure scheduling hint — results are bit-identical.
-    let pre = opts.pre_unify.then(|| {
-        let unify = vsfs_andersen::analyze_unify(prog);
-        let regions = unify.alias_regions(prog.objects.len());
-        (unify, regions)
-    });
     let t0 = Instant::now();
-    let config = vsfs_andersen::AndersenConfig::with_jobs(opts.jobs);
-    let aux = vsfs_andersen::analyze_with(prog, config, pre.as_ref().map(|(_, r)| r), None).result;
+    let aux = vsfs_andersen::analyze(prog);
     let aux_time = t0.elapsed();
 
     if opts.analysis == Analysis::Andersen {
@@ -683,9 +612,6 @@ fn run_plain(opts: &Options, prog: &Program) -> ExitCode {
             print_callgraph_edges(prog, &aux.callgraph.edges().collect::<Vec<_>>());
         }
         if opts.stats {
-            if let Some((unify, regions)) = &pre {
-                print_pre_stats(unify, regions);
-            }
             println!("andersen: {:.3}s, {:?}", aux_time.as_secs_f64(), aux.stats);
             println!("peak heap: {:.2} MiB", vsfs_adt::mem::peak_bytes() as f64 / (1 << 20) as f64);
         }
@@ -712,12 +638,7 @@ fn run_plain(opts: &Options, prog: &Program) -> ExitCode {
         }
     }
 
-    let req = SolveRequest {
-        config: opts.config(),
-        jobs: opts.jobs,
-        regions: pre.as_ref().map(|(_, regions)| &regions.region_of_object[..]),
-        ..SolveRequest::new(kind)
-    };
+    let req = SolveRequest { order: opts.order(), jobs: opts.jobs, ..SolveRequest::new(kind) };
     let result = vsfs_core::solve(prog, &aux, staged.as_ref().map(|(m, s)| (m, s)), req).result;
 
     report_result(opts, prog, &aux, &result);
@@ -739,14 +660,7 @@ fn run_plain(opts: &Options, prog: &Program) -> ExitCode {
         if kind != SolverKind::Dense && kind != SolverKind::Unify {
             println!("order:             {}", opts.order().name());
         }
-        if let Some((unify, regions)) = &pre {
-            print_pre_stats(unify, regions);
-        }
-        println!(
-            "andersen:          {:.3}s{}",
-            aux_time.as_secs_f64(),
-            if aux.stats.region_seeded { " (region-seeded waves)" } else { "" }
-        );
+        println!("andersen:          {:.3}s", aux_time.as_secs_f64());
         if staged.is_some() {
             println!("mssa + svfg:       {:.3}s", build_time.as_secs_f64());
         }
@@ -800,14 +714,6 @@ fn run_plain(opts: &Options, prog: &Program) -> ExitCode {
         println!("would-change:      {} fast, {} slow", st.would_change_fast, st.would_change_slow);
         println!("strong updates:    {}", s.strong_updates);
         println!("calls activated:   {}", s.calls_activated);
-        if kind == SolverKind::Sfs || kind == SolverKind::Vsfs {
-            println!(
-                "scc memo:          {} fingerprint hits, {} solves skipped{}",
-                s.scc_fingerprint_hits,
-                s.scc_solves_skipped,
-                if opts.scc_memo { "" } else { " (disabled)" }
-            );
-        }
         if let Some((_, svfg)) = &staged {
             println!(
                 "svfg: {} nodes, {} direct edges, {} indirect edges",
@@ -889,20 +795,15 @@ fn run_governed(opts: &Options, prog: &Program) -> ExitCode {
     let mem_bytes = opts.mem_budget_mib.map(|mib| mib << 20);
 
     // Auxiliary stage: only the deadline and the memory cap apply — step
-    // budgets are not schedule-portable across Andersen's wave/sequential
-    // modes, and a partially solved Andersen is an under-approximation
-    // (unsound), so there is no fallback if this stage degrades.
+    // budgets count flow-sensitive steps, and a partially solved Andersen
+    // is an under-approximation (unsound) that cannot be served as-is.
     let mut aux_budget = Budget::unlimited();
     if let Some(bytes) = mem_bytes {
         aux_budget = aux_budget.with_mem_bytes(bytes);
     }
     let aux_gov = Governor::with_cancel(aux_budget, cancel.clone());
-    let aux_out = vsfs_andersen::analyze_with(
-        prog,
-        vsfs_andersen::AndersenConfig::with_jobs(opts.jobs),
-        None,
-        Some(&aux_gov),
-    );
+    let aux_out =
+        vsfs_andersen::analyze_with(prog, vsfs_andersen::AndersenConfig::default(), Some(&aux_gov));
     if let Completion::Degraded(reason) = &aux_out.completion {
         // Rung 3 of the soundness ladder. A partial Andersen fixpoint is
         // an under-approximation — unsound to report — but the
@@ -951,7 +852,7 @@ fn run_governed(opts: &Options, prog: &Program) -> ExitCode {
         .with_fault(opts.inject_fault.as_ref().and_then(FaultPlan::spec));
 
     let req = SolveRequest {
-        config: opts.config(),
+        order: opts.order(),
         jobs: opts.jobs,
         governor: Some(&fs_gov),
         ..SolveRequest::new(kind)

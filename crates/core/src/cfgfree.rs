@@ -39,7 +39,7 @@
 //! them (enforced by `tests/equivalence.rs` and the CI solver gate).
 
 use crate::result::{FlowSensitiveResult, SolveStats};
-use crate::schedule::{SolveConfig, SolveOrder};
+use crate::schedule::SolveOrder;
 use std::time::Instant;
 use vsfs_adt::govern::{Completion, Governor};
 use vsfs_adt::{FxHashMap, FxHashSet, IndexVec, PointsToSet, PtsId, PtsStore, Worklist};
@@ -53,17 +53,17 @@ const EMPTY: PtsId = PtsStore::<ObjId>::EMPTY;
 
 /// The CFG-free engine behind [`crate::solve`] (`SolverKind::CfgFree`).
 /// Unlike the staged solvers it takes no memory SSA and no SVFG — the
-/// Andersen result is the whole pipeline — and of `config` it uses only
-/// the worklist order (the fixpoint is order-independent; only the
-/// visit counts change). Governed runs checkpoint once per worklist pop.
+/// Andersen result is the whole pipeline. The worklist `order` changes
+/// only the visit counts, never the fixpoint. Governed runs checkpoint
+/// once per worklist pop.
 pub(crate) fn solve(
     prog: &Program,
     aux: &AndersenResult,
-    config: SolveConfig,
+    order: SolveOrder,
     governor: Option<&Governor>,
 ) -> (FlowSensitiveResult, Completion) {
     let start = Instant::now();
-    let mut solver = CfgFreeSolver::new(prog, aux, config.order);
+    let mut solver = CfgFreeSolver::new(prog, aux, order);
     for i in prog.insts.indices() {
         solver.worklist.push(i);
     }
@@ -410,7 +410,7 @@ impl<'a> CfgFreeSolver<'a> {
     /// graph: SSA def-use edges, memory reach edges, parameter flow,
     /// and every *candidate* call binding from the auxiliary call
     /// graph (so edges activated mid-solve are already ranked —
-    /// mirroring `schedule::svfg_schedule`).
+    /// mirroring `schedule::node_worklist`).
     fn inst_ranks(&self) -> Vec<u32> {
         let mut g: DiGraph<InstId> = DiGraph::with_nodes(self.prog.insts.len());
         for v in self.prog.values.indices() {
@@ -907,13 +907,13 @@ mod tests {
         let fifo = run(
             &prog,
             &aux,
-            SolveRequest { config: SolveOrder::Fifo.into(), ..SolveRequest::new(CFGFREE) },
+            SolveRequest { order: SolveOrder::Fifo, ..SolveRequest::new(CFGFREE) },
         )
         .result;
         let topo = run(
             &prog,
             &aux,
-            SolveRequest { config: SolveOrder::Topo.into(), ..SolveRequest::new(CFGFREE) },
+            SolveRequest { order: SolveOrder::Topo, ..SolveRequest::new(CFGFREE) },
         )
         .result;
         assert_eq!(crate::precision_diff(&prog, &fifo, &topo), None);

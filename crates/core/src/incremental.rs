@@ -100,8 +100,6 @@ pub struct IncrementalOptions {
     /// Worklist discipline of the flow-sensitive stage (results are
     /// order-independent; only visit counts change).
     pub order: SolveOrder,
-    /// Worker threads for the auxiliary Andersen stage.
-    pub jobs: usize,
 }
 
 impl Default for IncrementalOptions {
@@ -109,7 +107,7 @@ impl Default for IncrementalOptions {
         // The server's historical engine is the staged SFS solver (the
         // seeded/incremental one); `SolverKind::default()` is the CLI's
         // batch default and intentionally differs.
-        IncrementalOptions { solver: SolverKind::Sfs, order: SolveOrder::default(), jobs: 1 }
+        IncrementalOptions { solver: SolverKind::Sfs, order: SolveOrder::default() }
     }
 }
 
@@ -341,8 +339,7 @@ pub(crate) fn build_front_ladder(
     let prog = vsfs_ir::parse_program_all(source)
         .map_err(|errs| SolveError::Parse(errs.iter().map(|e| e.to_string()).collect()))?;
     vsfs_ir::verify::verify(&prog).map_err(|e| SolveError::Verify(e.to_string()))?;
-    let config = AndersenConfig::with_jobs(opts.jobs.max(1));
-    let outcome = analyze_with(&prog, config, None, aux_governor);
+    let outcome = analyze_with(&prog, AndersenConfig::default(), aux_governor);
     if let Completion::Degraded(reason) = outcome.completion {
         return Ok(FrontBuild::AuxDegraded {
             prog: Box::new(prog),
@@ -448,7 +445,7 @@ pub(crate) fn solve_front(
         &front.aux,
         &staged.mssa,
         &staged.svfg,
-        opts.order.into(),
+        opts.order,
         fs_governor,
         None,
     );
@@ -473,7 +470,7 @@ fn solve_cold_only(
     fs_governor: Option<&Governor>,
 ) -> (ProgramState, SolveReport) {
     let req = SolveRequest {
-        config: opts.order.into(),
+        order: opts.order,
         governor: fs_governor,
         ..SolveRequest::new(front.solver)
     };
@@ -770,7 +767,7 @@ fn solve_incremental(
             &front.aux,
             &staged.mssa,
             &staged.svfg,
-            opts.order.into(),
+            opts.order,
             fs_governor,
             Some(seed),
         );

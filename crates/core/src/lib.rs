@@ -57,7 +57,6 @@ pub mod dense;
 pub mod incremental;
 pub mod precision;
 pub mod queries;
-mod region;
 pub mod result;
 pub mod schedule;
 pub mod sfs;
@@ -75,7 +74,7 @@ pub use precision::{compare_precision, PrecisionReport};
 pub use result::{
     precision_diff, same_precision, FlowSensitiveResult, GovernedAnalysis, SolveStats,
 };
-pub use schedule::{SolveConfig, SolveOrder};
+pub use schedule::SolveOrder;
 pub use sfs::run_sfs;
 pub use solver::{solve, SolveRequest, SolverCaps, SolverKind};
 pub use versioning::{VersionTables, VersioningStats};

@@ -213,13 +213,8 @@ pub struct SolveStats {
     /// Versioning-only: version reliance (propagation) constraints after
     /// deduplication.
     pub reliance_edges: usize,
-    /// Node pops whose SVFG component's input stamp was unchanged since
-    /// the node's last visit — the region-level memo recognised a clean
-    /// region (see `crate::region`).
-    pub scc_fingerprint_hits: usize,
-    /// Node transfers actually skipped on the strength of a region-memo
-    /// hit. At most [`SolveStats::scc_fingerprint_hits`]; a hit is not a
-    /// skip when skipping is unsound for that node kind.
+    /// Always `0`: no solver skips node transfers. Kept only because the
+    /// `perfbench` adapter still reads it.
     pub scc_solves_skipped: usize,
     /// Versioning pre-analysis wall-clock time in seconds (0 for SFS).
     pub versioning_seconds: f64,

@@ -16,7 +16,8 @@
 //! unsound — only locally non-topological, costing at worst extra
 //! re-visits.
 
-use vsfs_graph::{condensation_ranks, DiGraph, Sccs};
+use vsfs_adt::Worklist;
+use vsfs_graph::{condensation_ranks, DiGraph};
 use vsfs_ir::{InstId, Program};
 use vsfs_svfg::{Svfg, SvfgNodeId};
 
@@ -31,30 +32,6 @@ pub enum SolveOrder {
     /// FIFO within a cycle. The default.
     #[default]
     Topo,
-}
-
-/// Configuration of the staged flow-sensitive fixpoints (SFS/VSFS).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SolveConfig {
-    /// Worklist scheduling policy.
-    pub order: SolveOrder,
-    /// Region-level operation memoization (see `crate::region`): skip a
-    /// node pop when its SVFG component's input stamp and its top-level
-    /// operand sets are unchanged since the node last ran. The fixpoint
-    /// is bit-identical either way; default on.
-    pub region_memo: bool,
-}
-
-impl Default for SolveConfig {
-    fn default() -> Self {
-        SolveConfig { order: SolveOrder::default(), region_memo: true }
-    }
-}
-
-impl From<SolveOrder> for SolveConfig {
-    fn from(order: SolveOrder) -> Self {
-        SolveConfig { order, ..SolveConfig::default() }
-    }
 }
 
 impl SolveOrder {
@@ -109,18 +86,31 @@ fn svfg_dep_graph(prog: &Program, svfg: &Svfg) -> DiGraph<SvfgNodeId> {
     g
 }
 
-/// Worklist ranks *and* SCC component ids per SVFG node, from one
-/// dependence-graph build. Ranks order the topological worklist;
-/// component ids key the region memo's input stamps. The two are
-/// distinct: independent SCCs at the same condensation depth share a
-/// rank but must not share a stamp, or unrelated deliveries would
-/// invalidate each other's regions.
-pub(crate) fn svfg_schedule(prog: &Program, svfg: &Svfg) -> (Vec<u32>, Vec<u32>) {
-    let g = svfg_dep_graph(prog, svfg);
-    let ranks = condensation_ranks(&g);
-    let sccs = Sccs::compute(&g);
-    let comps = svfg.node_ids().map(|n| sccs.component(n)).collect();
-    (ranks, comps)
+/// The SVFG node worklist for `order`. Only `Topo` builds the
+/// dependence graph and ranks it; `Fifo` needs neither.
+pub(crate) fn node_worklist(
+    prog: &Program,
+    svfg: &Svfg,
+    order: SolveOrder,
+) -> Worklist<SvfgNodeId> {
+    match order {
+        SolveOrder::Fifo => Worklist::fifo(svfg.node_count()),
+        SolveOrder::Topo => Worklist::priority(condensation_ranks(&svfg_dep_graph(prog, svfg))),
+    }
+}
+
+/// The VSFS version-slot worklist for `order`; only `Topo` ranks the
+/// slots.
+pub(crate) fn slot_worklist(
+    prog: &Program,
+    svfg: &Svfg,
+    tables: &VersionTables,
+    order: SolveOrder,
+) -> Worklist<usize> {
+    match order {
+        SolveOrder::Fifo => Worklist::fifo(tables.slot_count() as usize),
+        SolveOrder::Topo => Worklist::priority(slot_ranks(prog, svfg, tables)),
+    }
 }
 
 /// Topological ranks for the VSFS version-slot worklist.
@@ -128,7 +118,7 @@ pub(crate) fn svfg_schedule(prog: &Program, svfg: &Svfg) -> (Vec<u32>, Vec<u32>)
 /// The dependence graph is the static version reliance relation plus the
 /// candidate `(yield, consume)` pairs an on-the-fly call activation could
 /// add, mirroring `VsfsSolver::activate_binding`.
-pub(crate) fn slot_ranks(prog: &Program, svfg: &Svfg, tables: &VersionTables) -> Vec<u32> {
+fn slot_ranks(prog: &Program, svfg: &Svfg, tables: &VersionTables) -> Vec<u32> {
     let n = tables.slot_count() as usize;
     let mut g: DiGraph<usize> = DiGraph::with_nodes(n);
     for y in 0..n {
@@ -165,7 +155,6 @@ pub(crate) fn slot_ranks(prog: &Program, svfg: &Svfg, tables: &VersionTables) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vsfs_adt::FxHashSet;
     use vsfs_ir::parse_program;
     use vsfs_mssa::MemorySsa;
 
@@ -198,12 +187,8 @@ mod tests {
         let aux = vsfs_andersen::analyze(&prog);
         let mssa = MemorySsa::build(&prog, &aux);
         let svfg = Svfg::build(&prog, &aux, &mssa);
-        let (ranks, comps) = svfg_schedule(&prog, &svfg);
+        let ranks = condensation_ranks(&svfg_dep_graph(&prog, &svfg));
         assert_eq!(ranks.len(), svfg.node_count());
-        assert_eq!(comps.len(), svfg.node_count());
-        // This graph is acyclic, so component ids are distinct per node.
-        let distinct: FxHashSet<u32> = comps.iter().copied().collect();
-        assert_eq!(distinct.len(), svfg.node_count());
         // Every static edge is (weakly) rank-ordered.
         for n in svfg.node_ids() {
             for &(s, _) in svfg.indirect_succs(n) {

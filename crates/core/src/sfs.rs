@@ -11,9 +11,8 @@
 //! the node would propagate for that object may have changed; popping a
 //! node propagates only its dirty objects.
 
-use crate::region::RegionMemo;
 use crate::result::{FlowSensitiveResult, SolveStats};
-use crate::schedule::{svfg_schedule, SolveConfig, SolveOrder};
+use crate::schedule::{node_worklist, SolveOrder};
 use crate::solver::{SolveRequest, SolverKind};
 use crate::toplevel::{TopLevel, EMPTY};
 use std::time::Instant;
@@ -35,17 +34,17 @@ pub fn run_sfs(
     crate::solve(prog, aux, Some((mssa, svfg)), SolveRequest::new(SolverKind::Sfs)).result
 }
 
-/// The SFS engine behind [`crate::solve`]: a cold solve under `config`,
+/// The SFS engine behind [`crate::solve`]: a cold solve under `order`,
 /// with one cooperative checkpoint per worklist pop when governed.
 pub(crate) fn solve(
     prog: &Program,
     aux: &AndersenResult,
     mssa: &MemorySsa,
     svfg: &Svfg,
-    config: SolveConfig,
+    order: SolveOrder,
     governor: Option<&Governor>,
 ) -> (FlowSensitiveResult, Completion) {
-    let (result, completion, _) = solve_impl(prog, aux, mssa, svfg, governor, config, None, false);
+    let (result, completion, _) = solve_impl(prog, aux, mssa, svfg, governor, order, None, false);
     (result, completion)
 }
 
@@ -84,11 +83,11 @@ pub(crate) fn run_sfs_seeded(
     aux: &AndersenResult,
     mssa: &MemorySsa,
     svfg: &Svfg,
-    config: SolveConfig,
+    order: SolveOrder,
     governor: Option<&Governor>,
     seed: Option<SfsSeed>,
 ) -> (FlowSensitiveResult, Completion, Option<SfsHarvest>) {
-    solve_impl(prog, aux, mssa, svfg, governor, config, seed, true)
+    solve_impl(prog, aux, mssa, svfg, governor, order, seed, true)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -98,12 +97,12 @@ fn solve_impl(
     mssa: &MemorySsa,
     svfg: &Svfg,
     governor: Option<&Governor>,
-    config: SolveConfig,
+    order: SolveOrder,
     seed: Option<SfsSeed>,
     want_harvest: bool,
 ) -> (FlowSensitiveResult, Completion, Option<SfsHarvest>) {
     let start = Instant::now();
-    let mut solver = SfsSolver::new(prog, aux, mssa, svfg, config);
+    let mut solver = SfsSolver::new(prog, aux, mssa, svfg, order);
     match seed {
         Some(seed) => solver.apply_seed(seed),
         None => solver.init_cold(),
@@ -152,12 +151,6 @@ struct SfsSolver<'a> {
     dyn_frontier: IndexVec<SvfgNodeId, Vec<PtsId>>,
     /// Objects whose outgoing value changed since the node last ran.
     dirty: IndexVec<SvfgNodeId, PointsToSet<ObjId>>,
-    /// Region-level operation memoization (see `crate::region`).
-    memo: RegionMemo,
-    /// Chi objects each STORE node statically strong-updates: their
-    /// consumed `IN` state is killed, so its growth is not an effective
-    /// input delivery and does not bump the memo's component stamp.
-    su_kill: IndexVec<SvfgNodeId, PointsToSet<ObjId>>,
     worklist: Worklist<SvfgNodeId>,
     stats: SolveStats,
 }
@@ -168,33 +161,14 @@ impl<'a> SfsSolver<'a> {
         aux: &'a AndersenResult,
         mssa: &'a MemorySsa,
         svfg: &'a Svfg,
-        config: SolveConfig,
+        order: SolveOrder,
     ) -> Self {
         let n = svfg.node_count();
-        let top = TopLevel::new(prog, aux, svfg);
-        let (ranks, comps) = svfg_schedule(prog, svfg);
-        let worklist = match config.order {
-            SolveOrder::Fifo => Worklist::fifo(n),
-            SolveOrder::Topo => Worklist::priority(ranks),
-        };
-        let memo = RegionMemo::new(prog, svfg, comps, config.region_memo);
-        let mut su_kill: IndexVec<SvfgNodeId, PointsToSet<ObjId>> =
-            (0..n).map(|_| PointsToSet::new()).collect();
-        for (i, inst) in prog.insts.iter_enumerated() {
-            if let InstKind::Store { addr, .. } = inst.kind {
-                let node = svfg.inst_node(i);
-                for chi in mssa.chis(i) {
-                    if top.is_strong_update(addr, chi.obj) {
-                        su_kill[node].insert(chi.obj);
-                    }
-                }
-            }
-        }
         SfsSolver {
             prog,
             mssa,
             svfg,
-            top,
+            top: TopLevel::new(prog, aux, svfg),
             ins: (0..n).map(|_| ObjMap::default()).collect(),
             outs: (0..n).map(|_| ObjMap::default()).collect(),
             dyn_succs: (0..n).map(|_| Vec::new()).collect(),
@@ -204,9 +178,7 @@ impl<'a> SfsSolver<'a> {
                 .collect(),
             dyn_frontier: (0..n).map(|_| Vec::new()).collect(),
             dirty: (0..n).map(|_| PointsToSet::new()).collect(),
-            memo,
-            su_kill,
-            worklist,
+            worklist: node_worklist(prog, svfg, order),
             stats: SolveStats::default(),
         }
     }
@@ -322,9 +294,7 @@ impl<'a> SfsSolver<'a> {
                 }
             }
             self.stats.node_pops += 1;
-            if self.memo.admit(node, &self.top.pt, &mut self.stats) {
-                self.process(node);
-            }
+            self.process(node);
         }
         Completion::Complete
     }
@@ -471,12 +441,6 @@ impl<'a> SfsSolver<'a> {
         let new = self.top.store.union(cur, delta);
         self.ins[succ].insert(o, new);
         self.dirty[succ].insert(o);
-        // A statically-strong store kills the consumed state of `o`, so
-        // this delivery cannot change its outputs — the pop it triggers
-        // is skippable and the stamps stay put.
-        if !self.su_kill[succ].contains(o) {
-            self.memo.invalidate_edge(node, succ);
-        }
         self.worklist.push(succ);
         val
     }
@@ -485,15 +449,6 @@ impl<'a> SfsSolver<'a> {
     /// activated `(call, callee)` pair.
     fn activate_binding(&mut self, call: InstId, callee: FuncId) {
         self.stats.calls_activated += 1;
-        // The new caller is input to the callee's `FUNEXIT` transfer (it
-        // publishes its return to the grown caller list), and this
-        // function may mark the exit dirty below without a worklist push
-        // of its own — the memo must not skip the exit pop
-        // `TopLevel::activate` queued. The *entry* pop it queued needs no
-        // bump: `FUNENTRY` has no transfer, and the caller's object state
-        // arrives through `ship_delta`, which bumps on delivery.
-        let f = &self.prog.functions[callee];
-        self.memo.invalidate(self.svfg.inst_node(f.exit_inst));
         let Some(binding) = self.svfg.call_binding(call, callee) else {
             return; // direct call: edges already in the static SVFG
         };

@@ -17,8 +17,8 @@
 //! [`SolverKind`] names the member; [`SolverCaps`] declares which
 //! pipeline stages it needs and which serving features it supports;
 //! [`solve`] runs it. A [`SolveRequest`] carries every setting a solve
-//! takes — worklist configuration, versioning jobs and region seeding,
-//! pre-built version tables, and an optional [`Governor`] — so the CLI,
+//! takes — worklist order, versioning jobs, pre-built version tables,
+//! and an optional [`Governor`] — so the CLI,
 //! the incremental server, the bench bins and the tests all reach the
 //! engines through this one function. A new solver is one variant, one
 //! `solve` arm and one honest `caps()` row.
@@ -26,7 +26,7 @@
 //! [`FlowSensitiveResult`]: crate::FlowSensitiveResult
 
 use crate::result::{FlowSensitiveResult, GovernedAnalysis};
-use crate::schedule::SolveConfig;
+use crate::schedule::SolveOrder;
 use crate::versioning::VersionTables;
 use crate::{cfgfree, dense, sfs, vsfs};
 use vsfs_adt::govern::{Completion, Governor};
@@ -131,15 +131,10 @@ impl SolverKind {
 pub struct SolveRequest<'a> {
     /// The solver to run.
     pub kind: SolverKind,
-    /// Worklist order and region-memo switch (sparse solvers; `dense`
-    /// and `unify` ignore it, `cfgfree` reads only the order).
-    pub config: SolveConfig,
+    /// Worklist order (sparse solvers; `dense` and `unify` ignore it).
+    pub order: SolveOrder,
     /// Versioning meld threads (VSFS only; `0` = all cores).
     pub jobs: usize,
-    /// Per-object alias regions (`AliasRegions::region_of_object` from a
-    /// `--pre unify` pre-analysis) seeding the VSFS meld tasks — a pure
-    /// scheduling hint.
-    pub regions: Option<&'a [u32]>,
     /// Pre-built version tables: VSFS skips its versioning stage.
     pub tables: Option<VersionTables>,
     /// Budgets, cancellation and fault injection; `None` runs with no
@@ -148,17 +143,10 @@ pub struct SolveRequest<'a> {
 }
 
 impl SolveRequest<'_> {
-    /// The default request for `kind`: default configuration, one
-    /// versioning job, no region seeding, no pre-built tables, ungoverned.
+    /// The default request for `kind`: default order, one versioning
+    /// job, no pre-built tables, ungoverned.
     pub fn new(kind: SolverKind) -> Self {
-        SolveRequest {
-            kind,
-            config: SolveConfig::default(),
-            jobs: 1,
-            regions: None,
-            tables: None,
-            governor: None,
-        }
+        SolveRequest { kind, order: SolveOrder::default(), jobs: 1, tables: None, governor: None }
     }
 }
 
@@ -181,31 +169,30 @@ pub fn solve(
     staged: Option<(&MemorySsa, &Svfg)>,
     req: SolveRequest,
 ) -> GovernedAnalysis {
-    let SolveRequest { kind, config, jobs, regions, tables, governor } = req;
+    let SolveRequest { kind, order, jobs, tables, governor } = req;
     let staged =
         || staged.unwrap_or_else(|| panic!("{} needs the memory SSA and SVFG stages", kind.name()));
     let (result, completion) = match kind {
         SolverKind::Dense => dense::solve(prog, aux, governor),
         SolverKind::Sfs => {
             let (mssa, svfg) = staged();
-            sfs::solve(prog, aux, mssa, svfg, config, governor)
+            sfs::solve(prog, aux, mssa, svfg, order, governor)
         }
         SolverKind::Vsfs => {
             let (mssa, svfg) = staged();
             let tables = match tables {
                 Some(tables) => tables,
                 None => {
-                    let built =
-                        VersionTables::build_with(prog, mssa, svfg, jobs, regions, governor);
+                    let built = VersionTables::build_with(prog, mssa, svfg, jobs, governor);
                     if let Completion::Degraded(reason) = built.completion {
                         return GovernedAnalysis::fallback(prog, aux, "versioning", reason);
                     }
                     built.result
                 }
             };
-            vsfs::solve(prog, aux, mssa, svfg, tables, config, governor)
+            vsfs::solve(prog, aux, mssa, svfg, tables, order, governor)
         }
-        SolverKind::CfgFree => cfgfree::solve(prog, aux, config, governor),
+        SolverKind::CfgFree => cfgfree::solve(prog, aux, order, governor),
         SolverKind::Unify => {
             // A partial unification fixpoint is unsound, so a governed
             // unify run that trips is not served as-is: the complete

@@ -91,24 +91,18 @@ pub struct VersionTables {
 impl VersionTables {
     /// Builds the version tables for `svfg` sequentially.
     pub fn build(prog: &Program, mssa: &MemorySsa, svfg: &Svfg) -> VersionTables {
-        VersionTables::build_with(prog, mssa, svfg, 1, None, None).result
+        VersionTables::build_with(prog, mssa, svfg, 1, None).result
     }
 
     /// Builds the version tables using up to `jobs` worker threads
     /// (`0` = all cores) for the per-object meld phase, optionally
-    /// seeded by alias regions and optionally governed.
+    /// governed.
     ///
     /// The result is bit-identical for every `jobs` value: each object's
     /// meld labelling is computed independently with object-local
     /// version numbering, and a sequential reduce in ascending object
     /// order assigns global slot ids as prefix-sum offsets — the same
     /// ids the sequential pass assigns.
-    ///
-    /// `regions` (`region_of_object`, from `vsfs_andersen::AliasRegions`)
-    /// seeds the meld tasks so objects of the same (provably-disjoint)
-    /// region start on the same worker, replacing the cost-only LPT
-    /// seeding where regions exist. A pure scheduling hint — the tables
-    /// are bit-identical either way.
     ///
     /// Under a [`Governor`] worker panics are isolated, the parallel
     /// meld phase stops at cancellation, and the sequential reduce checks
@@ -123,12 +117,11 @@ impl VersionTables {
         mssa: &MemorySsa,
         svfg: &Svfg,
         jobs: usize,
-        regions: Option<&[u32]>,
         governor: Option<&Governor>,
     ) -> Outcome<VersionTables> {
         let start = Instant::now();
         let (mut tables, completion) =
-            build_inner(prog, mssa, svfg, ParConfig::new(jobs), regions, governor);
+            build_inner(prog, mssa, svfg, ParConfig::new(jobs), governor);
         tables.stats.versions = tables.slot_count as usize;
         tables.stats.seconds = start.elapsed().as_secs_f64();
         Outcome { result: tables, completion }
@@ -319,7 +312,6 @@ fn build_inner(
     mssa: &MemorySsa,
     svfg: &Svfg,
     par: ParConfig,
-    regions: Option<&[u32]>,
     governor: Option<&Governor>,
 ) -> (VersionTables, Completion) {
     let num_objs = prog.objects.len();
@@ -415,21 +407,7 @@ fn build_inner(
         process_object(edges_ref(oi), &stores_ref[oi], &deltas_ref[oi], area)
     };
     let init = || ObjArea::with_node_capacity(node_count);
-    let run = match regions {
-        // Alias-region seeding: objects whose version slots can hold
-        // overlapping sets share a worker's cache. `u64::MAX` groups the
-        // never-pointed-to objects together.
-        Some(region_of_object) => par::try_run_tasks_grouped(
-            par,
-            objs.len(),
-            cost,
-            |i| region_of_object.get(objs_ref[i].index()).map_or(u64::MAX, |&r| u64::from(r)),
-            governor,
-            init,
-            worker,
-        ),
-        None => par::try_run_tasks_with(par, objs.len(), cost, governor, init, worker),
-    };
+    let run = par::try_run_tasks_with(par, objs.len(), cost, governor, init, worker);
     let (outcomes, pstats) = match run {
         Ok(out) => out,
         Err(interrupt) => match governor {

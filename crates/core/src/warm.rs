@@ -159,7 +159,7 @@ pub fn restore_program(
         &front.aux,
         &staged.mssa,
         &staged.svfg,
-        opts.order.into(),
+        opts.order,
         fs_governor,
         Some(seed),
     );

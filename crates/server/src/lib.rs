@@ -213,8 +213,7 @@ impl Budgets {
 
     /// Builds the (auxiliary, flow-sensitive) governors, or `None` when
     /// the request set no budget (ungoverned mode). Step budgets apply
-    /// only to the flow-sensitive stage — they are not schedule-portable
-    /// across Andersen's wave modes.
+    /// only to the flow-sensitive stage.
     fn governors(&self) -> Option<(Governor, Governor)> {
         if self.time.is_none() && self.steps.is_none() && self.mem_mib.is_none() {
             return None;
@@ -300,8 +299,7 @@ fn solve_fields(state: &ProgramState, report: &SolveReport) -> Vec<(&'static str
 }
 
 impl Server {
-    /// A server with default configuration (FIFO order, one job, no
-    /// snapshots).
+    /// A server with default configuration (no snapshots).
     pub fn new() -> Server {
         Server::with_config(ServerConfig::default())
     }
@@ -522,14 +520,8 @@ impl Server {
             };
         }
         if let Some(order) = req.get("order").and_then(Json::as_str) {
-            opts.order = match order {
-                "fifo" => SolveOrder::Fifo,
-                "topo" => SolveOrder::Topo,
-                other => return Err(err("bad_request", format!("unknown order '{other}'"))),
-            };
-        }
-        if let Some(jobs) = req.get("jobs").and_then(Json::as_u64) {
-            opts.jobs = (jobs as usize).max(1);
+            opts.order = SolveOrder::parse(order)
+                .ok_or_else(|| err("bad_request", format!("unknown order '{order}'")))?;
         }
         Ok(opts)
     }

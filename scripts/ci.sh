@@ -112,11 +112,12 @@ echo "== incremental gate: median edit speedup >= 5x vs from-scratch =="
 cargo run --release -p vsfs-bench --bin incremental_bench -- ninja,bake --edits 3 --gate 5
 
 echo
-echo "== parallel scaling record (writes results/BENCH_parallel.json) =="
-cargo run --release -p vsfs-bench --bin parallel_scaling -- lynx --runs 1
+echo "== parallel versioning gate: --jobs 2 >= 1.2x --jobs 1 on lynx (writes results/BENCH_parallel.json) =="
+cargo run --release -p vsfs-bench --bin parallel_scaling -- lynx --runs 3 \
+  --gate-versioning-speedup 1.2
 
 echo
-echo "== MDE gate: peak heap, chunk payload dedup, region memo vs results/BENCH_dedup.json =="
+echo "== MDE gate: peak heap, chunk payload dedup vs results/BENCH_dedup.json =="
 if [ -f results/BENCH_dedup.json ]; then
   cargo run --release -p vsfs-bench --bin dedup_mem -- du,ninja,bake \
     --gate results/BENCH_dedup.json
@@ -155,9 +156,8 @@ echo "== soundness chain: flow-sensitive <= andersen <= unify <= steensgaard =="
 cargo test --release -q --test soundness_chain
 
 echo
-echo "== unify gate: >= 50x cheaper than andersen, region sharding >= cost-only =="
-cargo run --release -p vsfs-bench --bin unify_bench -- bake --runs 3 \
-  --gate-ratio 50 --gate-sharding
+echo "== unify gate: >= 50x cheaper than andersen =="
+cargo run --release -p vsfs-bench --bin unify_bench -- bake --runs 3 --gate-ratio 50
 
 echo
 echo "== lint gate: rustfmt clean, clippy and rustdoc clean at -D warnings =="

@@ -34,7 +34,7 @@ echo "== Scheduling: FIFO vs topological order, difference propagation =="
 ./target/release/scheduling
 
 echo
-echo "== MDE: chunked-store payload, peak heap, region memo (writes results/BENCH_dedup.json) =="
+echo "== MDE: chunked-store payload and peak heap (writes results/BENCH_dedup.json) =="
 ./target/release/dedup_mem
 
 echo
@@ -50,7 +50,7 @@ echo "== Solver matrix: sfs/vsfs/cfgfree time, memory, precision (writes results
 ./target/release/solver_matrix
 
 echo
-echo "== Unification tier: cost ratio and alias-region sharding (writes results/BENCH_unify.json) =="
+echo "== Unification tier: cost ratio (writes results/BENCH_unify.json) =="
 ./target/release/unify_bench
 
 echo

@@ -31,10 +31,9 @@ struct Pipeline {
     svfg: Svfg,
 }
 
-fn pipeline(source: &str, jobs: usize) -> Pipeline {
+fn pipeline(source: &str) -> Pipeline {
     let prog = parse_program(source).expect("corpus parses");
-    let config = andersen::AndersenConfig::with_jobs(jobs);
-    let aux = andersen::analyze_with(&prog, config, None, None).result;
+    let aux = andersen::analyze(&prog);
     let mssa = MemorySsa::build(&prog, &aux);
     let svfg = Svfg::build(&prog, &aux, &mssa);
     Pipeline { prog, aux, mssa, svfg }
@@ -94,7 +93,7 @@ fn assert_fallback_is_superset(
 #[test]
 fn andersen_fallback_over_approximates_complete_vsfs() {
     for c in vsfs_workloads::corpus::corpus() {
-        let p = pipeline(c.source, 1);
+        let p = pipeline(c.source);
         let complete = vsfs_core::run_vsfs(&p.prog, &p.aux, &p.mssa, &p.svfg);
         let fallback = FlowSensitiveResult::from_andersen(&p.prog, &p.aux);
         assert_fallback_is_superset(&p, &fallback, &complete, c.name);
@@ -105,7 +104,7 @@ fn andersen_fallback_over_approximates_complete_vsfs() {
 fn step_budget_trips_at_every_checkpoint_without_deadlock_or_poison() {
     for c in vsfs_workloads::corpus::corpus() {
         for jobs in [1, 2] {
-            let p = pipeline(c.source, jobs);
+            let p = pipeline(c.source);
             let complete = vsfs_core::run_vsfs(&p.prog, &p.aux, &p.mssa, &p.svfg);
             // How many checkpoints does a full run pass? Bound the sweep
             // by the step count of an unlimited governed run.
@@ -141,7 +140,7 @@ fn step_budget_trips_at_every_checkpoint_without_deadlock_or_poison() {
 #[test]
 fn every_solver_kind_degrades_soundly_under_a_step_budget() {
     for c in vsfs_workloads::corpus::corpus() {
-        let p = pipeline(c.source, 1);
+        let p = pipeline(c.source);
         let keys = StableKeys::build(&p.prog, &p.mssa, &p.svfg);
         let fingerprint = |r: &FlowSensitiveResult| result_fingerprint(&p.prog, &keys, r);
         let flow = p.solve(SolverKind::Vsfs, 1, None).result;
@@ -176,7 +175,7 @@ fn every_solver_kind_degrades_soundly_under_a_step_budget() {
 #[test]
 fn pre_cancelled_token_degrades_immediately_and_cleanly() {
     for c in vsfs_workloads::corpus::corpus() {
-        let p = pipeline(c.source, 2);
+        let p = pipeline(c.source);
         let cancel = CancelToken::new();
         cancel.cancel();
         let gov = Governor::with_cancel(Budget::unlimited(), cancel);
@@ -199,7 +198,7 @@ fn seeded_faults_are_bit_identical_across_job_counts() {
                 let runs: Vec<(usize, Pipeline, GovernedAnalysis)> = [1usize, 2, 8]
                     .into_iter()
                     .map(|jobs| {
-                        let p = pipeline(c.source, jobs);
+                        let p = pipeline(c.source);
                         let gov = Governor::unlimited().with_fault(plan.spec());
                         let ga = run_governed(&p, jobs, &gov);
                         (jobs, p, ga)
@@ -229,7 +228,7 @@ fn seeded_faults_are_bit_identical_across_job_counts() {
 #[test]
 fn aux_stage_trip_takes_the_unification_rung() {
     for c in vsfs_workloads::corpus::corpus() {
-        let p = pipeline(c.source, 1);
+        let p = pipeline(c.source);
         let complete = vsfs_core::run_vsfs(&p.prog, &p.aux, &p.mssa, &p.svfg);
 
         let cancel = CancelToken::new();

@@ -264,31 +264,23 @@ fn vsfs_stores_fewer_object_sets_on_redundant_workloads() {
 fn cfgfree_checker_findings_are_bit_identical_across_jobs_and_orders() {
     // The CFG-free result must be schedule- and parallelism-invariant:
     // checker findings rendered under its FlowView are byte-for-byte
-    // identical whether the auxiliary stage ran with 1, 2, or 8 jobs
-    // and whether the solver drained its worklist FIFO or topological.
-    use vsfs_andersen::AndersenConfig;
+    // identical whether the request asked for 1, 2, or 8 jobs and
+    // whether the solver drained its worklist FIFO or topological.
     use vsfs_checkers::{render_findings, run_checkers, FlowView};
     use vsfs_core::SolveOrder;
 
     for p in vsfs_workloads::corpus::corpus() {
         let prog = parse_program(p.source).unwrap();
         vsfs_ir::verify::verify(&prog).expect("program verifies");
+        let aux = andersen::analyze(&prog);
+        // The checkers traverse the SVFG for witness paths; the view
+        // under test is still the CFG-free result.
+        let mssa = MemorySsa::build(&prog, &aux);
+        let svfg = Svfg::build(&prog, &aux, &mssa);
         let mut reference: Option<Vec<String>> = None;
         for jobs in [1usize, 2, 8] {
-            let aux = vsfs_andersen::analyze_with(
-                &prog,
-                AndersenConfig { jobs, ..AndersenConfig::default() },
-                None,
-                None,
-            )
-            .result;
-            // The checkers traverse the SVFG for witness paths; the
-            // view under test is still the CFG-free result.
-            let mssa = MemorySsa::build(&prog, &aux);
-            let svfg = Svfg::build(&prog, &aux, &mssa);
             for order in [SolveOrder::Fifo, SolveOrder::Topo] {
-                let req =
-                    SolveRequest { config: order.into(), ..SolveRequest::new(SolverKind::CfgFree) };
+                let req = SolveRequest { order, jobs, ..SolveRequest::new(SolverKind::CfgFree) };
                 let r = vsfs_core::solve(&prog, &aux, None, req).result;
                 let findings = run_checkers(&prog, &svfg, &FlowView(&r));
                 let rendered = render_findings(&prog, &findings);
@@ -337,11 +329,11 @@ fn version_tables_digest(svfg: &Svfg, vt: &vsfs_core::VersionTables) -> u64 {
 }
 
 #[test]
-fn version_tables_are_bit_identical_across_jobs_and_regions() {
+fn version_tables_are_bit_identical_across_jobs() {
     // Golden digests of the version tables on scaled-down programs of
     // the three suite shapes (Light, Medium, Heavy). The tables must not
-    // depend on the worker count or on alias-region seeding, and any
-    // change to the meld implementation must reproduce them exactly.
+    // depend on the worker count, and any change to the meld
+    // implementation must reproduce them exactly.
     const GOLDEN: [(&str, u64); 3] = [
         ("du", 0x3775_fb48_7af2_6e91),
         ("ninja", 0xe86d_3780_2c73_6a42),
@@ -353,20 +345,10 @@ fn version_tables_are_bit_identical_across_jobs_and_regions() {
         let aux = andersen::analyze(&prog);
         let mssa = MemorySsa::build(&prog, &aux);
         let svfg = Svfg::build(&prog, &aux, &mssa);
-        let regions = andersen::analyze_unify(&prog).alias_regions(prog.objects.len());
         for jobs in [1usize, 4] {
-            for seeded in [None, Some(&regions.region_of_object[..])] {
-                let vt =
-                    vsfs_core::VersionTables::build_with(&prog, &mssa, &svfg, jobs, seeded, None)
-                        .result;
-                let got = version_tables_digest(&svfg, &vt);
-                assert_eq!(
-                    got,
-                    want,
-                    "{name}: version tables changed at jobs={jobs} regions={}",
-                    seeded.is_some()
-                );
-            }
+            let vt = vsfs_core::VersionTables::build_with(&prog, &mssa, &svfg, jobs, None).result;
+            let got = version_tables_digest(&svfg, &vt);
+            assert_eq!(got, want, "{name}: version tables changed at jobs={jobs}");
         }
     }
 }

@@ -57,20 +57,19 @@ struct ColdPipeline {
 
 /// Parses `source` afresh — same text as the incremental engine saw, so
 /// arena ids line up and results are directly comparable.
-fn cold_pipeline(source: &str, jobs: usize) -> ColdPipeline {
+fn cold_pipeline(source: &str) -> ColdPipeline {
     let prog = vsfs_ir::parse_program(source).expect("edit-script text parses");
-    let config = vsfs_andersen::AndersenConfig::with_jobs(jobs);
-    let aux = vsfs_andersen::analyze_with(&prog, config, None, None).result;
+    let aux = vsfs_andersen::analyze(&prog);
     let mssa = vsfs_mssa::MemorySsa::build(&prog, &aux);
     let svfg = vsfs_svfg::Svfg::build(&prog, &aux, &mssa);
     ColdPipeline { prog, aux, mssa, svfg }
 }
 
 impl ColdPipeline {
-    /// A from-scratch solve of `kind` under `order`, with the pipeline's
-    /// own job count for versioning.
+    /// A from-scratch solve of `kind` under `order`, with `jobs`
+    /// versioning workers.
     fn solve(&self, kind: SolverKind, order: SolveOrder, jobs: usize) -> FlowSensitiveResult {
-        let req = SolveRequest { config: order.into(), jobs, ..SolveRequest::new(kind) };
+        let req = SolveRequest { order, jobs, ..SolveRequest::new(kind) };
         vsfs_core::solve(&self.prog, &self.aux, Some((&self.mssa, &self.svfg)), req).result
     }
 }
@@ -142,6 +141,7 @@ fn edit_sequences_match_from_scratch_solves() {
 
             // From-scratch SFS under both worklist orders, and VSFS at
             // three parallelism levels.
+            let cold = cold_pipeline(&text);
             for (kind, jobs, order) in [
                 (SolverKind::Sfs, 1, SolveOrder::Fifo),
                 (SolverKind::Sfs, 1, SolveOrder::Topo),
@@ -149,7 +149,6 @@ fn edit_sequences_match_from_scratch_solves() {
                 (SolverKind::Vsfs, 2, SolveOrder::Fifo),
                 (SolverKind::Vsfs, 8, SolveOrder::Topo),
             ] {
-                let cold = cold_pipeline(&text, jobs);
                 let r = cold.solve(kind, order, jobs);
                 let ctx = format!("{label} vs {}/j{jobs}/{order:?}", kind.name());
                 assert_matches(&ctx, &next, &cold, &r, rng);
@@ -214,7 +213,7 @@ fn edit_against_cold(label: &str, base: &str, edited: &str) -> SolveReport {
     let (state, _) = solve_program(base, opts, None, None).expect("base solves");
     let (next, report) = resolve_edit(&state, edited, opts, None, None).expect("edit solves");
     assert!(report.incremental, "{label}: the edit must be solved incrementally");
-    let cold = cold_pipeline(edited, 1);
+    let cold = cold_pipeline(edited);
     let r = cold.solve(SolverKind::Sfs, SolveOrder::default(), 1);
     assert_matches(label, &next, &cold, &r, &mut Rng::seed_from_u64(7));
     report

@@ -1,16 +1,14 @@
-//! Determinism of the parallel solving modes.
+//! Determinism of parallel versioning.
 //!
 //! The parallel layer promises *bit-identical* results for any
 //! `--jobs` value: object-partitioned versioning assigns the same slot
-//! ids as the sequential pass by construction, and Andersen's wave mode
-//! converges on the same unique least fixpoint as the sequential
-//! worklist. These tests drive the full pipeline at `--jobs 1/2/8` over
-//! the corpus and generated workloads and demand equality, then check
-//! the solvers against each other (SFS == VSFS everywhere, dense == VSFS
-//! on call-free programs) with every parallel phase enabled.
+//! ids as the sequential pass by construction. These tests drive the
+//! full pipeline at `--jobs 1/2/8` over the corpus and generated
+//! workloads and demand equality, then check the solvers against each
+//! other (SFS == VSFS everywhere, dense == VSFS on call-free programs)
+//! with parallel versioning enabled.
 
 use vsfs::prelude::*;
-use vsfs_andersen::AndersenConfig;
 use vsfs_core::queries::AliasQueries;
 use vsfs_core::result::precision_diff;
 use vsfs_core::{SolveRequest, SolverKind};
@@ -42,10 +40,10 @@ fn test_programs() -> Vec<(String, Program)> {
     progs
 }
 
-/// Runs the whole pipeline — parallel Andersen, memory SSA, SVFG,
-/// parallel versioning, VSFS main phase — with `jobs` workers.
+/// Runs the whole pipeline — Andersen, memory SSA, SVFG, parallel
+/// versioning, VSFS main phase — with `jobs` versioning workers.
 fn pipeline_at(prog: &Program, jobs: usize) -> FlowSensitiveResult {
-    let aux = andersen::analyze_with(prog, AndersenConfig::with_jobs(jobs), None, None).result;
+    let aux = andersen::analyze(prog);
     let mssa = MemorySsa::build(prog, &aux);
     let svfg = Svfg::build(prog, &aux, &mssa);
     let req = SolveRequest { jobs, ..SolveRequest::new(SolverKind::Vsfs) };
@@ -106,45 +104,13 @@ fn full_pipeline_is_bit_identical_across_job_counts() {
 }
 
 #[test]
-fn andersen_wave_mode_matches_sequential_everywhere() {
-    for (name, prog) in test_programs() {
-        let seq = andersen::analyze(&prog);
-        for &jobs in &JOB_COUNTS[1..] {
-            let wave =
-                andersen::analyze_with(&prog, AndersenConfig::with_jobs(jobs), None, None).result;
-            for v in prog.values.indices() {
-                assert_eq!(
-                    seq.value_pts(v).iter().collect::<Vec<_>>(),
-                    wave.value_pts(v).iter().collect::<Vec<_>>(),
-                    "{name}: Andersen pt(%{}) differs at jobs={jobs}",
-                    prog.values[v].name
-                );
-            }
-            for o in prog.objects.indices() {
-                assert_eq!(
-                    seq.object_pts(o).iter().collect::<Vec<_>>(),
-                    wave.object_pts(o).iter().collect::<Vec<_>>(),
-                    "{name}: Andersen object pts differ at jobs={jobs}"
-                );
-            }
-            let edges = |r: &vsfs_andersen::AndersenResult| {
-                let mut e: Vec<_> = r.callgraph.edges().collect();
-                e.sort();
-                e
-            };
-            assert_eq!(edges(&seq), edges(&wave), "{name}: call graph differs at jobs={jobs}");
-        }
-    }
-}
-
-#[test]
 fn solvers_agree_with_all_parallel_phases_enabled() {
     // Cross-solver equivalence under the parallel pipeline: SFS == VSFS
     // on every program, and dense == VSFS on call-free programs (the
     // two formulations only coincide without call boundaries — see
     // tests/dense_baseline.rs).
     for (name, prog) in test_programs() {
-        let aux = andersen::analyze_with(&prog, AndersenConfig::with_jobs(8), None, None).result;
+        let aux = andersen::analyze(&prog);
         let mssa = MemorySsa::build(&prog, &aux);
         let svfg = Svfg::build(&prog, &aux, &mssa);
         let sfs = run_sfs(&prog, &aux, &mssa, &svfg);

@@ -77,7 +77,7 @@ fn vsfs_is_identical_across_orders_and_jobs() {
         let mssa = MemorySsa::build(&prog, &aux);
         let svfg = Svfg::build(&prog, &aux, &mssa);
         let solve = |kind, order: SolveOrder, jobs| {
-            let req = SolveRequest { config: order.into(), jobs, ..SolveRequest::new(kind) };
+            let req = SolveRequest { order, jobs, ..SolveRequest::new(kind) };
             vsfs_core::solve(&prog, &aux, Some((&mssa, &svfg)), req).result
         };
 
@@ -111,7 +111,7 @@ fn sfs_orders_agree_with_each_other_and_with_vsfs() {
         let mssa = MemorySsa::build(&prog, &aux);
         let svfg = Svfg::build(&prog, &aux, &mssa);
         let solve = |kind, order: SolveOrder, jobs| {
-            let req = SolveRequest { config: order.into(), jobs, ..SolveRequest::new(kind) };
+            let req = SolveRequest { order, jobs, ..SolveRequest::new(kind) };
             vsfs_core::solve(&prog, &aux, Some((&mssa, &svfg)), req).result
         };
 
