@@ -10,8 +10,9 @@
 //!   [`SparseBitVector`].
 //! * [`index`] — typed `u32` indices ([`define_index!`](crate::define_index)) and dense
 //!   index-keyed vectors ([`IndexVec`]).
-//! * [`worklist`] — FIFO and rank-bucketed priority worklists with
-//!   membership dedup, unified behind a policy-switchable [`Worklist`].
+//! * [`worklist`] — a FIFO worklist and the counted rank-bucketed
+//!   [`Worklist`] of the flow-sensitive solvers, both with membership
+//!   dedup.
 //! * [`mem`] — a counting global allocator used by the benchmark harness to
 //!   report peak live bytes (the reproduction's substitute for GNU `time`'s
 //!   max-RSS column in Table III).
@@ -72,7 +73,7 @@ pub use meldpool::{CapacityOverflow, MeldPool};
 pub use par::{ParConfig, ParStats, ShardedWorklist};
 pub use ptstore::{CarryStats, FlatReader, PtsCarry, PtsId, PtsStore, PtsStoreStats};
 pub use sbv::SparseBitVector;
-pub use worklist::{FifoWorklist, PriorityWorklist, Worklist, WorklistStats};
+pub use worklist::{FifoWorklist, Worklist, WorklistStats};
 
 use std::fmt;
 use std::marker::PhantomData;

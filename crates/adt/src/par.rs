@@ -65,8 +65,9 @@ impl ParConfig {
     }
 }
 
-/// Execution counters from one parallel phase, fed into
-/// [`crate::stats::PhaseTimer`] by the solvers.
+/// Execution counters from one parallel phase. Versioning copies its
+/// task and steal counts into its own stats (`VersioningStats` in
+/// `vsfs-core`).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ParStats {
     /// Number of tasks executed.

@@ -69,15 +69,6 @@ impl PhaseTimer {
         }
     }
 
-    /// Records the task/steal/worker counters of one parallel region
-    /// under `prefix`, plus its wall time as a phase.
-    pub fn record_par(&mut self, prefix: &str, par: &crate::par::ParStats) {
-        self.record(prefix, par.wall);
-        self.count(&format!("{prefix}.tasks"), par.tasks as u64);
-        self.count(&format!("{prefix}.steals"), par.steals as u64);
-        self.count(&format!("{prefix}.workers"), par.workers as u64);
-    }
-
     /// The recorded `(name, value)` counters, in recording order.
     pub fn counters(&self) -> &[(String, u64)] {
         &self.counters
@@ -165,21 +156,5 @@ mod tests {
         assert!(json.contains("\"solve\": 0.250000"), "{json}");
         assert!(json.contains("\"solve.tasks\": 15"), "{json}");
         assert!(json.contains("\"solve.workers\": 4"), "{json}");
-    }
-
-    #[test]
-    fn record_par_feeds_phase_and_counters() {
-        let mut t = PhaseTimer::new();
-        let par = crate::par::ParStats {
-            tasks: 7,
-            steals: 2,
-            workers: 3,
-            wall: Duration::from_millis(10),
-        };
-        t.record_par("versioning.par", &par);
-        assert_eq!(t.duration("versioning.par"), Some(Duration::from_millis(10)));
-        assert_eq!(t.counter("versioning.par.tasks"), Some(7));
-        assert_eq!(t.counter("versioning.par.steals"), Some(2));
-        assert_eq!(t.counter("versioning.par.workers"), Some(3));
     }
 }

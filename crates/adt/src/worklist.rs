@@ -1,13 +1,12 @@
 //! Worklists for fixpoint solvers.
 //!
-//! All worklists deduplicate membership: pushing an element already queued
-//! is a no-op (the *in-queue guard*). [`FifoWorklist`] pops in insertion
-//! order; [`PriorityWorklist`] pops the element with the smallest rank
-//! first, FIFO within a rank (typically the rank is a topological number
-//! of the element's SCC in some dependence graph, which makes data-flow
-//! fixpoints converge in far fewer visits). [`Worklist`] wraps either
-//! behind one API with push/pop counters, so solvers can switch the
-//! schedule at run time without changing the propagation code.
+//! Both worklists deduplicate membership: pushing an element already
+//! queued is a no-op (the *in-queue guard*). [`FifoWorklist`] pops in
+//! insertion order. [`Worklist`] pops the element with the smallest rank
+//! first, FIFO within a rank, and counts its traffic; the flow-sensitive
+//! solvers rank elements by the topological number of their SCC in a
+//! dependence graph, which makes their fixpoints converge in far fewer
+//! visits.
 
 use crate::index::Idx;
 use std::collections::VecDeque;
@@ -69,7 +68,19 @@ impl<I: Idx> FifoWorklist<I> {
     }
 }
 
-/// Bucketed min-priority worklist with membership dedup.
+/// Counters describing one worklist's traffic.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorklistStats {
+    /// Successful enqueues.
+    pub pushes: usize,
+    /// Enqueues suppressed by the in-queue guard (element already queued).
+    pub suppressed: usize,
+    /// Dequeues.
+    pub pops: usize,
+}
+
+/// Bucketed min-priority worklist with membership dedup and traffic
+/// counters.
 ///
 /// Elements are popped in ascending rank order, FIFO within a rank, so
 /// the pop sequence is fully deterministic: it depends only on the rank
@@ -86,18 +97,21 @@ impl<I: Idx> FifoWorklist<I> {
 /// # Examples
 ///
 /// ```
-/// use vsfs_adt::PriorityWorklist;
+/// use vsfs_adt::Worklist;
 ///
-/// let mut wl: PriorityWorklist<usize> = PriorityWorklist::new(vec![2, 0, 1]);
+/// let mut wl: Worklist<usize> = Worklist::new(vec![2, 0, 1]);
 /// wl.push(0);
 /// wl.push(1);
 /// wl.push(2);
+/// wl.push(0); // suppressed by the in-queue guard
 /// assert_eq!(wl.pop(), Some(1)); // rank 0
 /// assert_eq!(wl.pop(), Some(2)); // rank 1
 /// assert_eq!(wl.pop(), Some(0)); // rank 2
+/// assert_eq!(wl.stats().suppressed, 1);
+/// assert_eq!(wl.stats().pops, 3);
 /// ```
 #[derive(Debug, Clone)]
-pub struct PriorityWorklist<I> {
+pub struct Worklist<I> {
     /// One FIFO bucket per rank.
     buckets: Vec<VecDeque<I>>,
     rank: Vec<u32>,
@@ -114,16 +128,17 @@ pub struct PriorityWorklist<I> {
     /// Lowest `occ1` word that may be non-zero.
     min_w1: usize,
     len: usize,
+    stats: WorklistStats,
 }
 
-impl<I: Idx> PriorityWorklist<I> {
+impl<I: Idx> Worklist<I> {
     /// Creates a worklist where element `i` has rank `rank[i]`.
     pub fn new(rank: Vec<u32>) -> Self {
         let n = rank.len();
         let bucket_count = rank.iter().map(|&r| r as usize + 1).max().unwrap_or(0);
         let w0 = bucket_count.div_ceil(64);
         let w1 = w0.div_ceil(64);
-        PriorityWorklist {
+        Worklist {
             buckets: (0..bucket_count).map(|_| VecDeque::new()).collect(),
             rank,
             queued: vec![false; n],
@@ -131,6 +146,7 @@ impl<I: Idx> PriorityWorklist<I> {
             occ1: vec![0; w1],
             min_w1: w1,
             len: 0,
+            stats: WorklistStats::default(),
         }
     }
 
@@ -142,6 +158,7 @@ impl<I: Idx> PriorityWorklist<I> {
     pub fn push(&mut self, item: I) -> bool {
         let i = item.index();
         if self.queued[i] {
+            self.stats.suppressed += 1;
             return false;
         }
         self.queued[i] = true;
@@ -151,6 +168,7 @@ impl<I: Idx> PriorityWorklist<I> {
         self.occ1[r / 4096] |= 1 << ((r / 64) % 64);
         self.min_w1 = self.min_w1.min(r / 4096);
         self.len += 1;
+        self.stats.pushes += 1;
         true
     }
 
@@ -174,6 +192,7 @@ impl<I: Idx> PriorityWorklist<I> {
         }
         self.queued[item.index()] = false;
         self.len -= 1;
+        self.stats.pops += 1;
         Some(item)
     }
 
@@ -185,111 +204,6 @@ impl<I: Idx> PriorityWorklist<I> {
     /// Number of queued items.
     pub fn len(&self) -> usize {
         self.len
-    }
-}
-
-/// Counters describing one worklist's traffic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorklistStats {
-    /// Successful enqueues.
-    pub pushes: usize,
-    /// Enqueues suppressed by the in-queue guard (element already queued).
-    pub suppressed: usize,
-    /// Dequeues.
-    pub pops: usize,
-}
-
-/// A worklist whose scheduling policy is chosen at construction time —
-/// FIFO or rank-bucketed priority — behind one API, with traffic
-/// counters.
-///
-/// Both policies drain the same monotone constraint system to the same
-/// unique least fixpoint; the policy changes *when* work happens (and so
-/// how often elements are re-visited), never the answer.
-///
-/// # Examples
-///
-/// ```
-/// use vsfs_adt::Worklist;
-///
-/// let mut wl: Worklist<usize> = Worklist::priority(vec![1, 0]);
-/// wl.push(0);
-/// wl.push(1);
-/// wl.push(0); // suppressed by the in-queue guard
-/// assert_eq!(wl.pop(), Some(1));
-/// assert_eq!(wl.pop(), Some(0));
-/// assert_eq!(wl.stats().suppressed, 1);
-/// assert_eq!(wl.stats().pops, 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Worklist<I> {
-    inner: WorklistImpl<I>,
-    stats: WorklistStats,
-}
-
-#[derive(Debug, Clone)]
-enum WorklistImpl<I> {
-    Fifo(FifoWorklist<I>),
-    Priority(PriorityWorklist<I>),
-}
-
-impl<I: Idx> Worklist<I> {
-    /// A FIFO-scheduled worklist for elements with indices `< capacity`.
-    pub fn fifo(capacity: usize) -> Self {
-        Worklist {
-            inner: WorklistImpl::Fifo(FifoWorklist::new(capacity)),
-            stats: WorklistStats::default(),
-        }
-    }
-
-    /// A rank-scheduled worklist where element `i` has rank `rank[i]`.
-    pub fn priority(rank: Vec<u32>) -> Self {
-        Worklist {
-            inner: WorklistImpl::Priority(PriorityWorklist::new(rank)),
-            stats: WorklistStats::default(),
-        }
-    }
-
-    /// Enqueues `item` unless already queued; returns `true` if enqueued.
-    pub fn push(&mut self, item: I) -> bool {
-        let pushed = match &mut self.inner {
-            WorklistImpl::Fifo(wl) => wl.push(item),
-            WorklistImpl::Priority(wl) => wl.push(item),
-        };
-        if pushed {
-            self.stats.pushes += 1;
-        } else {
-            self.stats.suppressed += 1;
-        }
-        pushed
-    }
-
-    /// Dequeues the next item under the chosen policy, if any.
-    pub fn pop(&mut self) -> Option<I> {
-        let item = match &mut self.inner {
-            WorklistImpl::Fifo(wl) => wl.pop(),
-            WorklistImpl::Priority(wl) => wl.pop(),
-        };
-        if item.is_some() {
-            self.stats.pops += 1;
-        }
-        item
-    }
-
-    /// Returns `true` if nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        match &self.inner {
-            WorklistImpl::Fifo(wl) => wl.is_empty(),
-            WorklistImpl::Priority(wl) => wl.is_empty(),
-        }
-    }
-
-    /// Number of queued items.
-    pub fn len(&self) -> usize {
-        match &self.inner {
-            WorklistImpl::Fifo(wl) => wl.len(),
-            WorklistImpl::Priority(wl) => wl.len(),
-        }
     }
 
     /// The traffic counters so far.
@@ -326,7 +240,7 @@ mod tests {
 
     #[test]
     fn priority_orders_by_rank_not_insertion() {
-        let mut wl: PriorityWorklist<usize> = PriorityWorklist::new(vec![5, 1, 3]);
+        let mut wl: Worklist<usize> = Worklist::new(vec![5, 1, 3]);
         wl.push(0);
         wl.push(2);
         wl.push(1);
@@ -339,7 +253,7 @@ mod tests {
 
     #[test]
     fn priority_is_fifo_within_a_rank() {
-        let mut wl: PriorityWorklist<usize> = PriorityWorklist::new(vec![1, 0, 1, 1]);
+        let mut wl: Worklist<usize> = Worklist::new(vec![1, 0, 1, 1]);
         wl.push(3);
         wl.push(0);
         wl.push(2);
@@ -354,7 +268,7 @@ mod tests {
 
     #[test]
     fn priority_cursor_rewinds_on_low_rank_push() {
-        let mut wl: PriorityWorklist<usize> = PriorityWorklist::new(vec![0, 1, 2]);
+        let mut wl: Worklist<usize> = Worklist::new(vec![0, 1, 2]);
         wl.push(2);
         assert_eq!(wl.pop(), Some(2)); // cursor now at rank 2
         wl.push(0); // rank 0: cursor must rewind
@@ -369,46 +283,22 @@ mod tests {
 
     #[test]
     fn priority_handles_empty_rank_table() {
-        let mut wl: PriorityWorklist<usize> = PriorityWorklist::new(Vec::new());
+        let mut wl: Worklist<usize> = Worklist::new(Vec::new());
         assert!(wl.is_empty());
         assert_eq!(wl.pop(), None);
     }
 
     #[test]
-    fn wrapper_counts_traffic_for_both_policies() {
-        for mut wl in [Worklist::<usize>::fifo(3), Worklist::priority(vec![0, 1, 2])] {
-            assert!(wl.push(1));
-            assert!(wl.push(2));
-            assert!(!wl.push(1));
-            assert_eq!(wl.len(), 2);
-            assert!(!wl.is_empty());
-            assert_eq!(wl.pop(), Some(1));
-            assert_eq!(wl.pop(), Some(2));
-            assert_eq!(wl.pop(), None);
-            let s = wl.stats();
-            assert_eq!(s.pushes, 2);
-            assert_eq!(s.suppressed, 1);
-            assert_eq!(s.pops, 2);
-        }
-    }
-
-    /// Both policies drain the same pushes; priority returns them in
-    /// rank-then-FIFO order.
-    #[test]
-    fn wrapper_policies_drain_identically_as_sets() {
-        let ranks = vec![2, 0, 1, 0];
-        let mut fifo = Worklist::fifo(4);
-        let mut prio = Worklist::priority(ranks);
-        for i in [0usize, 3, 2, 1] {
-            fifo.push(i);
-            prio.push(i);
-        }
-        let mut a: Vec<usize> = std::iter::from_fn(|| fifo.pop()).collect();
-        let b: Vec<usize> = std::iter::from_fn(|| prio.pop()).collect();
-        assert_eq!(b, vec![3, 1, 2, 0]);
-        a.sort();
-        let mut bs = b.clone();
-        bs.sort();
-        assert_eq!(a, bs);
+    fn priority_counts_traffic() {
+        let mut wl: Worklist<usize> = Worklist::new(vec![0, 1, 2]);
+        assert!(wl.push(1));
+        assert!(wl.push(2));
+        assert!(!wl.push(1));
+        assert_eq!(wl.len(), 2);
+        assert!(!wl.is_empty());
+        assert_eq!(wl.pop(), Some(1));
+        assert_eq!(wl.pop(), Some(2));
+        assert_eq!(wl.pop(), None);
+        assert_eq!(wl.stats(), WorklistStats { pushes: 2, suppressed: 1, pops: 2 });
     }
 }

@@ -48,5 +48,5 @@ pub mod unify;
 pub use callgraph::CallGraph;
 pub use pag::{Pag, PagNodeId};
 pub use singletons::compute_singletons;
-pub use solver::{analyze, analyze_with, AndersenConfig, AndersenResult, AndersenStats};
+pub use solver::{analyze, analyze_with, AndersenResult, AndersenStats};
 pub use unify::{analyze_unify, analyze_unify_with, UnifyConfig, UnifyResult, UnifyStats};

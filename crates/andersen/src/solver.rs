@@ -4,14 +4,14 @@
 //! points-to set (`pts`) and the prefix that has already been propagated
 //! and processed against complex constraints (`prop`). Popping a node
 //! processes only the delta. Cycles in the copy graph are collapsed
-//! periodically with a full SCC pass over representative nodes (online
-//! cycle elimination à la wave propagation); the interval is configurable
-//! and collapsing can be disabled entirely — an ablation the benchmark
-//! harness exercises. Each collapse pass costs O(nodes + copy edges): the
-//! SCC graph over representatives is built with a per-source stamp that
-//! drops the duplicate edges earlier merges left in successor lists,
-//! rather than a scan of the out-list per edge (quadratic in the
-//! out-degree of a hub node).
+//! every `COLLAPSE_INTERVAL` pops with a full SCC pass over representative
+//! nodes (online cycle elimination à la wave propagation); EXPERIMENTS.md
+//! ("Mechanism audit") measures what it saves in time and peak heap.
+//! Each pass costs O(nodes + copy edges): the SCC graph over
+//! representatives is built with a per-source stamp that drops the
+//! duplicate edges earlier merges left in successor lists, rather than a
+//! scan of the out-list per edge (quadratic in the out-degree of a hub
+//! node).
 
 use crate::callgraph::CallGraph;
 use crate::pag::{CallSiteId, Constraint, Pag, PagNodeId};
@@ -23,19 +23,8 @@ use vsfs_ir::{FuncId, ObjId, Program, ValueId};
 /// The empty-set id of the solver's store.
 const EMPTY: PtsId = PtsStore::<ObjId>::EMPTY;
 
-/// Tuning knobs for the solver.
-#[derive(Debug, Clone, Copy)]
-pub struct AndersenConfig {
-    /// Run an SCC collapse every this many worklist pops; `None` disables
-    /// online cycle elimination.
-    pub scc_interval: Option<usize>,
-}
-
-impl Default for AndersenConfig {
-    fn default() -> Self {
-        AndersenConfig { scc_interval: Some(10_000) }
-    }
-}
+/// The solver runs an SCC collapse every this many worklist pops.
+const COLLAPSE_INTERVAL: usize = 10_000;
 
 /// Counters describing a solver run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -103,13 +92,13 @@ impl AndersenResult {
     }
 }
 
-/// Runs Andersen's analysis with the default configuration.
+/// Runs Andersen's analysis.
 pub fn analyze(prog: &Program) -> AndersenResult {
-    analyze_with(prog, AndersenConfig::default(), None).result
+    analyze_with(prog, None).result
 }
 
-/// Runs Andersen's analysis with an explicit configuration, optionally
-/// governed. Without a governor the outcome is always complete.
+/// Runs Andersen's analysis, optionally governed. Without a governor the
+/// outcome is always complete.
 ///
 /// Under a [`Governor`] the solver checkpoints at every pop and stops
 /// once the governor trips.
@@ -118,12 +107,18 @@ pub fn analyze(prog: &Program) -> AndersenResult {
 /// under-approximation — and therefore unsound to analyse with or to
 /// fall back to.** Callers must treat `Degraded` as an error; only the
 /// flow-sensitive stages have a sound fallback (Andersen itself).
-pub fn analyze_with(
+pub fn analyze_with(prog: &Program, governor: Option<&Governor>) -> Outcome<AndersenResult> {
+    solve(prog, Some(COLLAPSE_INTERVAL), governor)
+}
+
+/// [`analyze_with`] with an explicit collapse interval; `None` disables
+/// cycle elimination, which only the invariance tests want.
+fn solve(
     prog: &Program,
-    config: AndersenConfig,
+    collapse_interval: Option<usize>,
     governor: Option<&Governor>,
 ) -> Outcome<AndersenResult> {
-    let mut solver = Solver::new(prog, config);
+    let mut solver = Solver::new(prog, collapse_interval);
     solver.gov = governor;
     let result = solver.run();
     Outcome { result, completion: governor.map_or(Completion::Complete, Governor::completion) }
@@ -152,7 +147,7 @@ fn find_in(uf: &mut [u32], n: usize) -> usize {
 struct Solver<'p> {
     prog: &'p Program,
     pag: Pag,
-    config: AndersenConfig,
+    collapse_interval: Option<usize>,
     gov: Option<&'p Governor>,
     uf: Vec<u32>,
     store: PtsStore<ObjId>,
@@ -173,12 +168,12 @@ struct Solver<'p> {
 }
 
 impl<'p> Solver<'p> {
-    fn new(prog: &'p Program, config: AndersenConfig) -> Self {
+    fn new(prog: &'p Program, collapse_interval: Option<usize>) -> Self {
         let pag = Pag::build(prog);
         let n = pag.node_count();
         Solver {
             prog,
-            config,
+            collapse_interval,
             gov: None,
             uf: (0..n as u32).collect(),
             store: PtsStore::new(),
@@ -215,7 +210,7 @@ impl<'p> Solver<'p> {
             self.stats.pops += 1;
             pops_since_scc += 1;
             self.process_node(n);
-            if let Some(interval) = self.config.scc_interval {
+            if let Some(interval) = self.collapse_interval {
                 if pops_since_scc >= interval {
                     pops_since_scc = 0;
                     self.collapse_cycles();
@@ -568,9 +563,8 @@ mod tests {
         )
         .unwrap();
         // With and without cycle elimination.
-        for cfg in [AndersenConfig { scc_interval: Some(1) }, AndersenConfig { scc_interval: None }]
-        {
-            let res = analyze_with(&prog, cfg, None).result;
+        for interval in [Some(1), None] {
+            let res = solve(&prog, interval, None).result;
             assert_eq!(pts_names(&prog, res.value_pts(value(&prog, "c"))), vec!["A"]);
         }
     }
@@ -706,7 +700,7 @@ mod tests {
     }
 
     #[test]
-    fn results_invariant_under_scc_interval() {
+    fn results_invariant_under_cycle_collapse() {
         let recursive = r#"
             func @rec(%n) {
             entry:
@@ -725,8 +719,8 @@ mod tests {
             "#;
         for (name, src) in [("recursive", recursive.to_string()), ("hub", hub_program(256))] {
             let prog = parse_program(&src).unwrap();
-            let base = analyze_with(&prog, AndersenConfig { scc_interval: None }, None).result;
-            let scc = analyze_with(&prog, AndersenConfig { scc_interval: Some(1) }, None).result;
+            let base = solve(&prog, None, None).result;
+            let scc = solve(&prog, Some(1), None).result;
             if name == "hub" {
                 assert!(scc.stats.nodes_collapsed > 0, "hub: no cycle was collapsed");
             }
@@ -902,7 +896,7 @@ mod more_tests {
         .unwrap();
         // With aggressive SCC the copies may merge; entries must not be
         // double-counted either way.
-        let res = analyze_with(&prog, AndersenConfig { scc_interval: Some(1) }, None).result;
+        let res = solve(&prog, Some(1), None).result;
         assert!(res.total_pts_entries() >= 1);
         assert!(res.total_pts_entries() <= 3);
     }

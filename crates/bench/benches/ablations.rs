@@ -1,20 +1,14 @@
-//! Ablations of design choices called out in `DESIGN.md`:
-//!
-//! * **Andersen online cycle elimination** — SCC collapsing on versus
-//!   off (the auxiliary analysis must be cheap for the staged approach
-//!   to pay off; Section II-B).
-//! * **Meld-label representation** — sparse bit vectors (the paper uses
-//!   LLVM's `SparseBitVector`) versus ordered sets, on the generic meld
-//!   labelling of Section IV-B. The paper's Section V-B remarks that a
-//!   purpose-built structure might do even better; this quantifies the
-//!   off-the-shelf alternatives.
+//! Ablation of a design choice called out in `DESIGN.md`: the
+//! **meld-label representation** — sparse bit vectors (the paper uses
+//! LLVM's `SparseBitVector`) versus ordered sets, on the generic meld
+//! labelling of Section IV-B. The paper's Section V-B remarks that a
+//! purpose-built structure might do even better; this quantifies the
+//! off-the-shelf alternatives.
 
 use std::collections::BTreeSet;
 use vsfs_adt::{MeldPool, SparseBitVector};
-use vsfs_andersen::AndersenConfig;
 use vsfs_bench::timing::{black_box, Harness};
 use vsfs_graph::{meld_label, DiGraph, MeldLabel};
-use vsfs_workloads::WorkloadConfig;
 
 /// Ordered-set meld labels, the naive alternative to sparse bit vectors.
 #[derive(Clone, PartialEq, Default)]
@@ -32,28 +26,6 @@ impl MeldLabel for TreeLabel {
     fn is_identity(&self) -> bool {
         self.0.is_empty()
     }
-}
-
-fn andersen_scc(h: &mut Harness) {
-    let cfg = WorkloadConfig {
-        seed: 77,
-        functions: 24,
-        segments: 4,
-        backward_call_fraction: 0.2, // plenty of call-graph cycles
-        ..WorkloadConfig::small()
-    };
-    let prog = vsfs_workloads::generate(&cfg);
-    h.bench("ablation/andersen_cycle_elimination/scc_on", || {
-        black_box(
-            vsfs_andersen::analyze_with(&prog, AndersenConfig { scc_interval: Some(10_000) }, None)
-                .result,
-        )
-    });
-    h.bench("ablation/andersen_cycle_elimination/scc_off", || {
-        black_box(
-            vsfs_andersen::analyze_with(&prog, AndersenConfig { scc_interval: None }, None).result,
-        )
-    });
 }
 
 /// A layered random DAG with `n` nodes and prelabels on the first layer.
@@ -129,6 +101,5 @@ fn meld_representation(h: &mut Harness) {
 
 fn main() {
     let mut h = Harness::from_env();
-    andersen_scc(&mut h);
     meld_representation(&mut h);
 }

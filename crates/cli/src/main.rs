@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! vsfs [OPTIONS] <program.vir | --corpus NAME | --workload NAME>
-//! vsfs serve [--socket PATH] [--corpus DIR] [--solver NAME] [--order ORDER]
+//! vsfs serve [--socket PATH] [--corpus DIR] [--solver NAME]
 //!            [--snapshot-dir DIR] [--workers N] [--queue N]
 //!            [--deadline SECS] [--max-request-bytes N]
 //!
@@ -26,7 +26,6 @@
 //!                      `unify` (equality-based unification — the
 //!                      coarsest, fastest tier; builds no memory SSA
 //!                      or SVFG)
-//!   --ander            deprecated alias for `--solver ander`
 //!   --fspta            alias for `--solver sfs`
 //!   --vfspta           alias for `--solver vsfs`
 //!
@@ -40,13 +39,6 @@
 //!                      (default 1 = sequential; 0 = all cores; results
 //!                      are identical for every N). Every other stage
 //!                      runs on one thread.
-//!   --order ORDER      worklist scheduling for the flow-sensitive
-//!                      fixpoints: `topo` (SCC-condensation topological
-//!                      priority, the default) or `fifo`; the final
-//!                      result is bit-identical either way, only the
-//!                      visit counts change. Rejected with the `ander`
-//!                      and `dense` solvers, whose worklists are not
-//!                      order-switchable.
 //!
 //! Budgets (any of these switches the run into governed mode):
 //!   --time-budget SECS wall-clock deadline shared by every stage
@@ -98,7 +90,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use vsfs_adt::govern::{Budget, CancelToken, Completion, DegradeReason, Governor};
 use vsfs_adt::mem::CountingAlloc;
-use vsfs_core::{FlowSensitiveResult, SolveOrder, SolveRequest, SolverKind};
+use vsfs_core::{FlowSensitiveResult, SolveRequest, SolverKind};
 use vsfs_ir::Program;
 use vsfs_testkit::FaultPlan;
 
@@ -126,8 +118,6 @@ struct Options {
     check: bool,
     check_json: Option<String>,
     jobs: usize,
-    /// `Some` only when `--order` was given explicitly.
-    order: Option<SolveOrder>,
     time_budget: Option<f64>,
     step_budget: Option<u64>,
     mem_budget_mib: Option<usize>,
@@ -135,10 +125,6 @@ struct Options {
 }
 
 impl Options {
-    fn order(&self) -> SolveOrder {
-        self.order.unwrap_or_default()
-    }
-
     fn governed(&self) -> bool {
         self.time_budget.is_some()
             || self.step_budget.is_some()
@@ -157,7 +143,7 @@ enum Input {
 fn usage() -> ! {
     eprintln!(
         "usage: vsfs [--solver ander|dense|sfs|vsfs|cfgfree|unify] \
-         [--jobs N] [--order fifo|topo] \
+         [--jobs N] \
          [--time-budget SECS] [--step-budget N] [--mem-budget MIB] [--inject-fault KIND:SEED] \
          [--print-pts] [--print-callgraph] [--precision-report] [--dot-svfg FILE] \
          [--check] [--check-json FILE] [--stats] \
@@ -181,8 +167,8 @@ fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
     }
 }
 
-/// Parses a named-choice flag (`--solver`, `--order`, in both
-/// the driver and `serve`): one place constructs the typed unknown-name
+/// Parses a named-choice flag (`--solver`, in both the driver and
+/// `serve`): one place constructs the typed unknown-name
 /// error, so every such flag reports a missing value, the offending
 /// name, and the accepted names the same way, exiting with code 1.
 fn name_value<T>(
@@ -209,7 +195,6 @@ fn parse_args() -> Options {
     let mut check = false;
     let mut check_json = None;
     let mut jobs = 1usize;
-    let mut order = None;
     let mut time_budget = None;
     let mut step_budget = None;
     let mut mem_budget_mib = None;
@@ -218,10 +203,6 @@ fn parse_args() -> Options {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--jobs" => jobs = flag_value("--jobs", args.next()),
-            "--order" => {
-                order =
-                    Some(name_value("--order", args.next(), "`fifo` or `topo`", SolveOrder::parse));
-            }
             "--time-budget" => {
                 let secs: f64 = flag_value("--time-budget", args.next());
                 if !secs.is_finite() || secs < 0.0 {
@@ -252,10 +233,6 @@ fn parse_args() -> Options {
                         _ => SolverKind::parse(name).map(Analysis::Flow),
                     },
                 );
-            }
-            "--ander" => {
-                eprintln!("warning: --ander is deprecated; use `--solver ander`");
-                analysis = Analysis::Andersen;
             }
             "--fspta" => analysis = Analysis::Flow(SolverKind::Sfs),
             "--vfspta" => analysis = Analysis::Flow(SolverKind::Vsfs),
@@ -298,7 +275,6 @@ fn parse_args() -> Options {
         check,
         check_json,
         jobs,
-        order,
         time_budget,
         step_budget,
         mem_budget_mib,
@@ -376,27 +352,6 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(1);
     }
-    if opts.order.is_some() && opts.analysis == Analysis::Andersen {
-        eprintln!(
-            "error: --order schedules the flow-sensitive fixpoints \
-             (--solver dense|sfs|vsfs|cfgfree); Andersen's solver is not order-switchable"
-        );
-        return ExitCode::from(1);
-    }
-    if opts.order.is_some() && opts.analysis == Analysis::Flow(SolverKind::Dense) {
-        eprintln!(
-            "error: --order schedules the sparse fixpoints (--solver sfs|vsfs|cfgfree); \
-             the dense solver's FIFO worklist is not order-switchable"
-        );
-        return ExitCode::from(1);
-    }
-    if opts.order.is_some() && opts.analysis == Analysis::Flow(SolverKind::Unify) {
-        eprintln!(
-            "error: --order schedules the sparse fixpoints (--solver sfs|vsfs|cfgfree); \
-             the unification solver's worklist is not order-switchable"
-        );
-        return ExitCode::from(1);
-    }
     if opts.governed() {
         run_governed(&opts, &prog)
     } else {
@@ -405,8 +360,8 @@ fn main() -> ExitCode {
 }
 
 /// `vsfs serve [--socket PATH] [--corpus DIR] [--solver NAME]
-/// [--order ORDER] [--snapshot-dir DIR] [--workers N]
-/// [--queue N] [--deadline SECS] [--max-request-bytes N]` — the
+/// [--snapshot-dir DIR] [--workers N] [--queue N] [--deadline SECS]
+/// [--max-request-bytes N]` — the
 /// long-running incremental analysis server (line-delimited JSON on
 /// stdin/stdout, or on a Unix socket with `--socket`). `--corpus DIR`
 /// preloads every `*.vir` file in `DIR` as a resident program keyed by
@@ -431,10 +386,6 @@ fn run_serve(args: Vec<String>) -> ExitCode {
             "--deadline" => config.default_time_budget = Some(flag_value("--deadline", it.next())),
             "--max-request-bytes" => {
                 config.max_request_bytes = flag_value("--max-request-bytes", it.next())
-            }
-            "--order" => {
-                config.opts.order =
-                    name_value("--order", it.next(), "`fifo` or `topo`", SolveOrder::parse);
             }
             "--solver" => {
                 config.opts.solver = name_value(
@@ -638,7 +589,7 @@ fn run_plain(opts: &Options, prog: &Program) -> ExitCode {
         }
     }
 
-    let req = SolveRequest { order: opts.order(), jobs: opts.jobs, ..SolveRequest::new(kind) };
+    let req = SolveRequest { jobs: opts.jobs, ..SolveRequest::new(kind) };
     let result = vsfs_core::solve(prog, &aux, staged.as_ref().map(|(m, s)| (m, s)), req).result;
 
     report_result(opts, prog, &aux, &result);
@@ -657,9 +608,6 @@ fn run_plain(opts: &Options, prog: &Program) -> ExitCode {
         let s = &result.stats;
         println!("solver:            {}", kind.name());
         println!("jobs:              {}", opts.jobs);
-        if kind != SolverKind::Dense && kind != SolverKind::Unify {
-            println!("order:             {}", opts.order().name());
-        }
         println!("andersen:          {:.3}s", aux_time.as_secs_f64());
         if staged.is_some() {
             println!("mssa + svfg:       {:.3}s", build_time.as_secs_f64());
@@ -802,8 +750,7 @@ fn run_governed(opts: &Options, prog: &Program) -> ExitCode {
         aux_budget = aux_budget.with_mem_bytes(bytes);
     }
     let aux_gov = Governor::with_cancel(aux_budget, cancel.clone());
-    let aux_out =
-        vsfs_andersen::analyze_with(prog, vsfs_andersen::AndersenConfig::default(), Some(&aux_gov));
+    let aux_out = vsfs_andersen::analyze_with(prog, Some(&aux_gov));
     if let Completion::Degraded(reason) = &aux_out.completion {
         // Rung 3 of the soundness ladder. A partial Andersen fixpoint is
         // an under-approximation — unsound to report — but the
@@ -851,12 +798,7 @@ fn run_governed(opts: &Options, prog: &Program) -> ExitCode {
     let fs_gov = Governor::with_cancel(fs_budget, cancel.clone())
         .with_fault(opts.inject_fault.as_ref().and_then(FaultPlan::spec));
 
-    let req = SolveRequest {
-        order: opts.order(),
-        jobs: opts.jobs,
-        governor: Some(&fs_gov),
-        ..SolveRequest::new(kind)
-    };
+    let req = SolveRequest { jobs: opts.jobs, governor: Some(&fs_gov), ..SolveRequest::new(kind) };
     let ga = vsfs_core::solve(prog, &aux, staged.as_ref().map(|(m, s)| (m, s)), req);
 
     report_result(opts, prog, &aux, &ga.result);

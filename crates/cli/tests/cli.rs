@@ -26,7 +26,7 @@ fn corpus_run_prints_points_to() {
 
 #[test]
 fn andersen_mode_is_flow_insensitive() {
-    let out = vsfs(&["--ander", "--corpus", "strong_update", "--print-pts"]);
+    let out = vsfs(&["--solver", "ander", "--corpus", "strong_update", "--print-pts"]);
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
     // Flow-insensitive: both loads see both heap objects.
@@ -206,75 +206,14 @@ fn tight_wall_clock_deadline_degrades_not_errors() {
 }
 
 #[test]
-fn fifo_and_topo_orders_print_identical_results() {
-    for analysis in ["--fspta", "--vfspta"] {
-        let fifo = vsfs(&[
-            analysis,
-            "--order",
-            "fifo",
-            "--corpus",
-            "fptr_dispatch",
-            "--print-pts",
-            "--print-callgraph",
-        ]);
-        let topo = vsfs(&[
-            analysis,
-            "--order",
-            "topo",
-            "--corpus",
-            "fptr_dispatch",
-            "--print-pts",
-            "--print-callgraph",
-        ]);
-        assert!(fifo.status.success() && topo.status.success());
-        assert_eq!(fifo.stdout, topo.stdout, "{analysis}: orders must agree");
-    }
-}
-
-#[test]
 fn stats_report_scheduling_counters() {
     let out = vsfs(&["--workload", "du", "--stats"]);
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("order:             topo"), "{stdout}");
     assert!(stdout.contains("slot pops:"), "{stdout}");
     assert!(stdout.contains("pushes suppressed:"), "{stdout}");
     assert!(stdout.contains("unions avoided:"), "{stdout}");
     assert!(stdout.contains("delta bytes:"), "{stdout}");
-}
-
-#[test]
-fn bad_order_value_is_a_typed_error_with_exit_one() {
-    let out = vsfs(&["--corpus", "strong_update", "--order", "lifo"]);
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("invalid value `lifo` for --order"), "{stderr}");
-}
-
-#[test]
-fn order_with_andersen_is_rejected() {
-    let out = vsfs(&["--ander", "--order", "topo", "--corpus", "strong_update"]);
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--order"), "{stderr}");
-}
-
-#[test]
-fn governed_run_accepts_explicit_order() {
-    for order in ["fifo", "topo"] {
-        let out = vsfs(&[
-            "--corpus",
-            "strong_update",
-            "--order",
-            order,
-            "--step-budget",
-            "1000000",
-            "--print-pts",
-        ]);
-        assert!(out.status.success(), "{order}: {out:?}");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(stdout.contains("pt(@main::%before) = {First}"), "{order}: {stdout}");
-    }
 }
 
 #[test]
@@ -301,23 +240,23 @@ fn unknown_solver_and_pre_values_share_the_typed_error_shape() {
     assert!(stderr.contains("invalid value `bogus` for --solver"), "{stderr}");
     assert!(stderr.contains("`unify`"), "{stderr}");
 
-    // The removed `--pre` and `--scc-memo` flags are unknown flags now:
-    // exit 1 with the usage line, which no longer names them.
-    for flags in [["--pre", "unify"], ["--scc-memo", "off"]] {
-        let out = vsfs(&[flags[0], flags[1], "--corpus", "strong_update"]);
+    // The removed `--pre`, `--scc-memo`, `--order` and `--ander` flags
+    // are unknown flags now: exit 1 with the usage line, which no longer
+    // names them.
+    let removed: [&[&str]; 4] =
+        [&["--pre", "unify"], &["--scc-memo", "off"], &["--order", "topo"], &["--ander"]];
+    for flags in removed {
+        let out = vsfs(&[flags, &["--corpus", "strong_update"]].concat());
         assert_eq!(out.status.code(), Some(1), "{out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.starts_with("usage: vsfs"), "{stderr}");
         assert!(!stderr.contains(&format!("[{} ", flags[0])), "{stderr}");
+        assert!(!stderr.contains(&format!("[{}]", flags[0])), "{stderr}");
     }
-}
-
-#[test]
-fn order_with_unify_is_rejected() {
-    let out = vsfs(&["--solver", "unify", "--order", "topo", "--corpus", "strong_update"]);
+    let out = vsfs(&["serve", "--order", "fifo"]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("not order-switchable"), "{stderr}");
+    assert!(stderr.contains("unknown serve flag '--order'"), "{stderr}");
 }
 
 #[test]

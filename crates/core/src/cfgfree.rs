@@ -39,7 +39,6 @@
 //! them (enforced by `tests/equivalence.rs` and the CI solver gate).
 
 use crate::result::{FlowSensitiveResult, SolveStats};
-use crate::schedule::SolveOrder;
 use std::time::Instant;
 use vsfs_adt::govern::{Completion, Governor};
 use vsfs_adt::{FxHashMap, FxHashSet, IndexVec, PointsToSet, PtsId, PtsStore, Worklist};
@@ -53,17 +52,15 @@ const EMPTY: PtsId = PtsStore::<ObjId>::EMPTY;
 
 /// The CFG-free engine behind [`crate::solve`] (`SolverKind::CfgFree`).
 /// Unlike the staged solvers it takes no memory SSA and no SVFG — the
-/// Andersen result is the whole pipeline. The worklist `order` changes
-/// only the visit counts, never the fixpoint. Governed runs checkpoint
-/// once per worklist pop.
+/// Andersen result is the whole pipeline. Governed runs checkpoint once
+/// per worklist pop.
 pub(crate) fn solve(
     prog: &Program,
     aux: &AndersenResult,
-    order: SolveOrder,
     governor: Option<&Governor>,
 ) -> (FlowSensitiveResult, Completion) {
     let start = Instant::now();
-    let mut solver = CfgFreeSolver::new(prog, aux, order);
+    let mut solver = CfgFreeSolver::new(prog, aux);
     for i in prog.insts.indices() {
         solver.worklist.push(i);
     }
@@ -155,7 +152,7 @@ struct CfgFreeSolver<'a> {
 }
 
 impl<'a> CfgFreeSolver<'a> {
-    fn new(prog: &'a Program, aux: &'a AndersenResult, order: SolveOrder) -> Self {
+    fn new(prog: &'a Program, aux: &'a AndersenResult) -> Self {
         let modref = ModRef::compute(prog, aux);
         let annots = annotate(prog, aux, &modref);
         let singletons = vsfs_andersen::compute_singletons(prog, &aux.callgraph);
@@ -186,15 +183,12 @@ impl<'a> CfgFreeSolver<'a> {
             uval: Vec::new(),
             producers: Vec::new(),
             consumers: Vec::new(),
-            worklist: Worklist::fifo(prog.insts.len()),
+            worklist: Worklist::new(Vec::new()),
             stats: SolveStats::default(),
         };
         solver.build_events(&annots);
         solver.build_reach();
-        solver.worklist = match order {
-            SolveOrder::Fifo => Worklist::fifo(prog.insts.len()),
-            SolveOrder::Topo => Worklist::priority(solver.inst_ranks()),
-        };
+        solver.worklist = Worklist::new(solver.inst_ranks());
         solver
     }
 
@@ -882,41 +876,6 @@ mod tests {
                 "cfgfree must be query-identical to sfs"
             );
         }
-    }
-
-    #[test]
-    fn fifo_and_topo_orders_agree() {
-        let src = r#"
-            func @id(%x) {
-            entry:
-              ret %x
-            }
-            func @main() {
-            entry:
-              %p = alloc stack P
-              %h = alloc heap H
-              store %h, %p
-              %v = load %p
-              %r = call @id(%v)
-              ret
-            }
-            "#;
-        let prog = parse_program(src).unwrap();
-        vsfs_ir::verify::verify(&prog).unwrap();
-        let aux = vsfs_andersen::analyze(&prog);
-        let fifo = run(
-            &prog,
-            &aux,
-            SolveRequest { order: SolveOrder::Fifo, ..SolveRequest::new(CFGFREE) },
-        )
-        .result;
-        let topo = run(
-            &prog,
-            &aux,
-            SolveRequest { order: SolveOrder::Topo, ..SolveRequest::new(CFGFREE) },
-        )
-        .result;
-        assert_eq!(crate::precision_diff(&prog, &fifo, &topo), None);
     }
 
     #[test]

@@ -26,10 +26,9 @@ use vsfs_adt::{FifoWorklist, FxHashMap, IndexVec, PointsToSet, PtsId, PtsStore};
 use vsfs_andersen::AndersenResult;
 use vsfs_ir::{DefUse, Icfg, InstId, InstKind, ObjId, Program, ValueId};
 
-/// The dense engine behind [`crate::solve`] (`SolverKind::Dense`): its
-/// FIFO worklist is not order-switchable, so it takes no
-/// `SolveConfig`. Governed runs checkpoint once per worklist pop,
-/// matching the staged solvers' protocol.
+/// The dense engine behind [`crate::solve`] (`SolverKind::Dense`), a
+/// FIFO worklist over the ICFG. Governed runs checkpoint once per
+/// worklist pop, matching the staged solvers' protocol.
 ///
 /// The dense solver keeps its internal state as owned sets (the whole
 /// point of this baseline is the unshared per-point storage); only the

@@ -67,14 +67,13 @@
 //! from-scratch solves of the same text.
 
 use crate::result::{FlowSensitiveResult, GovernedAnalysis};
-use crate::schedule::SolveOrder;
 use crate::sfs::{run_sfs_seeded, SfsHarvest, SfsSeed};
 use crate::solver::{solve, SolveRequest, SolverKind};
 use std::cell::OnceCell;
 use std::fmt;
 use vsfs_adt::govern::{Completion, DegradeReason, Governor};
 use vsfs_adt::{FxHashMap, IndexVec, PtsCarry, PtsId};
-use vsfs_andersen::{analyze_unify, analyze_with, AndersenConfig, AndersenResult};
+use vsfs_andersen::{analyze_unify, analyze_with, AndersenResult};
 use vsfs_graph::{DiGraph, Sccs};
 use vsfs_ir::{Callee, FuncId, InstId, InstKind, ObjId, ObjKind, Program, ValueId};
 use vsfs_mssa::MemorySsa;
@@ -97,9 +96,6 @@ pub struct IncrementalOptions {
     /// SVFG-wave invalidation; cold-only solvers skip both and serve
     /// every edit by an exact cold re-solve.
     pub solver: SolverKind,
-    /// Worklist discipline of the flow-sensitive stage (results are
-    /// order-independent; only visit counts change).
-    pub order: SolveOrder,
 }
 
 impl Default for IncrementalOptions {
@@ -107,7 +103,7 @@ impl Default for IncrementalOptions {
         // The server's historical engine is the staged SFS solver (the
         // seeded/incremental one); `SolverKind::default()` is the CLI's
         // batch default and intentionally differs.
-        IncrementalOptions { solver: SolverKind::Sfs, order: SolveOrder::default() }
+        IncrementalOptions { solver: SolverKind::Sfs }
     }
 }
 
@@ -248,7 +244,7 @@ pub fn solve_program(
     fs_governor: Option<&Governor>,
 ) -> Result<(ProgramState, SolveReport), SolveError> {
     match build_front_ladder(source, opts, aux_governor)? {
-        FrontBuild::Complete(front) => Ok(solve_front(source, *front, opts, fs_governor)),
+        FrontBuild::Complete(front) => Ok(solve_front(source, *front, fs_governor)),
         FrontBuild::AuxDegraded { prog, aux, reason } => {
             Ok(unify_rung_state(source, *prog, *aux, opts, reason))
         }
@@ -273,11 +269,11 @@ pub fn resolve_edit(
     // staged solvers, and warm state never crosses a solver switch.
     // Anything else serves the edit by an exact cold re-solve.
     if !opts.solver.caps().incremental || prev.solver != opts.solver {
-        return Ok(solve_front(source, front, opts, fs_governor));
+        return Ok(solve_front(source, front, fs_governor));
     }
     Ok(match WaveCtx::prepare(prev, &front) {
-        Some(ctx) => solve_incremental(prev, source, front, opts, fs_governor, ctx),
-        None => solve_front(source, front, opts, fs_governor),
+        Some(ctx) => solve_incremental(prev, source, front, fs_governor, ctx),
+        None => solve_front(source, front, fs_governor),
     })
 }
 
@@ -339,7 +335,7 @@ pub(crate) fn build_front_ladder(
     let prog = vsfs_ir::parse_program_all(source)
         .map_err(|errs| SolveError::Parse(errs.iter().map(|e| e.to_string()).collect()))?;
     vsfs_ir::verify::verify(&prog).map_err(|e| SolveError::Verify(e.to_string()))?;
-    let outcome = analyze_with(&prog, AndersenConfig::default(), aux_governor);
+    let outcome = analyze_with(&prog, aux_governor);
     if let Completion::Degraded(reason) = outcome.completion {
         return Ok(FrontBuild::AuxDegraded {
             prog: Box::new(prog),
@@ -432,23 +428,15 @@ pub(crate) struct Outcome {
 pub(crate) fn solve_front(
     source: &str,
     front: Front,
-    opts: IncrementalOptions,
     fs_governor: Option<&Governor>,
 ) -> (ProgramState, SolveReport) {
     if front.staged.is_none() {
-        return solve_cold_only(source, front, opts, fs_governor);
+        return solve_cold_only(source, front, fs_governor);
     }
     let staged = front.staged.as_ref().expect("checked above");
     let total = staged.svfg.node_count();
-    let (result, completion, harvest) = run_sfs_seeded(
-        &front.prog,
-        &front.aux,
-        &staged.mssa,
-        &staged.svfg,
-        opts.order,
-        fs_governor,
-        None,
-    );
+    let (result, completion, harvest) =
+        run_sfs_seeded(&front.prog, &front.aux, &staged.mssa, &staged.svfg, fs_governor, None);
     let outcome = Outcome {
         incremental: false,
         restored: false,
@@ -466,14 +454,9 @@ pub(crate) fn solve_front(
 fn solve_cold_only(
     source: &str,
     front: Front,
-    opts: IncrementalOptions,
     fs_governor: Option<&Governor>,
 ) -> (ProgramState, SolveReport) {
-    let req = SolveRequest {
-        order: opts.order,
-        governor: fs_governor,
-        ..SolveRequest::new(front.solver)
-    };
+    let req = SolveRequest { governor: fs_governor, ..SolveRequest::new(front.solver) };
     let analysis = solve(&front.prog, &front.aux, None, req);
     let Front { prog, aux, keys, solver, .. } = front;
     let total = prog.insts.len();
@@ -746,7 +729,6 @@ fn solve_incremental(
     prev: &ProgramState,
     source: &str,
     front: Front,
-    opts: IncrementalOptions,
     fs_governor: Option<&Governor>,
     mut ctx: WaveCtx,
 ) -> (ProgramState, SolveReport) {
@@ -758,7 +740,7 @@ fn solve_incremental(
         let Some((seed, carried_sets)) = assemble_seed(prev, warm, &front, ctx.clean_mask()) else {
             // Correspondence broke somewhere the cleanliness argument
             // says it cannot: a cold solve is always safe.
-            return solve_front(source, front, opts, fs_governor);
+            return solve_front(source, front, fs_governor);
         };
         let dirty_nodes = ctx.dirty_count;
         let staged = front.staged.as_ref().expect("WaveCtx::prepare checked staged");
@@ -767,7 +749,6 @@ fn solve_incremental(
             &front.aux,
             &staged.mssa,
             &staged.svfg,
-            opts.order,
             fs_governor,
             Some(seed),
         );
@@ -1494,7 +1475,7 @@ entry:
 
     #[test]
     fn cold_only_solvers_serve_edits_by_exact_cold_resolves() {
-        let opts = IncrementalOptions { solver: SolverKind::CfgFree, ..Default::default() };
+        let opts = IncrementalOptions { solver: SolverKind::CfgFree };
         let (state, r0) = solve_program(BASE, opts, None, None).unwrap();
         assert!(!state.has_warm_state());
         assert!(state.svfg().is_none() && state.mssa().is_none());
@@ -1519,7 +1500,7 @@ entry:
     fn switching_solvers_between_edits_resolves_cold() {
         let (state, _) = cold(BASE);
         assert!(state.has_warm_state());
-        let opts = IncrementalOptions { solver: SolverKind::Vsfs, ..Default::default() };
+        let opts = IncrementalOptions { solver: SolverKind::Vsfs };
         let (next, report) = resolve_edit(&state, BASE, opts, None, None).unwrap();
         assert!(!report.incremental, "warm state never crosses a solver switch");
         assert_eq!(next.solver, SolverKind::Vsfs);

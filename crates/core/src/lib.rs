@@ -74,7 +74,6 @@ pub use precision::{compare_precision, PrecisionReport};
 pub use result::{
     precision_diff, same_precision, FlowSensitiveResult, GovernedAnalysis, SolveStats,
 };
-pub use schedule::SolveOrder;
 pub use sfs::run_sfs;
 pub use solver::{solve, SolveRequest, SolverCaps, SolverKind};
 pub use versioning::{VersionTables, VersioningStats};

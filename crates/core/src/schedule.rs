@@ -1,12 +1,13 @@
-//! Fixpoint scheduling: worklist order selection and rank computation.
+//! Fixpoint scheduling: the topological ranks behind the solvers'
+//! worklists.
 //!
-//! Both flow-sensitive solvers drain monotone constraint systems, so the
-//! worklist policy changes only *when* work happens — the final fixpoint
+//! The flow-sensitive solvers drain monotone constraint systems, so the
+//! worklist order changes only *when* work happens — the final fixpoint
 //! is the same unique least solution under any order. What the order does
-//! change is how much redundant work the fixpoint performs: a FIFO
-//! worklist re-visits a node every time any input grows, while a
-//! topological (SCC-condensation) order lets producers settle before
-//! consumers run, so most nodes are popped close to once per growth wave.
+//! change is how much redundant work the fixpoint performs: a topological
+//! (SCC-condensation) order lets producers settle before consumers run,
+//! so most nodes are popped close to once per growth wave. It is the only
+//! schedule; EXPERIMENTS.md ("Mechanism audit") compares it with FIFO.
 //!
 //! Ranks are computed once per solve from the *static* dependence graph
 //! (SVFG edges plus every possible on-the-fly call binding for node
@@ -22,36 +23,6 @@ use vsfs_ir::{InstId, Program};
 use vsfs_svfg::{Svfg, SvfgNodeId};
 
 use crate::versioning::VersionTables;
-
-/// Worklist scheduling policy for the flow-sensitive fixpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolveOrder {
-    /// Plain FIFO: elements pop in enqueue order.
-    Fifo,
-    /// SCC-condensation topological order: producers before consumers,
-    /// FIFO within a cycle. The default.
-    #[default]
-    Topo,
-}
-
-impl SolveOrder {
-    /// Parses a CLI-facing order name.
-    pub fn parse(s: &str) -> Option<SolveOrder> {
-        match s {
-            "fifo" => Some(SolveOrder::Fifo),
-            "topo" => Some(SolveOrder::Topo),
-            _ => None,
-        }
-    }
-
-    /// The CLI-facing name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SolveOrder::Fifo => "fifo",
-            SolveOrder::Topo => "topo",
-        }
-    }
-}
 
 /// The deferred `(call, callee)` bindings of `svfg` in a deterministic
 /// order. The underlying map is hash-keyed, so anything order-sensitive
@@ -86,31 +57,18 @@ fn svfg_dep_graph(prog: &Program, svfg: &Svfg) -> DiGraph<SvfgNodeId> {
     g
 }
 
-/// The SVFG node worklist for `order`. Only `Topo` builds the
-/// dependence graph and ranks it; `Fifo` needs neither.
-pub(crate) fn node_worklist(
-    prog: &Program,
-    svfg: &Svfg,
-    order: SolveOrder,
-) -> Worklist<SvfgNodeId> {
-    match order {
-        SolveOrder::Fifo => Worklist::fifo(svfg.node_count()),
-        SolveOrder::Topo => Worklist::priority(condensation_ranks(&svfg_dep_graph(prog, svfg))),
-    }
+/// The SVFG node worklist, ranked by the dependence graph.
+pub(crate) fn node_worklist(prog: &Program, svfg: &Svfg) -> Worklist<SvfgNodeId> {
+    Worklist::new(condensation_ranks(&svfg_dep_graph(prog, svfg)))
 }
 
-/// The VSFS version-slot worklist for `order`; only `Topo` ranks the
-/// slots.
+/// The VSFS version-slot worklist, ranked by [`slot_ranks`].
 pub(crate) fn slot_worklist(
     prog: &Program,
     svfg: &Svfg,
     tables: &VersionTables,
-    order: SolveOrder,
 ) -> Worklist<usize> {
-    match order {
-        SolveOrder::Fifo => Worklist::fifo(tables.slot_count() as usize),
-        SolveOrder::Topo => Worklist::priority(slot_ranks(prog, svfg, tables)),
-    }
+    Worklist::new(slot_ranks(prog, svfg, tables))
 }
 
 /// Topological ranks for the VSFS version-slot worklist.
@@ -157,17 +115,6 @@ mod tests {
     use super::*;
     use vsfs_ir::parse_program;
     use vsfs_mssa::MemorySsa;
-
-    #[test]
-    fn order_parses_and_round_trips() {
-        assert_eq!(SolveOrder::parse("fifo"), Some(SolveOrder::Fifo));
-        assert_eq!(SolveOrder::parse("topo"), Some(SolveOrder::Topo));
-        assert_eq!(SolveOrder::parse("lifo"), None);
-        assert_eq!(SolveOrder::default(), SolveOrder::Topo);
-        for o in [SolveOrder::Fifo, SolveOrder::Topo] {
-            assert_eq!(SolveOrder::parse(o.name()), Some(o));
-        }
-    }
 
     #[test]
     fn ranks_follow_store_load_chains() {

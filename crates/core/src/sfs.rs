@@ -12,7 +12,7 @@
 //! node propagates only its dirty objects.
 
 use crate::result::{FlowSensitiveResult, SolveStats};
-use crate::schedule::{node_worklist, SolveOrder};
+use crate::schedule::node_worklist;
 use crate::solver::{SolveRequest, SolverKind};
 use crate::toplevel::{TopLevel, EMPTY};
 use std::time::Instant;
@@ -34,17 +34,16 @@ pub fn run_sfs(
     crate::solve(prog, aux, Some((mssa, svfg)), SolveRequest::new(SolverKind::Sfs)).result
 }
 
-/// The SFS engine behind [`crate::solve`]: a cold solve under `order`,
-/// with one cooperative checkpoint per worklist pop when governed.
+/// The SFS engine behind [`crate::solve`]: a cold solve, with one
+/// cooperative checkpoint per worklist pop when governed.
 pub(crate) fn solve(
     prog: &Program,
     aux: &AndersenResult,
     mssa: &MemorySsa,
     svfg: &Svfg,
-    order: SolveOrder,
     governor: Option<&Governor>,
 ) -> (FlowSensitiveResult, Completion) {
-    let (result, completion, _) = solve_impl(prog, aux, mssa, svfg, governor, order, None, false);
+    let (result, completion, _) = solve_impl(prog, aux, mssa, svfg, governor, None, false);
     (result, completion)
 }
 
@@ -83,26 +82,23 @@ pub(crate) fn run_sfs_seeded(
     aux: &AndersenResult,
     mssa: &MemorySsa,
     svfg: &Svfg,
-    order: SolveOrder,
     governor: Option<&Governor>,
     seed: Option<SfsSeed>,
 ) -> (FlowSensitiveResult, Completion, Option<SfsHarvest>) {
-    solve_impl(prog, aux, mssa, svfg, governor, order, seed, true)
+    solve_impl(prog, aux, mssa, svfg, governor, seed, true)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn solve_impl(
     prog: &Program,
     aux: &AndersenResult,
     mssa: &MemorySsa,
     svfg: &Svfg,
     governor: Option<&Governor>,
-    order: SolveOrder,
     seed: Option<SfsSeed>,
     want_harvest: bool,
 ) -> (FlowSensitiveResult, Completion, Option<SfsHarvest>) {
     let start = Instant::now();
-    let mut solver = SfsSolver::new(prog, aux, mssa, svfg, order);
+    let mut solver = SfsSolver::new(prog, aux, mssa, svfg);
     match seed {
         Some(seed) => solver.apply_seed(seed),
         None => solver.init_cold(),
@@ -161,7 +157,6 @@ impl<'a> SfsSolver<'a> {
         aux: &'a AndersenResult,
         mssa: &'a MemorySsa,
         svfg: &'a Svfg,
-        order: SolveOrder,
     ) -> Self {
         let n = svfg.node_count();
         SfsSolver {
@@ -178,7 +173,7 @@ impl<'a> SfsSolver<'a> {
                 .collect(),
             dyn_frontier: (0..n).map(|_| Vec::new()).collect(),
             dirty: (0..n).map(|_| PointsToSet::new()).collect(),
-            worklist: node_worklist(prog, svfg, order),
+            worklist: node_worklist(prog, svfg),
             stats: SolveStats::default(),
         }
     }

@@ -17,8 +17,8 @@
 //! [`SolverKind`] names the member; [`SolverCaps`] declares which
 //! pipeline stages it needs and which serving features it supports;
 //! [`solve`] runs it. A [`SolveRequest`] carries every setting a solve
-//! takes — worklist order, versioning jobs, pre-built version tables,
-//! and an optional [`Governor`] — so the CLI,
+//! takes — versioning jobs, pre-built version tables, and an optional
+//! [`Governor`] — so the CLI,
 //! the incremental server, the bench bins and the tests all reach the
 //! engines through this one function. A new solver is one variant, one
 //! `solve` arm and one honest `caps()` row.
@@ -26,7 +26,6 @@
 //! [`FlowSensitiveResult`]: crate::FlowSensitiveResult
 
 use crate::result::{FlowSensitiveResult, GovernedAnalysis};
-use crate::schedule::SolveOrder;
 use crate::versioning::VersionTables;
 use crate::{cfgfree, dense, sfs, vsfs};
 use vsfs_adt::govern::{Completion, Governor};
@@ -131,8 +130,6 @@ impl SolverKind {
 pub struct SolveRequest<'a> {
     /// The solver to run.
     pub kind: SolverKind,
-    /// Worklist order (sparse solvers; `dense` and `unify` ignore it).
-    pub order: SolveOrder,
     /// Versioning meld threads (VSFS only; `0` = all cores).
     pub jobs: usize,
     /// Pre-built version tables: VSFS skips its versioning stage.
@@ -143,10 +140,10 @@ pub struct SolveRequest<'a> {
 }
 
 impl SolveRequest<'_> {
-    /// The default request for `kind`: default order, one versioning
-    /// job, no pre-built tables, ungoverned.
+    /// The default request for `kind`: one versioning job, no pre-built
+    /// tables, ungoverned.
     pub fn new(kind: SolverKind) -> Self {
-        SolveRequest { kind, order: SolveOrder::default(), jobs: 1, tables: None, governor: None }
+        SolveRequest { kind, jobs: 1, tables: None, governor: None }
     }
 }
 
@@ -169,14 +166,14 @@ pub fn solve(
     staged: Option<(&MemorySsa, &Svfg)>,
     req: SolveRequest,
 ) -> GovernedAnalysis {
-    let SolveRequest { kind, order, jobs, tables, governor } = req;
+    let SolveRequest { kind, jobs, tables, governor } = req;
     let staged =
         || staged.unwrap_or_else(|| panic!("{} needs the memory SSA and SVFG stages", kind.name()));
     let (result, completion) = match kind {
         SolverKind::Dense => dense::solve(prog, aux, governor),
         SolverKind::Sfs => {
             let (mssa, svfg) = staged();
-            sfs::solve(prog, aux, mssa, svfg, order, governor)
+            sfs::solve(prog, aux, mssa, svfg, governor)
         }
         SolverKind::Vsfs => {
             let (mssa, svfg) = staged();
@@ -190,9 +187,9 @@ pub fn solve(
                     built.result
                 }
             };
-            vsfs::solve(prog, aux, mssa, svfg, tables, order, governor)
+            vsfs::solve(prog, aux, mssa, svfg, tables, governor)
         }
-        SolverKind::CfgFree => cfgfree::solve(prog, aux, order, governor),
+        SolverKind::CfgFree => cfgfree::solve(prog, aux, governor),
         SolverKind::Unify => {
             // A partial unification fixpoint is unsound, so a governed
             // unify run that trips is not served as-is: the complete

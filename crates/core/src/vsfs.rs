@@ -18,7 +18,7 @@
 //! propagation — the paper's single-object sparsity.
 
 use crate::result::{FlowSensitiveResult, SolveStats};
-use crate::schedule::{node_worklist, slot_worklist, SolveOrder};
+use crate::schedule::{node_worklist, slot_worklist};
 use crate::solver::{SolveRequest, SolverKind};
 use crate::toplevel::{TopLevel, EMPTY};
 use crate::versioning::{VersionSlot, VersionTables};
@@ -55,20 +55,19 @@ pub fn run_vsfs_with_tables(
 }
 
 /// The VSFS engine behind [`crate::solve`]: the fixpoint over pre-built
-/// version tables under `order`, with one cooperative checkpoint per
-/// worklist pop when governed.
+/// version tables, with one cooperative checkpoint per worklist pop when
+/// governed.
 pub(crate) fn solve(
     prog: &Program,
     aux: &AndersenResult,
     mssa: &MemorySsa,
     svfg: &Svfg,
     tables: VersionTables,
-    order: SolveOrder,
     governor: Option<&Governor>,
 ) -> (FlowSensitiveResult, Completion) {
     let versioning = tables.stats;
     let start = Instant::now();
-    let mut solver = VsfsSolver::new(prog, aux, mssa, svfg, tables, order);
+    let mut solver = VsfsSolver::new(prog, aux, mssa, svfg, tables);
     let completion = solver.solve_governed(governor);
     let mut stats = solver.stats;
     stats.solve_seconds = start.elapsed().as_secs_f64();
@@ -115,14 +114,13 @@ impl<'a> VsfsSolver<'a> {
         mssa: &'a MemorySsa,
         svfg: &'a Svfg,
         tables: VersionTables,
-        order: SolveOrder,
     ) -> Self {
         let top = TopLevel::new(prog, aux, svfg);
-        let mut nodes = node_worklist(prog, svfg, order);
+        let mut nodes = node_worklist(prog, svfg);
         for id in svfg.node_ids() {
             nodes.push(id);
         }
-        let slots = slot_worklist(prog, svfg, &tables, order);
+        let slots = slot_worklist(prog, svfg, &tables);
         // Register consumers: loads re-run when their consumed slot grows
         // (to extend pt(dst)); stores re-run to weak-update their yield.
         let slot_count = tables.slot_count() as usize;

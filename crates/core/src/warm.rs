@@ -148,10 +148,10 @@ pub fn restore_program(
     // it (even between the bit-identical staged pair, the recorded kind
     // is authoritative). Anything else re-solves cold.
     if !opts.solver.caps().warm || SolverKind::parse(&export.solver) != Some(opts.solver) {
-        return Ok(solve_front(source, front, opts, fs_governor));
+        return Ok(solve_front(source, front, fs_governor));
     }
     let Some((seed, carried_sets)) = assemble_restore_seed(&front, export) else {
-        return Ok(solve_front(source, front, opts, fs_governor));
+        return Ok(solve_front(source, front, fs_governor));
     };
     let staged = front.staged.as_ref().expect("warm caps imply a staged front");
     let (result, completion, harvest) = run_sfs_seeded(
@@ -159,7 +159,6 @@ pub fn restore_program(
         &front.aux,
         &staged.mssa,
         &staged.svfg,
-        opts.order,
         fs_governor,
         Some(seed),
     );
@@ -169,7 +168,7 @@ pub fn restore_program(
         // The seeded state converged to something other than what the
         // snapshot recorded — stale or corrupt beyond what the checksum
         // caught. The snapshot is worthless; solve from scratch.
-        return Ok(solve_front(source, front, opts, fs_governor));
+        return Ok(solve_front(source, front, fs_governor));
     }
     let outcome = Outcome {
         incremental: false,
@@ -310,7 +309,7 @@ entry:
         let (state, r0) = solve_program(BASE, opts, None, None).unwrap();
         let export = export_warm(&state).unwrap();
         assert_eq!(export.solver, "sfs");
-        let cf = IncrementalOptions { solver: SolverKind::CfgFree, ..opts };
+        let cf = IncrementalOptions { solver: SolverKind::CfgFree };
         let (restored, r1) = restore_program(BASE, &export, cf, None, None).unwrap();
         assert!(!r1.restored, "a snapshot must not seed a different solver");
         assert_eq!(restored.solver, SolverKind::CfgFree);

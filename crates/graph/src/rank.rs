@@ -19,7 +19,7 @@ use vsfs_adt::index::Idx;
 ///
 /// Ranks are dense (`0..scc_count`) and deterministic — they depend only
 /// on the graph's node order and adjacency-list order — so they can seed
-/// a [`vsfs_adt::PriorityWorklist`] without introducing any
+/// a [`vsfs_adt::Worklist`] without introducing any
 /// schedule nondeterminism.
 ///
 /// # Examples

@@ -112,7 +112,6 @@ use std::time::{Duration, Instant};
 use vsfs_adt::govern::{panic_message, Budget, CancelToken, Governor};
 use vsfs_checkers::{render_finding, run_checkers, FlowView};
 use vsfs_core::queries::AliasQueries;
-use vsfs_core::schedule::SolveOrder;
 use vsfs_core::{
     export_warm, resolve_edit, restore_program, solve_program, IncrementalOptions, ProgramState,
     SolveError, SolveReport, SolverKind,
@@ -518,10 +517,6 @@ impl Server {
                     ))
                 }
             };
-        }
-        if let Some(order) = req.get("order").and_then(Json::as_str) {
-            opts.order = SolveOrder::parse(order)
-                .ok_or_else(|| err("bad_request", format!("unknown order '{order}'")))?;
         }
         Ok(opts)
     }

@@ -89,19 +89,15 @@ fi
 echo "ok: degraded --check exits 2 and falls back to the Andersen finding set"
 
 echo
-echo "== scheduling gate: topo order must cut worklist pops >= 20% vs fifo =="
-cargo run --release -p vsfs-bench --bin scheduling -- --gate 20
-
-echo
-echo "== governed --order topo: degraded run still exits 2 with sound fallback =="
+echo "== governed step budget: degraded run still exits 2 with sound fallback =="
 rc=0
-out="$(./target/release/vsfs --vfspta --workload ninja --order topo \
+out="$(./target/release/vsfs --vfspta --workload ninja \
        --step-budget 1000 --print-pts)" || rc=$?
 if [ "$rc" -ne 2 ]; then
-  echo "FAIL: governed --order topo exited $rc (want 2: degraded)" >&2
+  echo "FAIL: governed --step-budget exited $rc (want 2: degraded)" >&2
   exit 1
 fi
-echo "ok: tiny step budget under topo order degrades soundly with exit 2"
+echo "ok: tiny step budget degrades soundly with exit 2"
 
 echo
 echo "== incremental equivalence: differential edit-sequence property suite =="

@@ -29,9 +29,6 @@ echo
 echo "== Checker precision: FP deltas on buggy workload variants =="
 ./target/release/checkers du,ninja
 
-echo
-echo "== Scheduling: FIFO vs topological order, difference propagation =="
-./target/release/scheduling
 
 echo
 echo "== MDE: chunked-store payload and peak heap (writes results/BENCH_dedup.json) =="

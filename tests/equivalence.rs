@@ -261,13 +261,11 @@ fn vsfs_stores_fewer_object_sets_on_redundant_workloads() {
 }
 
 #[test]
-fn cfgfree_checker_findings_are_bit_identical_across_jobs_and_orders() {
-    // The CFG-free result must be schedule- and parallelism-invariant:
-    // checker findings rendered under its FlowView are byte-for-byte
-    // identical whether the request asked for 1, 2, or 8 jobs and
-    // whether the solver drained its worklist FIFO or topological.
+fn cfgfree_checker_findings_are_bit_identical_across_jobs() {
+    // The CFG-free result must be parallelism-invariant: checker
+    // findings rendered under its FlowView are byte-for-byte identical
+    // whether the request asked for 1, 2, or 8 jobs.
     use vsfs_checkers::{render_findings, run_checkers, FlowView};
-    use vsfs_core::SolveOrder;
 
     for p in vsfs_workloads::corpus::corpus() {
         let prog = parse_program(p.source).unwrap();
@@ -279,20 +277,14 @@ fn cfgfree_checker_findings_are_bit_identical_across_jobs_and_orders() {
         let svfg = Svfg::build(&prog, &aux, &mssa);
         let mut reference: Option<Vec<String>> = None;
         for jobs in [1usize, 2, 8] {
-            for order in [SolveOrder::Fifo, SolveOrder::Topo] {
-                let req = SolveRequest { order, jobs, ..SolveRequest::new(SolverKind::CfgFree) };
-                let r = vsfs_core::solve(&prog, &aux, None, req).result;
-                let findings = run_checkers(&prog, &svfg, &FlowView(&r));
-                let rendered = render_findings(&prog, &findings);
-                match &reference {
-                    None => reference = Some(rendered),
-                    Some(want) => assert_eq!(
-                        want,
-                        &rendered,
-                        "{}: findings differ at jobs={jobs} order={}",
-                        p.name,
-                        order.name()
-                    ),
+            let req = SolveRequest { jobs, ..SolveRequest::new(SolverKind::CfgFree) };
+            let r = vsfs_core::solve(&prog, &aux, None, req).result;
+            let findings = run_checkers(&prog, &svfg, &FlowView(&r));
+            let rendered = render_findings(&prog, &findings);
+            match &reference {
+                None => reference = Some(rendered),
+                Some(want) => {
+                    assert_eq!(want, &rendered, "{}: findings differ at jobs={jobs}", p.name)
                 }
             }
         }

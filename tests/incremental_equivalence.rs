@@ -7,8 +7,8 @@
 //! solve of the same source text:
 //!
 //! * every top-level points-to set and the resolved call graph
-//!   (`precision_diff`), against from-scratch SFS under both worklist
-//!   orders **and** from-scratch VSFS at `jobs` 1, 2 and 8;
+//!   (`precision_diff`), against from-scratch SFS **and** from-scratch
+//!   VSFS at `jobs` 1, 2 and 8;
 //! * sampled may-alias queries;
 //! * the full memory-safety finding set;
 //! * the deterministic result fingerprint.
@@ -21,7 +21,7 @@ use vsfs_core::queries::AliasQueries;
 use vsfs_core::result::precision_diff;
 use vsfs_core::{
     resolve_edit, result_fingerprint, solve_program, FlowSensitiveResult, IncrementalOptions,
-    ProgramState, SolveOrder, SolveReport, SolveRequest, SolverKind,
+    ProgramState, SolveReport, SolveRequest, SolverKind,
 };
 use vsfs_ir::Program;
 use vsfs_testkit::Rng;
@@ -66,10 +66,9 @@ fn cold_pipeline(source: &str) -> ColdPipeline {
 }
 
 impl ColdPipeline {
-    /// A from-scratch solve of `kind` under `order`, with `jobs`
-    /// versioning workers.
-    fn solve(&self, kind: SolverKind, order: SolveOrder, jobs: usize) -> FlowSensitiveResult {
-        let req = SolveRequest { order, jobs, ..SolveRequest::new(kind) };
+    /// A from-scratch solve of `kind` with `jobs` versioning workers.
+    fn solve(&self, kind: SolverKind, jobs: usize) -> FlowSensitiveResult {
+        let req = SolveRequest { jobs, ..SolveRequest::new(kind) };
         vsfs_core::solve(&self.prog, &self.aux, Some((&self.mssa, &self.svfg)), req).result
     }
 }
@@ -116,17 +115,14 @@ fn assert_matches(
 
 /// The core property: for a random base program and a random 3-edit
 /// script, every incrementally solved state equals a from-scratch solve
-/// of the same text — under SFS (both orders) and VSFS (jobs 1/2/8).
+/// of the same text — under SFS and VSFS (jobs 1/2/8).
 #[test]
 fn edit_sequences_match_from_scratch_solves() {
     vsfs_testkit::check_cases("incremental::edit_sequences_match", CASES, |rng| {
         let cfg = random_config(rng);
         let script = edit_script(&cfg, rng.next_u64(), 3);
         let base_text = script.base.to_string();
-        let opts = IncrementalOptions {
-            order: if rng.gen_bool(0.5) { SolveOrder::Fifo } else { SolveOrder::Topo },
-            ..IncrementalOptions::default()
-        };
+        let opts = IncrementalOptions::default();
         let (mut state, _) = solve_program(&base_text, opts, None, None).expect("base solves");
 
         for (i, step) in script.steps.iter().enumerate() {
@@ -139,18 +135,16 @@ fn edit_sequences_match_from_scratch_solves() {
                 "{label}: warm state must be available after a complete solve"
             );
 
-            // From-scratch SFS under both worklist orders, and VSFS at
-            // three parallelism levels.
+            // From-scratch SFS, and VSFS at three parallelism levels.
             let cold = cold_pipeline(&text);
-            for (kind, jobs, order) in [
-                (SolverKind::Sfs, 1, SolveOrder::Fifo),
-                (SolverKind::Sfs, 1, SolveOrder::Topo),
-                (SolverKind::Vsfs, 1, SolveOrder::Topo),
-                (SolverKind::Vsfs, 2, SolveOrder::Fifo),
-                (SolverKind::Vsfs, 8, SolveOrder::Topo),
+            for (kind, jobs) in [
+                (SolverKind::Sfs, 1),
+                (SolverKind::Vsfs, 1),
+                (SolverKind::Vsfs, 2),
+                (SolverKind::Vsfs, 8),
             ] {
-                let r = cold.solve(kind, order, jobs);
-                let ctx = format!("{label} vs {}/j{jobs}/{order:?}", kind.name());
+                let r = cold.solve(kind, jobs);
+                let ctx = format!("{label} vs {}/j{jobs}", kind.name());
                 assert_matches(&ctx, &next, &cold, &r, rng);
             }
             state = next;
@@ -214,7 +208,7 @@ fn edit_against_cold(label: &str, base: &str, edited: &str) -> SolveReport {
     let (next, report) = resolve_edit(&state, edited, opts, None, None).expect("edit solves");
     assert!(report.incremental, "{label}: the edit must be solved incrementally");
     let cold = cold_pipeline(edited);
-    let r = cold.solve(SolverKind::Sfs, SolveOrder::default(), 1);
+    let r = cold.solve(SolverKind::Sfs, 1);
     assert_matches(label, &next, &cold, &r, &mut Rng::seed_from_u64(7));
     report
 }
