@@ -1,10 +1,14 @@
-//! Regenerates Table III: time and memory of Andersen's, SFS, and VSFS
-//! over the 15-benchmark suite, with per-benchmark time/memory ratios and
-//! geometric means.
+//! Regenerates Tables II and III over the 15-benchmark suite. Table II
+//! gives the benchmark characteristics (SVFG nodes, direct and indirect
+//! edges, variable counts) of the pipeline each benchmark builds anyway;
+//! Table III gives the time and memory of Andersen's, SFS, and VSFS,
+//! with per-benchmark time/memory ratios and geometric means. Table II
+//! prints first, then a blank line, then Table III; `--csv` prints both
+//! as CSV.
 //!
 //! ```text
 //! cargo run -p vsfs-bench --release --bin table3 -- \
-//!     [--runs N] [--mem-limit-mib M] [benchmark ...]
+//!     [--runs N] [--mem-limit-mib M] [--csv] [benchmark ...]
 //! ```
 //!
 //! `--mem-limit-mib` emulates the paper's 120 GB cap, scaled to these
@@ -14,7 +18,8 @@
 //! Pass `--mem-limit-mib 0` for unlimited.
 
 use vsfs_adt::mem::CountingAlloc;
-use vsfs_bench::{table3_row, Pipeline};
+use vsfs_bench::format::{csv_table2, csv_table3, render_table2, render_table3};
+use vsfs_bench::{table2_row, table3_row, Pipeline};
 use vsfs_workloads::suite;
 
 #[global_allocator]
@@ -53,19 +58,20 @@ fn main() {
     }
     let budget = mem_limit_mib.saturating_mul(1024 * 1024);
 
-    let mut rows = Vec::new();
+    let (mut rows2, mut rows3) = (Vec::new(), Vec::new());
     for spec in suite() {
         if !filter.is_empty() && !filter.iter().any(|f| f == spec.name) {
             continue;
         }
         eprintln!("analysing {} (runs={runs}) ...", spec.name);
         let p = Pipeline::build(&spec);
-        rows.push(table3_row(&spec, &p, runs, budget));
+        rows2.push(table2_row(&spec, &p));
+        rows3.push(table3_row(&spec, &p, runs, budget));
     }
     if csv {
-        print!("{}", vsfs_bench::format::csv_table3(&rows));
+        print!("{}\n{}", csv_table2(&rows2), csv_table3(&rows3));
     } else {
-        print!("{}", vsfs_bench::format::render_table3(&rows));
+        print!("{}\n{}", render_table2(&rows2), render_table3(&rows3));
     }
 }
 

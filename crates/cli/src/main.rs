@@ -352,11 +352,7 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(1);
     }
-    if opts.governed() {
-        run_governed(&opts, &prog)
-    } else {
-        run_plain(&opts, &prog)
-    }
+    run(&opts, &prog)
 }
 
 /// `vsfs serve [--socket PATH] [--corpus DIR] [--solver NAME]
@@ -550,10 +546,100 @@ fn check_annotations(
     ann
 }
 
-fn run_plain(opts: &Options, prog: &Program) -> ExitCode {
+/// Builds the memory-SSA and SVFG stages when the solver (or an output
+/// flag) needs them. For cold-only solvers the graphs carry no solver
+/// state — they exist purely so the checkers can walk witness paths and
+/// the dot export has a graph to draw, mirroring the server's on-demand
+/// staging for `check` requests.
+fn build_staged(
+    opts: &Options,
+    prog: &Program,
+    aux: &vsfs_andersen::AndersenResult,
+    kind: SolverKind,
+) -> Option<(vsfs_mssa::MemorySsa, vsfs_svfg::Svfg)> {
+    let needed = kind.is_staged() || opts.check || opts.dot_svfg.is_some();
+    needed.then(|| {
+        let mssa = vsfs_mssa::MemorySsa::build(prog, aux);
+        let svfg = vsfs_svfg::Svfg::build(prog, aux, &mssa);
+        (mssa, svfg)
+    })
+}
+
+/// Rung 3 of the degradation ladder: the auxiliary (Andersen) stage
+/// tripped its budget, so neither a flow-sensitive nor a sound Andersen
+/// result exists. Re-solves with the ungoverned unification tier and
+/// reports its (coarser, sound) answer with exit code 2. The checkers
+/// and the dot export need an SVFG, which only a *complete* Andersen
+/// result can build soundly, so those outputs are skipped with a
+/// warning rather than computed from the partial auxiliary state.
+fn run_unify_rung(opts: &Options, prog: &Program, reason: &DegradeReason) -> ExitCode {
+    let unify = vsfs_andersen::analyze_unify(prog);
+    if opts.print_pts {
+        print_value_pts(prog, |v| obj_names(prog, unify.value_pts(v)));
+    }
+    if opts.print_callgraph {
+        let mut edges: Vec<_> = unify.callgraph.edges().collect();
+        edges.sort_unstable();
+        print_callgraph_edges(prog, &edges);
+    }
+    if opts.check {
+        eprintln!(
+            "warning: --check skipped: the auxiliary stage degraded, so no sound SVFG exists"
+        );
+    }
+    if opts.dot_svfg.is_some() {
+        eprintln!(
+            "warning: --dot-svfg skipped: the auxiliary stage degraded, so no sound SVFG exists"
+        );
+    }
+    if opts.stats {
+        println!("unify fallback:    {:.3}s, {} classes", unify.stats.seconds, unify.stats.classes);
+    }
+    println!(
+        "{{\"completion\":\"degraded\",\"mode\":\"unification-fallback\",\"stage\":\"andersen\",\"reason\":\"{}\"}}",
+        reason.code()
+    );
+    ExitCode::from(2)
+}
+
+/// Runs the analysis. Budgets, cooperative cancellation and fault
+/// injection apply only when a budget or fault flag is set; such a
+/// governed run also prints a one-line JSON completion record. The
+/// outcome maps onto the exit-code protocol (0 complete / 2
+/// degraded-with-fallback / 1 error).
+fn run(opts: &Options, prog: &Program) -> ExitCode {
+    let governed = opts.governed();
+    let cancel = match opts.time_budget {
+        Some(secs) => CancelToken::with_deadline(Instant::now() + Duration::from_secs_f64(secs)),
+        None => CancelToken::new(),
+    };
+    let mem_bytes = opts.mem_budget_mib.map(|mib| mib << 20);
+
+    // Auxiliary stage: only the deadline and the memory cap apply — step
+    // budgets count flow-sensitive steps, and a partially solved Andersen
+    // is an under-approximation (unsound) that cannot be served as-is.
+    let aux_gov = governed.then(|| {
+        let mut budget = Budget::unlimited();
+        if let Some(bytes) = mem_bytes {
+            budget = budget.with_mem_bytes(bytes);
+        }
+        Governor::with_cancel(budget, cancel.clone())
+    });
     let t0 = Instant::now();
-    let aux = vsfs_andersen::analyze(prog);
+    let aux_out = vsfs_andersen::analyze_with(prog, aux_gov.as_ref());
     let aux_time = t0.elapsed();
+    if let Completion::Degraded(reason) = &aux_out.completion {
+        // Rung 3 of the soundness ladder. A partial Andersen fixpoint is
+        // an under-approximation — unsound to report — but the
+        // unification tier's least solution over-approximates every
+        // finer tier, so the run degrades to it instead of erroring.
+        // The fallback runs ungoverned: the budget already tripped, a
+        // partial unification result would be just as unsound, and the
+        // unification solve costs a small fraction of the Andersen stage
+        // that exhausted it.
+        return run_unify_rung(opts, prog, reason);
+    }
+    let aux = aux_out.result;
 
     if opts.analysis == Analysis::Andersen {
         if opts.print_pts {
@@ -565,6 +651,9 @@ fn run_plain(opts: &Options, prog: &Program) -> ExitCode {
         if opts.stats {
             println!("andersen: {:.3}s, {:?}", aux_time.as_secs_f64(), aux.stats);
             println!("peak heap: {:.2} MiB", vsfs_adt::mem::peak_bytes() as f64 / (1 << 20) as f64);
+        }
+        if governed {
+            println!("{{\"completion\":\"complete\",\"mode\":\"flow-insensitive\"}}");
         }
         return ExitCode::SUCCESS;
     }
@@ -589,13 +678,29 @@ fn run_plain(opts: &Options, prog: &Program) -> ExitCode {
         }
     }
 
-    let req = SolveRequest { jobs: opts.jobs, ..SolveRequest::new(kind) };
-    let result = vsfs_core::solve(prog, &aux, staged.as_ref().map(|(m, s)| (m, s)), req).result;
+    // Flow-sensitive stage: full budget plus any injected fault. If it
+    // degrades, the Andersen result (a sound over-approximation of any
+    // flow-sensitive result) is reported instead.
+    let fs_gov = governed.then(|| {
+        let mut budget = Budget::unlimited();
+        if let Some(steps) = opts.step_budget {
+            budget = budget.with_steps(steps);
+        }
+        if let Some(bytes) = mem_bytes {
+            budget = budget.with_mem_bytes(bytes);
+        }
+        Governor::with_cancel(budget, cancel.clone())
+            .with_fault(opts.inject_fault.as_ref().and_then(FaultPlan::spec))
+    });
+    let req =
+        SolveRequest { jobs: opts.jobs, governor: fs_gov.as_ref(), ..SolveRequest::new(kind) };
+    let ga = vsfs_core::solve(prog, &aux, staged.as_ref().map(|(m, s)| (m, s)), req);
+    let result = &ga.result;
 
-    report_result(opts, prog, &aux, &result);
+    report_result(opts, prog, &aux, result);
     if opts.check {
         let (mssa, svfg) = staged.as_ref().expect("--check builds the staged graphs");
-        let findings = match run_check(opts, prog, &aux, svfg, &result) {
+        let findings = match run_check(opts, prog, &aux, svfg, result) {
             Ok(findings) => findings,
             Err(code) => return code,
         };
@@ -672,146 +777,8 @@ fn run_plain(opts: &Options, prog: &Program) -> ExitCode {
         }
         println!("peak heap: {:.2} MiB", vsfs_adt::mem::peak_bytes() as f64 / (1 << 20) as f64);
     }
-    ExitCode::SUCCESS
-}
-
-/// Builds the memory-SSA and SVFG stages when the solver (or an output
-/// flag) needs them. For cold-only solvers the graphs carry no solver
-/// state — they exist purely so the checkers can walk witness paths and
-/// the dot export has a graph to draw, mirroring the server's on-demand
-/// staging for `check` requests.
-fn build_staged(
-    opts: &Options,
-    prog: &Program,
-    aux: &vsfs_andersen::AndersenResult,
-    kind: SolverKind,
-) -> Option<(vsfs_mssa::MemorySsa, vsfs_svfg::Svfg)> {
-    let needed = kind.caps().needs_svfg || opts.check || opts.dot_svfg.is_some();
-    needed.then(|| {
-        let mssa = vsfs_mssa::MemorySsa::build(prog, aux);
-        let svfg = vsfs_svfg::Svfg::build(prog, aux, &mssa);
-        (mssa, svfg)
-    })
-}
-
-/// Rung 3 of the degradation ladder: the auxiliary (Andersen) stage
-/// tripped its budget, so neither a flow-sensitive nor a sound Andersen
-/// result exists. Re-solves with the ungoverned unification tier and
-/// reports its (coarser, sound) answer with exit code 2. The checkers
-/// and the dot export need an SVFG, which only a *complete* Andersen
-/// result can build soundly, so those outputs are skipped with a
-/// warning rather than computed from the partial auxiliary state.
-fn run_unify_rung(opts: &Options, prog: &Program, reason: &DegradeReason) -> ExitCode {
-    let unify = vsfs_andersen::analyze_unify(prog);
-    if opts.print_pts {
-        print_value_pts(prog, |v| obj_names(prog, unify.value_pts(v)));
-    }
-    if opts.print_callgraph {
-        let mut edges: Vec<_> = unify.callgraph.edges().collect();
-        edges.sort_unstable();
-        print_callgraph_edges(prog, &edges);
-    }
-    if opts.check {
-        eprintln!(
-            "warning: --check skipped: the auxiliary stage degraded, so no sound SVFG exists"
-        );
-    }
-    if opts.dot_svfg.is_some() {
-        eprintln!(
-            "warning: --dot-svfg skipped: the auxiliary stage degraded, so no sound SVFG exists"
-        );
-    }
-    if opts.stats {
-        println!("unify fallback:    {:.3}s, {} classes", unify.stats.seconds, unify.stats.classes);
-    }
-    println!(
-        "{{\"completion\":\"degraded\",\"mode\":\"unification-fallback\",\"stage\":\"andersen\",\"reason\":\"{}\"}}",
-        reason.code()
-    );
-    ExitCode::from(2)
-}
-
-/// Runs under resource governance: budgets, cooperative cancellation and
-/// (optionally) fault injection. Prints a one-line JSON completion record
-/// and maps the outcome onto the exit-code protocol (0 complete /
-/// 2 degraded-with-fallback / 1 error).
-fn run_governed(opts: &Options, prog: &Program) -> ExitCode {
-    let cancel = match opts.time_budget {
-        Some(secs) => CancelToken::with_deadline(Instant::now() + Duration::from_secs_f64(secs)),
-        None => CancelToken::new(),
-    };
-    let mem_bytes = opts.mem_budget_mib.map(|mib| mib << 20);
-
-    // Auxiliary stage: only the deadline and the memory cap apply — step
-    // budgets count flow-sensitive steps, and a partially solved Andersen
-    // is an under-approximation (unsound) that cannot be served as-is.
-    let mut aux_budget = Budget::unlimited();
-    if let Some(bytes) = mem_bytes {
-        aux_budget = aux_budget.with_mem_bytes(bytes);
-    }
-    let aux_gov = Governor::with_cancel(aux_budget, cancel.clone());
-    let aux_out = vsfs_andersen::analyze_with(prog, Some(&aux_gov));
-    if let Completion::Degraded(reason) = &aux_out.completion {
-        // Rung 3 of the soundness ladder. A partial Andersen fixpoint is
-        // an under-approximation — unsound to report — but the
-        // unification tier's least solution over-approximates every
-        // finer tier, so the run degrades to it instead of erroring.
-        // The fallback runs ungoverned: the budget already tripped, a
-        // partial unification result would be just as unsound, and the
-        // unification solve costs a small fraction of the Andersen stage
-        // that exhausted it.
-        return run_unify_rung(opts, prog, reason);
-    }
-    let aux = aux_out.result;
-
-    if opts.analysis == Analysis::Andersen {
-        if opts.print_pts {
-            print_value_pts(prog, |v| obj_names(prog, aux.value_pts(v)));
-        }
-        if opts.print_callgraph {
-            print_callgraph_edges(prog, &aux.callgraph.edges().collect::<Vec<_>>());
-        }
-        println!("{{\"completion\":\"complete\",\"mode\":\"flow-insensitive\"}}");
+    if !governed {
         return ExitCode::SUCCESS;
-    }
-
-    let Analysis::Flow(kind) = opts.analysis else { unreachable!("handled above") };
-    let staged = build_staged(opts, prog, &aux, kind);
-    if !opts.check {
-        if let Some((_, svfg)) = &staged {
-            if let Some(code) = write_dot(opts, prog, svfg, &vsfs_svfg::DotAnnotations::default()) {
-                return code;
-            }
-        }
-    }
-
-    // Flow-sensitive stage: full budget plus any injected fault. If it
-    // degrades, the Andersen result (a sound over-approximation of any
-    // flow-sensitive result) is reported instead.
-    let mut fs_budget = Budget::unlimited();
-    if let Some(steps) = opts.step_budget {
-        fs_budget = fs_budget.with_steps(steps);
-    }
-    if let Some(bytes) = mem_bytes {
-        fs_budget = fs_budget.with_mem_bytes(bytes);
-    }
-    let fs_gov = Governor::with_cancel(fs_budget, cancel.clone())
-        .with_fault(opts.inject_fault.as_ref().and_then(FaultPlan::spec));
-
-    let req = SolveRequest { jobs: opts.jobs, governor: Some(&fs_gov), ..SolveRequest::new(kind) };
-    let ga = vsfs_core::solve(prog, &aux, staged.as_ref().map(|(m, s)| (m, s)), req);
-
-    report_result(opts, prog, &aux, &ga.result);
-    if opts.check {
-        let (mssa, svfg) = staged.as_ref().expect("--check builds the staged graphs");
-        let findings = match run_check(opts, prog, &aux, svfg, &ga.result) {
-            Ok(findings) => findings,
-            Err(code) => return code,
-        };
-        let ann = check_annotations(opts, prog, mssa, svfg, &findings);
-        if let Some(code) = write_dot(opts, prog, svfg, &ann) {
-            return code;
-        }
     }
     match &ga.completion {
         Completion::Complete => {

@@ -106,6 +106,17 @@ fn generous_budget_completes_with_exit_zero() {
 }
 
 #[test]
+fn stats_print_under_a_generous_budget() {
+    // Governed and plain runs share one path, so --stats reports the
+    // solve whether or not a budget is set.
+    let out = vsfs(&["--workload", "du", "--stats", "--step-budget", "100000000"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("main phase:"), "{stdout}");
+    assert!(stdout.contains(r#"{"completion":"complete","mode":"flow-sensitive"}"#), "{stdout}");
+}
+
+#[test]
 fn exhausted_step_budget_degrades_to_andersen_with_exit_two() {
     let out = vsfs(&["--corpus", "strong_update", "--step-budget", "1", "--print-pts"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
@@ -261,9 +272,9 @@ fn unknown_solver_and_pre_values_share_the_typed_error_shape() {
 
 #[test]
 fn cold_only_solvers_never_stage_the_graphs() {
-    // SolverCaps dispatch, observed end to end through --stats: the
-    // staged solvers report the memory-SSA/SVFG build, the cold-only
-    // ones must never construct either.
+    // `SolverKind::is_staged` dispatch, observed end to end through
+    // --stats: the staged solvers report the memory-SSA/SVFG build, the
+    // cold-only ones must never construct either.
     for solver in ["dense", "cfgfree", "unify"] {
         let out = vsfs(&["--solver", solver, "--workload", "du", "--stats"]);
         assert!(out.status.success(), "{solver}: {out:?}");

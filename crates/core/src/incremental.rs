@@ -91,7 +91,7 @@ const MAX_AUDIT_WAVES: usize = 4;
 #[derive(Debug, Clone, Copy)]
 pub struct IncrementalOptions {
     /// Which flow-sensitive solver serves this program. Everything after
-    /// the Andersen stage dispatches on its [`SolverKind::caps`] row:
+    /// the Andersen stage dispatches on [`SolverKind::is_staged`]:
     /// staged solvers build memory SSA + SVFG and re-solve edits by
     /// SVFG-wave invalidation; cold-only solvers skip both and serve
     /// every edit by an exact cold re-solve.
@@ -176,7 +176,7 @@ pub(crate) struct WarmState {
 }
 
 /// The staged (SVFG-based) middle of the pipeline — built only for
-/// solvers whose [`SolverKind::caps`] row says `needs_svfg`.
+/// solvers that [`SolverKind::is_staged`].
 pub(crate) struct Staged {
     /// Memory SSA over the program and auxiliary result.
     pub(crate) mssa: MemorySsa,
@@ -268,7 +268,7 @@ pub fn resolve_edit(
     // Capability dispatch: SVFG-wave invalidation only exists for the
     // staged solvers, and warm state never crosses a solver switch.
     // Anything else serves the edit by an exact cold re-solve.
-    if !opts.solver.caps().incremental || prev.solver != opts.solver {
+    if !opts.solver.is_staged() || prev.solver != opts.solver {
         return Ok(solve_front(source, front, fs_governor));
     }
     Ok(match WaveCtx::prepare(prev, &front) {
@@ -344,7 +344,7 @@ pub(crate) fn build_front_ladder(
         });
     }
     let aux = outcome.result;
-    let (staged, keys) = if opts.solver.caps().needs_svfg {
+    let (staged, keys) = if opts.solver.is_staged() {
         let mssa = MemorySsa::build(&prog, &aux);
         let svfg = Svfg::build(&prog, &aux, &mssa);
         let keys = StableKeys::build(&prog, &mssa, &svfg);

@@ -75,7 +75,7 @@ pub use result::{
     precision_diff, same_precision, FlowSensitiveResult, GovernedAnalysis, SolveStats,
 };
 pub use sfs::run_sfs;
-pub use solver::{solve, SolveRequest, SolverCaps, SolverKind};
+pub use solver::{solve, SolveRequest, SolverKind};
 pub use versioning::{VersionTables, VersioningStats};
 pub use vsfs::{run_vsfs, run_vsfs_with_tables};
 pub use warm::{export_warm, restore_program, WarmExport};

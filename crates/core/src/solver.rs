@@ -14,14 +14,14 @@
 //!   over the Andersen constraint graph ("Flow Sensitivity without
 //!   Control Flow Graph"): no memory SSA and no SVFG are ever built.
 //!
-//! [`SolverKind`] names the member; [`SolverCaps`] declares which
-//! pipeline stages it needs and which serving features it supports;
-//! [`solve`] runs it. A [`SolveRequest`] carries every setting a solve
-//! takes — versioning jobs, pre-built version tables, and an optional
-//! [`Governor`] — so the CLI,
-//! the incremental server, the bench bins and the tests all reach the
-//! engines through this one function. A new solver is one variant, one
-//! `solve` arm and one honest `caps()` row.
+//! [`SolverKind`] names the member; [`SolverKind::is_staged`] says
+//! whether it runs on the memory-SSA/SVFG stages (and so serves edits
+//! and snapshots warm); [`solve`] runs it. A [`SolveRequest`] carries
+//! every setting a solve takes — versioning jobs, pre-built version
+//! tables, and an optional [`Governor`] — so the CLI, the incremental
+//! server, the bench bins and the tests all reach the engines through
+//! this one function. A new solver is one variant, one
+//! `solve` arm and one honest `is_staged()` answer.
 //!
 //! [`FlowSensitiveResult`]: crate::FlowSensitiveResult
 
@@ -52,18 +52,6 @@ pub enum SolverKind {
     Unify,
 }
 
-/// What a solver needs from the pipeline and offers to the server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SolverCaps {
-    /// Needs the staged `MemorySsa` + `Svfg` stages before solving.
-    pub needs_svfg: bool,
-    /// Supports SVFG-wave incremental re-solving (`resolve_edit`).
-    /// Solvers without it still serve edits — by exact cold re-solves.
-    pub incremental: bool,
-    /// Supports warm-state harvest/seed (and therefore snapshots).
-    pub warm: bool,
-}
-
 impl SolverKind {
     /// Parses a solver name as it appears on `--solver` and in the
     /// server protocol. Returns `None` for unknown names so each layer
@@ -90,24 +78,19 @@ impl SolverKind {
         }
     }
 
-    /// The capability row driving pipeline and server dispatch.
+    /// Whether the solver runs on the staged `MemorySsa` + `Svfg`
+    /// stages, which drive pipeline and server dispatch.
     ///
-    /// `Sfs` and `Vsfs` share the staged engine for serving: a warm
-    /// seed or an edit wave re-solves through `run_sfs_seeded`, which
-    /// is bit-identical to both (the central equivalence property), so
-    /// both declare `incremental` and `warm`. `Dense` and `CfgFree`
-    /// never build an SVFG, so SVFG-wave invalidation and warm-state
-    /// export are meaningless for them — the server falls back to
-    /// exact cold re-solves instead.
-    pub fn caps(self) -> SolverCaps {
-        match self {
-            SolverKind::Dense | SolverKind::CfgFree | SolverKind::Unify => {
-                SolverCaps { needs_svfg: false, incremental: false, warm: false }
-            }
-            SolverKind::Sfs | SolverKind::Vsfs => {
-                SolverCaps { needs_svfg: true, incremental: true, warm: true }
-            }
-        }
+    /// `Sfs` and `Vsfs` are staged. They also share the staged engine
+    /// for serving: a warm seed or an edit wave re-solves through
+    /// `run_sfs_seeded`, which is bit-identical to both (the central
+    /// equivalence property), so both support SVFG-wave incremental
+    /// re-solving and warm-state harvest/seed (and therefore
+    /// snapshots). `Dense`, `CfgFree` and `Unify` never build an SVFG,
+    /// so wave invalidation and warm-state export are meaningless for
+    /// them — the server falls back to exact cold re-solves instead.
+    pub fn is_staged(self) -> bool {
+        matches!(self, SolverKind::Sfs | SolverKind::Vsfs)
     }
 }
 
@@ -149,8 +132,7 @@ impl SolveRequest<'_> {
 
 /// Runs the solver `req` names over `prog`, with `aux` as the auxiliary
 /// (Andersen) result. `staged` must carry the memory SSA and SVFG when
-/// the solver's [`SolverCaps::needs_svfg`] is set; the other solvers
-/// ignore it.
+/// the solver [`SolverKind::is_staged`]; the other solvers ignore it.
 ///
 /// Without a governor the result is always complete. With one, a trip
 /// in any stage delivers the *sound* Andersen fallback instead of a
@@ -221,15 +203,9 @@ mod tests {
     }
 
     #[test]
-    fn capability_rows_are_internally_consistent() {
-        for kind in SolverKind::ALL {
-            let caps = kind.caps();
-            // Warm seeding and wave invalidation both live on the SVFG;
-            // a solver cannot support either without building one.
-            if caps.incremental || caps.warm {
-                assert!(caps.needs_svfg, "{} claims warm/incremental without an SVFG", kind.name());
-            }
-        }
+    fn only_the_svfg_solvers_are_staged() {
+        let staged: Vec<_> = SolverKind::ALL.into_iter().filter(|k| k.is_staged()).collect();
+        assert_eq!(staged, [SolverKind::Sfs, SolverKind::Vsfs]);
         assert_eq!(SolverKind::default(), SolverKind::Vsfs);
     }
 

@@ -147,13 +147,13 @@ pub fn restore_program(
     // a snapshot never seeds a different solver than the one that took
     // it (even between the bit-identical staged pair, the recorded kind
     // is authoritative). Anything else re-solves cold.
-    if !opts.solver.caps().warm || SolverKind::parse(&export.solver) != Some(opts.solver) {
+    if !opts.solver.is_staged() || SolverKind::parse(&export.solver) != Some(opts.solver) {
         return Ok(solve_front(source, front, fs_governor));
     }
     let Some((seed, carried_sets)) = assemble_restore_seed(&front, export) else {
         return Ok(solve_front(source, front, fs_governor));
     };
-    let staged = front.staged.as_ref().expect("warm caps imply a staged front");
+    let staged = front.staged.as_ref().expect("a staged solver has a staged front");
     let (result, completion, harvest) = run_sfs_seeded(
         &front.prog,
         &front.aux,

@@ -7,6 +7,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Bench bins that always write their JSON report write it here, so a CI
+# run never rewrites the recorded results/ baselines.
+scratch="$(mktemp -d)"
+trap 'rm -rf "$scratch"' EXIT
+
 echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release
 cargo test -q
@@ -105,22 +110,13 @@ VSFS_PROP_CASES=8 cargo test --release -q --test incremental_equivalence
 
 echo
 echo "== incremental gate: median edit speedup >= 5x vs from-scratch =="
-cargo run --release -p vsfs-bench --bin incremental_bench -- ninja,bake --edits 3 --gate 5
+cargo run --release -p vsfs-bench --bin incremental_bench -- ninja,bake --edits 3 --gate 5 \
+  --out "$scratch/BENCH_incremental.json"
 
 echo
-echo "== parallel versioning gate: --jobs 2 >= 1.2x --jobs 1 on lynx (writes results/BENCH_parallel.json) =="
+echo "== parallel versioning gate: --jobs 2 >= 1.2x --jobs 1 on lynx =="
 cargo run --release -p vsfs-bench --bin parallel_scaling -- lynx --runs 3 \
-  --gate-versioning-speedup 1.2
-
-echo
-echo "== MDE gate: peak heap, chunk payload dedup vs results/BENCH_dedup.json =="
-if [ -f results/BENCH_dedup.json ]; then
-  cargo run --release -p vsfs-bench --bin dedup_mem -- du,ninja,bake \
-    --gate results/BENCH_dedup.json
-else
-  echo "no baseline recorded; writing one"
-  cargo run --release -p vsfs-bench --bin dedup_mem -- du,ninja,bake
-fi
+  --gate-versioning-speedup 1.2 --out "$scratch/BENCH_parallel.json"
 
 echo
 echo "== protocol fuzz smoke: seeded sessions on both transports, zero deaths =="
@@ -137,11 +133,16 @@ cargo test --release -q -p vsfs-server --test concurrent
 
 echo
 echo "== server gate: snapshot restore >= 5x faster than cold solve =="
-cargo run --release -p vsfs-bench --bin server_bench -- ninja,bake --gate 5
+cargo run --release -p vsfs-bench --bin server_bench -- ninja,bake --gate 5 \
+  --out "$scratch/BENCH_server.json"
 
 echo
-echo "== solver equivalence gate: sfs = vsfs = cfgfree on the serving workloads =="
-cargo run --release -p vsfs-bench --bin solver_matrix -- ninja,bake --gate-equivalence
+echo "== solver matrix gate: sfs = vsfs = cfgfree, peak heap and payload dedup vs results/BENCH_solvers.json =="
+# Equivalence is checked on every run; --gate-peak fails on any peak
+# more than 10% above the baseline or a bake VSFS payload less than 25%
+# below flat.
+cargo run --release -p vsfs-bench --bin solver_matrix -- du,ninja,bake \
+  --gate-peak results/BENCH_solvers.json
 
 echo
 echo "== versioning share gate: versioning <= 0.35x the VSFS main phase on bake =="

@@ -18,21 +18,13 @@ echo "== building (release) =="
 cargo build --release -p vsfs-bench
 
 echo
-echo "== Table II: benchmark characteristics =="
-./target/release/table2
-
-echo
-echo "== Table III: time and memory (runs=$RUNS, mem limit ${MEM_LIMIT} MiB) =="
+echo "== Tables II and III: characteristics, then time and memory (runs=$RUNS, mem limit ${MEM_LIMIT} MiB) =="
 ./target/release/table3 --runs "$RUNS" --mem-limit-mib "$MEM_LIMIT"
 
 echo
 echo "== Checker precision: FP deltas on buggy workload variants =="
 ./target/release/checkers du,ninja
 
-
-echo
-echo "== MDE: chunked-store payload and peak heap (writes results/BENCH_dedup.json) =="
-./target/release/dedup_mem
 
 echo
 echo "== Incremental: edit re-solve vs from-scratch (writes results/BENCH_incremental.json) =="
@@ -43,7 +35,7 @@ echo "== Serving path: latency, shed rate, snapshot restore (writes results/BENC
 ./target/release/server_bench
 
 echo
-echo "== Solver matrix: sfs/vsfs/cfgfree time, memory, precision (writes results/BENCH_solvers.json) =="
+echo "== Solver matrix: sfs/vsfs/cfgfree time, memory, precision, store dedup (writes results/BENCH_solvers.json) =="
 ./target/release/solver_matrix
 
 echo
