@@ -14,7 +14,10 @@
 //!    ([`vsfs_workloads::edit_script_local`]: each edit appends a
 //!    private non-escaping epilogue to one function — the realistic
 //!    save-and-reanalyze workload),
-//! 2. cold-solves the base text through [`vsfs_core::solve_program`],
+//! 2. cold-solves the base text through [`vsfs_core::solve_program`] in
+//!    an `sfs` workspace (the [`IncrementalOptions`] default, which the
+//!    gate is calibrated on), and once more in a `vsfs` workspace to
+//!    record the VSFS cold load every edit is also compared with,
 //! 3. on `ninja` only, re-solves one *full-body rewrite* of the base
 //!    ([`vsfs_workloads::edit_script`]'s first step) from the base
 //!    state. A rewrite renames every object in the function and cannot
@@ -28,16 +31,17 @@
 //!
 //! With `--gate X` (default 5) the run doubles as the CI incremental
 //! gate: it fails (exit 1) unless every workload's **median**
-//! edit-speedup (full seconds / incremental seconds) is at least `X`,
+//! edit-speedup (full SFS seconds / incremental seconds) is at least `X`,
 //! and unless every rewrite ran at most one fixpoint wave. The wave
-//! count is deterministic, so no host noise can flip that half.
+//! count is deterministic, so no host noise can flip that half. The
+//! speedups over the VSFS cold load are recorded, ungated.
 //! Results always go to `results/BENCH_incremental.json`
 //! (`PhaseTimer::to_json` format).
 
 use std::time::Instant;
 use vsfs_adt::stats::PhaseTimer;
 use vsfs_core::queries::AliasQueries;
-use vsfs_core::{resolve_edit, solve_program, IncrementalOptions};
+use vsfs_core::{resolve_edit, solve_program, IncrementalOptions, SolverKind};
 use vsfs_ir::ValueId;
 use vsfs_workloads::{edit_script, edit_script_local};
 
@@ -91,6 +95,16 @@ fn main() {
             .unwrap_or_else(|e| fail(name, "base solve", &e.to_string()));
         let cold_secs = t.elapsed().as_secs_f64();
         timer.record(&format!("{name}.cold_solve"), t.elapsed());
+        let vsfs_opts = IncrementalOptions { solver: SolverKind::Vsfs };
+        let t = Instant::now();
+        let (vsfs_state, vsfs_report) = solve_program(&base_text, vsfs_opts, None, None)
+            .unwrap_or_else(|e| fail(name, "vsfs base solve", &e.to_string()));
+        let vsfs_secs = t.elapsed().as_secs_f64();
+        drop(vsfs_state);
+        timer.record(&format!("{name}.vsfs_cold_solve"), t.elapsed());
+        if vsfs_report.fingerprint != state.fingerprint {
+            fail(name, "vsfs base solve", "fingerprint diverged from the sfs solve");
+        }
 
         if REWRITE_WORKLOADS.contains(&name.as_str()) {
             let rewrite = edit_script(&cfg, EDIT_SEED, 1);
@@ -99,6 +113,7 @@ fn main() {
         }
 
         let mut speedups = Vec::with_capacity(script.steps.len());
+        let mut vsfs_speedups = Vec::with_capacity(script.steps.len());
         for (i, step) in script.steps.iter().enumerate() {
             let text = step.program.to_string();
 
@@ -130,6 +145,8 @@ fn main() {
             }
             let speedup = if inc_secs > 0.0 { full_secs / inc_secs } else { f64::INFINITY };
             speedups.push(speedup);
+            let vsfs_speedup = vsfs_secs / inc_secs.max(f64::MIN_POSITIVE);
+            vsfs_speedups.push(vsfs_speedup);
             let key = |m: &str| format!("{name}.edit{i}.{m}");
             timer.record(&key("full"), std::time::Duration::from_secs_f64(full_secs));
             timer.record(&key("incremental"), std::time::Duration::from_secs_f64(inc_secs));
@@ -137,6 +154,7 @@ fn main() {
             timer.count(&key("total_nodes"), report.total_nodes as u64);
             timer.count(&key("carried_sets"), report.carried_sets as u64);
             timer.count(&key("speedup_x100"), (speedup * 100.0).min(u64::MAX as f64) as u64);
+            timer.count(&key("speedup_vs_vsfs_load_x100"), (vsfs_speedup * 100.0) as u64);
             println!(
                 "{name} edit {i} (@{}): full {full_secs:.3}s vs incremental {inc_secs:.3}s \
                  ({speedup:.1}x, {}/{} dirty)",
@@ -167,13 +185,20 @@ fn main() {
         timer.count(&format!("{name}.warm_query_ns"), per_query_ns as u64);
         timer.count(&format!("{name}.warm_query_hits"), hits);
 
-        let mut sorted = speedups.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = sorted[sorted.len() / 2];
+        let median = |mut xs: Vec<f64>| {
+            xs.sort_by(f64::total_cmp);
+            xs[xs.len() / 2]
+        };
+        let vsfs_median = median(vsfs_speedups);
+        let median = median(speedups);
         timer.count(&format!("{name}.median_speedup_x100"), (median * 100.0) as u64);
+        timer.count(
+            &format!("{name}.median_speedup_vs_vsfs_load_x100"),
+            (vsfs_median * 100.0) as u64,
+        );
         println!(
-            "{name}: cold {cold_secs:.3}s, median edit speedup {median:.1}x, \
-             warm query {per_query_ns:.0}ns"
+            "{name}: cold {cold_secs:.3}s (vsfs {vsfs_secs:.3}s), median edit speedup \
+             {median:.1}x ({vsfs_median:.1}x over the vsfs load), warm query {per_query_ns:.0}ns"
         );
         if median < gate {
             eprintln!("FAIL: {name} median edit speedup {median:.1}x below the {gate:.0}x gate");

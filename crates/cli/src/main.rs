@@ -362,7 +362,8 @@ fn main() -> ExitCode {
 /// stdin/stdout, or on a Unix socket with `--socket`). `--corpus DIR`
 /// preloads every `*.vir` file in `DIR` as a resident program keyed by
 /// its file stem. `--solver NAME` sets the default resident solver
-/// (dense|sfs|vsfs|cfgfree; per-request `solver` fields override it).
+/// (dense|sfs|vsfs|cfgfree|unify, default vsfs; per-request `solver`
+/// fields override it).
 /// `--snapshot-dir DIR` persists every completed solve to a checksummed
 /// warm-state snapshot and restores all of them at startup instead of
 /// cold-solving. See `vsfs-server` for the protocol and robustness

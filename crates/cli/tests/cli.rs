@@ -116,6 +116,45 @@ fn stats_print_under_a_generous_budget() {
     assert!(stdout.contains(r#"{"completion":"complete","mode":"flow-sensitive"}"#), "{stdout}");
 }
 
+/// The number a `--stats` line reports right after `label` (e.g.
+/// `"node pops:"`), or right before it (e.g. `" prelabels"`).
+fn stat(stdout: &str, label: &str) -> u64 {
+    let number = |s: &str| s.trim().split(|c: char| !c.is_ascii_digit()).next().map(str::to_owned);
+    let found = match stdout.find(label) {
+        Some(at) if label.ends_with(':') => number(&stdout[at + label.len()..]),
+        Some(at) => stdout[..at].rsplit(|c: char| !c.is_ascii_digit()).next().map(str::to_owned),
+        None => None,
+    };
+    found.and_then(|n| n.parse().ok()).unwrap_or_else(|| panic!("no '{label}' stat in {stdout}"))
+}
+
+#[test]
+fn degraded_stats_report_the_work_done_before_the_trip() {
+    // A one-step budget trips in the versioning reduce, after the meld
+    // phase labelled every object: --stats reports those prelabels, not
+    // the Andersen fallback's empty counters.
+    let out = vsfs(&["--workload", "du", "--stats", "--step-budget", "1"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains(r#""stage":"versioning""#), "{stdout}");
+    assert!(stat(&stdout, " prelabels") > 0, "{stdout}");
+
+    // A budget that outlasts versioning trips in the fixpoint, and the
+    // pops before the trip are reported, for VSFS and SFS alike.
+    let out = vsfs(&["--workload", "du", "--stats", "--step-budget", "3000"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains(r#""stage":"solve""#), "{stdout}");
+    assert!(stat(&stdout, " versions") > 0, "{stdout}");
+    assert!(stat(&stdout, "node pops:") > 0, "{stdout}");
+    assert!(stat(&stdout, "slot pops:") > 0, "{stdout}");
+    let out = vsfs(&["--fspta", "--workload", "du", "--stats", "--step-budget", "100"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stat(&stdout, "node pops:") > 0, "{stdout}");
+    assert!(stat(&stdout, "unions attempted:") > 0, "{stdout}");
+}
+
 #[test]
 fn exhausted_step_budget_degrades_to_andersen_with_exit_two() {
     let out = vsfs(&["--corpus", "strong_update", "--step-budget", "1", "--print-pts"]);

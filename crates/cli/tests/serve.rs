@@ -89,12 +89,15 @@ fn field<'a>(resp: &'a str, key: &str) -> &'a str {
 
 #[test]
 fn full_session_over_stdio() {
-    let mut d = Daemon::spawn(&[]);
+    // An `sfs` server: every edit below, rewrite of @make included, is
+    // a seeded wave (a `vsfs` one would solve the rewrite cold).
+    let mut d = Daemon::spawn(&["--solver", "sfs"]);
     assert!(d.request("{\"op\":\"ping\"}").contains("\"ok\":true"));
 
     // load
     let resp = d.request(&format!("{{\"op\":\"load\",\"id\":\"p\",\"source\":{}}}", quote(PROG)));
     assert!(resp.contains("\"ok\":true"), "{resp}");
+    assert!(resp.contains("\"engine\":\"sfs\""), "{resp}");
     assert!(resp.contains("\"mode\":\"flow-sensitive\""), "{resp}");
     assert!(resp.contains("\"degraded\":false"), "{resp}");
     let fp0 = field(&resp, "fingerprint").to_string();
@@ -126,6 +129,7 @@ fn full_session_over_stdio() {
     ));
     assert!(resp.contains("\"ok\":true"), "{resp}");
     assert!(resp.contains("\"incremental\":true"), "{resp}");
+    assert!(resp.contains("\"engine\":\"sfs-wave\""), "{resp}");
     assert_ne!(field(&resp, "fingerprint"), fp0, "edit must change the result");
     let dirty: usize = field(&resp, "dirty_nodes").parse().unwrap();
     let total: usize = field(&resp, "total_nodes").parse().unwrap();
@@ -320,10 +324,12 @@ fn solver_selection_and_cold_only_workspaces_over_stdio() {
     assert!(resp.contains("\"ok\":true"), "{resp}");
     assert_eq!(field(&resp, "fingerprint"), fp, "cfgfree must be query-identical: {resp}");
 
-    // Per-workspace stats name the resident solver and warm residency;
-    // the SVFG counters are null for a cold-only workspace.
+    // Per-workspace stats name the resident solver (VSFS by default),
+    // the engine of its last solve and warm residency; the SVFG
+    // counters are null for a cold-only workspace.
     let resp = d.request("{\"op\":\"stats\",\"id\":\"warm\"}");
-    assert!(resp.contains("\"solver\":\"sfs\""), "{resp}");
+    assert!(resp.contains("\"solver\":\"vsfs\""), "{resp}");
+    assert!(resp.contains("\"engine\":\"vsfs\""), "{resp}");
     assert!(resp.contains("\"warm\":true"), "{resp}");
     let resp = d.request("{\"op\":\"stats\",\"id\":\"cold\"}");
     assert!(resp.contains("\"solver\":\"cfgfree\""), "{resp}");
@@ -354,12 +360,13 @@ fn solver_selection_and_cold_only_workspaces_over_stdio() {
 
     // Naming a different solver on an edit switches the workspace by a
     // cold re-solve that preserves the result.
-    let resp = d.request("{\"op\":\"edit\",\"id\":\"warm\",\"delta\":[],\"solver\":\"vsfs\"}");
+    let resp = d.request("{\"op\":\"edit\",\"id\":\"warm\",\"delta\":[],\"solver\":\"sfs\"}");
     assert!(resp.contains("\"ok\":true"), "{resp}");
     assert!(resp.contains("\"incremental\":false"), "{resp}");
+    assert!(resp.contains("\"engine\":\"sfs\""), "{resp}");
     assert_eq!(field(&resp, "fingerprint"), fp, "solver switch must preserve the result: {resp}");
     let resp = d.request("{\"op\":\"stats\",\"id\":\"warm\"}");
-    assert!(resp.contains("\"solver\":\"vsfs\""), "{resp}");
+    assert!(resp.contains("\"solver\":\"sfs\""), "{resp}");
     assert!(resp.contains("\"warm\":true"), "{resp}");
 
     // The unification tier is a first-class solver name: loads accept

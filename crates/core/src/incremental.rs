@@ -7,6 +7,11 @@
 //! fixpoint plus the [`StableKeys`] and per-node signatures they were
 //! computed under.
 //!
+//! A cold solve runs the engine the workspace names: SFS harvests its
+//! own `IN`/`OUT` tables, and VSFS reads the same tables off its version
+//! slots (by the paper's central lemma, every node that consumes or
+//! yields a version has that version's set as its SFS `IN` or `OUT`).
+//!
 //! [`resolve_edit`] re-analyses a new version of the source against that
 //! warm state:
 //!
@@ -49,7 +54,11 @@
 //!    is checked before the first wave as well: a full-body rewrite's
 //!    seed region usually covers most of the graph, and auditing it
 //!    would only buy a failed audit and a second near-whole-graph wave,
-//!    so it is forward-closed up front and solved once, unaudited.
+//!    so it is forward-closed up front and solved once, unaudited. A
+//!    VSFS workspace instead solves a region past the half-graph rule
+//!    cold: one VSFS solve (versioning included) costs less than one
+//!    seeded SFS wave over most of the graph. Local edits stay on the
+//!    audited SFS wave whatever the workspace's engine.
 //!    Signatures are computed once per front: invalidation reads them
 //!    and delivery moves the same table into the new warm state.
 //! 4. **Seeding.** Clean nodes' `IN`/`OUT` entries, clean-defined
@@ -68,7 +77,7 @@
 
 use crate::result::{FlowSensitiveResult, GovernedAnalysis};
 use crate::sfs::{run_sfs_seeded, SfsHarvest, SfsSeed};
-use crate::solver::{solve, SolveRequest, SolverKind};
+use crate::solver::{solve, solve_harvested, SolveRequest, SolverKind};
 use std::cell::OnceCell;
 use std::fmt;
 use vsfs_adt::govern::{Completion, DegradeReason, Governor};
@@ -84,7 +93,8 @@ use vsfs_svfg::{StableKeys, Svfg, SvfgNodeId, SvfgNodeKind};
 /// switching to the (exact but pessimistic) forward closure. Each wave
 /// re-solves the dirty region, so the cap bounds worst-case re-solve
 /// work at a small multiple of the final region's cost. Regions past
-/// the half-graph rule never reach it: they run one unaudited wave.
+/// the half-graph rule never reach it: they run one unaudited wave, or
+/// a cold solve in a VSFS workspace.
 const MAX_AUDIT_WAVES: usize = 4;
 
 /// Knobs for [`solve_program`]/[`resolve_edit`].
@@ -99,10 +109,11 @@ pub struct IncrementalOptions {
 }
 
 impl Default for IncrementalOptions {
+    /// Staged SFS. The server's default is VSFS
+    /// (`SolverKind::default()`, as on the CLI); this default stays SFS
+    /// because the CI gates of the `incremental_bench` and
+    /// `server_bench` bins are calibrated on the SFS engine.
     fn default() -> Self {
-        // The server's historical engine is the staged SFS solver (the
-        // seeded/incremental one); `SolverKind::default()` is the CLI's
-        // batch default and intentionally differs.
         IncrementalOptions { solver: SolverKind::Sfs }
     }
 }
@@ -142,8 +153,9 @@ pub struct SolveReport {
     /// solvers, instructions for the cold-only ones (which have no
     /// SVFG).
     pub total_nodes: usize,
-    /// Nodes in the invalidated region (== `total_nodes` on a cold
-    /// solve).
+    /// Nodes in the invalidated region: `total_nodes` on a cold load,
+    /// and on an edit the region the edit dirtied — also when a VSFS
+    /// workspace solved that region cold past the half-graph rule.
     pub dirty_nodes: usize,
     /// `true` if the solve was seeded from surviving warm state.
     pub incremental: bool,
@@ -204,6 +216,11 @@ pub struct ProgramState {
     pub analysis: GovernedAnalysis,
     /// [`result_fingerprint`] of `analysis.result`.
     pub fingerprint: u64,
+    /// The engine that produced `analysis`: the solver's name for a
+    /// cold solve, `"sfs-wave"` for a seeded SFS re-solve (an edit
+    /// wave or a snapshot restore), or the fallback's mode when the
+    /// solve degraded.
+    pub engine: &'static str,
     pub(crate) warm: Option<WarmState>,
 }
 
@@ -404,6 +421,7 @@ fn unify_rung_state(
         staged: None,
         keys,
         solver: opts.solver,
+        engine: engine_name(&analysis, opts.solver, false),
         analysis,
         fingerprint,
         warm: None,
@@ -424,28 +442,42 @@ pub(crate) struct Outcome {
 }
 
 /// Runs the flow-sensitive stage cold over `front` and packages the
-/// resulting state, dispatching on the front's solver.
+/// resulting state, dispatching on the front's solver: a staged solver
+/// also harvests the warm `IN`/`OUT` tables.
 pub(crate) fn solve_front(
     source: &str,
     front: Front,
     fs_governor: Option<&Governor>,
 ) -> (ProgramState, SolveReport) {
-    if front.staged.is_none() {
+    let Some(staged) = front.staged.as_ref() else {
         return solve_cold_only(source, front, fs_governor);
-    }
-    let staged = front.staged.as_ref().expect("checked above");
+    };
     let total = staged.svfg.node_count();
-    let (result, completion, harvest) =
-        run_sfs_seeded(&front.prog, &front.aux, &staged.mssa, &staged.svfg, fs_governor, None);
+    solve_staged_cold(source, front, fs_governor, total, 0.0)
+}
+
+/// A cold staged solve, reported with `dirty_nodes` invalidated and the
+/// `prior_seconds` of discarded audit waves.
+fn solve_staged_cold(
+    source: &str,
+    front: Front,
+    fs_governor: Option<&Governor>,
+    dirty_nodes: usize,
+    prior_seconds: f64,
+) -> (ProgramState, SolveReport) {
+    let staged = front.staged.as_ref().expect("a staged front");
+    let req = SolveRequest { governor: fs_governor, ..SolveRequest::new(front.solver) };
+    let graphs = Some((&staged.mssa, &staged.svfg));
+    let (analysis, harvest) = solve_harvested(&front.prog, &front.aux, graphs, req, true);
     let outcome = Outcome {
         incremental: false,
         restored: false,
-        dirty_nodes: total,
+        dirty_nodes,
         carried_sets: 0,
         waves: 0,
-        prior_seconds: 0.0,
+        prior_seconds,
     };
-    deliver(source, front, result, completion, harvest, outcome)
+    deliver(source, front, analysis, harvest, outcome)
 }
 
 /// Runs a cold-only solver (no SVFG, no warm harvest) through
@@ -478,6 +510,7 @@ fn solve_cold_only(
         staged: None,
         keys,
         solver,
+        engine: engine_name(&analysis, solver, false),
         analysis,
         fingerprint,
         warm: None,
@@ -486,36 +519,29 @@ fn solve_cold_only(
 }
 
 /// Packages a finished flow-sensitive stage into a [`ProgramState`] and
-/// [`SolveReport`]: harvests warm state on completion, or swaps in the
-/// sound Andersen fallback (and drops all warm state — a degraded result
-/// must never be cached as if it were a completed fixpoint) on a budget
-/// trip.
+/// [`SolveReport`]: keeps the harvested warm state on completion, and
+/// drops it when the analysis is the sound fallback of a budget trip (a
+/// degraded result must never be cached as if it were a completed
+/// fixpoint).
 pub(crate) fn deliver(
     source: &str,
     front: Front,
-    result: FlowSensitiveResult,
-    completion: Completion,
+    analysis: GovernedAnalysis,
     harvest: Option<SfsHarvest>,
     outcome: Outcome,
 ) -> (ProgramState, SolveReport) {
     let Front { prog, aux, staged, keys, solver, sigs } = front;
     let staged = staged.expect("deliver is only reached by staged solvers");
     let total_nodes = staged.svfg.node_count();
-    let (analysis, warm) = match completion {
-        Completion::Complete => {
-            let warm = harvest.filter(|_| keys.is_unambiguous()).map(|h| WarmState {
-                sigs: sigs.into_inner().unwrap_or_else(|| {
-                    node_signatures(&prog, &aux, &staged.mssa, &staged.svfg, &keys)
-                }),
-                ins: h.ins,
-                outs: h.outs,
-            });
-            (GovernedAnalysis::complete(result), warm)
-        }
-        Completion::Degraded(reason) => {
-            (GovernedAnalysis::fallback(&prog, &aux, "solve", reason), None)
-        }
-    };
+    let warm =
+        harvest.filter(|_| analysis.is_complete() && keys.is_unambiguous()).map(|h| WarmState {
+            sigs: sigs
+                .into_inner()
+                .unwrap_or_else(|| node_signatures(&prog, &aux, &staged.mssa, &staged.svfg, &keys)),
+            ins: h.ins,
+            outs: h.outs,
+        });
+    let engine = engine_name(&analysis, solver, outcome.incremental || outcome.restored);
     let fingerprint = result_fingerprint(&prog, &keys, &analysis.result);
     let report = SolveReport {
         total_nodes,
@@ -524,7 +550,9 @@ pub(crate) fn deliver(
         restored: outcome.restored,
         carried_sets: outcome.carried_sets,
         waves: outcome.waves,
-        solve_seconds: analysis.result.stats.solve_seconds + outcome.prior_seconds,
+        solve_seconds: analysis.result.stats.versioning_seconds
+            + analysis.result.stats.solve_seconds
+            + outcome.prior_seconds,
         fingerprint,
     };
     let state = ProgramState {
@@ -534,11 +562,25 @@ pub(crate) fn deliver(
         staged: Some(staged),
         keys,
         solver,
+        engine,
         analysis,
         fingerprint,
         warm,
     };
     (state, report)
+}
+
+/// The engine that produced `analysis` ([`ProgramState::engine`]): the
+/// fallback's mode when degraded, `"sfs-wave"` when it was `seeded`,
+/// else the solver's name.
+fn engine_name(analysis: &GovernedAnalysis, solver: SolverKind, seeded: bool) -> &'static str {
+    if !analysis.is_complete() {
+        analysis.mode
+    } else if seeded {
+        "sfs-wave"
+    } else {
+        solver.name()
+    }
 }
 
 /// The invalidation state of one audited-wave solve: the conservative
@@ -556,9 +598,9 @@ struct WaveCtx {
 
 impl WaveCtx {
     /// Seeds the dirty set from unmapped / signature-changed nodes of
-    /// the new SVFG (step 2 of the module docs), SCC-closed, and applies
-    /// the half-graph rule before the first wave. `None` when only a
-    /// cold solve is safe (no warm state or ambiguous keys).
+    /// the new SVFG (step 2 of the module docs), SCC-closed. The wave
+    /// loop applies the half-graph rule before the first wave. `None`
+    /// when only a cold solve is safe (no warm state or ambiguous keys).
     fn prepare(prev: &ProgramState, front: &Front) -> Option<WaveCtx> {
         let warm = prev.warm.as_ref()?;
         let staged = front.staged.as_ref()?;
@@ -634,11 +676,6 @@ impl WaveCtx {
                 }
             }
         }
-        // The half-graph rule, checked before the first wave: a region
-        // this large (a full-body rewrite's usually is) would fail its
-        // audit and pay for a second near-whole-graph wave, so solve its
-        // forward closure once, unaudited.
-        ctx.stop_auditing_past_half();
         Some(ctx)
     }
 
@@ -654,13 +691,10 @@ impl WaveCtx {
         }
     }
 
-    /// Gives up auditing once the dirty set covers more than half the
-    /// graph: extends it to its forward closure, after which no clean
-    /// node has a dirty predecessor and the next wave needs no audit.
-    fn stop_auditing_past_half(&mut self) {
-        if self.dirty_count * 2 > self.dirty.len() {
-            self.forward_close();
-        }
+    /// The half-graph rule: the dirty set covers more than half the
+    /// graph.
+    fn past_half(&self) -> bool {
+        self.dirty_count * 2 > self.dirty.len()
     }
 
     /// Extends the dirty set to its forward closure — the pre-audit
@@ -722,9 +756,10 @@ fn conservative_graph(prog: &Program, svfg: &Svfg) -> DiGraph<SvfgNodeId> {
 /// region seeded from the carried frontier, audit the clean side of the
 /// boundary for values that actually changed, extend the region and
 /// repeat. Falls back to the forward closure after [`MAX_AUDIT_WAVES`]
-/// audits or once the region covers half the graph (which
-/// [`WaveCtx::prepare`] already checks before the first wave), and to a
-/// cold solve whenever the seed fails to assemble.
+/// audits or once the region covers half the graph (checked before the
+/// first wave too), and to a cold solve whenever the seed fails to
+/// assemble. A VSFS workspace solves a region past half the graph cold
+/// instead of running the wave.
 fn solve_incremental(
     prev: &ProgramState,
     source: &str,
@@ -736,6 +771,18 @@ fn solve_incremental(
     let mut waves = 0;
     let mut prior_seconds = 0.0;
     loop {
+        if ctx.past_half() {
+            if front.solver == SolverKind::Vsfs {
+                let dirty_nodes = ctx.dirty_count;
+                return solve_staged_cold(source, front, fs_governor, dirty_nodes, prior_seconds);
+            }
+            // A region this large (a full-body rewrite's usually is)
+            // would fail its audit and pay for another near-whole-graph
+            // wave, so solve its forward closure once, unaudited.
+            if ctx.audited {
+                ctx.forward_close();
+            }
+        }
         waves += 1;
         let Some((seed, carried_sets)) = assemble_seed(prev, warm, &front, ctx.clean_mask()) else {
             // Correspondence broke somewhere the cleanliness argument
@@ -744,14 +791,8 @@ fn solve_incremental(
         };
         let dirty_nodes = ctx.dirty_count;
         let staged = front.staged.as_ref().expect("WaveCtx::prepare checked staged");
-        let (result, completion, harvest) = run_sfs_seeded(
-            &front.prog,
-            &front.aux,
-            &staged.mssa,
-            &staged.svfg,
-            fs_governor,
-            Some(seed),
-        );
+        let (result, completion, harvest) =
+            run_sfs_seeded(&front.prog, &front.aux, &staged.mssa, &staged.svfg, fs_governor, seed);
         let outcome = Outcome {
             incremental: true,
             restored: false,
@@ -760,12 +801,7 @@ fn solve_incremental(
             waves,
             prior_seconds,
         };
-        if !matches!(completion, Completion::Complete) {
-            // Budget trip: deliver handles the fallback; auditing a
-            // partial fixpoint would be meaningless.
-            return deliver(source, front, result, completion, harvest, outcome);
-        }
-        if ctx.audited {
+        if completion.is_complete() && ctx.audited {
             let h = harvest.as_ref().expect("complete solves always harvest");
             let newly = audit_frontier(prev, warm, &front, &ctx.dirty, &result, h);
             if !newly.is_empty() {
@@ -777,13 +813,15 @@ fn solve_incremental(
                 // solves the full forward closure, unaudited.
                 if waves >= MAX_AUDIT_WAVES {
                     ctx.forward_close();
-                } else {
-                    ctx.stop_auditing_past_half();
                 }
                 continue;
             }
         }
-        return deliver(source, front, result, completion, harvest, outcome);
+        // Complete and final — or a budget trip, which `deliver` turns
+        // into the fallback (auditing a partial fixpoint is meaningless).
+        let analysis =
+            GovernedAnalysis::from_run(&front.prog, &front.aux, result, completion, "solve");
+        return deliver(source, front, analysis, harvest, outcome);
     }
 }
 

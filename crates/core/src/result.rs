@@ -1,5 +1,6 @@
 //! Results and statistics shared by both flow-sensitive solvers.
 
+use crate::versioning::VersioningStats;
 use vsfs_adt::govern::{Completion, DegradeReason};
 use vsfs_adt::{FlatReader, IndexVec, PointsToSet, PtsId, PtsStore, PtsStoreStats};
 use vsfs_andersen::{AndersenResult, UnifyResult};
@@ -131,18 +132,40 @@ impl GovernedAnalysis {
     }
 
     /// A degraded run: deliver the sound Andersen fallback, tagged with
-    /// the stage that tripped and why.
+    /// the stage that tripped and why. The fallback keeps `stats`, the
+    /// counters of the tripped run, so a report shows the work done
+    /// before the trip rather than the fallback's empty solve.
     pub fn fallback(
         prog: &Program,
         aux: &AndersenResult,
         stage: &'static str,
         reason: DegradeReason,
+        stats: SolveStats,
     ) -> GovernedAnalysis {
+        let mut result = FlowSensitiveResult::from_andersen(prog, aux);
+        result.stats = stats;
         GovernedAnalysis {
-            result: FlowSensitiveResult::from_andersen(prog, aux),
+            result,
             completion: Completion::Degraded(reason),
             mode: "flow-insensitive-fallback",
             degraded_stage: Some(stage),
+        }
+    }
+
+    /// Packages a finished solve: complete, or — when `completion` says
+    /// it tripped in `stage` — the sound fallback carrying its counters.
+    pub(crate) fn from_run(
+        prog: &Program,
+        aux: &AndersenResult,
+        result: FlowSensitiveResult,
+        completion: Completion,
+        stage: &'static str,
+    ) -> GovernedAnalysis {
+        match completion {
+            Completion::Complete => GovernedAnalysis::complete(result),
+            Completion::Degraded(reason) => {
+                GovernedAnalysis::fallback(prog, aux, stage, reason, result.stats)
+            }
         }
     }
 
@@ -223,6 +246,16 @@ pub struct SolveStats {
     /// Hash-consed store counters: unique canonical sets, their physical
     /// bytes, and memo hit rates for the run's set algebra.
     pub store: PtsStoreStats,
+}
+
+impl SolveStats {
+    /// Copies the versioning pre-analysis counters into these stats.
+    pub(crate) fn record_versioning(&mut self, versioning: &VersioningStats) {
+        self.versioning_seconds = versioning.seconds;
+        self.prelabels = versioning.prelabels;
+        self.versions = versioning.versions;
+        self.reliance_edges = versioning.reliance_edges;
+    }
 }
 
 /// Checks the paper's precision claim: both analyses computed identical

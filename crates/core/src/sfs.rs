@@ -35,16 +35,18 @@ pub fn run_sfs(
 }
 
 /// The SFS engine behind [`crate::solve`]: a cold solve, with one
-/// cooperative checkpoint per worklist pop when governed.
+/// cooperative checkpoint per worklist pop when governed. With
+/// `want_harvest` a completed run also returns its `IN`/`OUT` tables,
+/// which only the incremental engine asks for.
 pub(crate) fn solve(
     prog: &Program,
     aux: &AndersenResult,
     mssa: &MemorySsa,
     svfg: &Svfg,
     governor: Option<&Governor>,
-) -> (FlowSensitiveResult, Completion) {
-    let (result, completion, _) = solve_impl(prog, aux, mssa, svfg, governor, None, false);
-    (result, completion)
+    want_harvest: bool,
+) -> (FlowSensitiveResult, Completion, Option<SfsHarvest>) {
+    solve_impl(prog, aux, mssa, svfg, governor, None, want_harvest)
 }
 
 /// Warm state to resume from: the surviving portion of a previous run's
@@ -67,25 +69,27 @@ pub(crate) struct SfsSeed {
 
 /// The per-node `IN`/`OUT` tables of a completed run, extracted in
 /// deterministic (object-sorted) order so the next edit can seed from
-/// them.
+/// them. `IN` rows hold only non-empty sets; a STORE's `OUT` row holds
+/// every χ object, empty sets included. A VSFS solve fills the same
+/// tables from its version slots (`crate::vsfs`).
 pub(crate) struct SfsHarvest {
     pub ins: IndexVec<SvfgNodeId, Vec<(ObjId, PtsId)>>,
     pub outs: IndexVec<SvfgNodeId, Vec<(ObjId, PtsId)>>,
 }
 
-/// Runs SFS from `seed` (or cold when `None`), returning the per-node
-/// state tables alongside the result so the caller can stay resident.
-/// The fixpoint is identical to a cold solve — seeding only skips work
-/// that would reconverge to the carried values.
+/// Runs SFS from `seed`, returning the per-node state tables alongside
+/// the result so the caller can stay resident. The fixpoint is
+/// identical to a cold solve — seeding only skips work that would
+/// reconverge to the carried values.
 pub(crate) fn run_sfs_seeded(
     prog: &Program,
     aux: &AndersenResult,
     mssa: &MemorySsa,
     svfg: &Svfg,
     governor: Option<&Governor>,
-    seed: Option<SfsSeed>,
+    seed: SfsSeed,
 ) -> (FlowSensitiveResult, Completion, Option<SfsHarvest>) {
-    solve_impl(prog, aux, mssa, svfg, governor, seed, true)
+    solve_impl(prog, aux, mssa, svfg, governor, Some(seed), true)
 }
 
 fn solve_impl(

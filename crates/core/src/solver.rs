@@ -25,7 +25,8 @@
 //!
 //! [`FlowSensitiveResult`]: crate::FlowSensitiveResult
 
-use crate::result::{FlowSensitiveResult, GovernedAnalysis};
+use crate::result::{FlowSensitiveResult, GovernedAnalysis, SolveStats};
+use crate::sfs::SfsHarvest;
 use crate::versioning::VersionTables;
 use crate::{cfgfree, dense, sfs, vsfs};
 use vsfs_adt::govern::{Completion, Governor};
@@ -81,12 +82,14 @@ impl SolverKind {
     /// Whether the solver runs on the staged `MemorySsa` + `Svfg`
     /// stages, which drive pipeline and server dispatch.
     ///
-    /// `Sfs` and `Vsfs` are staged. They also share the staged engine
-    /// for serving: a warm seed or an edit wave re-solves through
-    /// `run_sfs_seeded`, which is bit-identical to both (the central
-    /// equivalence property), so both support SVFG-wave incremental
-    /// re-solving and warm-state harvest/seed (and therefore
-    /// snapshots). `Dense`, `CfgFree` and `Unify` never build an SVFG,
+    /// `Sfs` and `Vsfs` are staged. Both serve edits warm: a cold solve
+    /// runs the named engine and harvests SFS's per-node `IN`/`OUT`
+    /// tables (VSFS reads them off its version slots, by the paper's
+    /// central lemma), and a warm seed or a local edit wave re-solves
+    /// through `run_sfs_seeded`, which is bit-identical to both (the
+    /// central equivalence property). So both support SVFG-wave
+    /// incremental re-solving and warm-state harvest/seed (and
+    /// therefore snapshots). `Dense`, `CfgFree` and `Unify` never build an SVFG,
     /// so wave invalidation and warm-state export are meaningless for
     /// them — the server falls back to exact cold re-solves instead.
     pub fn is_staged(self) -> bool {
@@ -148,14 +151,29 @@ pub fn solve(
     staged: Option<(&MemorySsa, &Svfg)>,
     req: SolveRequest,
 ) -> GovernedAnalysis {
+    solve_harvested(prog, aux, staged, req, false).0
+}
+
+/// [`solve`], plus — with `want_harvest`, on a completed staged run —
+/// SFS's per-node `IN`/`OUT` tables for the next edit to seed from:
+/// the SFS fixpoint's own, or read off VSFS's version slots. Only the
+/// incremental engine's cold solves ask for them; the other solvers
+/// never have any.
+pub(crate) fn solve_harvested(
+    prog: &Program,
+    aux: &AndersenResult,
+    staged: Option<(&MemorySsa, &Svfg)>,
+    req: SolveRequest,
+    want_harvest: bool,
+) -> (GovernedAnalysis, Option<SfsHarvest>) {
     let SolveRequest { kind, jobs, tables, governor } = req;
     let staged =
         || staged.unwrap_or_else(|| panic!("{} needs the memory SSA and SVFG stages", kind.name()));
-    let (result, completion) = match kind {
-        SolverKind::Dense => dense::solve(prog, aux, governor),
+    let (result, completion, harvest) = match kind {
+        SolverKind::Dense => with_no_harvest(dense::solve(prog, aux, governor)),
         SolverKind::Sfs => {
             let (mssa, svfg) = staged();
-            sfs::solve(prog, aux, mssa, svfg, governor)
+            sfs::solve(prog, aux, mssa, svfg, governor, want_harvest)
         }
         SolverKind::Vsfs => {
             let (mssa, svfg) = staged();
@@ -164,14 +182,17 @@ pub fn solve(
                 None => {
                     let built = VersionTables::build_with(prog, mssa, svfg, jobs, governor);
                     if let Completion::Degraded(reason) = built.completion {
-                        return GovernedAnalysis::fallback(prog, aux, "versioning", reason);
+                        let mut stats = SolveStats::default();
+                        stats.record_versioning(&built.result.stats);
+                        let ga = GovernedAnalysis::fallback(prog, aux, "versioning", reason, stats);
+                        return (ga, None);
                     }
                     built.result
                 }
             };
-            vsfs::solve(prog, aux, mssa, svfg, tables, governor)
+            vsfs::solve(prog, aux, mssa, svfg, tables, governor, want_harvest)
         }
-        SolverKind::CfgFree => cfgfree::solve(prog, aux, governor),
+        SolverKind::CfgFree => with_no_harvest(cfgfree::solve(prog, aux, governor)),
         SolverKind::Unify => {
             // A partial unification fixpoint is unsound, so a governed
             // unify run that trips is not served as-is: the complete
@@ -179,13 +200,16 @@ pub fn solve(
             // stands in below — one rung *up* in precision from what was
             // asked for, and still sound.
             let out = analyze_unify_with(prog, UnifyConfig::default(), governor);
-            (FlowSensitiveResult::from_unify(prog, &out.result), out.completion)
+            (FlowSensitiveResult::from_unify(prog, &out.result), out.completion, None)
         }
     };
-    match completion {
-        Completion::Complete => GovernedAnalysis::complete(result),
-        Completion::Degraded(reason) => GovernedAnalysis::fallback(prog, aux, "solve", reason),
-    }
+    (GovernedAnalysis::from_run(prog, aux, result, completion, "solve"), harvest)
+}
+
+fn with_no_harvest(
+    (result, completion): (FlowSensitiveResult, Completion),
+) -> (FlowSensitiveResult, Completion, Option<SfsHarvest>) {
+    (result, completion, None)
 }
 
 #[cfg(test)]

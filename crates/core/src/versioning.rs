@@ -422,6 +422,18 @@ fn build_inner(
         },
     };
 
+    // The meld phase's counters, kept by the degraded placeholder too:
+    // a trip in the reduce below still reports the labelling work done.
+    let mut stats = VersioningStats {
+        prelabels: outcomes.iter().flatten().map(|out| out.prelabels).sum(),
+        par_workers: pstats.workers,
+        par_tasks: pstats.tasks,
+        par_steals: pstats.steals,
+        par_seconds: pstats.wall.as_secs_f64(),
+        ..VersioningStats::default()
+    };
+    let degraded = |stats: VersioningStats| VersionTables { stats, ..empty_tables(node_count) };
+
     // Ordered reduce, count pass: one checkpoint per object (the reduce
     // is sequential, so the trip point is identical for every `jobs`
     // value) and the per-node list lengths.
@@ -430,7 +442,7 @@ fn build_inner(
     for (i, out) in outcomes.iter().enumerate() {
         if governor.is_some_and(|g| g.check(1).is_err()) {
             let g = governor.expect("checked above");
-            return (empty_tables(node_count), g.completion());
+            return (degraded(stats), g.completion());
         }
         // A worker that exhausted its label id space reports a typed
         // error instead of panicking; the first one (in ascending object
@@ -440,7 +452,7 @@ fn build_inner(
             Err(overflow) => match governor {
                 Some(g) => {
                     g.trip(DegradeReason::CapacityExhausted { resource: "version interner" });
-                    return (empty_tables(node_count), g.completion());
+                    return (degraded(stats), g.completion());
                 }
                 None => panic!("versioning object {}: {overflow}", objs[i].index()),
             },
@@ -458,7 +470,6 @@ fn build_inner(
     yield_.prepare_fill();
     let mut reliance: Vec<Vec<VersionSlot>> = Vec::new();
     let mut next_slot: u32 = 0;
-    let mut stats = VersioningStats::default();
     // Every outcome is `Ok` here: the count pass returned on the first error.
     for (&o, out) in objs.iter().zip(outcomes.iter().flatten()) {
         let base = next_slot;
@@ -473,14 +484,9 @@ fn build_inner(
         for &(y, c) in &out.reliance {
             reliance[(base + y) as usize].push(base + c);
         }
-        stats.prelabels += out.prelabels;
         stats.reliance_edges += out.reliance.len();
         stats.edges_collapsed += out.edges_collapsed;
     }
-    stats.par_workers = pstats.workers;
-    stats.par_tasks = pstats.tasks;
-    stats.par_steals = pstats.steals;
-    stats.par_seconds = pstats.wall.as_secs_f64();
 
     let tables = VersionTables { consume, yield_, reliance, slot_count: next_slot, stats };
     let completion = governor.map_or(Completion::Complete, Governor::completion);
@@ -489,7 +495,7 @@ fn build_inner(
     } else {
         // A trip in an earlier (shared-governor) stage makes these tables
         // untrustworthy too; return the loud placeholder.
-        (empty_tables(node_count), completion)
+        (degraded(tables.stats), completion)
     }
 }
 

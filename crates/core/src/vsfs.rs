@@ -19,6 +19,7 @@
 
 use crate::result::{FlowSensitiveResult, SolveStats};
 use crate::schedule::{node_worklist, slot_worklist};
+use crate::sfs::SfsHarvest;
 use crate::solver::{SolveRequest, SolverKind};
 use crate::toplevel::{TopLevel, EMPTY};
 use crate::versioning::{VersionSlot, VersionTables};
@@ -56,7 +57,10 @@ pub fn run_vsfs_with_tables(
 
 /// The VSFS engine behind [`crate::solve`]: the fixpoint over pre-built
 /// version tables, with one cooperative checkpoint per worklist pop when
-/// governed.
+/// governed. With `want_harvest` a completed run also returns SFS's
+/// `IN`/`OUT` tables read off its version slots
+/// ([`VsfsSolver::harvest`]), which only the incremental engine asks
+/// for.
 pub(crate) fn solve(
     prog: &Program,
     aux: &AndersenResult,
@@ -64,7 +68,8 @@ pub(crate) fn solve(
     svfg: &Svfg,
     tables: VersionTables,
     governor: Option<&Governor>,
-) -> (FlowSensitiveResult, Completion) {
+    want_harvest: bool,
+) -> (FlowSensitiveResult, Completion, Option<SfsHarvest>) {
     let versioning = tables.stats;
     let start = Instant::now();
     let mut solver = VsfsSolver::new(prog, aux, mssa, svfg, tables);
@@ -72,17 +77,19 @@ pub(crate) fn solve(
     let mut stats = solver.stats;
     stats.solve_seconds = start.elapsed().as_secs_f64();
     stats.pushes_suppressed = solver.nodes.stats().suppressed + solver.slots.stats().suppressed;
-    stats.versioning_seconds = versioning.seconds;
-    stats.prelabels = versioning.prelabels;
-    stats.versions = versioning.versions;
-    stats.reliance_edges = versioning.reliance_edges;
+    stats.record_versioning(&versioning);
     let (sets, elems, bytes) = solver.storage_stats();
     stats.stored_object_sets = sets;
     stats.stored_object_elems = elems;
     stats.stored_object_bytes = bytes;
     stats.store = solver.top.store.stats();
+    let harvest = (want_harvest && completion == Completion::Complete).then(|| solver.harvest());
     let callgraph_edges = solver.top.callgraph_edges();
-    (FlowSensitiveResult::new(solver.top.store, solver.top.pt, callgraph_edges, stats), completion)
+    (
+        FlowSensitiveResult::new(solver.top.store, solver.top.pt, callgraph_edges, stats),
+        completion,
+        harvest,
+    )
 }
 
 struct VsfsSolver<'a> {
@@ -351,6 +358,46 @@ impl<'a> VsfsSolver<'a> {
                 }
             }
         }
+    }
+
+    /// SFS's converged `IN`/`OUT` tables, read off the version slots.
+    /// The paper's central lemma: every node consuming (yielding) a
+    /// version has that version's set as its SFS `IN` (`OUT`), so
+    /// `IN[n][o] = vpts[consume_slot(n, o)]` and
+    /// `OUT[n][o] = vpts[yield_slot(n, o)]` — ids in the same store,
+    /// copied, never recomputed. The rows take SFS's own shape (see
+    /// [`SfsHarvest`]): empty `IN` sets are omitted, and a STORE's `OUT`
+    /// row holds every χ object.
+    fn harvest(&self) -> SfsHarvest {
+        let slot_set = |s: VersionSlot| self.vpts[s as usize];
+        let ins = self
+            .svfg
+            .node_ids()
+            .map(|n| {
+                let consumed = self.tables.consume_entries(n).iter();
+                consumed.map(|&(o, c)| (o, slot_set(c))).filter(|e| e.1 != EMPTY).collect()
+            })
+            .collect();
+        let outs = self
+            .svfg
+            .node_ids()
+            .map(|n| match self.svfg.kind(n) {
+                SvfgNodeKind::Inst(i) if self.prog.insts[i].kind.is_store() => {
+                    let mut row: Vec<(ObjId, PtsId)> = self
+                        .mssa
+                        .chis(i)
+                        .iter()
+                        .map(|chi| {
+                            (chi.obj, self.tables.yield_slot(n, chi.obj).map_or(EMPTY, slot_set))
+                        })
+                        .collect();
+                    row.sort_unstable_by_key(|e| e.0);
+                    row
+                }
+                _ => Vec::new(),
+            })
+            .collect();
+        SfsHarvest { ins, outs }
     }
 
     fn storage_stats(&self) -> (usize, usize, usize) {

@@ -26,11 +26,11 @@ use crate::incremental::{
     build_front, deliver, solve_front, value_def_nodes, Front, Outcome, ProgramState, SolveError,
     SolveReport,
 };
-use crate::result::FlowSensitiveResult;
+use crate::result::{FlowSensitiveResult, GovernedAnalysis};
 use crate::sfs::{run_sfs_seeded, SfsSeed};
 use crate::solver::SolverKind;
 use crate::{result_fingerprint, IncrementalOptions};
-use vsfs_adt::govern::{Completion, Governor};
+use vsfs_adt::govern::Governor;
 use vsfs_adt::{FxHashMap, PointsToSet, PtsId, PtsStore};
 use vsfs_ir::{FuncId, InstId, InstKind, ObjId, ValueId};
 use vsfs_svfg::stable::KeyMap;
@@ -154,15 +154,9 @@ pub fn restore_program(
         return Ok(solve_front(source, front, fs_governor));
     };
     let staged = front.staged.as_ref().expect("a staged solver has a staged front");
-    let (result, completion, harvest) = run_sfs_seeded(
-        &front.prog,
-        &front.aux,
-        &staged.mssa,
-        &staged.svfg,
-        fs_governor,
-        Some(seed),
-    );
-    if matches!(completion, Completion::Complete)
+    let (result, completion, harvest) =
+        run_sfs_seeded(&front.prog, &front.aux, &staged.mssa, &staged.svfg, fs_governor, seed);
+    if completion.is_complete()
         && result_fingerprint(&front.prog, &front.keys, &result) != export.fingerprint
     {
         // The seeded state converged to something other than what the
@@ -178,7 +172,8 @@ pub fn restore_program(
         waves: 0,
         prior_seconds: 0.0,
     };
-    Ok(deliver(source, front, result, completion, harvest, outcome))
+    let analysis = GovernedAnalysis::from_run(&front.prog, &front.aux, result, completion, "solve");
+    Ok(deliver(source, front, analysis, harvest, outcome))
 }
 
 /// Maps an export into a fully-clean [`SfsSeed`] over `front`'s id

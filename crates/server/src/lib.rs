@@ -19,8 +19,8 @@
 //! | op | fields | effect |
 //! |----|--------|--------|
 //! | `ping` | | liveness check |
-//! | `load` | `id`, `source`, \[`solver`\] | parse + solve (or snapshot-restore), keep resident |
-//! | `edit` | `id`, `delta`, \[`solver`\] | apply function deltas, re-solve incrementally |
+//! | `load` | `id`, `source`, \[`solver`\] | parse + solve (VSFS unless `solver` says otherwise) or snapshot-restore, keep resident |
+//! | `edit` | `id`, `delta`, \[`solver`\] | apply function deltas, re-solve incrementally (a `vsfs` workspace solves a half-graph rewrite cold with VSFS) |
 //! | `pts` | `id`, `value`, \[`func`\] | points-to set of a value |
 //! | `alias` | `id`, `p`, `q`, \[`func`\] | may-alias query |
 //! | `check` | `id` | run the memory-safety checkers |
@@ -34,14 +34,23 @@
 //!
 //! `load` and `edit` accept an optional `"solver"` (`dense`, `sfs`,
 //! `vsfs`, `cfgfree`, or `unify`; unknown names are `bad_request`)
-//! selecting the resident engine for the workspace. An `edit` that omits it
-//! keeps the workspace's resident solver; naming a different one
-//! switches the workspace by an exact cold re-solve. Staged solvers (`sfs`,
-//! `vsfs`) re-solve edits incrementally and persist warm snapshots;
-//! cold-only solvers (`dense`, `cfgfree`) build no SVFG and serve every
-//! edit by an exact cold re-solve (`"incremental": false`). Per-program
-//! `stats` report the workspace's `solver` and whether warm state is
-//! resident; the SVFG counters are `null` for cold-only solvers.
+//! selecting the resident engine for the workspace; a `load` that omits
+//! it gets [`ServerConfig::opts`], VSFS by default (the CLI's default).
+//! An `edit` that omits it keeps the workspace's resident solver; naming
+//! a different one switches the workspace by an exact cold re-solve.
+//! Staged solvers (`sfs`, `vsfs`) re-solve edits incrementally and
+//! persist warm snapshots: a cold solve runs the named engine, a local
+//! edit re-solves its dirty region with the seeded SFS wave, and in a
+//! `vsfs` workspace an edit that dirties more than half the graph is
+//! solved cold with VSFS. Cold-only solvers (`dense`, `cfgfree`) build
+//! no SVFG and serve every edit by an exact cold re-solve
+//! (`"incremental": false`). `load` and `edit` responses name the
+//! `"engine"` that ran: the solver's name for a cold solve, `"sfs-wave"`
+//! for a seeded re-solve (an edit wave or a snapshot restore), or the
+//! fallback's mode when the solve degraded. Per-program `stats` report
+//! the workspace's `solver`, the `engine` of its last solve and whether
+//! warm state is resident; the SVFG counters are `null` for cold-only
+//! solvers.
 //!
 //! `load` and `edit` accept optional budgets (`time_budget` seconds,
 //! `step_budget`, `mem_budget_mib`) mirroring the CLI's governed mode:
@@ -140,7 +149,8 @@ pub const ERROR_CODES: &[&str] = &[
 /// Server-wide configuration (transport and engine).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Default solve options for requests that don't override them.
+    /// Default solve options for requests that don't override them:
+    /// `SolverKind::default()` (VSFS), as on the CLI.
     pub opts: IncrementalOptions,
     /// Directory for warm-state snapshots; `None` disables persistence.
     pub snapshot_dir: Option<PathBuf>,
@@ -160,7 +170,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            opts: IncrementalOptions::default(),
+            opts: IncrementalOptions { solver: SolverKind::default() },
             snapshot_dir: None,
             max_request_bytes: 16 << 20,
             default_time_budget: None,
@@ -284,6 +294,7 @@ fn solve_fields(state: &ProgramState, report: &SolveReport) -> Vec<(&'static str
     let degraded = !state.analysis.is_complete();
     vec![
         ("fingerprint", hex(report.fingerprint)),
+        ("engine", s(state.engine)),
         ("mode", s(state.analysis.mode)),
         ("degraded", Json::Bool(degraded)),
         ("fallback", if degraded { s(state.analysis.mode) } else { Json::Null }),
@@ -810,6 +821,7 @@ impl Server {
                     ("values", n(state.prog.values.len() as f64)),
                     ("objects", n(state.prog.objects.len() as f64)),
                     ("solver", s(state.solver.name())),
+                    ("engine", s(state.engine)),
                     ("nodes", state.svfg().map_or(Json::Null, |g| n(g.node_count() as f64))),
                     (
                         "direct_edges",
@@ -1153,6 +1165,93 @@ mod tests {
         assert_eq!(edited.get("incremental"), Some(&Json::Bool(true)));
         assert_eq!(edited.get("dirty_nodes").unwrap().as_u64(), Some(0));
         assert_eq!(edited.get("fingerprint").unwrap().as_str().unwrap(), fp0);
+    }
+
+    fn request(server: &mut Server, pairs: Vec<(&'static str, Json)>) -> Json {
+        let (resp, _) = server.handle_line(&obj(pairs).to_line());
+        json::parse(&resp).unwrap()
+    }
+
+    fn engine(resp: &Json) -> &str {
+        resp.get("engine").and_then(Json::as_str).expect("response names its engine")
+    }
+
+    fn stats_engine(server: &mut Server, id: &str) -> String {
+        let stats = request(server, vec![("op", s("stats")), ("id", s(id))]);
+        engine(&stats).to_string()
+    }
+
+    /// `@make` rewritten to allocate a fresh object: every node
+    /// downstream of its return is dirty, past the half-graph rule.
+    fn rewrite_make(server: &mut Server, id: &str) -> Json {
+        let delta = Json::Arr(vec![obj(vec![
+            ("action", s("replace")),
+            ("name", s("make")),
+            ("text", s("func @make() {\nentry:\n  %n = alloc heap FRESH\n  ret %n\n}\n")),
+        ])]);
+        request(server, vec![("op", s("edit")), ("id", s(id)), ("delta", delta)])
+    }
+
+    #[test]
+    fn cold_loads_run_vsfs_by_default_and_sfs_on_request() {
+        let mut server = Server::new();
+        let loaded = load(&mut server, "p");
+        assert_eq!(engine(&loaded), "vsfs");
+        assert_eq!(stats_engine(&mut server, "p"), "vsfs");
+        let sfs = request(
+            &mut server,
+            vec![("op", s("load")), ("id", s("q")), ("source", s(PROG)), ("solver", s("sfs"))],
+        );
+        assert_eq!(engine(&sfs), "sfs");
+        assert_eq!(stats_engine(&mut server, "q"), "sfs");
+        assert_eq!(sfs.get("fingerprint"), loaded.get("fingerprint"));
+    }
+
+    #[test]
+    fn local_edits_run_the_seeded_sfs_wave() {
+        let mut server = Server::new();
+        load(&mut server, "p");
+        let edited = request(
+            &mut server,
+            vec![("op", s("edit")), ("id", s("p")), ("delta", Json::Arr(vec![]))],
+        );
+        assert_eq!(edited.get("incremental"), Some(&Json::Bool(true)));
+        assert_eq!(engine(&edited), "sfs-wave");
+        assert_eq!(stats_engine(&mut server, "p"), "sfs-wave");
+    }
+
+    #[test]
+    fn half_graph_rewrites_solve_cold_with_vsfs() {
+        let mut server = Server::new();
+        load(&mut server, "v");
+        let vsfs = rewrite_make(&mut server, "v");
+        assert_eq!(vsfs.get("ok"), Some(&Json::Bool(true)), "{vsfs:?}");
+        let dirty = vsfs.get("dirty_nodes").and_then(Json::as_u64).unwrap();
+        let total = vsfs.get("total_nodes").and_then(Json::as_u64).unwrap();
+        assert!(dirty * 2 > total, "the rewrite must pass the half-graph rule ({dirty}/{total})");
+        assert_eq!(vsfs.get("incremental"), Some(&Json::Bool(false)));
+        assert_eq!(engine(&vsfs), "vsfs");
+        assert_eq!(stats_engine(&mut server, "v"), "vsfs");
+
+        // An `sfs` workspace runs the same rewrite as one seeded wave.
+        let sfs_load = vec![("op", s("load")), ("id", s("s")), ("source", s(PROG))];
+        request(&mut server, [sfs_load, vec![("solver", s("sfs"))]].concat());
+        let sfs = rewrite_make(&mut server, "s");
+        assert_eq!(sfs.get("incremental"), Some(&Json::Bool(true)));
+        assert_eq!(engine(&sfs), "sfs-wave");
+        assert_eq!(sfs.get("fingerprint"), vsfs.get("fingerprint"));
+    }
+
+    #[test]
+    fn degraded_solves_name_the_fallback() {
+        let mut server = Server::new();
+        let loaded = request(
+            &mut server,
+            vec![("op", s("load")), ("id", s("p")), ("source", s(PROG)), ("step_budget", n(1.0))],
+        );
+        assert_eq!(loaded.get("degraded"), Some(&Json::Bool(true)));
+        assert_eq!(engine(&loaded), "flow-insensitive-fallback");
+        assert_eq!(stats_engine(&mut server, "p"), "flow-insensitive-fallback");
     }
 
     #[test]

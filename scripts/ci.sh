@@ -133,8 +133,9 @@ cargo test --release -q -p vsfs-server --test concurrent
 
 echo
 echo "== server gate: snapshot restore >= 5x faster than cold solve =="
+echo "== vsfs load gate: vsfs cold load >= 1.5x faster than sfs, peak no higher =="
 cargo run --release -p vsfs-bench --bin server_bench -- ninja,bake --gate 5 \
-  --out "$scratch/BENCH_server.json"
+  --gate-vsfs-load 1.5 --out "$scratch/BENCH_server.json"
 
 echo
 echo "== solver matrix gate: sfs = vsfs = cfgfree, peak heap and payload dedup vs results/BENCH_solvers.json =="

@@ -13,6 +13,11 @@
 //! * the full memory-safety finding set;
 //! * the deterministic result fingerprint.
 //!
+//! The sequence, no-op and locality properties run in both staged
+//! workspace kinds. An `sfs` workspace re-solves every edit with seeded
+//! SFS waves; a `vsfs` workspace solves cold loads, and edits whose
+//! region passes the half-graph rule, with VSFS instead.
+//!
 //! Seeds honour the shared property-test env knobs: replay one case
 //! with `VSFS_PROP_SEED=0x…`, scale the count with `VSFS_PROP_CASES`.
 
@@ -29,6 +34,20 @@ use vsfs_workloads::edit_script;
 use vsfs_workloads::gen::{generate_edited, WorkloadConfig};
 
 const CASES: u32 = 10;
+
+/// The staged workspace kinds: SFS (the incremental engine's default)
+/// and VSFS.
+const STAGED: [SolverKind; 2] = [SolverKind::Sfs, SolverKind::Vsfs];
+
+/// Whether `report` is a legitimate non-incremental edit of a
+/// `solver` workspace: a VSFS workspace solves a region past the
+/// half-graph rule cold.
+fn solved_cold_past_half(solver: SolverKind, state: &ProgramState, report: &SolveReport) -> bool {
+    solver == SolverKind::Vsfs
+        && state.engine == "vsfs"
+        && report.waves == 0
+        && report.dirty_nodes * 2 > report.total_nodes
+}
 
 /// A random configuration with enough functions and edit surface to
 /// produce interesting dirty regions.
@@ -115,87 +134,90 @@ fn assert_matches(
 
 /// The core property: for a random base program and a random 3-edit
 /// script, every incrementally solved state equals a from-scratch solve
-/// of the same text — under SFS and VSFS (jobs 1/2/8).
+/// of the same text — under SFS and VSFS (jobs 1/2/8) — in both staged
+/// workspace kinds.
 #[test]
 fn edit_sequences_match_from_scratch_solves() {
     vsfs_testkit::check_cases("incremental::edit_sequences_match", CASES, |rng| {
         let cfg = random_config(rng);
         let script = edit_script(&cfg, rng.next_u64(), 3);
         let base_text = script.base.to_string();
-        let opts = IncrementalOptions::default();
-        let (mut state, _) = solve_program(&base_text, opts, None, None).expect("base solves");
+        for solver in STAGED {
+            let opts = IncrementalOptions { solver };
+            let (mut state, _) = solve_program(&base_text, opts, None, None).expect("base solves");
 
-        for (i, step) in script.steps.iter().enumerate() {
-            let text = step.program.to_string();
-            let (next, report) =
-                resolve_edit(&state, &text, opts, None, None).expect("edit solves");
-            let label = format!("step {i} (edit @{})", step.name);
-            assert!(
-                report.incremental,
-                "{label}: warm state must be available after a complete solve"
-            );
+            for (i, step) in script.steps.iter().enumerate() {
+                let text = step.program.to_string();
+                let (next, report) =
+                    resolve_edit(&state, &text, opts, None, None).expect("edit solves");
+                let label = format!("{} step {i} (edit @{})", solver.name(), step.name);
+                assert!(
+                    report.incremental || solved_cold_past_half(solver, &next, &report),
+                    "{label}: warm state must be available after a complete solve"
+                );
 
-            // From-scratch SFS, and VSFS at three parallelism levels.
-            let cold = cold_pipeline(&text);
-            for (kind, jobs) in [
-                (SolverKind::Sfs, 1),
-                (SolverKind::Vsfs, 1),
-                (SolverKind::Vsfs, 2),
-                (SolverKind::Vsfs, 8),
-            ] {
-                let r = cold.solve(kind, jobs);
-                let ctx = format!("{label} vs {}/j{jobs}", kind.name());
-                assert_matches(&ctx, &next, &cold, &r, rng);
+                // From-scratch SFS, and VSFS at three parallelism levels.
+                let cold = cold_pipeline(&text);
+                for (kind, jobs) in [
+                    (SolverKind::Sfs, 1),
+                    (SolverKind::Vsfs, 1),
+                    (SolverKind::Vsfs, 2),
+                    (SolverKind::Vsfs, 8),
+                ] {
+                    let r = cold.solve(kind, jobs);
+                    let ctx = format!("{label} vs {}/j{jobs}", kind.name());
+                    assert_matches(&ctx, &next, &cold, &r, rng);
+                }
+                state = next;
             }
-            state = next;
         }
     });
 }
 
 /// An identical-text edit invalidates nothing and preserves the
-/// fingerprint, on generated programs of varying shape.
+/// fingerprint, on generated programs of varying shape, in both staged
+/// workspace kinds.
 #[test]
 fn noop_edits_invalidate_nothing() {
     vsfs_testkit::check_cases("incremental::noop_edits", CASES, |rng| {
         let cfg = random_config(rng);
         let script = edit_script(&cfg, rng.next_u64(), 1);
         let text = script.base.to_string();
-        let (state, r0) = solve_program(&text, IncrementalOptions::default(), None, None).unwrap();
-        let (_, r1) =
-            resolve_edit(&state, &text, IncrementalOptions::default(), None, None).unwrap();
-        assert!(r1.incremental);
-        assert_eq!(r1.dirty_nodes, 0, "identical text must invalidate nothing");
-        assert_eq!(r1.fingerprint, r0.fingerprint);
+        for solver in STAGED {
+            let opts = IncrementalOptions { solver };
+            let (state, r0) = solve_program(&text, opts, None, None).unwrap();
+            let (_, r1) = resolve_edit(&state, &text, opts, None, None).unwrap();
+            assert!(r1.incremental);
+            assert_eq!(r1.dirty_nodes, 0, "identical text must invalidate nothing");
+            assert_eq!(r1.fingerprint, r0.fingerprint);
+        }
     });
 }
 
 /// A single-function edit must not invalidate the whole graph: the
-/// dirty region is a strict subset on every generated case.
+/// dirty region is a strict subset on every generated case, in both
+/// staged workspace kinds.
 #[test]
 fn localized_edits_dirty_strict_subsets() {
     vsfs_testkit::check_cases("incremental::localized_edits", CASES, |rng| {
         let cfg = random_config(rng);
         let script = edit_script(&cfg, rng.next_u64(), 1);
-        let (state, _) =
-            solve_program(&script.base.to_string(), IncrementalOptions::default(), None, None)
-                .unwrap();
         let step = &script.steps[0];
-        let (_, report) = resolve_edit(
-            &state,
-            &step.program.to_string(),
-            IncrementalOptions::default(),
-            None,
-            None,
-        )
-        .unwrap();
-        assert!(report.incremental);
-        assert!(report.dirty_nodes > 0, "a real edit must dirty something");
-        assert!(
-            report.dirty_nodes < report.total_nodes,
-            "edit to @{} dirtied all {} nodes — invalidation is not localized",
-            step.name,
-            report.total_nodes
-        );
+        for solver in STAGED {
+            let opts = IncrementalOptions { solver };
+            let (state, _) = solve_program(&script.base.to_string(), opts, None, None).unwrap();
+            let (next, report) =
+                resolve_edit(&state, &step.program.to_string(), opts, None, None).unwrap();
+            assert!(report.incremental || solved_cold_past_half(solver, &next, &report));
+            assert!(report.dirty_nodes > 0, "a real edit must dirty something");
+            assert!(
+                report.dirty_nodes < report.total_nodes,
+                "{} edit to @{} dirtied all {} nodes — invalidation is not localized",
+                solver.name(),
+                step.name,
+                report.total_nodes
+            );
+        }
     });
 }
 
@@ -203,14 +225,26 @@ fn localized_edits_dirty_strict_subsets() {
 /// the result against a from-scratch SFS solve of `edited`, and returns
 /// the edit's report.
 fn edit_against_cold(label: &str, base: &str, edited: &str) -> SolveReport {
-    let opts = IncrementalOptions::default();
+    let (_, report) = edit_against_cold_as(SolverKind::Sfs, label, base, edited);
+    assert!(report.incremental, "{label}: the edit must be solved incrementally");
+    report
+}
+
+/// [`edit_against_cold`] in a `solver` workspace, returning the new
+/// state too and leaving the incremental check to the caller.
+fn edit_against_cold_as(
+    solver: SolverKind,
+    label: &str,
+    base: &str,
+    edited: &str,
+) -> (ProgramState, SolveReport) {
+    let opts = IncrementalOptions { solver };
     let (state, _) = solve_program(base, opts, None, None).expect("base solves");
     let (next, report) = resolve_edit(&state, edited, opts, None, None).expect("edit solves");
-    assert!(report.incremental, "{label}: the edit must be solved incrementally");
     let cold = cold_pipeline(edited);
     let r = cold.solve(SolverKind::Sfs, 1);
     assert_matches(label, &next, &cold, &r, &mut Rng::seed_from_u64(7));
-    report
+    (next, report)
 }
 
 /// A fixed generated program before and after `f0` is re-salted with
@@ -238,6 +272,37 @@ fn half_graph_rewrites_solve_in_one_wave() {
         report.total_nodes
     );
     assert_eq!(report.waves, 1, "a half-graph region runs exactly one wave");
+}
+
+/// The same rewrite in a `vsfs` workspace is solved cold with VSFS —
+/// no seeded wave — and still equals a from-scratch SFS solve; the
+/// report keeps the region the edit invalidated.
+#[test]
+fn vsfs_half_graph_rewrites_solve_cold() {
+    let (base, edited) = salted_texts(3);
+    let (next, report) = edit_against_cold_as(SolverKind::Vsfs, "vsfs rewrite", &base, &edited);
+    assert!(!report.incremental, "a half-graph region is solved cold, not seeded");
+    assert_eq!(report.waves, 0, "no seeded wave runs");
+    assert_eq!(next.engine, "vsfs");
+    assert!(
+        report.dirty_nodes * 2 > report.total_nodes,
+        "the rewrite must cover more than half the graph ({}/{} dirty)",
+        report.dirty_nodes,
+        report.total_nodes
+    );
+    assert!(next.has_warm_state(), "the VSFS harvest re-arms the next edit");
+}
+
+/// A local edit in a `vsfs` workspace runs the audited SFS wave, seeded
+/// from the tables the cold VSFS load harvested off its version slots.
+#[test]
+fn vsfs_local_edits_seed_the_sfs_wave_from_the_vsfs_harvest() {
+    let (base, edited) = salted_texts(4);
+    let (next, report) = edit_against_cold_as(SolverKind::Vsfs, "vsfs epilogue", &base, &edited);
+    assert!(report.incremental, "a local edit is seeded, not solved cold");
+    assert_eq!(next.engine, "sfs-wave");
+    assert_eq!(report.waves, 1, "the epilogue is private, so the first audit passes");
+    assert!(report.dirty_nodes * 2 < report.total_nodes);
 }
 
 /// A local edit (even salt) stays audited: its region is a small subset
