@@ -2,7 +2,7 @@
 //! snapshot restore against cold solves.
 //!
 //! ```text
-//! server_bench [WORKLOADS] [--requests N] [--gate X] [--gate-vsfs-load Y] [--out FILE]
+//! server_bench [WORKLOADS] [--requests N] [--gate X] [--out FILE]
 //! ```
 //!
 //! `WORKLOADS` is a comma-separated list of suite benchmark names
@@ -14,11 +14,8 @@
 //!    format ([`vsfs_server::snapshot`]), reads it back, and times
 //!    [`vsfs_core::restore_program`] — asserting the restored
 //!    fingerprint matches the cold solve;
-//! 3. times paired cold loads ([`vsfs_core::solve_program`], alternating
-//!    the staged kinds) in an `sfs` and a `vsfs` workspace, recording
-//!    each kind's median wall time and peak live heap (resident state
-//!    included), the VSFS load's speedup, and — ungated — the restore's
-//!    speedup over the VSFS load;
+//! 3. times one cold load in a `vsfs` workspace and records, ungated,
+//!    the restore's speedup over it;
 //! 4. loads the program into a [`vsfs_server::Server`] and samples
 //!    per-request dispatch latency (p50/p95) over a mix of `pts`,
 //!    `alias`, and `stats` requests on real value names;
@@ -30,18 +27,17 @@
 //! With `--gate X` (default 5) the run doubles as the CI snapshot gate:
 //! it fails (exit 1) unless every workload restores at least `X` times
 //! faster than its cold solve (an `sfs` workspace, the
-//! [`IncrementalOptions`] default the gate is calibrated on). With
-//! `--gate-vsfs-load Y` it also fails unless every workload's median
-//! `vsfs` load is at least `Y` times faster than its median `sfs` load,
-//! at a peak heap no higher. Results go to `results/BENCH_server.json`
-//! (`PhaseTimer::to_json` format).
+//! [`IncrementalOptions`] default the gate is calibrated on). The bench
+//! runs under the system allocator, so no allocation counting skews the
+//! ratio. Paired `sfs`/`vsfs` load times and peaks are
+//! `solver_matrix --gate-vsfs-load`'s. Results go to
+//! `results/BENCH_server.json` (`PhaseTimer::to_json` format).
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use vsfs_adt::mem::{CountingAlloc, MemScope};
 use vsfs_adt::stats::PhaseTimer;
 use vsfs_core::{export_warm, restore_program, solve_program, IncrementalOptions, SolverKind};
 use vsfs_server::json::Json;
@@ -49,26 +45,17 @@ use vsfs_server::{snapshot, Server, ServerConfig};
 
 /// Deterministic request-mix seed.
 const MIX_SEED: u64 = 0x5e12_7ab1e;
-/// Cold loads per staged kind, alternating `sfs` and `vsfs`.
-const LOAD_PAIRS: usize = 3;
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc::new();
 
 fn main() {
     let mut names: Vec<String> = vec!["ninja".into(), "bake".into()];
     let mut requests = 500usize;
     let mut gate = 5.0f64;
-    let mut gate_vsfs_load: Option<f64> = None;
     let mut out = "results/BENCH_server.json".to_string();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--requests" => requests = parse_arg(args.next(), "--requests"),
             "--gate" => gate = parse_arg(args.next(), "--gate"),
-            "--gate-vsfs-load" => {
-                gate_vsfs_load = Some(parse_arg(args.next(), "--gate-vsfs-load"));
-            }
             "--out" => out = args.next().unwrap_or_else(|| usage()),
             "--help" | "-h" => usage(),
             other if !other.starts_with('-') => {
@@ -134,54 +121,20 @@ fn main() {
         }
         drop(restored);
 
-        // 3. Paired cold loads in both staged workspace kinds.
-        let kinds = [SolverKind::Sfs, SolverKind::Vsfs];
-        let mut load_secs: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-        let mut load_peak = [0usize; 2];
-        for _ in 0..LOAD_PAIRS {
-            for (k, solver) in kinds.into_iter().enumerate() {
-                let scope = MemScope::start();
-                let t = Instant::now();
-                let (state, _) = solve_program(&source, IncrementalOptions { solver }, None, None)
-                    .unwrap_or_else(|e| fail(name, "cold load", &e.to_string()));
-                load_secs[k].push(t.elapsed().as_secs_f64());
-                load_peak[k] = load_peak[k].max(scope.peak_bytes());
-                if state.engine != solver.name() || state.fingerprint != cold.fingerprint {
-                    fail(name, "cold load", &format!("{} load diverged", solver.name()));
-                }
-            }
+        // 3. A cold load in a `vsfs` workspace, the server's default.
+        let t = Instant::now();
+        let (vsfs_load, _) =
+            solve_program(&source, IncrementalOptions { solver: SolverKind::Vsfs }, None, None)
+                .unwrap_or_else(|e| fail(name, "vsfs load", &e.to_string()));
+        let load_secs = t.elapsed().as_secs_f64();
+        timer.record(&format!("{name}.load.vsfs"), t.elapsed());
+        if vsfs_load.fingerprint != cold.fingerprint {
+            fail(name, "vsfs load", "fingerprint diverged from cold solve");
         }
-        let [sfs_load, vsfs_load] = load_secs.map(|mut secs| {
-            secs.sort_by(f64::total_cmp);
-            secs[secs.len() / 2]
-        });
-        let load_speedup = sfs_load / vsfs_load.max(f64::MIN_POSITIVE);
-        let restore_vs_vsfs = vsfs_load / restore_secs.max(f64::MIN_POSITIVE);
-        for (k, solver) in kinds.into_iter().enumerate() {
-            let secs = [sfs_load, vsfs_load][k];
-            timer.record(&format!("{name}.load.{}", solver.name()), Duration::from_secs_f64(secs));
-            timer.count(&format!("{name}.load.{}.peak_bytes", solver.name()), load_peak[k] as u64);
-        }
-        timer.count(&format!("{name}.vsfs_load_speedup_x100"), (load_speedup * 100.0) as u64);
+        drop(vsfs_load);
+        let restore_vs_vsfs = load_secs / restore_secs.max(f64::MIN_POSITIVE);
         timer.count(&format!("{name}.restore_vs_vsfs_load_x100"), (restore_vs_vsfs * 100.0) as u64);
-        let mib = |bytes: usize| bytes as f64 / (1 << 20) as f64;
-        println!(
-            "{name}: cold load sfs {sfs_load:.3}s ({:.1} MiB peak), vsfs {vsfs_load:.3}s \
-             ({:.1} MiB peak): {load_speedup:.2}x; restore {restore_vs_vsfs:.1}x the vsfs load",
-            mib(load_peak[0]),
-            mib(load_peak[1]),
-        );
-        if let Some(want) = gate_vsfs_load {
-            if load_speedup < want || load_peak[1] > load_peak[0] {
-                eprintln!(
-                    "FAIL: {name} vsfs load {load_speedup:.2}x the sfs load (gate {want}x), \
-                     peak {:.1} vs {:.1} MiB (gate: no higher)",
-                    mib(load_peak[1]),
-                    mib(load_peak[0])
-                );
-                failed = true;
-            }
-        }
+        println!("{name}: vsfs load {load_secs:.3}s; restore {restore_vs_vsfs:.1}x the vsfs load");
 
         // 4. Request latency through the server dispatch path.
         let value_names: Vec<String> = cold
@@ -255,9 +208,6 @@ fn main() {
         std::process::exit(1);
     }
     println!("server gate OK: every restore speedup >= {gate:.0}x");
-    if let Some(want) = gate_vsfs_load {
-        println!("vsfs load gate OK: every vsfs load >= {want}x the sfs load, at no higher peak");
-    }
 }
 
 /// Hammers a deliberately tiny server (2 workers, queue depth 2) with
@@ -362,9 +312,6 @@ fn fail(name: &str, stage: &str, err: &str) -> ! {
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: server_bench [WORKLOAD,WORKLOAD,...] [--requests N] [--gate X] \
-         [--gate-vsfs-load Y] [--out FILE]"
-    );
+    eprintln!("usage: server_bench [WORKLOAD,WORKLOAD,...] [--requests N] [--gate X] [--out FILE]");
     std::process::exit(2);
 }

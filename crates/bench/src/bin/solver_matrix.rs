@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! solver_matrix [WORKLOADS] [--out FILE] [--gate-peak FILE]
-//!               [--gate-versioning-share X]
+//!               [--gate-versioning-share X] [--gate-vsfs-load Y]
 //! ```
 //!
 //! `WORKLOADS` is a comma-separated list of suite benchmark names
@@ -45,13 +45,24 @@
 //! `--gate-versioning-share X` gates the paper's claim that versioning
 //! is cheap: exit 1 unless, on every workload, the median over three
 //! VSFS runs of versioning / main phase is at most `X`.
+//!
+//! `--gate-vsfs-load Y` gates what the server's default engine buys a
+//! cold load: per workload it times three alternating pairs of
+//! [`solve_program`] loads of the program's text in an `sfs` and a
+//! `vsfs` workspace (parse to resident warm tables), recording each
+//! kind's median wall seconds (`{w}.{kind}.load`) and peak live heap
+//! (`{w}.{kind}.load_peak_bytes`). It fails unless, on every workload,
+//! the median `vsfs` load is at least `Y` times faster than the median
+//! `sfs` load at a peak no higher, and both loads report the same
+//! fingerprint.
 
 use std::time::{Duration, Instant};
 use vsfs_adt::mem::{CountingAlloc, MemScope};
 use vsfs_adt::stats::PhaseTimer;
 use vsfs_bench::format::{mib, read_counter};
 use vsfs_core::{
-    compare_precision, precision_diff, FlowSensitiveResult, SolveRequest, SolveStats, SolverKind,
+    compare_precision, precision_diff, solve_program, FlowSensitiveResult, IncrementalOptions,
+    SolveRequest, SolveStats, SolverKind,
 };
 use vsfs_ir::Program;
 use vsfs_mssa::MemorySsa;
@@ -62,6 +73,8 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 
 const SOLVERS: [SolverKind; 3] = [SolverKind::Sfs, SolverKind::Vsfs, SolverKind::CfgFree];
 const SHARE_RUNS: usize = 3;
+/// Cold loads per staged kind under `--gate-vsfs-load`.
+const LOAD_PAIRS: usize = 3;
 
 /// Peak regression tolerated by `--gate-peak` before it fails.
 const PEAK_SLACK: f64 = 1.10;
@@ -77,6 +90,7 @@ fn main() {
     let mut out = "results/BENCH_solvers.json".to_string();
     let mut peak_gate: Option<String> = None;
     let mut share_gate: Option<f64> = None;
+    let mut load_gate: Option<f64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -84,6 +98,9 @@ fn main() {
             "--gate-peak" => peak_gate = Some(args.next().unwrap_or_else(|| usage())),
             "--gate-versioning-share" => {
                 share_gate = args.next().and_then(|x| x.parse().ok()).or_else(|| usage());
+            }
+            "--gate-vsfs-load" => {
+                load_gate = args.next().and_then(|x| x.parse().ok()).or_else(|| usage());
             }
             "--help" | "-h" => usage(),
             other if !other.starts_with('-') => {
@@ -193,6 +210,10 @@ fn main() {
             results.push((solver, r));
         }
         check_equivalent(&prog, name, &results);
+        drop(results);
+        if let Some(want) = load_gate {
+            gate_loads(&mut timer, name, &prog.to_string(), want, &mut failures);
+        }
     }
     println!("sfs = vsfs = cfgfree on {}", names.join(", "));
 
@@ -212,11 +233,76 @@ fn main() {
             (PEAK_SLACK - 1.0) * 100.0
         );
     }
-    if peak_gate.is_some() || share_gate.is_some() {
+    if let Some(want) = load_gate {
+        println!("vsfs load gate OK: every vsfs load >= {want}x the sfs load, at no higher peak");
+    }
+    if peak_gate.is_some() || share_gate.is_some() || load_gate.is_some() {
         return;
     }
 
     vsfs_bench::format::write_json_report(&out, &timer.to_json());
+}
+
+/// Times `LOAD_PAIRS` alternating cold loads of `source` in an `sfs` and
+/// a `vsfs` workspace, records each kind's median seconds and peak live
+/// heap, and pushes a failure unless the `vsfs` load is at least `want`
+/// times faster at a peak no higher, with the same fingerprint.
+fn gate_loads(
+    timer: &mut PhaseTimer,
+    name: &str,
+    source: &str,
+    want: f64,
+    failures: &mut Vec<String>,
+) {
+    let kinds = [SolverKind::Sfs, SolverKind::Vsfs];
+    let mut secs: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+    let mut peak = [0usize; 2];
+    let mut fingerprints = [0u64; 2];
+    for _ in 0..LOAD_PAIRS {
+        for (k, solver) in kinds.into_iter().enumerate() {
+            let scope = MemScope::start();
+            let t = Instant::now();
+            let (state, _) = solve_program(source, IncrementalOptions { solver }, None, None)
+                .unwrap_or_else(|e| {
+                    eprintln!("FAIL: {name}: {} load: {e}", solver.name());
+                    std::process::exit(1);
+                });
+            secs[k].push(t.elapsed().as_secs_f64());
+            peak[k] = peak[k].max(scope.peak_bytes());
+            fingerprints[k] = state.fingerprint;
+            if state.engine != solver.name() {
+                failures.push(format!("{name}: {} load ran {}", solver.name(), state.engine));
+            }
+        }
+    }
+    let [sfs, vsfs] = secs.map(|mut s| {
+        s.sort_by(f64::total_cmp);
+        s[LOAD_PAIRS / 2]
+    });
+    for (k, solver) in kinds.into_iter().enumerate() {
+        let key = |metric: &str| format!("{name}.{}.{metric}", solver.name());
+        timer.record(&key("load"), Duration::from_secs_f64([sfs, vsfs][k]));
+        timer.count(&key("load_peak_bytes"), peak[k] as u64);
+    }
+    let speedup = sfs / vsfs.max(f64::MIN_POSITIVE);
+    timer.count(&format!("{name}.vsfs_load_speedup_x100"), (speedup * 100.0) as u64);
+    println!(
+        "{name}: cold load sfs {sfs:.3}s ({} MiB peak), vsfs {vsfs:.3}s ({} MiB peak): \
+         {speedup:.2}x (gate >= {want}x, peak no higher)",
+        mib(peak[0]),
+        mib(peak[1]),
+    );
+    if fingerprints[0] != fingerprints[1] {
+        failures.push(format!("{name}: sfs and vsfs loads report different fingerprints"));
+    }
+    if speedup < want || peak[1] > peak[0] {
+        failures.push(format!(
+            "{name}: vsfs load {speedup:.2}x the sfs load (gate {want}x), peak {} vs {} MiB \
+             (gate: no higher)",
+            mib(peak[1]),
+            mib(peak[0]),
+        ));
+    }
 }
 
 /// Records the points-to store's counters for one `(workload, solver)`
@@ -285,7 +371,7 @@ fn check_equivalent(prog: &Program, name: &str, results: &[(&str, FlowSensitiveR
 fn usage() -> ! {
     eprintln!(
         "usage: solver_matrix [WORKLOAD,WORKLOAD,...] [--out FILE] [--gate-peak FILE] \
-         [--gate-versioning-share X]"
+         [--gate-versioning-share X] [--gate-vsfs-load Y]"
     );
     std::process::exit(2);
 }

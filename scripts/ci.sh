@@ -133,9 +133,8 @@ cargo test --release -q -p vsfs-server --test concurrent
 
 echo
 echo "== server gate: snapshot restore >= 5x faster than cold solve =="
-echo "== vsfs load gate: vsfs cold load >= 1.5x faster than sfs, peak no higher =="
 cargo run --release -p vsfs-bench --bin server_bench -- ninja,bake --gate 5 \
-  --gate-vsfs-load 1.5 --out "$scratch/BENCH_server.json"
+  --out "$scratch/BENCH_server.json"
 
 echo
 echo "== solver matrix gate: sfs = vsfs = cfgfree, peak heap and payload dedup vs results/BENCH_solvers.json =="
@@ -148,6 +147,10 @@ cargo run --release -p vsfs-bench --bin solver_matrix -- du,ninja,bake \
 echo
 echo "== versioning share gate: versioning <= 0.35x the VSFS main phase on bake =="
 cargo run --release -p vsfs-bench --bin solver_matrix -- bake --gate-versioning-share 0.35
+
+echo
+echo "== vsfs load gate: vsfs cold load >= 1.5x faster than sfs, peak no higher =="
+cargo run --release -p vsfs-bench --bin solver_matrix -- ninja,bake --gate-vsfs-load 1.5
 
 echo
 echo "== soundness chain: flow-sensitive <= andersen <= unify <= steensgaard =="
