@@ -809,15 +809,21 @@ pub struct CarryStats {
 /// The element remap translates ids of the old index space into the new
 /// one (or `None` to drop an element whose referent no longer exists).
 /// Translations are memoized per carry generation, so state that shares
-/// ids in the old store keeps sharing them in the successor.
+/// ids in the old store keeps sharing them in the successor. Set ids are
+/// dense, so the memo is a vector indexed by the old id: a hit costs one
+/// load, which matters when every entry of a large warm table is carried.
 #[derive(Debug, Default)]
 pub struct PtsCarry {
-    memo: FxHashMap<PtsId, PtsId>,
+    /// Image of each old set id, [`PtsCarry::UNCARRIED`] until carried.
+    memo: Vec<PtsId>,
     /// Counters for this carry generation.
     pub stats: CarryStats,
 }
 
 impl PtsCarry {
+    /// Memo marker of an old id not carried yet.
+    const UNCARRIED: PtsId = PtsId::new(u32::MAX);
+
     /// Creates an empty carry for one old-store → new-store generation.
     pub fn new() -> Self {
         PtsCarry::default()
@@ -831,7 +837,11 @@ impl PtsCarry {
         id: PtsId,
         mut map: impl FnMut(I) -> Option<J>,
     ) -> PtsId {
-        if let Some(&r) = self.memo.get(&id) {
+        if self.memo.len() < old.len() {
+            self.memo.resize(old.len(), Self::UNCARRIED);
+        }
+        let r = self.memo[id.index()];
+        if r != Self::UNCARRIED {
             self.stats.memo_hits += 1;
             return r;
         }
@@ -846,7 +856,7 @@ impl PtsCarry {
         }
         let r = into.intern(&set);
         self.stats.carried_sets += 1;
-        self.memo.insert(id, r);
+        self.memo[id.index()] = r;
         r
     }
 }

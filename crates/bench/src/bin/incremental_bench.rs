@@ -2,7 +2,7 @@
 //! re-solve-after-edit against full from-scratch re-solves.
 //!
 //! ```text
-//! incremental [WORKLOADS] [--edits N] [--gate X] [--out FILE]
+//! incremental [WORKLOADS] [--edits N] [--gate X] [--gate-vsfs-load Y] [--out FILE]
 //! ```
 //!
 //! `WORKLOADS` is a comma-separated list of suite benchmark names
@@ -16,8 +16,9 @@
 //!    save-and-reanalyze workload),
 //! 2. cold-solves the base text through [`vsfs_core::solve_program`] in
 //!    an `sfs` workspace (the [`IncrementalOptions`] default, which the
-//!    gate is calibrated on), and once more in a `vsfs` workspace to
-//!    record the VSFS cold load every edit is also compared with,
+//!    gate is calibrated on), and [`VSFS_LOADS`] times in a `vsfs`
+//!    workspace to record the VSFS cold load every edit is also compared
+//!    with (the median, so one noisy load cannot move the ratio),
 //! 3. on `ninja` only, re-solves one *full-body rewrite* of the base
 //!    ([`vsfs_workloads::edit_script`]'s first step) from the base
 //!    state. A rewrite renames every object in the function and cannot
@@ -26,15 +27,20 @@
 //!    relative to a cold solve of the same text,
 //! 4. for every local edit, times a full from-scratch re-solve of the
 //!    edited text against [`vsfs_core::resolve_edit`] from the resident
-//!    warm state, asserting the two fingerprints are identical,
+//!    warm state, asserting the two fingerprints are identical, and
+//!    records the re-solve's stage seconds ([`vsfs_core::StageSeconds`])
+//!    as `{workload}.edit{i}.stage.*` phases,
 //! 5. samples warm-query latency (may-alias over the resident result).
 //!
 //! With `--gate X` (default 5) the run doubles as the CI incremental
 //! gate: it fails (exit 1) unless every workload's **median**
 //! edit-speedup (full SFS seconds / incremental seconds) is at least `X`,
 //! and unless every rewrite ran at most one fixpoint wave. The wave
-//! count is deterministic, so no host noise can flip that half. The
-//! speedups over the VSFS cold load are recorded, ungated.
+//! count is deterministic, so no host noise can flip that half. With
+//! `--gate-vsfs-load Y` it also fails unless every workload's median
+//! local edit is at least `Y` times faster than the VSFS cold load of the
+//! base text (recorded as `median_speedup_vs_vsfs_load_x100` either
+//! way).
 //! Results always go to `results/BENCH_incremental.json`
 //! (`PhaseTimer::to_json` format).
 
@@ -47,6 +53,9 @@ use vsfs_workloads::{edit_script, edit_script_local};
 
 /// Edit-stream seed: fixed so the benchmark is reproducible run to run.
 const EDIT_SEED: u64 = 0xED17_5EED;
+/// VSFS cold loads timed per workload; their median is the load every
+/// edit is compared with.
+const VSFS_LOADS: usize = 3;
 /// May-alias queries sampled per resident state.
 const QUERY_SAMPLES: u64 = 10_000;
 /// Workloads that also time one full-body rewrite. `bake`'s would cost
@@ -60,12 +69,16 @@ fn main() {
     let mut names: Vec<String> = vec!["ninja".into(), "bake".into()];
     let mut edits = 3usize;
     let mut gate = 5.0f64;
+    let mut vsfs_load_gate: Option<f64> = None;
     let mut out = "results/BENCH_incremental.json".to_string();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--edits" => edits = parse_arg(args.next(), "--edits"),
             "--gate" => gate = parse_arg(args.next(), "--gate"),
+            "--gate-vsfs-load" => {
+                vsfs_load_gate = Some(parse_arg(args.next(), "--gate-vsfs-load"));
+            }
             "--out" => out = args.next().unwrap_or_else(|| usage()),
             "--help" | "-h" => usage(),
             other if !other.starts_with('-') => {
@@ -96,15 +109,23 @@ fn main() {
         let cold_secs = t.elapsed().as_secs_f64();
         timer.record(&format!("{name}.cold_solve"), t.elapsed());
         let vsfs_opts = IncrementalOptions { solver: SolverKind::Vsfs };
-        let t = Instant::now();
-        let (vsfs_state, vsfs_report) = solve_program(&base_text, vsfs_opts, None, None)
-            .unwrap_or_else(|e| fail(name, "vsfs base solve", &e.to_string()));
-        let vsfs_secs = t.elapsed().as_secs_f64();
-        drop(vsfs_state);
-        timer.record(&format!("{name}.vsfs_cold_solve"), t.elapsed());
-        if vsfs_report.fingerprint != state.fingerprint {
-            fail(name, "vsfs base solve", "fingerprint diverged from the sfs solve");
+        let mut vsfs_loads = Vec::with_capacity(VSFS_LOADS);
+        for _ in 0..VSFS_LOADS {
+            let t = Instant::now();
+            let (vsfs_state, vsfs_report) = solve_program(&base_text, vsfs_opts, None, None)
+                .unwrap_or_else(|e| fail(name, "vsfs base solve", &e.to_string()));
+            vsfs_loads.push(t.elapsed().as_secs_f64());
+            drop(vsfs_state);
+            if vsfs_report.fingerprint != state.fingerprint {
+                fail(name, "vsfs base solve", "fingerprint diverged from the sfs solve");
+            }
         }
+        vsfs_loads.sort_by(f64::total_cmp);
+        let vsfs_secs = vsfs_loads[VSFS_LOADS / 2];
+        timer.record(
+            &format!("{name}.vsfs_cold_solve"),
+            std::time::Duration::from_secs_f64(vsfs_secs),
+        );
 
         if REWRITE_WORKLOADS.contains(&name.as_str()) {
             let rewrite = edit_script(&cfg, EDIT_SEED, 1);
@@ -155,6 +176,19 @@ fn main() {
             timer.count(&key("carried_sets"), report.carried_sets as u64);
             timer.count(&key("speedup_x100"), (speedup * 100.0).min(u64::MAX as f64) as u64);
             timer.count(&key("speedup_vs_vsfs_load_x100"), (vsfs_speedup * 100.0) as u64);
+            let s = report.stages;
+            for (stage, secs) in [
+                ("front", s.front),
+                ("signatures", s.signatures),
+                ("invalidate", s.invalidate),
+                ("seed", s.seed),
+                ("wave", s.wave),
+                ("harvest", s.harvest),
+                ("fingerprint", s.fingerprint),
+            ] {
+                let secs = std::time::Duration::from_secs_f64(secs.max(0.0));
+                timer.record(&key(&format!("stage.{stage}")), secs);
+            }
             println!(
                 "{name} edit {i} (@{}): full {full_secs:.3}s vs incremental {inc_secs:.3}s \
                  ({speedup:.1}x, {}/{} dirty)",
@@ -204,6 +238,13 @@ fn main() {
             eprintln!("FAIL: {name} median edit speedup {median:.1}x below the {gate:.0}x gate");
             failed = true;
         }
+        if let Some(min) = vsfs_load_gate.filter(|&min| vsfs_median < min) {
+            eprintln!(
+                "FAIL: {name} median edit is {vsfs_median:.2}x the vsfs cold load, below the \
+                 {min}x gate"
+            );
+            failed = true;
+        }
     }
 
     vsfs_bench::format::write_json_report(&out, &timer.to_json());
@@ -214,6 +255,9 @@ fn main() {
         "incremental gate OK: every median speedup >= {gate:.0}x, \
          every rewrite <= {MAX_REWRITE_WAVES} wave"
     );
+    if let Some(min) = vsfs_load_gate {
+        println!("vsfs load gate OK: every median edit >= {min}x faster than the vsfs cold load");
+    }
 }
 
 /// Times one full-body rewrite of `state`'s program against a cold
@@ -289,6 +333,9 @@ fn fail(name: &str, stage: &str, err: &str) -> ! {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: incremental [WORKLOAD,WORKLOAD,...] [--edits N] [--gate X] [--out FILE]");
+    eprintln!(
+        "usage: incremental [WORKLOAD,WORKLOAD,...] [--edits N] [--gate X] \
+         [--gate-vsfs-load Y] [--out FILE]"
+    );
     std::process::exit(2);
 }

@@ -23,7 +23,9 @@
 //!    structure (with the static strong-update bit for stores), memory-φ
 //!    incoming defs, direct and indirect predecessors, and — for call,
 //!    return-side, and `FUNENTRY` nodes — the auxiliary call-graph
-//!    bindings that could wire dynamic edges to them. *Dirty seeds* are
+//!    bindings that could wire dynamic edges to them. A signature sums
+//!    per-ingredient hashes, so it is independent of arena order, and
+//!    label sets and bindings are hashed once per graph. *Dirty seeds* are
 //!    the new nodes with no old counterpart or a changed signature;
 //!    removed nodes need no handling of their own because removal changes
 //!    every surviving neighbour's signature.
@@ -32,7 +34,11 @@
 //!    graph — static direct and indirect edges plus the candidate
 //!    dynamic edges on-the-fly call resolution could activate
 //!    (`call → FUNENTRY` and `FUNEXIT → return side` for every deferred
-//!    binding pair, plus `call → return side`). The dirty region is
+//!    binding pair, plus `call → return side`). Tarjan walks that graph
+//!    once per edit, reading the static edges off the SVFG, and the same
+//!    SCCs rank the seeded wave's worklist: the graph holds every edge a
+//!    solve can use, so its condensation order is topological for the
+//!    wave. The dirty region is
 //!    re-solved from the carried frontier; an *audit* then compares, by
 //!    stable key, every dirty node's recomputed outputs — top-level sets
 //!    of the values it publishes (defs, call arguments, returns), the
@@ -61,11 +67,24 @@
 //!    audited SFS wave whatever the workspace's engine.
 //!    Signatures are computed once per front: invalidation reads them
 //!    and delivery moves the same table into the new warm state.
-//! 4. **Seeding.** Clean nodes' `IN`/`OUT` entries, clean-defined
+//! 4. **Seeding.** Clean nodes' `IN`/`OUT` rows, clean-defined
 //!    top-level sets, and clean call activations are carried into a
-//!    fresh-epoch [`vsfs_adt::PtsStore`] ([`vsfs_adt::PtsCarry`]) with
-//!    objects remapped by key, then handed to the seeded SFS solver,
-//!    which re-runs only the dirty region (`crate::sfs`).
+//!    fresh-epoch [`vsfs_adt::PtsStore`] ([`vsfs_adt::PtsCarry`]) through
+//!    one new→old node vector and one old→new object vector, built once
+//!    per edit, then handed to the seeded SFS solver, which re-runs only
+//!    the dirty region (`crate::sfs`). The solver creates a node's state
+//!    (hash-map rows, difference-propagation frontiers, dirty set) only
+//!    when the wave first *touches* it — writes its `IN`/`OUT`/dirty
+//!    state or processes it. *First-touch frontier invariant:* the
+//!    frontier of a static edge `src --o--> dst` recorded at `src`'s
+//!    first touch is `src`'s carried value for `o` when both endpoints
+//!    are clean, `EMPTY` otherwise. A clean node's exposed value changes
+//!    only through a write to its own state, which touches it first, so
+//!    this is the unchanged carried value — what recording every
+//!    frontier at seed time would give. The clean predecessors of the
+//!    dirty region are touched at seed time to re-offer their values.
+//!    The harvest moves the carried rows into the next warm state and
+//!    replaces only the rows of touched nodes.
 //!
 //! Any ambiguity (duplicate keys), failed remap, or dropped element
 //! falls back to a from-scratch solve — incrementality is a pure
@@ -76,18 +95,20 @@
 //! from-scratch solves of the same text.
 
 use crate::result::{FlowSensitiveResult, GovernedAnalysis};
-use crate::sfs::{run_sfs_seeded, SfsHarvest, SfsSeed};
+use crate::schedule::sorted_binding_pairs;
+use crate::sfs::{run_sfs_seeded, Rows, SfsHarvest, SfsSeed};
 use crate::solver::{solve, solve_harvested, SolveRequest, SolverKind};
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::fmt;
+use std::time::Instant;
 use vsfs_adt::govern::{Completion, DegradeReason, Governor};
-use vsfs_adt::{FxHashMap, IndexVec, PtsCarry, PtsId};
+use vsfs_adt::{FxHashMap, IndexVec, PointsToSet, PtsCarry, PtsId};
 use vsfs_andersen::{analyze_unify, analyze_with, AndersenResult};
-use vsfs_graph::{DiGraph, Sccs};
+use vsfs_graph::Tarjan;
 use vsfs_ir::{Callee, FuncId, InstId, InstKind, ObjId, ObjKind, Program, ValueId};
 use vsfs_mssa::MemorySsa;
 use vsfs_svfg::stable::{fnv1a, mix, mssa_def_node, KeyMap, KeySet};
-use vsfs_svfg::{StableKeys, Svfg, SvfgNodeId, SvfgNodeKind};
+use vsfs_svfg::{ObjSetId, StableKeys, Svfg, SvfgNodeId, SvfgNodeKind};
 
 /// Audit waves before giving up on change-driven invalidation and
 /// switching to the (exact but pessimistic) forward closure. Each wave
@@ -173,6 +194,32 @@ pub struct SolveReport {
     pub solve_seconds: f64,
     /// [`result_fingerprint`] of the delivered result.
     pub fingerprint: u64,
+    /// Wall-clock seconds per stage of this (re-)solve.
+    pub stages: StageSeconds,
+}
+
+/// Wall-clock seconds of each stage of one (re-)solve, summed over its
+/// waves. A stage the path did not run reads 0.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StageSeconds {
+    /// Parse, verification, Andersen, memory SSA, SVFG and stable keys.
+    pub front: f64,
+    /// [`node_signatures`].
+    pub signatures: f64,
+    /// Invalidation: old/new correspondence, the conservative graph's
+    /// SCCs and the dirty seeds, then each wave's audit and growth of the
+    /// region.
+    pub invalidate: f64,
+    /// Carrying the clean state into the new parse (seed assembly).
+    pub seed: f64,
+    /// The flow-sensitive solve, solver set-up included: the seeded
+    /// waves of an edit, or the whole cold solve (with its warm-table
+    /// harvest) of a load.
+    pub wave: f64,
+    /// The seeded waves' harvest of the warm `IN`/`OUT` tables.
+    pub harvest: f64,
+    /// [`result_fingerprint`].
+    pub fingerprint: f64,
 }
 
 /// Warm state of a *completed* flow-sensitive solve: what the next edit
@@ -182,9 +229,9 @@ pub(crate) struct WarmState {
     /// delivering front's own table, moved in rather than recomputed.
     sigs: IndexVec<SvfgNodeId, u64>,
     /// Final `IN` table, object-sorted per node.
-    pub(crate) ins: IndexVec<SvfgNodeId, Vec<(ObjId, PtsId)>>,
+    pub(crate) ins: Rows,
     /// Final `OUT` table of STORE nodes.
-    pub(crate) outs: IndexVec<SvfgNodeId, Vec<(ObjId, PtsId)>>,
+    pub(crate) outs: Rows,
 }
 
 /// The staged (SVFG-based) middle of the pipeline — built only for
@@ -262,8 +309,8 @@ pub fn solve_program(
 ) -> Result<(ProgramState, SolveReport), SolveError> {
     match build_front_ladder(source, opts, aux_governor)? {
         FrontBuild::Complete(front) => Ok(solve_front(source, *front, fs_governor)),
-        FrontBuild::AuxDegraded { prog, aux, reason } => {
-            Ok(unify_rung_state(source, *prog, *aux, opts, reason))
+        FrontBuild::AuxDegraded { prog, aux, reason, seconds } => {
+            Ok(unify_rung_state(source, *prog, *aux, opts, reason, seconds))
         }
     }
 }
@@ -288,8 +335,15 @@ pub fn resolve_edit(
     if !opts.solver.is_staged() || prev.solver != opts.solver {
         return Ok(solve_front(source, front, fs_governor));
     }
-    Ok(match WaveCtx::prepare(prev, &front) {
-        Some(ctx) => solve_incremental(prev, source, front, fs_governor, ctx),
+    let t = Instant::now();
+    let ctx = WaveCtx::prepare(prev, &front);
+    // `prepare` computes the signatures; they are a stage of their own.
+    let stages = StageSeconds {
+        invalidate: t.elapsed().as_secs_f64() - front.sig_seconds.get(),
+        ..StageSeconds::default()
+    };
+    Ok(match ctx {
+        Some(ctx) => solve_incremental(prev, source, front, fs_governor, ctx, stages),
         None => solve_front(source, front, fs_governor),
     })
 }
@@ -305,14 +359,22 @@ pub(crate) struct Front {
     /// [`WaveCtx::prepare`] reads it and [`deliver`] moves it into the
     /// next [`WarmState`], so every front pays for one pass at most.
     sigs: OnceCell<IndexVec<SvfgNodeId, u64>>,
+    /// Seconds the front took to build.
+    front_seconds: f64,
+    /// Seconds the signatures took, once computed.
+    sig_seconds: Cell<f64>,
 }
 
 impl Front {
     /// The node signatures of this (staged) front, computed once.
     fn signatures(&self) -> &IndexVec<SvfgNodeId, u64> {
         self.sigs.get_or_init(|| {
+            let t = Instant::now();
             let staged = self.staged.as_ref().expect("signatures need a staged front");
-            node_signatures(&self.prog, &self.aux, &staged.mssa, &staged.svfg, &self.keys)
+            let sigs =
+                node_signatures(&self.prog, &self.aux, &staged.mssa, &staged.svfg, &self.keys);
+            self.sig_seconds.set(t.elapsed().as_secs_f64());
+            sigs
         })
     }
 }
@@ -323,11 +385,13 @@ impl Front {
 pub(crate) enum FrontBuild {
     Complete(Box<Front>),
     /// The auxiliary stage tripped: the parsed program, the *partial*
-    /// (unsound, never to be served) Andersen result, and the reason.
+    /// (unsound, never to be served) Andersen result, the reason, and
+    /// the seconds the front ran.
     AuxDegraded {
         prog: Box<Program>,
         aux: Box<AndersenResult>,
         reason: DegradeReason,
+        seconds: f64,
     },
 }
 
@@ -349,6 +413,7 @@ pub(crate) fn build_front_ladder(
     opts: IncrementalOptions,
     aux_governor: Option<&Governor>,
 ) -> Result<FrontBuild, SolveError> {
+    let t = Instant::now();
     let prog = vsfs_ir::parse_program_all(source)
         .map_err(|errs| SolveError::Parse(errs.iter().map(|e| e.to_string()).collect()))?;
     vsfs_ir::verify::verify(&prog).map_err(|e| SolveError::Verify(e.to_string()))?;
@@ -358,6 +423,7 @@ pub(crate) fn build_front_ladder(
             prog: Box::new(prog),
             aux: Box::new(outcome.result),
             reason,
+            seconds: t.elapsed().as_secs_f64(),
         });
     }
     let aux = outcome.result;
@@ -378,6 +444,8 @@ pub(crate) fn build_front_ladder(
         keys,
         solver: opts.solver,
         sigs: OnceCell::new(),
+        front_seconds: t.elapsed().as_secs_f64(),
+        sig_seconds: Cell::new(0.0),
     })))
 }
 
@@ -398,12 +466,15 @@ fn unify_rung_state(
     aux: AndersenResult,
     opts: IncrementalOptions,
     reason: DegradeReason,
+    front_seconds: f64,
 ) -> (ProgramState, SolveReport) {
     let unify = analyze_unify(&prog);
     let analysis = GovernedAnalysis::unify_fallback(&prog, &unify, "andersen", reason);
     let keys = StableKeys::build_program(&prog);
     let total = prog.insts.len();
-    let fingerprint = result_fingerprint(&prog, &keys, &analysis.result);
+    let stages =
+        StageSeconds { front: front_seconds, wave: unify.stats.seconds, ..StageSeconds::default() };
+    let (fingerprint, stages) = timed_fingerprint(&prog, &keys, &analysis.result, stages);
     let report = SolveReport {
         total_nodes: total,
         dirty_nodes: total,
@@ -413,6 +484,7 @@ fn unify_rung_state(
         waves: 0,
         solve_seconds: unify.stats.seconds,
         fingerprint,
+        stages,
     };
     let state = ProgramState {
         source: source.to_string(),
@@ -429,6 +501,19 @@ fn unify_rung_state(
     (state, report)
 }
 
+/// [`result_fingerprint`], with its seconds recorded in `stages`.
+fn timed_fingerprint(
+    prog: &Program,
+    keys: &StableKeys,
+    result: &FlowSensitiveResult,
+    mut stages: StageSeconds,
+) -> (u64, StageSeconds) {
+    let t = Instant::now();
+    let fingerprint = result_fingerprint(prog, keys, result);
+    stages.fingerprint = t.elapsed().as_secs_f64();
+    (fingerprint, stages)
+}
+
 /// Final bookkeeping of one solve, shared by [`deliver`].
 pub(crate) struct Outcome {
     pub(crate) incremental: bool,
@@ -439,6 +524,9 @@ pub(crate) struct Outcome {
     /// Flow-sensitive seconds from discarded audit waves, added to the
     /// final wave's own timing in the report.
     pub(crate) prior_seconds: f64,
+    /// Stage seconds so far; [`deliver`] adds the front, signature and
+    /// fingerprint stages.
+    pub(crate) stages: StageSeconds,
 }
 
 /// Runs the flow-sensitive stage cold over `front` and packages the
@@ -453,22 +541,25 @@ pub(crate) fn solve_front(
         return solve_cold_only(source, front, fs_governor);
     };
     let total = staged.svfg.node_count();
-    solve_staged_cold(source, front, fs_governor, total, 0.0)
+    solve_staged_cold(source, front, fs_governor, total, 0.0, StageSeconds::default())
 }
 
-/// A cold staged solve, reported with `dirty_nodes` invalidated and the
-/// `prior_seconds` of discarded audit waves.
+/// A cold staged solve, reported with `dirty_nodes` invalidated, the
+/// `prior_seconds` of discarded audit waves and the `stages` before it.
 fn solve_staged_cold(
     source: &str,
     front: Front,
     fs_governor: Option<&Governor>,
     dirty_nodes: usize,
     prior_seconds: f64,
+    mut stages: StageSeconds,
 ) -> (ProgramState, SolveReport) {
     let staged = front.staged.as_ref().expect("a staged front");
     let req = SolveRequest { governor: fs_governor, ..SolveRequest::new(front.solver) };
     let graphs = Some((&staged.mssa, &staged.svfg));
+    let t = Instant::now();
     let (analysis, harvest) = solve_harvested(&front.prog, &front.aux, graphs, req, true);
+    stages.wave += t.elapsed().as_secs_f64();
     let outcome = Outcome {
         incremental: false,
         restored: false,
@@ -476,6 +567,7 @@ fn solve_staged_cold(
         carried_sets: 0,
         waves: 0,
         prior_seconds,
+        stages,
     };
     deliver(source, front, analysis, harvest, outcome)
 }
@@ -489,10 +581,16 @@ fn solve_cold_only(
     fs_governor: Option<&Governor>,
 ) -> (ProgramState, SolveReport) {
     let req = SolveRequest { governor: fs_governor, ..SolveRequest::new(front.solver) };
+    let t = Instant::now();
     let analysis = solve(&front.prog, &front.aux, None, req);
+    let stages = StageSeconds {
+        front: front.front_seconds,
+        wave: t.elapsed().as_secs_f64(),
+        ..StageSeconds::default()
+    };
     let Front { prog, aux, keys, solver, .. } = front;
     let total = prog.insts.len();
-    let fingerprint = result_fingerprint(&prog, &keys, &analysis.result);
+    let (fingerprint, stages) = timed_fingerprint(&prog, &keys, &analysis.result, stages);
     let report = SolveReport {
         total_nodes: total,
         dirty_nodes: total,
@@ -502,6 +600,7 @@ fn solve_cold_only(
         waves: 0,
         solve_seconds: analysis.result.stats.solve_seconds,
         fingerprint,
+        stages,
     };
     let state = ProgramState {
         source: source.to_string(),
@@ -530,19 +629,23 @@ pub(crate) fn deliver(
     harvest: Option<SfsHarvest>,
     outcome: Outcome,
 ) -> (ProgramState, SolveReport) {
-    let Front { prog, aux, staged, keys, solver, sigs } = front;
+    let harvest = harvest.filter(|_| analysis.is_complete() && front.keys.is_unambiguous());
+    if harvest.is_some() {
+        front.signatures();
+    }
+    let mut stages = outcome.stages;
+    stages.front = front.front_seconds;
+    stages.signatures = front.sig_seconds.get();
+    let Front { prog, aux, staged, keys, solver, sigs, .. } = front;
     let staged = staged.expect("deliver is only reached by staged solvers");
     let total_nodes = staged.svfg.node_count();
-    let warm =
-        harvest.filter(|_| analysis.is_complete() && keys.is_unambiguous()).map(|h| WarmState {
-            sigs: sigs
-                .into_inner()
-                .unwrap_or_else(|| node_signatures(&prog, &aux, &staged.mssa, &staged.svfg, &keys)),
-            ins: h.ins,
-            outs: h.outs,
-        });
+    let warm = harvest.map(|h| WarmState {
+        sigs: sigs.into_inner().expect("signatures computed above"),
+        ins: h.ins,
+        outs: h.outs,
+    });
     let engine = engine_name(&analysis, solver, outcome.incremental || outcome.restored);
-    let fingerprint = result_fingerprint(&prog, &keys, &analysis.result);
+    let (fingerprint, stages) = timed_fingerprint(&prog, &keys, &analysis.result, stages);
     let report = SolveReport {
         total_nodes,
         dirty_nodes: outcome.dirty_nodes,
@@ -554,6 +657,7 @@ pub(crate) fn deliver(
             + analysis.result.stats.solve_seconds
             + outcome.prior_seconds,
         fingerprint,
+        stages,
     };
     let state = ProgramState {
         source: source.to_string(),
@@ -583,12 +687,22 @@ fn engine_name(analysis: &GovernedAnalysis, solver: SolverKind, seeded: bool) ->
     }
 }
 
-/// The invalidation state of one audited-wave solve: the conservative
-/// value-flow graph, its SCCs, the (always SCC-closed) dirty set, and
-/// whether the next wave still needs an audit.
+/// The invalidation state of one audited-wave solve: the correspondence
+/// with the previous parse, the SCCs of the conservative value-flow
+/// graph, the (always SCC-closed) dirty set, and whether the next wave
+/// still needs an audit. None of it outlives the edit.
 struct WaveCtx {
-    graph: DiGraph<SvfgNodeId>,
-    sccs: Sccs<SvfgNodeId>,
+    /// `old_node[n]`: the previous parse's node with `n`'s stable key.
+    old_node: IndexVec<SvfgNodeId, Option<SvfgNodeId>>,
+    /// `new_obj[o]`: the new parse's object with old object `o`'s key.
+    new_obj: IndexVec<ObjId, Option<ObjId>>,
+    /// [`value_def_nodes`] of the new parse.
+    def_node: IndexVec<ValueId, Option<SvfgNodeId>>,
+    /// The conservative graph's candidate dynamic edges
+    /// ([`ConservativeGraph`]).
+    graph: ConservativeGraph,
+    /// SCCs of the conservative graph.
+    sccs: Tarjan,
     dirty: IndexVec<SvfgNodeId, bool>,
     dirty_count: usize,
     /// `false` once the dirty set is forward-closed: no clean node then
@@ -609,9 +723,18 @@ impl WaveCtx {
             return None;
         }
         let sigs = front.signatures();
-        let graph = conservative_graph(&front.prog, svfg);
-        let sccs = Sccs::compute(&graph);
+        let graph = ConservativeGraph::build(&front.prog, svfg);
+        let mut sccs = Tarjan::default();
+        sccs.run(svfg.node_count(), |v, pos| {
+            graph.successor(svfg, SvfgNodeId::new(v), pos as usize).map(|w| (pos + 1, w.raw()))
+        });
         let mut ctx = WaveCtx {
+            old_node: svfg
+                .node_ids()
+                .map(|n| prev.keys.node_of_key(front.keys.node_key[n]))
+                .collect(),
+            new_obj: prev.keys.obj_key.iter().map(|&k| front.keys.obj_of_key(k)).collect(),
+            def_node: value_def_nodes(&front.prog, svfg),
             graph,
             sccs,
             dirty: IndexVec::from_elem_n(false, svfg.node_count()),
@@ -619,7 +742,7 @@ impl WaveCtx {
             audited: true,
         };
         for node in svfg.node_ids() {
-            let seed = match prev.keys.node_of_key(front.keys.node_key[node]) {
+            let seed = match ctx.old_node[node] {
                 Some(old) => warm.sigs[old] != sigs[node],
                 None => true,
             };
@@ -635,46 +758,42 @@ impl WaveCtx {
         // has to carry it (keeping `assemble_seed`'s bail-out a safety
         // net, not a hot path). Dirty nodes carry nothing, so the scan
         // skips them.
+        if ctx.new_obj.iter().all(Option::is_some) {
+            return Some(ctx);
+        }
         let old_store = &prev.analysis.result.store;
-        let mut dead: IndexVec<ObjId, bool> = IndexVec::from_elem_n(false, prev.prog.objects.len());
-        let mut any_dead = false;
-        for (o, _) in prev.prog.objects.iter_enumerated() {
-            if front.keys.obj_of_key(prev.keys.obj_key[o]).is_none() {
-                dead[o] = true;
-                any_dead = true;
+        // Per old set id: 0 unknown, 1 fresh, 2 mentions a dead object.
+        let mut stale_memo: Vec<u8> = vec![0; old_store.len()];
+        let new_obj = &ctx.new_obj;
+        let mut set_stale = |id: PtsId| -> bool {
+            let memo = &mut stale_memo[id.index()];
+            if *memo == 0 {
+                *memo = 1 + old_store.iter_set(id).any(|o| new_obj[o].is_none()) as u8;
+            }
+            *memo == 2
+        };
+        let mut stale: Vec<SvfgNodeId> = Vec::new();
+        for node in svfg.node_ids() {
+            let Some(old) = ctx.old_node[node].filter(|_| !ctx.dirty[node]) else { continue };
+            let tainted = warm
+                .ins
+                .row(old)
+                .iter()
+                .chain(warm.outs.row(old))
+                .any(|&(o, id)| new_obj[o].is_none() || set_stale(id));
+            if tainted {
+                stale.push(node);
             }
         }
-        if any_dead {
-            let mut stale_memo: FxHashMap<PtsId, bool> = FxHashMap::default();
-            let mut set_stale = |id: PtsId| -> bool {
-                *stale_memo.entry(id).or_insert_with(|| old_store.iter_set(id).any(|o| dead[o]))
-            };
-            for node in svfg.node_ids() {
-                if ctx.dirty[node] {
-                    continue;
-                }
-                let Some(old) = prev.keys.node_of_key(front.keys.node_key[node]) else {
-                    continue;
-                };
-                let tainted = warm.ins[old]
-                    .iter()
-                    .chain(warm.outs[old].iter())
-                    .any(|&(o, id)| dead[o] || set_stale(id));
-                if tainted {
-                    ctx.mark_scc(node);
-                }
+        for (v, _) in front.prog.values.iter_enumerated() {
+            let Some(node) = ctx.def_node[v].filter(|&n| !ctx.dirty[n]) else { continue };
+            match prev.keys.value_of_key(front.keys.value_key[v]) {
+                Some(old_v) if !set_stale(prev.analysis.result.pt[old_v]) => {}
+                _ => stale.push(node),
             }
-            let def_node = value_def_nodes(&front.prog, svfg);
-            for (v, _) in front.prog.values.iter_enumerated() {
-                let Some(node) = def_node[v].filter(|&n| !ctx.dirty[n]) else { continue };
-                let Some(old_v) = prev.keys.value_of_key(front.keys.value_key[v]) else {
-                    ctx.mark_scc(node);
-                    continue;
-                };
-                if set_stale(prev.analysis.result.pt[old_v]) {
-                    ctx.mark_scc(node);
-                }
-            }
+        }
+        for node in stale {
+            ctx.mark_scc(node);
         }
         Some(ctx)
     }
@@ -683,7 +802,9 @@ impl WaveCtx {
     /// component, so the clean/dirty frontier never cuts a cycle (a cut
     /// cycle could let a stale fact sustain itself across the boundary).
     fn mark_scc(&mut self, node: SvfgNodeId) {
-        for &m in self.sccs.members(self.sccs.component(node)) {
+        let component = self.sccs.component(node.raw());
+        for &m in self.sccs.members(component) {
+            let m = SvfgNodeId::new(m);
             if !self.dirty[m] {
                 self.dirty[m] = true;
                 self.dirty_count += 1;
@@ -700,11 +821,13 @@ impl WaveCtx {
     /// Extends the dirty set to its forward closure — the pre-audit
     /// invalidation rule, used as the exact fallback when auditing stops
     /// paying for itself — and turns auditing off.
-    fn forward_close(&mut self) {
+    fn forward_close(&mut self, svfg: &Svfg) {
         self.audited = false;
-        let mut queue: Vec<SvfgNodeId> = self.graph.nodes().filter(|&v| self.dirty[v]).collect();
+        let mut queue: Vec<SvfgNodeId> = self.dirty.indices().filter(|&v| self.dirty[v]).collect();
         while let Some(node) = queue.pop() {
-            for &s in self.graph.successors(node) {
+            let mut pos = 0;
+            while let Some(s) = self.graph.successor(svfg, node, pos) {
+                pos += 1;
                 if !self.dirty[s] {
                     self.dirty[s] = true;
                     self.dirty_count += 1;
@@ -716,11 +839,7 @@ impl WaveCtx {
 
     /// The clean mask (`!dirty`) for seeding.
     fn clean_mask(&self) -> IndexVec<SvfgNodeId, bool> {
-        let mut clean = self.dirty.clone();
-        for slot in clean.iter_mut() {
-            *slot = !*slot;
-        }
-        clean
+        self.dirty.iter().map(|&d| !d).collect()
     }
 }
 
@@ -728,28 +847,80 @@ impl WaveCtx {
 /// direct and indirect SVFG edges, plus the candidate dynamic edges
 /// on-the-fly call-graph resolution could wire during a solve
 /// (`call → FUNENTRY` / `FUNEXIT → return side` per deferred binding
-/// pair, `call → return side` per call).
-fn conservative_graph(prog: &Program, svfg: &Svfg) -> DiGraph<SvfgNodeId> {
-    let mut g: DiGraph<SvfgNodeId> = DiGraph::with_nodes(svfg.node_count());
-    for node in svfg.node_ids() {
-        for &s in svfg.direct_succs(node) {
-            g.add_edge(node, s);
+/// pair, `call → return side` per call). Only the candidate edges are
+/// stored; the static ones are read off the SVFG. The graph contains
+/// every edge a solve can use, so its SCC condensation also ranks the
+/// seeded wave's worklist topologically.
+struct ConservativeGraph {
+    /// Candidate dynamic successors per node.
+    dynamic: Adjacency,
+}
+
+impl ConservativeGraph {
+    fn build(prog: &Program, svfg: &Svfg) -> ConservativeGraph {
+        let mut edges: Vec<(SvfgNodeId, SvfgNodeId)> = Vec::new();
+        for (call, callee) in sorted_binding_pairs(svfg) {
+            let f = &prog.functions[callee];
+            edges.push((svfg.inst_node(call), svfg.inst_node(f.entry_inst)));
+            edges.push((svfg.inst_node(f.exit_inst), svfg.callret_node(call)));
         }
-        for &(s, _) in svfg.indirect_succs(node) {
-            g.add_edge(node, s);
+        for (inst, i) in prog.insts.iter_enumerated() {
+            if matches!(i.kind, InstKind::Call { .. }) {
+                edges.push((svfg.inst_node(inst), svfg.callret_node(inst)));
+            }
         }
+        ConservativeGraph { dynamic: Adjacency::new(svfg.node_count(), || edges.iter().copied()) }
     }
-    for (&(call, callee), _) in svfg.call_bindings() {
-        let f = &prog.functions[callee];
-        g.add_edge(svfg.inst_node(call), svfg.inst_node(f.entry_inst));
-        g.add_edge(svfg.inst_node(f.exit_inst), svfg.callret_node(call));
-    }
-    for (inst, i) in prog.insts.iter_enumerated() {
-        if matches!(i.kind, InstKind::Call { .. }) {
-            g.add_edge(svfg.inst_node(inst), svfg.callret_node(inst));
+
+    /// The `pos`-th successor of `node`: its direct successors, then its
+    /// indirect ones, then its candidate dynamic ones.
+    fn successor(&self, svfg: &Svfg, node: SvfgNodeId, pos: usize) -> Option<SvfgNodeId> {
+        let direct = svfg.direct_succs(node);
+        if let Some(&s) = direct.get(pos) {
+            return Some(s);
         }
+        let indirect = svfg.indirect_succs(node);
+        if let Some(&(s, _)) = indirect.get(pos - direct.len()) {
+            return Some(s);
+        }
+        self.dynamic.of(node).get(pos - direct.len() - indirect.len()).copied()
     }
-    g
+}
+
+/// Per-node lists of nodes stored flat: the list of node `n` is
+/// `targets[start[n]..start[n + 1]]`, in the order its edges came.
+struct Adjacency {
+    start: Vec<u32>,
+    targets: Vec<SvfgNodeId>,
+}
+
+impl Adjacency {
+    /// Groups the `(node, target)` pairs `edges()` yields (called twice)
+    /// by node, for nodes `0..nodes`.
+    fn new<I>(nodes: usize, edges: impl Fn() -> I) -> Adjacency
+    where
+        I: Iterator<Item = (SvfgNodeId, SvfgNodeId)>,
+    {
+        let mut start = vec![0u32; nodes + 1];
+        for (node, _) in edges() {
+            start[node.index() + 1] += 1;
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        let mut next = start.clone();
+        let mut targets = vec![SvfgNodeId::new(0); start[nodes] as usize];
+        for (node, target) in edges() {
+            targets[next[node.index()] as usize] = target;
+            next[node.index()] += 1;
+        }
+        Adjacency { start, targets }
+    }
+
+    /// The list of `node`.
+    fn of(&self, node: SvfgNodeId) -> &[SvfgNodeId] {
+        &self.targets[self.start[node.index()] as usize..self.start[node.index() + 1] as usize]
+    }
 }
 
 /// The audited-wave loop (step 3 of the module docs): re-solve the dirty
@@ -766,45 +937,54 @@ fn solve_incremental(
     front: Front,
     fs_governor: Option<&Governor>,
     mut ctx: WaveCtx,
+    mut stages: StageSeconds,
 ) -> (ProgramState, SolveReport) {
     let warm = prev.warm.as_ref().expect("WaveCtx::prepare checked warm state");
+    let staged = front.staged.as_ref().expect("WaveCtx::prepare checked staged");
     let mut waves = 0;
     let mut prior_seconds = 0.0;
     loop {
         if ctx.past_half() {
             if front.solver == SolverKind::Vsfs {
                 let dirty_nodes = ctx.dirty_count;
-                return solve_staged_cold(source, front, fs_governor, dirty_nodes, prior_seconds);
+                return solve_staged_cold(
+                    source,
+                    front,
+                    fs_governor,
+                    dirty_nodes,
+                    prior_seconds,
+                    stages,
+                );
             }
             // A region this large (a full-body rewrite's usually is)
             // would fail its audit and pay for another near-whole-graph
             // wave, so solve its forward closure once, unaudited.
             if ctx.audited {
-                ctx.forward_close();
+                let t = Instant::now();
+                ctx.forward_close(&staged.svfg);
+                stages.invalidate += t.elapsed().as_secs_f64();
             }
         }
         waves += 1;
-        let Some((seed, carried_sets)) = assemble_seed(prev, warm, &front, ctx.clean_mask()) else {
+        let t = Instant::now();
+        let Some((seed, carried_sets)) = assemble_seed(prev, warm, &front, &ctx) else {
             // Correspondence broke somewhere the cleanliness argument
             // says it cannot: a cold solve is always safe.
             return solve_front(source, front, fs_governor);
         };
+        stages.seed += t.elapsed().as_secs_f64();
         let dirty_nodes = ctx.dirty_count;
-        let staged = front.staged.as_ref().expect("WaveCtx::prepare checked staged");
-        let (result, completion, harvest) =
+        let t = Instant::now();
+        let (result, completion, harvest, harvest_seconds) =
             run_sfs_seeded(&front.prog, &front.aux, &staged.mssa, &staged.svfg, fs_governor, seed);
-        let outcome = Outcome {
-            incremental: true,
-            restored: false,
-            dirty_nodes,
-            carried_sets,
-            waves,
-            prior_seconds,
-        };
+        stages.wave += t.elapsed().as_secs_f64() - harvest_seconds;
+        stages.harvest += harvest_seconds;
         if completion.is_complete() && ctx.audited {
+            let t = Instant::now();
             let h = harvest.as_ref().expect("complete solves always harvest");
-            let newly = audit_frontier(prev, warm, &front, &ctx.dirty, &result, h);
-            if !newly.is_empty() {
+            let newly = audit_frontier(prev, warm, &front, &ctx, &result, h);
+            let grew = !newly.is_empty();
+            if grew {
                 prior_seconds += result.stats.solve_seconds;
                 for node in newly {
                     ctx.mark_scc(node);
@@ -812,13 +992,25 @@ fn solve_incremental(
                 // Once auditing stops paying for itself, the next wave
                 // solves the full forward closure, unaudited.
                 if waves >= MAX_AUDIT_WAVES {
-                    ctx.forward_close();
+                    ctx.forward_close(&staged.svfg);
                 }
+            }
+            stages.invalidate += t.elapsed().as_secs_f64();
+            if grew {
                 continue;
             }
         }
         // Complete and final — or a budget trip, which `deliver` turns
         // into the fallback (auditing a partial fixpoint is meaningless).
+        let outcome = Outcome {
+            incremental: true,
+            restored: false,
+            dirty_nodes,
+            carried_sets,
+            waves,
+            prior_seconds,
+            stages,
+        };
         let analysis =
             GovernedAnalysis::from_run(&front.prog, &front.aux, result, completion, "solve");
         return deliver(source, front, analysis, harvest, outcome);
@@ -850,12 +1042,13 @@ fn audit_frontier(
     prev: &ProgramState,
     warm: &WarmState,
     front: &Front,
-    dirty: &IndexVec<SvfgNodeId, bool>,
+    ctx: &WaveCtx,
     result: &FlowSensitiveResult,
     harvest: &SfsHarvest,
 ) -> Vec<SvfgNodeId> {
     let svfg = &front.staged.as_ref().expect("audited waves imply a staged front").svfg;
     let prev_svfg = prev.svfg().expect("warm state implies a staged front");
+    let dirty = &ctx.dirty;
     let old_result = &prev.analysis.result;
     let new_store = &result.store;
     let old_store = &old_result.store;
@@ -890,19 +1083,15 @@ fn audit_frontier(
     let new_out = |node: SvfgNodeId, o: ObjId| -> Option<PtsId> {
         let is_store = matches!(svfg.kind(node), SvfgNodeKind::Inst(i)
             if front.prog.insts[i].kind.is_store());
-        let table = if is_store { &harvest.outs[node] } else { &harvest.ins[node] };
-        table.binary_search_by_key(&o, |e| e.0).ok().map(|i| table[i].1)
+        if is_store { &harvest.outs } else { &harvest.ins }.get(node, o)
     };
     let old_out = |node: SvfgNodeId, o: ObjId| -> Option<PtsId> {
         let is_store = matches!(prev_svfg.kind(node), SvfgNodeKind::Inst(i)
             if prev.prog.insts[i].kind.is_store());
-        let table = if is_store { &warm.outs[node] } else { &warm.ins[node] };
-        table.binary_search_by_key(&o, |e| e.0).ok().map(|i| table[i].1)
+        if is_store { &warm.outs } else { &warm.ins }.get(node, o)
     };
     let out_changed = |node: SvfgNodeId, o: ObjId| -> bool {
-        let old_id = prev
-            .keys
-            .node_of_key(front.keys.node_key[node])
+        let old_id = ctx.old_node[node]
             .zip(prev.keys.obj_of_key(front.keys.obj_key[o]))
             .and_then(|(n, oo)| old_out(n, oo));
         !pts_equal(new_out(node, o), old_id)
@@ -919,36 +1108,42 @@ fn audit_frontier(
         }
     };
 
-    // Values published per node (defs live at their defining node; call
-    // arguments and return operands are published by the call/exit).
-    let def_node = value_def_nodes(&front.prog, svfg);
-    let mut published: IndexVec<SvfgNodeId, Vec<ValueId>> =
-        IndexVec::from_elem_n(Vec::new(), svfg.node_count());
-    for (v, d) in def_node.iter_enumerated() {
-        if let Some(d) = *d {
-            published[d].push(v);
-        }
-    }
     // New activations grouped by call site.
     let mut acts: FxHashMap<InstId, Vec<FuncId>> = FxHashMap::default();
     for &(call, f) in &result.callgraph_edges {
         acts.entry(call).or_default().push(f);
     }
 
+    let mut pubs: Vec<ValueId> = Vec::new();
     for node in svfg.node_ids() {
         if !dirty[node] {
             continue;
         }
+        // Values published by the node: those it defines (defs live at
+        // their defining node), plus a call's arguments and an exit's
+        // return operand.
         let mut call_inst = None;
-        let mut pubs = std::mem::take(&mut published[node]);
-        if let SvfgNodeKind::Inst(inst) = svfg.kind(node) {
-            match &front.prog.insts[inst].kind {
-                InstKind::Call { args, .. } => {
-                    pubs.extend(args.iter().copied());
-                    call_inst = Some(inst);
+        pubs.clear();
+        let inst = match svfg.kind(node) {
+            SvfgNodeKind::Inst(inst) | SvfgNodeKind::CallRet(inst) => Some(inst),
+            SvfgNodeKind::MemPhi(_) => None,
+        };
+        if let Some(inst) = inst {
+            let kind = &front.prog.insts[inst].kind;
+            pubs.extend(kind.def());
+            if let InstKind::FunEntry { func } = kind {
+                pubs.extend(front.prog.functions[*func].params.iter().copied());
+            }
+            pubs.retain(|&v| ctx.def_node[v] == Some(node));
+            if svfg.kind(node) == SvfgNodeKind::Inst(inst) {
+                match kind {
+                    InstKind::Call { args, .. } => {
+                        pubs.extend(args.iter().copied());
+                        call_inst = Some(inst);
+                    }
+                    InstKind::FunExit { ret, .. } => pubs.extend(ret.iter().copied()),
+                    _ => {}
                 }
-                InstKind::FunExit { ret, .. } => pubs.extend(ret.iter().copied()),
-                _ => {}
             }
         }
         if pubs.iter().any(|&v| value_changed(v)) {
@@ -1060,51 +1255,49 @@ fn assemble_seed(
     prev: &ProgramState,
     warm: &WarmState,
     front: &Front,
-    clean: IndexVec<SvfgNodeId, bool>,
+    ctx: &WaveCtx,
 ) -> Option<(SfsSeed, usize)> {
     let svfg = &front.staged.as_ref()?.svfg;
     let prev_svfg = prev.svfg()?;
     let old_store = &prev.analysis.result.store;
     let mut store = old_store.next_epoch();
     let mut carry = PtsCarry::new();
-    let map_obj = |o: ObjId| -> Option<ObjId> { front.keys.obj_of_key(prev.keys.obj_key[o]) };
+    let map_obj = |o: ObjId| -> Option<ObjId> { ctx.new_obj[o] };
 
     // Top-level sets of values whose defining node is clean.
-    let def_node = value_def_nodes(&front.prog, svfg);
     let mut pt: Vec<(ValueId, PtsId)> = Vec::new();
-    for (v, _) in front.prog.values.iter_enumerated() {
-        let Some(node) = def_node[v] else { continue };
-        if !clean[node] {
+    for (v, def) in ctx.def_node.iter_enumerated() {
+        let Some(node) = *def else { continue };
+        if ctx.dirty[node] {
             continue;
         }
-        let Some(old_v) = prev.keys.value_of_key(front.keys.value_key[v]) else {
-            return None; // clean def but unmapped value: correspondence is broken
-        };
+        // A clean def with an unmapped value means correspondence is
+        // broken.
+        let old_v = prev.keys.value_of_key(front.keys.value_key[v])?;
         let id = carry.carry(old_store, &mut store, prev.analysis.result.pt[old_v], map_obj);
         pt.push((v, id));
     }
 
-    // IN/OUT tables of clean nodes.
-    let mut ins: Vec<(SvfgNodeId, Vec<(ObjId, PtsId)>)> = Vec::new();
-    let mut outs: Vec<(SvfgNodeId, Vec<(ObjId, PtsId)>)> = Vec::new();
+    // IN/OUT rows of clean nodes, in node order; dirty rows stay empty.
+    let n = svfg.node_count();
+    let mut ins = Rows::with_capacity(n, warm.ins.entry_count());
+    let mut outs = Rows::with_capacity(n, warm.outs.entry_count());
+    let mut row: Vec<(ObjId, PtsId)> = Vec::new();
     for node in svfg.node_ids() {
-        if !clean[node] {
-            continue;
-        }
-        let old = prev.keys.node_of_key(front.keys.node_key[node])?;
-        for (table, old_table) in [(&mut ins, &warm.ins[old]), (&mut outs, &warm.outs[old])] {
-            if old_table.is_empty() {
-                continue;
+        let old = if ctx.dirty[node] { None } else { Some(ctx.old_node[node]?) };
+        for (table, old_table) in [(&mut ins, &warm.ins), (&mut outs, &warm.outs)] {
+            if let Some(old) = old {
+                for &(o, id) in old_table.row(old) {
+                    // The keyed objects of a clean node's state all
+                    // survive (they appear in its unchanged µ/χ/φ
+                    // signature).
+                    row.push((map_obj(o)?, carry.carry(old_store, &mut store, id, map_obj)));
+                }
+                if !row.is_sorted_by_key(|e| e.0) {
+                    row.sort_unstable_by_key(|e| e.0);
+                }
             }
-            let mut entries: Vec<(ObjId, PtsId)> = Vec::with_capacity(old_table.len());
-            for &(o, id) in old_table.iter() {
-                // The keyed objects of a clean node's state all survive
-                // (they appear in its unchanged µ/χ/φ signature).
-                let new_o = map_obj(o)?;
-                entries.push((new_o, carry.carry(old_store, &mut store, id, map_obj)));
-            }
-            entries.sort_unstable_by_key(|&(o, _)| o);
-            table.push((node, entries));
+            table.push_row(row.drain(..));
         }
     }
 
@@ -1115,7 +1308,7 @@ fn assemble_seed(
         let Some(node) = front.keys.node_of_key(prev.keys.node_key[old_node]) else {
             continue; // call site removed; its region is dirty anyway
         };
-        if !clean[node] {
+        if ctx.dirty[node] {
             continue;
         }
         let SvfgNodeKind::Inst(new_call) = svfg.kind(node) else { return None };
@@ -1124,11 +1317,29 @@ fn assemble_seed(
         activations.push((new_call, new_callee));
     }
 
+    // Clean nodes with a direct edge into the dirty region re-run.
+    let mut direct_preds: Vec<SvfgNodeId> = Vec::new();
+    for node in svfg.node_ids() {
+        if !ctx.dirty[node] && svfg.direct_succs(node).iter().any(|&s| ctx.dirty[s]) {
+            direct_preds.push(node);
+        }
+    }
+
     if carry.stats.dropped_elems > 0 {
         return None;
     }
     let carried_sets = carry.stats.carried_sets;
-    Some((SfsSeed { store, pt, ins, outs, activations, clean }, carried_sets))
+    let seed = SfsSeed {
+        store,
+        pt,
+        ins,
+        outs,
+        activations,
+        clean: ctx.clean_mask(),
+        direct_preds,
+        ranks: ctx.sccs.ranks(),
+    };
+    Some((seed, carried_sets))
 }
 
 /// The SVFG node that defines each value's final top-level set: the
@@ -1165,6 +1376,11 @@ pub(crate) fn value_def_nodes(
 /// nodes with equal signatures have identical local fixpoint equations,
 /// so a clean region (no dirty node reaches it) keeps its previous
 /// solution.
+///
+/// A signature is an order-independent hash of the node's ingredients
+/// (`Ingredient`). Every ingredient hashes in O(1): object-label sets
+/// and call bindings are hashed once per graph rather than once per
+/// reader, so the table costs time linear in nodes plus grouped edges.
 pub fn node_signatures(
     prog: &Program,
     aux: &AndersenResult,
@@ -1172,50 +1388,288 @@ pub fn node_signatures(
     svfg: &Svfg,
     keys: &StableKeys,
 ) -> IndexVec<SvfgNodeId, u64> {
-    let singletons = vsfs_andersen::compute_singletons(prog, &aux.callgraph);
-    let fname = |f: FuncId| fnv1a(prog.functions[f].name.as_bytes());
-    let vk = |v: ValueId| keys.value_key[v];
-    let ok = |o: ObjId| keys.obj_key[o];
+    let inputs = SigInputs::new(prog, aux, mssa, svfg, keys);
+    svfg.node_ids().map(|node| inputs.signature(node)).collect()
+}
 
-    // Direct predecessors, as sorted key lists.
-    let mut direct_preds: IndexVec<SvfgNodeId, Vec<u64>> =
-        IndexVec::from_elem_n(Vec::new(), svfg.node_count());
-    for node in svfg.node_ids() {
-        for &s in svfg.direct_succs(node) {
-            direct_preds[s].push(keys.node_key[node]);
+/// One input of a node's signature. Every field is a stable key or a
+/// hash of stable keys, so corresponding nodes of two parses list equal
+/// ingredients exactly when their fixpoint equations agree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ingredient {
+    /// What the node computes: its kind and instruction content, or a
+    /// memory φ's object and incoming definitions in order.
+    Transfer(u64),
+    /// A µ: the object read and the node of its reaching definition.
+    Mu { obj: u64, def: u64 },
+    /// A χ: the object, the node of its previous definition
+    /// (`u64::MAX` if none), and at a store the static strong-update
+    /// decision, which depends on the auxiliary result.
+    Chi { obj: u64, prev: u64, strong: bool },
+    /// A direct (top-level) predecessor.
+    DirectPred(u64),
+    /// A grouped indirect predecessor and the [`objs_hash`] of its
+    /// object labels.
+    IndirectPred { pred: u64, objs: u64 },
+    /// A deferred indirect-call binding: the callee's name hash and the
+    /// [`objs_hash`] of the objects flowing into it (at the call) or
+    /// back out (at the return side).
+    Binding { callee: u64, objs: u64 },
+    /// A call site of a `FUNENTRY`'s function in the auxiliary call
+    /// graph.
+    AuxCaller(u64),
+}
+
+impl Ingredient {
+    /// The ingredient's own hash. Signatures sum these, so the order in
+    /// which a node lists its ingredients does not matter.
+    fn hash(self) -> u64 {
+        let (tag, a, b) = match self {
+            Ingredient::Transfer(h) => (1, h, 0),
+            Ingredient::Mu { obj, def } => (2, obj, def),
+            Ingredient::Chi { obj, prev, strong } => (3 + strong as u64, obj, prev),
+            Ingredient::DirectPred(k) => (5, k, 0),
+            Ingredient::IndirectPred { pred, objs } => (6, pred, objs),
+            Ingredient::Binding { callee, objs } => (7, callee, objs),
+            Ingredient::AuxCaller(k) => (8, k, 0),
+        };
+        fmix64(fmix64(fmix64(tag) ^ a) ^ b)
+    }
+}
+
+/// Folds ingredients into a signature: their count and the wrapping sum
+/// of their hashes, a multiset hash that arena order cannot perturb.
+#[derive(Default)]
+struct SigFold {
+    count: u64,
+    sum: u64,
+}
+
+impl SigFold {
+    fn add(&mut self, ingredient: Ingredient) {
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(ingredient.hash());
+    }
+
+    fn finish(&self) -> u64 {
+        mix(mix(fnv1a(b"sig"), self.count), self.sum)
+    }
+}
+
+/// MurmurHash3's 64-bit finaliser: a bijection that spreads every input
+/// bit, so distinct inputs stay distinct before they are summed.
+fn fmix64(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// An order-independent hash of a set of object keys.
+fn objs_hash(keys: impl Iterator<Item = u64>) -> u64 {
+    let (count, sum) = keys.fold((0u64, 0u64), |(n, s), k| (n + 1, s.wrapping_add(fmix64(k))));
+    mix(mix(fnv1a(b"objs"), count), sum)
+}
+
+/// What [`node_signatures`] reads, with every part shared between nodes
+/// computed once.
+struct SigInputs<'a> {
+    prog: &'a Program,
+    aux: &'a AndersenResult,
+    mssa: &'a MemorySsa,
+    svfg: &'a Svfg,
+    keys: &'a StableKeys,
+    singletons: PointsToSet<ObjId>,
+    /// Direct predecessors per node.
+    direct_preds: Adjacency,
+    /// [`objs_hash`] of each interned object-label set.
+    set_hash: Vec<u64>,
+    /// Per call site with deferred bindings: the callee's name hash and
+    /// the [`objs_hash`] of the binding's `ins` and `outs`.
+    bindings: FxHashMap<InstId, Vec<(u64, u64, u64)>>,
+    /// Auxiliary call sites of each function, as instruction keys.
+    aux_callers: FxHashMap<FuncId, Vec<u64>>,
+    /// The function an object is private to: a non-escaping object
+    /// allocated there (directly or as a field of such an object).
+    private_to: IndexVec<ObjId, Option<FuncId>>,
+}
+
+impl<'a> SigInputs<'a> {
+    fn new(
+        prog: &'a Program,
+        aux: &'a AndersenResult,
+        mssa: &'a MemorySsa,
+        svfg: &'a Svfg,
+        keys: &'a StableKeys,
+    ) -> Self {
+        let direct_preds = Adjacency::new(svfg.node_count(), || {
+            svfg.node_ids().flat_map(|n| svfg.direct_succs(n).iter().map(move |&s| (s, n)))
+        });
+
+        let obj_keys = |objs: &[ObjId]| -> u64 { objs_hash(objs.iter().map(|&o| keys.obj_key[o])) };
+        let set_hash = (0..svfg.obj_set_count())
+            .map(|s| obj_keys(svfg.obj_set(ObjSetId::new(s as u32))))
+            .collect();
+        let mut bindings: FxHashMap<InstId, Vec<(u64, u64, u64)>> = FxHashMap::default();
+        for (&(call, callee), b) in svfg.call_bindings() {
+            let name = fnv1a(prog.functions[callee].name.as_bytes());
+            bindings.entry(call).or_default().push((name, obj_keys(&b.ins), obj_keys(&b.outs)));
+        }
+        let mut aux_callers: FxHashMap<FuncId, Vec<u64>> = FxHashMap::default();
+        for (call, f) in aux.callgraph.edges() {
+            aux_callers.entry(f).or_default().push(keys.inst_key[call]);
+        }
+        let private_to = prog
+            .objects
+            .indices()
+            .map(|o| {
+                if mssa.modref.is_escaped(o) {
+                    return None;
+                }
+                let mut o = o;
+                loop {
+                    match prog.objects[o].kind {
+                        ObjKind::Stack(f) | ObjKind::Heap(f) => return Some(f),
+                        ObjKind::Field { base, .. } => o = base,
+                        _ => return None,
+                    }
+                }
+            })
+            .collect();
+        SigInputs {
+            prog,
+            aux,
+            mssa,
+            svfg,
+            keys,
+            singletons: vsfs_andersen::compute_singletons(prog, &aux.callgraph),
+            direct_preds,
+            set_hash,
+            bindings,
+            aux_callers,
+            private_to,
         }
     }
 
-    // Auxiliary call-graph callers per function, as sorted inst keys —
-    // part of every FUNENTRY signature so caller-set changes (new or
-    // removed potential call sites) dirty the entry.
-    let mut aux_callers: FxHashMap<FuncId, Vec<u64>> = FxHashMap::default();
-    for (call, f) in aux.callgraph.edges() {
-        aux_callers.entry(f).or_default().push(keys.inst_key[call]);
-    }
-    for callers in aux_callers.values_mut() {
-        callers.sort_unstable();
+    /// The signature of `node`.
+    fn signature(&self, node: SvfgNodeId) -> u64 {
+        let mut fold = SigFold::default();
+        self.ingredients(node, &mut |i| fold.add(i));
+        fold.finish()
     }
 
-    let mix_sorted = |h: u64, mut items: Vec<u64>| -> u64 {
-        items.sort_unstable();
-        let mut h = mix(h, items.len() as u64);
-        for item in items {
-            h = mix(h, item);
+    /// Lists the ingredients of `node`'s signature.
+    fn ingredients(&self, node: SvfgNodeId, f: &mut impl FnMut(Ingredient)) {
+        let (svfg, keys, mssa) = (self.svfg, self.keys, self.mssa);
+        let ok = |o: ObjId| keys.obj_key[o];
+        let def_key = |d| keys.node_key[mssa_def_node(svfg, d)];
+        let prev_key = |d: Option<_>| d.map_or(u64::MAX, def_key);
+        match svfg.kind(node) {
+            SvfgNodeKind::Inst(inst) => {
+                f(Ingredient::Transfer(mix(fnv1a(b"sig-inst"), self.inst_content(inst))));
+                // µs read object state here (for calls: the relay into
+                // callees), keyed by object and reaching definition.
+                for mu in mssa.mus(inst) {
+                    f(Ingredient::Mu { obj: ok(mu.obj), def: def_key(mu.def) });
+                }
+                let kind = &self.prog.insts[inst].kind;
+                match kind {
+                    InstKind::Call { .. } => {
+                        // Caller-side objects that could flow into each
+                        // possible callee (deferred indirect-call
+                        // bindings). The call's χs attach to its return
+                        // side.
+                        for &(callee, objs, _) in self.bindings.get(&inst).into_iter().flatten() {
+                            f(Ingredient::Binding { callee, objs });
+                        }
+                    }
+                    _ => {
+                        // χs of non-call instructions (stores, frees,
+                        // entries) attach here.
+                        //
+                        // A FUNENTRY χ on an object *private* to the
+                        // function (allocated here and never escaping)
+                        // is excluded: its entry state is constantly
+                        // absent — no caller binding can carry a
+                        // non-escaping object, and the entry transfer
+                        // is a pure relay — so gaining or losing such a
+                        // χ (any edit that allocates locally) does not
+                        // change the entry's fixpoint equation. The
+                        // structural edges the χ induces are covered by
+                        // its consumers' signatures, and those consumers
+                        // live in the edited function.
+                        let entry_of = match kind {
+                            InstKind::FunEntry { func } => Some(*func),
+                            _ => None,
+                        };
+                        for chi in mssa.chis(inst) {
+                            if entry_of.is_some() && self.private_to[chi.obj] == entry_of {
+                                continue;
+                            }
+                            let strong = match kind {
+                                InstKind::Store { addr, .. } => {
+                                    self.singletons.contains(chi.obj)
+                                        && self.aux.value_pts(*addr).as_singleton() == Some(chi.obj)
+                                }
+                                _ => false,
+                            };
+                            f(Ingredient::Chi {
+                                obj: ok(chi.obj),
+                                prev: prev_key(chi.prev),
+                                strong,
+                            });
+                        }
+                    }
+                }
+                if let InstKind::FunEntry { func } = kind {
+                    // The auxiliary caller set: a new or removed
+                    // potential call site must dirty the entry even when
+                    // the entry's own instruction text is unchanged.
+                    for &c in self.aux_callers.get(func).into_iter().flatten() {
+                        f(Ingredient::AuxCaller(c));
+                    }
+                }
+            }
+            SvfgNodeKind::CallRet(inst) => {
+                f(Ingredient::Transfer(mix(fnv1a(b"sig-ret"), self.inst_content(inst))));
+                for chi in mssa.chis(inst) {
+                    let prev = prev_key(chi.prev);
+                    f(Ingredient::Chi { obj: ok(chi.obj), prev, strong: false });
+                }
+                // Callee-side objects that could flow back from each
+                // possible callee.
+                for &(callee, _, objs) in self.bindings.get(&inst).into_iter().flatten() {
+                    f(Ingredient::Binding { callee, objs });
+                }
+            }
+            SvfgNodeKind::MemPhi(p) => {
+                let phi = &mssa.memphis()[p];
+                let mut h = mix(fnv1a(b"sig-phi"), ok(phi.obj));
+                h = mix(h, phi.incoming.len() as u64);
+                for &d in &phi.incoming {
+                    h = mix(h, def_key(d));
+                }
+                f(Ingredient::Transfer(h));
+            }
         }
-        h
-    };
-    let binding_hash = |objs: &[ObjId]| -> u64 {
-        let mut h = fnv1a(b"bind");
-        let mut ks: Vec<u64> = objs.iter().map(|&o| ok(o)).collect();
-        ks.sort_unstable();
-        for k in ks {
-            h = mix(h, k);
+        // Incoming edges: direct predecessors and object-labelled
+        // indirect predecessors.
+        for &p in self.direct_preds.of(node) {
+            f(Ingredient::DirectPred(keys.node_key[p]));
         }
-        h
-    };
+        for &(p, set) in svfg.indirect_preds(node) {
+            let objs = self.set_hash[set.index()];
+            f(Ingredient::IndirectPred { pred: keys.node_key[p], objs });
+        }
+    }
 
-    let inst_content = |inst: InstId| -> u64 {
+    /// Hash of an instruction's own text, by stable keys.
+    fn inst_content(&self, inst: InstId) -> u64 {
+        let prog = self.prog;
+        let fname = |f: FuncId| fnv1a(prog.functions[f].name.as_bytes());
+        let vk = |v: ValueId| self.keys.value_key[v];
+        let ok = |o: ObjId| self.keys.obj_key[o];
         let kind = &prog.insts[inst].kind;
         let mut h = fnv1a(kind.mnemonic().as_bytes());
         match kind {
@@ -1271,136 +1725,7 @@ pub fn node_signatures(
             }
         }
         h
-    };
-
-    let mut sigs: IndexVec<SvfgNodeId, u64> = IndexVec::new();
-    for node in svfg.node_ids() {
-        let mut h = match svfg.kind(node) {
-            SvfgNodeKind::Inst(inst) => {
-                let mut h = mix(fnv1a(b"sig-inst"), inst_content(inst));
-                // µs read object state here (for calls: the relay into
-                // callees), keyed by object and reaching definition.
-                let mus: Vec<u64> = mssa
-                    .mus(inst)
-                    .iter()
-                    .map(|mu| mix(ok(mu.obj), keys.node_key[mssa_def_node(svfg, mu.def)]))
-                    .collect();
-                h = mix_sorted(h, mus);
-                let kind = &prog.insts[inst].kind;
-                if !matches!(kind, InstKind::Call { .. }) {
-                    // χs of non-call instructions (stores, frees) attach
-                    // here; for stores include the static strong-update
-                    // decision, which depends on the auxiliary result.
-                    //
-                    // A FUNENTRY χ on an object *private* to the function
-                    // (allocated here and never escaping) is excluded:
-                    // its entry state is constantly absent — no caller
-                    // binding can carry a non-escaping object, and the
-                    // entry transfer is a pure relay — so gaining or
-                    // losing such a χ (any edit that allocates locally)
-                    // does not change the entry's fixpoint equation. The
-                    // structural edges the χ induces are covered by its
-                    // consumers' signatures, and those consumers live in
-                    // the edited function.
-                    let entry_private = |o: ObjId| -> bool {
-                        let InstKind::FunEntry { func } = kind else { return false };
-                        if mssa.modref.is_escaped(o) {
-                            return false;
-                        }
-                        let mut o = o;
-                        loop {
-                            match prog.objects[o].kind {
-                                ObjKind::Stack(f) | ObjKind::Heap(f) => return f == *func,
-                                ObjKind::Field { base, .. } => o = base,
-                                _ => return false,
-                            }
-                        }
-                    };
-                    let chis: Vec<u64> = mssa
-                        .chis(inst)
-                        .iter()
-                        .filter(|chi| !entry_private(chi.obj))
-                        .map(|chi| {
-                            let prev = match chi.prev {
-                                Some(d) => keys.node_key[mssa_def_node(svfg, d)],
-                                None => u64::MAX,
-                            };
-                            let mut c = mix(ok(chi.obj), prev);
-                            if let InstKind::Store { addr, .. } = kind {
-                                let su = singletons.contains(chi.obj)
-                                    && aux.value_pts(*addr).as_singleton() == Some(chi.obj);
-                                c = mix(c, su as u64);
-                            }
-                            c
-                        })
-                        .collect();
-                    h = mix_sorted(h, chis);
-                }
-                if let InstKind::Call { .. } = kind {
-                    // Caller-side objects that could flow into each
-                    // possible callee (deferred indirect-call bindings).
-                    let binds: Vec<u64> = svfg
-                        .call_bindings()
-                        .filter(|((c, _), _)| *c == inst)
-                        .map(|((_, f), b)| mix(fname(*f), binding_hash(&b.ins)))
-                        .collect();
-                    h = mix_sorted(h, binds);
-                }
-                if let InstKind::FunEntry { func } = kind {
-                    // The auxiliary caller set: a new or removed
-                    // potential call site must dirty the entry even when
-                    // the entry's own instruction text is unchanged.
-                    let callers = aux_callers.get(func).cloned().unwrap_or_default();
-                    h = mix(h, callers.len() as u64);
-                    for c in callers {
-                        h = mix(h, c);
-                    }
-                }
-                h
-            }
-            SvfgNodeKind::CallRet(inst) => {
-                let mut h = mix(fnv1a(b"sig-ret"), inst_content(inst));
-                let chis: Vec<u64> = mssa
-                    .chis(inst)
-                    .iter()
-                    .map(|chi| {
-                        let prev = match chi.prev {
-                            Some(d) => keys.node_key[mssa_def_node(svfg, d)],
-                            None => u64::MAX,
-                        };
-                        mix(ok(chi.obj), prev)
-                    })
-                    .collect();
-                h = mix_sorted(h, chis);
-                // Callee-side objects that could flow back from each
-                // possible callee.
-                let binds: Vec<u64> = svfg
-                    .call_bindings()
-                    .filter(|((c, _), _)| *c == inst)
-                    .map(|((_, f), b)| mix(fname(*f), binding_hash(&b.outs)))
-                    .collect();
-                h = mix_sorted(h, binds);
-                h
-            }
-            SvfgNodeKind::MemPhi(p) => {
-                let phi = &mssa.memphis()[p];
-                let mut h = mix(fnv1a(b"sig-phi"), ok(phi.obj));
-                h = mix(h, phi.incoming.len() as u64);
-                for &d in &phi.incoming {
-                    h = mix(h, keys.node_key[mssa_def_node(svfg, d)]);
-                }
-                h
-            }
-        };
-        // Incoming edges: direct predecessors and object-labelled
-        // indirect predecessors.
-        h = mix_sorted(h, direct_preds[node].clone());
-        let ind: Vec<u64> =
-            svfg.indirect_preds_expanded(node).map(|(p, o)| mix(keys.node_key[p], ok(o))).collect();
-        h = mix_sorted(h, ind);
-        sigs.push(h);
     }
-    sigs
 }
 
 /// An ID-independent fingerprint of a delivered result: the points-to
@@ -1409,21 +1734,41 @@ pub fn node_signatures(
 /// same text — or an incremental and a from-scratch solve of the same
 /// edit — produce the same fingerprint iff they computed the same
 /// result.
+///
+/// Values share sets, so each distinct set's sorted key list is built
+/// once, and a set many values hold is folded in through a `SetMix`
+/// table — the same hash, at O(1) per value.
 pub fn result_fingerprint(prog: &Program, keys: &StableKeys, result: &FlowSensitiveResult) -> u64 {
-    let mut items: Vec<(u64, Vec<u64>)> = Vec::with_capacity(prog.values.len());
+    // Distinct sets as `[len, keys...]` spans of one arena, with use
+    // counts.
+    let mut set_of: FxHashMap<PtsId, usize> = FxHashMap::default();
+    let mut sets: Vec<(usize, usize, usize)> = Vec::new();
+    let mut arena: Vec<u64> = Vec::new();
+    let mut items: Vec<(u64, usize)> = Vec::with_capacity(prog.values.len());
     for (v, _) in prog.values.iter_enumerated() {
-        let mut objs: Vec<u64> = result.value_pts(v).iter().map(|o| keys.obj_key[o]).collect();
-        objs.sort_unstable();
-        items.push((keys.value_key[v], objs));
+        let set = *set_of.entry(result.pt[v]).or_insert_with(|| {
+            let start = arena.len();
+            arena.push(0);
+            arena.extend(result.value_pts(v).iter().map(|o| keys.obj_key[o]));
+            arena[start + 1..].sort_unstable();
+            arena[start] = (arena.len() - start - 1) as u64;
+            sets.push((start, arena.len(), 0));
+            sets.len() - 1
+        });
+        sets[set].2 += 1;
+        items.push((keys.value_key[v], set));
     }
-    items.sort_unstable();
+    let words = |set: usize| &arena[sets[set].0..sets[set].1];
+    items.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| words(a.1).cmp(words(b.1))));
+    let mut tables: Vec<Option<SetMix>> = (0..sets.len()).map(|_| None).collect();
     let mut h = fnv1a(b"fingerprint");
-    for (vkey, objs) in items {
+    for &(vkey, set) in &items {
         h = mix(h, vkey);
-        h = mix(h, objs.len() as u64);
-        for o in objs {
-            h = mix(h, o);
-        }
+        h = if sets[set].2 >= SetMix::MIN_USES {
+            tables[set].get_or_insert_with(|| SetMix::new(words(set))).apply(h)
+        } else {
+            words(set).iter().fold(h, |h, &w| mix(h, w))
+        };
     }
     let mut edges: Vec<(u64, u64)> = result
         .callgraph_edges
@@ -1436,6 +1781,51 @@ pub fn result_fingerprint(prog: &Program, keys: &StableKeys, result: &FlowSensit
         h = mix(h, mix(c, f));
     }
     h
+}
+
+/// Folds a fixed word list into a running [`mix`] hash in O(1): the
+/// result is `h · P^(8·words) + tail[h & 0xff]`, `P` the FNV prime.
+///
+/// Why: a [`mix`] step maps `h` to `(h ^ b) · P` for each byte `b`.
+/// Xoring a byte changes only the low byte of `h`, so
+/// `h ^ b = h + d` with `d` fixed by `b` and `h`'s low byte; and the low
+/// byte of the product depends only on the low bytes. So the low bytes
+/// evolve on their own, and every step adds to `h · P` a term they
+/// determine: the sum of those terms is a function of `h`'s low byte
+/// alone, tabulated once per word list.
+struct SetMix {
+    /// `P^(8·words)`.
+    scale: u64,
+    /// The added terms, per starting low byte.
+    tail: Box<[u64; 256]>,
+}
+
+impl SetMix {
+    /// Building a table costs about 256 direct folds, so only sets at
+    /// least this many values hold get one.
+    const MIN_USES: usize = 256;
+    const P: u64 = 0x0000_0100_0000_01b3;
+
+    fn new(words: &[u64]) -> SetMix {
+        let bytes = || words.iter().flat_map(|w| w.to_le_bytes());
+        let scale = bytes().fold(1u64, |s, _| s.wrapping_mul(Self::P));
+        let mut tail = Box::new([0u64; 256]);
+        for (start, slot) in tail.iter_mut().enumerate() {
+            let (mut sum, mut low) = (0u64, start as u64);
+            for b in bytes() {
+                let x = low ^ b as u64;
+                sum = sum.wrapping_add(x.wrapping_sub(low)).wrapping_mul(Self::P);
+                low = x.wrapping_mul(Self::P) & 0xff;
+            }
+            *slot = sum;
+        }
+        SetMix { scale, tail }
+    }
+
+    /// `words` folded into `h` by [`mix`], one word after another.
+    fn apply(&self, h: u64) -> u64 {
+        h.wrapping_mul(self.scale).wrapping_add(self.tail[(h & 0xff) as usize])
+    }
 }
 
 #[cfg(test)]
@@ -1543,6 +1933,211 @@ entry:
         assert!(!report.incremental, "warm state never crosses a solver switch");
         assert_eq!(next.solver, SolverKind::Vsfs);
         assert_eq!(next.fingerprint, state.fingerprint);
+    }
+
+    /// Strong and weak stores, an indirect call with deferred bindings
+    /// into two callees (so their entries have auxiliary callers), and a
+    /// memory φ at `join`.
+    const SIG: &str = r#"
+global @tab
+global @g
+
+func @keep(%x) {
+entry:
+  store %x, @g
+  %y = load @g
+  ret %y
+}
+
+func @swap(%x) {
+entry:
+  %old = load @g
+  store %x, @g
+  ret %old
+}
+
+func @main() {
+entry:
+  %s = alloc stack S
+  %h = alloc heap H
+  store %h, %s
+  %w = alloc heap W
+  store %h, %w
+  %f1 = funaddr @keep
+  %f2 = funaddr @swap
+  br left, right
+left:
+  store %f1, @tab
+  goto join
+right:
+  store %f2, @tab
+  goto join
+join:
+  %fp = load @tab
+  %r = icall %fp(%s)
+  %v = load %s
+  ret
+}
+"#;
+
+    type Pipeline = (Program, AndersenResult, MemorySsa, Svfg, StableKeys);
+
+    fn pipeline(src: &str) -> Pipeline {
+        let prog = vsfs_ir::parse_program(src).unwrap();
+        let aux = vsfs_andersen::analyze(&prog);
+        let mssa = MemorySsa::build(&prog, &aux);
+        let svfg = Svfg::build(&prog, &aux, &mssa);
+        let keys = StableKeys::build(&prog, &mssa, &svfg);
+        (prog, aux, mssa, svfg, keys)
+    }
+
+    fn ingredient_list(inputs: &SigInputs<'_>, node: SvfgNodeId) -> Vec<Ingredient> {
+        let mut list = Vec::new();
+        inputs.ingredients(node, &mut |i| list.push(i));
+        list
+    }
+
+    fn fold(list: &[Ingredient]) -> u64 {
+        let mut fold = SigFold::default();
+        list.iter().for_each(|&i| fold.add(i));
+        fold.finish()
+    }
+
+    #[test]
+    fn two_parses_sign_every_node_alike() {
+        let (p1, a1, m1, s1, k1) = pipeline(SIG);
+        let (p2, a2, m2, s2, k2) = pipeline(SIG);
+        let sigs = node_signatures(&p1, &a1, &m1, &s1, &k1);
+        assert_eq!(sigs, node_signatures(&p2, &a2, &m2, &s2, &k2));
+        assert_eq!(sigs.len(), s1.node_count());
+    }
+
+    /// Changing exactly one ingredient of a node — or dropping it —
+    /// changes the node's signature, for every ingredient of every node;
+    /// and each ingredient carries what it names (the label set's and
+    /// the binding's objects, the store's strong-update decision).
+    #[test]
+    fn changing_any_one_ingredient_changes_the_signature() {
+        let (prog, aux, mssa, svfg, keys) = pipeline(SIG);
+        let inputs = SigInputs::new(&prog, &aux, &mssa, &svfg, &keys);
+        let sigs = node_signatures(&prog, &aux, &mssa, &svfg, &keys);
+        let ok = |o: ObjId| keys.obj_key[o];
+        let hash_objs = |objs: &[ObjId]| objs_hash(objs.iter().map(|&o| ok(o)));
+        // The same objects with the first one replaced by another key.
+        let one_swapped = |objs: &[ObjId]| {
+            objs_hash(objs.iter().enumerate().map(|(i, &o)| if i == 0 { !ok(o) } else { ok(o) }))
+        };
+        let mut seen: Vec<&str> = Vec::new();
+        for node in svfg.node_ids() {
+            let list = ingredient_list(&inputs, node);
+            assert_eq!(fold(&list), sigs[node], "node_signatures folds the listed ingredients");
+            let store = match svfg.kind(node) {
+                SvfgNodeKind::Inst(i) => match prog.insts[i].kind {
+                    InstKind::Store { addr, .. } => Some(prog.values[addr].name.as_str()),
+                    _ => None,
+                },
+                _ => None,
+            };
+            let mut indirect = svfg.indirect_preds(node).iter();
+            for (i, &ingredient) in list.iter().enumerate() {
+                let (name, changed) = match ingredient {
+                    Ingredient::Transfer(h) => ("transfer", vec![Ingredient::Transfer(!h)]),
+                    Ingredient::Mu { obj, def } => {
+                        ("µ reaching def", vec![Ingredient::Mu { obj, def: !def }])
+                    }
+                    Ingredient::Chi { obj, prev, strong } => {
+                        match (store, strong) {
+                            (Some("s"), true) => seen.push("strong store"),
+                            (Some("w"), false) => seen.push("weak store"),
+                            (Some("s" | "w"), _) => panic!("wrong strong-update bit at {node:?}"),
+                            _ => {}
+                        }
+                        let flipped = Ingredient::Chi { obj, prev, strong: !strong };
+                        (
+                            "χ previous def",
+                            vec![Ingredient::Chi { obj, prev: !prev, strong }, flipped],
+                        )
+                    }
+                    Ingredient::DirectPred(k) => {
+                        ("direct predecessor", vec![Ingredient::DirectPred(!k)])
+                    }
+                    Ingredient::IndirectPred { pred, objs } => {
+                        let &(p, set) = indirect.next().expect("one ingredient per indirect pred");
+                        assert_eq!(pred, keys.node_key[p]);
+                        assert_eq!(objs, hash_objs(svfg.obj_set(set)), "labels of {node:?}");
+                        let objs = one_swapped(svfg.obj_set(set));
+                        ("indirect label set", vec![Ingredient::IndirectPred { pred, objs }])
+                    }
+                    Ingredient::Binding { callee, objs } => {
+                        let (SvfgNodeKind::Inst(call) | SvfgNodeKind::CallRet(call)) =
+                            svfg.kind(node)
+                        else {
+                            panic!("a binding at {node:?}, which is no call");
+                        };
+                        let f = prog
+                            .functions
+                            .indices()
+                            .find(|&f| fnv1a(prog.functions[f].name.as_bytes()) == callee)
+                            .expect("the callee exists");
+                        let binding = svfg.call_binding(call, f).expect("a deferred binding");
+                        let bound = match svfg.kind(node) {
+                            SvfgNodeKind::Inst(_) => &binding.ins,
+                            _ => &binding.outs,
+                        };
+                        assert!(!bound.is_empty(), "the test program binds objects");
+                        assert_eq!(objs, hash_objs(bound), "bound objects of {node:?}");
+                        let objs = one_swapped(bound);
+                        ("call binding", vec![Ingredient::Binding { callee, objs }])
+                    }
+                    Ingredient::AuxCaller(k) => {
+                        ("auxiliary caller", vec![Ingredient::AuxCaller(!k)])
+                    }
+                };
+                seen.push(name);
+                let dropped: Vec<Ingredient> =
+                    list.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, &x)| x).collect();
+                assert_ne!(fold(&dropped), sigs[node], "dropping the {name} of {node:?}");
+                for c in changed {
+                    let mut l = list.clone();
+                    l[i] = c;
+                    assert_ne!(fold(&l), sigs[node], "changing the {name} of {node:?}");
+                }
+            }
+            assert!(indirect.next().is_none(), "every indirect pred is an ingredient");
+        }
+        for name in [
+            "transfer",
+            "µ reaching def",
+            "χ previous def",
+            "strong store",
+            "weak store",
+            "direct predecessor",
+            "indirect label set",
+            "call binding",
+            "auxiliary caller",
+        ] {
+            assert!(seen.contains(&name), "the test program has no {name}");
+        }
+    }
+
+    #[test]
+    fn set_mix_tables_fold_like_mix() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for len in [0, 1, 2, 7, 40] {
+            let words: Vec<u64> = (0..len).map(|_| next()).collect();
+            let table = SetMix::new(&words);
+            for _ in 0..64 {
+                let h = next();
+                let direct = words.iter().fold(h, |h, &w| mix(h, w));
+                assert_eq!(table.apply(h), direct, "{len} words from {h:#x}");
+            }
+        }
     }
 
     #[test]

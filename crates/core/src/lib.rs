@@ -68,7 +68,7 @@ pub mod warm;
 
 pub use incremental::{
     resolve_edit, result_fingerprint, solve_program, IncrementalOptions, ProgramState, SolveError,
-    SolveReport,
+    SolveReport, StageSeconds,
 };
 pub use precision::{compare_precision, PrecisionReport};
 pub use result::{

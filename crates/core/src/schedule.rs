@@ -27,7 +27,7 @@ use crate::versioning::VersionTables;
 /// The deferred `(call, callee)` bindings of `svfg` in a deterministic
 /// order. The underlying map is hash-keyed, so anything order-sensitive
 /// (rank assignment via Tarjan's DFS) must go through this.
-fn sorted_binding_pairs(svfg: &Svfg) -> Vec<(InstId, vsfs_ir::FuncId)> {
+pub(crate) fn sorted_binding_pairs(svfg: &Svfg) -> Vec<(InstId, vsfs_ir::FuncId)> {
     let mut pairs: Vec<_> = svfg.call_bindings().map(|(&k, _)| k).collect();
     pairs.sort_unstable();
     pairs

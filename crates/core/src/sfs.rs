@@ -46,7 +46,99 @@ pub(crate) fn solve(
     governor: Option<&Governor>,
     want_harvest: bool,
 ) -> (FlowSensitiveResult, Completion, Option<SfsHarvest>) {
-    solve_impl(prog, aux, mssa, svfg, governor, None, want_harvest)
+    let (result, completion, harvest, _) =
+        solve_impl(prog, aux, mssa, svfg, governor, None, want_harvest);
+    (result, completion, harvest)
+}
+
+/// Per-node `(object, set)` rows stored flat: row `n` is the span
+/// `spans[n]` of one of two shared buffers, sorted by object. Warm
+/// tables, seeds and harvests all take this shape, so building, moving
+/// and dropping a whole table costs a few buffers rather than one `Vec`
+/// per node. Rows pushed in node order fill `entries`; a row replaced
+/// by [`Rows::set_row`] goes to `patched` (the old span's entries stay
+/// behind, unreferenced, until the table is dropped), so replacing a few
+/// rows never regrows the large buffer. Past the last row every row
+/// reads empty, which makes `Rows::default()` the empty table of any
+/// graph.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Rows {
+    /// `(start, len)` per node; `start` has [`Rows::PATCHED`] set for a
+    /// span of `patched`.
+    spans: Vec<(u32, u32)>,
+    entries: Vec<(ObjId, PtsId)>,
+    patched: Vec<(ObjId, PtsId)>,
+}
+
+impl Rows {
+    const PATCHED: u32 = 1 << 31;
+
+    /// An empty table with room for `rows` rows of `entries` entries in
+    /// all.
+    pub(crate) fn with_capacity(rows: usize, entries: usize) -> Rows {
+        Rows {
+            spans: Vec::with_capacity(rows),
+            entries: Vec::with_capacity(entries),
+            patched: Vec::new(),
+        }
+    }
+
+    /// Appends the next node's row; `row` must be sorted by object.
+    pub(crate) fn push_row(&mut self, row: impl IntoIterator<Item = (ObjId, PtsId)>) {
+        let start = self.entries.len();
+        self.entries.extend(row);
+        debug_assert!(self.entries[start..].is_sorted_by_key(|e| e.0));
+        self.spans.push((start as u32, (self.entries.len() - start) as u32));
+    }
+
+    /// Reserves room for `entries` more entries in replaced rows.
+    pub(crate) fn reserve_patched(&mut self, entries: usize) {
+        self.patched.reserve_exact(entries);
+    }
+
+    /// Replaces the row of `node`, growing the table to reach it; `row`
+    /// must be sorted by object.
+    pub(crate) fn set_row(
+        &mut self,
+        node: SvfgNodeId,
+        row: impl IntoIterator<Item = (ObjId, PtsId)>,
+    ) {
+        if self.spans.len() <= node.index() {
+            self.spans.resize(node.index() + 1, (0, 0));
+        }
+        let start = self.patched.len();
+        self.patched.extend(row);
+        debug_assert!(self.patched[start..].is_sorted_by_key(|e| e.0));
+        let len = (self.patched.len() - start) as u32;
+        self.spans[node.index()] = (start as u32 | Self::PATCHED, len);
+    }
+
+    /// The row of `node`.
+    pub(crate) fn row(&self, node: SvfgNodeId) -> &[(ObjId, PtsId)] {
+        let Some(&(start, len)) = self.spans.get(node.index()) else { return &[] };
+        let buffer = if start & Self::PATCHED != 0 { &self.patched } else { &self.entries };
+        let start = (start & !Self::PATCHED) as usize;
+        &buffer[start..start + len as usize]
+    }
+
+    /// The set of `o` in the row of `node`, if the row holds `o`.
+    pub(crate) fn get(&self, node: SvfgNodeId, o: ObjId) -> Option<PtsId> {
+        let row = self.row(node);
+        row.binary_search_by_key(&o, |e| e.0).ok().map(|i| row[i].1)
+    }
+
+    /// Entries held, including those of replaced rows.
+    pub(crate) fn entry_count(&self) -> usize {
+        self.entries.len() + self.patched.len()
+    }
+
+    /// Every row with its node, in node order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (SvfgNodeId, &[(ObjId, PtsId)])> + '_ {
+        (0..self.spans.len()).map(|i| {
+            let node = SvfgNodeId::new(i as u32);
+            (node, self.row(node))
+        })
+    }
 }
 
 /// Warm state to resume from: the surviving portion of a previous run's
@@ -57,14 +149,19 @@ pub(crate) struct SfsSeed {
     pub store: PtsStore<ObjId>,
     /// Final top-level sets for values whose defining node is clean.
     pub pt: Vec<(ValueId, PtsId)>,
-    /// Final `IN` entries of clean nodes, each sorted by object.
-    pub ins: Vec<(SvfgNodeId, Vec<(ObjId, PtsId)>)>,
-    /// Final `OUT` entries of clean STORE nodes.
-    pub outs: Vec<(SvfgNodeId, Vec<(ObjId, PtsId)>)>,
+    /// Final `IN` rows of clean nodes (dirty nodes' rows are empty).
+    pub ins: Rows,
+    /// Final `OUT` rows of clean STORE nodes.
+    pub outs: Rows,
     /// Call-graph activations whose call node is clean.
     pub activations: Vec<(InstId, FuncId)>,
     /// Nodes whose previous fixpoint state survives the edit.
     pub clean: IndexVec<SvfgNodeId, bool>,
+    /// Clean nodes with a direct edge into a dirty node.
+    pub direct_preds: Vec<SvfgNodeId>,
+    /// Worklist rank of every node: topological over a graph holding
+    /// every edge the solve can use, so that producers settle first.
+    pub ranks: Vec<u32>,
 }
 
 /// The per-node `IN`/`OUT` tables of a completed run, extracted in
@@ -73,14 +170,14 @@ pub(crate) struct SfsSeed {
 /// every χ object, empty sets included. A VSFS solve fills the same
 /// tables from its version slots (`crate::vsfs`).
 pub(crate) struct SfsHarvest {
-    pub ins: IndexVec<SvfgNodeId, Vec<(ObjId, PtsId)>>,
-    pub outs: IndexVec<SvfgNodeId, Vec<(ObjId, PtsId)>>,
+    pub ins: Rows,
+    pub outs: Rows,
 }
 
 /// Runs SFS from `seed`, returning the per-node state tables alongside
-/// the result so the caller can stay resident. The fixpoint is
-/// identical to a cold solve — seeding only skips work that would
-/// reconverge to the carried values.
+/// the result so the caller can stay resident, and the seconds the
+/// harvest took. The fixpoint is identical to a cold solve — seeding
+/// only skips work that would reconverge to the carried values.
 pub(crate) fn run_sfs_seeded(
     prog: &Program,
     aux: &AndersenResult,
@@ -88,7 +185,7 @@ pub(crate) fn run_sfs_seeded(
     svfg: &Svfg,
     governor: Option<&Governor>,
     seed: SfsSeed,
-) -> (FlowSensitiveResult, Completion, Option<SfsHarvest>) {
+) -> (FlowSensitiveResult, Completion, Option<SfsHarvest>, f64) {
     solve_impl(prog, aux, mssa, svfg, governor, Some(seed), true)
 }
 
@@ -98,11 +195,17 @@ fn solve_impl(
     mssa: &MemorySsa,
     svfg: &Svfg,
     governor: Option<&Governor>,
-    seed: Option<SfsSeed>,
+    mut seed: Option<SfsSeed>,
     want_harvest: bool,
-) -> (FlowSensitiveResult, Completion, Option<SfsHarvest>) {
+) -> (FlowSensitiveResult, Completion, Option<SfsHarvest>, f64) {
     let start = Instant::now();
-    let mut solver = SfsSolver::new(prog, aux, mssa, svfg);
+    // A seeded wave ranks by the graph its invalidation already built;
+    // a cold solve builds its own.
+    let worklist = match seed.as_mut() {
+        Some(seed) => Worklist::new(std::mem::take(&mut seed.ranks)),
+        None => node_worklist(prog, svfg),
+    };
+    let mut solver = SfsSolver::new(prog, aux, mssa, svfg, worklist);
     match seed {
         Some(seed) => solver.apply_seed(seed),
         None => solver.init_cold(),
@@ -116,12 +219,15 @@ fn solve_impl(
     stats.stored_object_elems = elems;
     stats.stored_object_bytes = bytes;
     stats.store = solver.top.store.stats();
+    let t = Instant::now();
     let harvest = (want_harvest && completion == Completion::Complete).then(|| solver.harvest());
+    let harvest_seconds = t.elapsed().as_secs_f64();
     let callgraph_edges = solver.top.callgraph_edges();
     (
         FlowSensitiveResult::new(solver.top.store, solver.top.pt, callgraph_edges, stats),
         completion,
         harvest,
+        harvest_seconds,
     )
 }
 
@@ -130,27 +236,54 @@ fn solve_impl(
 /// nodes are stored once.
 type ObjMap = FxHashMap<ObjId, PtsId>;
 
+/// The slot of a node the solve has not touched yet.
+const UNTOUCHED: u32 = u32::MAX;
+
+/// One node's solver state, created when the solve first touches the
+/// node ([`SfsSolver::touch`]).
+#[derive(Default)]
+struct NodeState {
+    /// `IN` map.
+    ins: ObjMap,
+    /// `OUT` map (STORE nodes only).
+    outs: ObjMap,
+    /// Difference-propagation frontier per static labelled indirect
+    /// edge: the set id last shipped along the `k`-th `(succ, obj)` pair
+    /// of `svfg.indirect_succs_expanded(n)`. Only the
+    /// `diff(current, frontier)` part of a value crosses an edge again.
+    edge_frontier: Vec<PtsId>,
+    /// Indirect edges activated by on-the-fly call-graph resolution, as
+    /// `(succ, obj, frontier)`.
+    dyn_edges: Vec<(SvfgNodeId, ObjId, PtsId)>,
+    /// Objects whose outgoing value changed since the node last ran.
+    dirty: PointsToSet<ObjId>,
+}
+
+/// The previous fixpoint a seeded solve resumes from. Empty on a cold
+/// solve, where every node is dirty.
+#[derive(Default)]
+struct Carried {
+    ins: Rows,
+    outs: Rows,
+    clean: IndexVec<SvfgNodeId, bool>,
+}
+
+impl Carried {
+    fn is_clean(&self, node: SvfgNodeId) -> bool {
+        self.clean.get(node).copied().unwrap_or(false)
+    }
+}
+
 struct SfsSolver<'a> {
     prog: &'a Program,
     mssa: &'a MemorySsa,
     svfg: &'a Svfg,
     top: TopLevel<'a>,
-    /// IN set per node.
-    ins: IndexVec<SvfgNodeId, ObjMap>,
-    /// OUT set per node (populated for STORE nodes only).
-    outs: IndexVec<SvfgNodeId, ObjMap>,
-    /// Indirect edges activated by on-the-fly call-graph resolution.
-    dyn_succs: IndexVec<SvfgNodeId, Vec<(SvfgNodeId, ObjId)>>,
-    /// Difference-propagation frontier per static labelled indirect
-    /// edge: the set id last shipped along the `k`-th `(succ, obj)` pair
-    /// of `svfg.indirect_succs_expanded(n)`. Only the
-    /// `diff(current, frontier)` part of a value crosses an edge again.
-    edge_frontier: IndexVec<SvfgNodeId, Vec<PtsId>>,
-    /// Same frontier for the activated (`dyn_succs`) edges, parallel to
-    /// each node's `dyn_succs` list.
-    dyn_frontier: IndexVec<SvfgNodeId, Vec<PtsId>>,
-    /// Objects whose outgoing value changed since the node last ran.
-    dirty: IndexVec<SvfgNodeId, PointsToSet<ObjId>>,
+    /// Index into `states` per node, [`UNTOUCHED`] until first touch.
+    slot: IndexVec<SvfgNodeId, u32>,
+    /// The touched nodes' states, in touch order.
+    states: Vec<NodeState>,
+    carried: Carried,
     worklist: Worklist<SvfgNodeId>,
     stats: SolveStats,
 }
@@ -161,30 +294,27 @@ impl<'a> SfsSolver<'a> {
         aux: &'a AndersenResult,
         mssa: &'a MemorySsa,
         svfg: &'a Svfg,
+        worklist: Worklist<SvfgNodeId>,
     ) -> Self {
-        let n = svfg.node_count();
         SfsSolver {
             prog,
             mssa,
             svfg,
             top: TopLevel::new(prog, aux, svfg),
-            ins: (0..n).map(|_| ObjMap::default()).collect(),
-            outs: (0..n).map(|_| ObjMap::default()).collect(),
-            dyn_succs: (0..n).map(|_| Vec::new()).collect(),
-            edge_frontier: svfg
-                .node_ids()
-                .map(|id| vec![EMPTY; svfg.indirect_succs_expanded(id).count()])
-                .collect(),
-            dyn_frontier: (0..n).map(|_| Vec::new()).collect(),
-            dirty: (0..n).map(|_| PointsToSet::new()).collect(),
-            worklist: node_worklist(prog, svfg),
+            slot: IndexVec::from_elem_n(UNTOUCHED, svfg.node_count()),
+            states: Vec::new(),
+            carried: Carried::default(),
+            worklist,
             stats: SolveStats::default(),
         }
     }
 
-    /// Cold start: every node visits at least once.
+    /// Cold start: every node visits at least once, so every node's
+    /// state is created up front, in node order.
     fn init_cold(&mut self) {
+        self.states.reserve_exact(self.svfg.node_count());
         for id in self.svfg.node_ids() {
+            self.touch(id);
             self.worklist.push(id);
         }
     }
@@ -202,85 +332,135 @@ impl<'a> SfsSolver<'a> {
     /// * `src` dirty — frontier `EMPTY`; the node re-runs from scratch
     ///   and ships whatever it recomputes.
     ///
+    /// A node's frontiers are recorded when the wave first touches it
+    /// ([`SfsSolver::first_touch`]), so only the dirty region and the
+    /// nodes the wave reaches ever get solver state. The first clause
+    /// holds at any first touch: a clean node's exposed value can only
+    /// change through a write to its own state, and that write is what
+    /// touches it. The second clause's marking is done here, walking
+    /// back from the dirty nodes over their indirect predecessors.
+    ///
     /// Clean nodes with a *direct* edge into a dirty node also re-run:
     /// call and exit transfers publish argument/return bindings through
     /// `TopLevel`, and a dirty callee entry (or return site) needs those
     /// pushed again. Their object state is final, so the re-run is a
     /// no-op beyond the pushes.
     fn apply_seed(&mut self, seed: SfsSeed) {
-        let SfsSeed { store, pt, ins, outs, activations, clean } = seed;
+        let SfsSeed { store, pt, ins, outs, activations, clean, direct_preds, ranks: _ } = seed;
         self.top.seed_state(store, &pt, &activations);
-        for (n, entries) in ins {
-            let m = &mut self.ins[n];
-            for (o, id) in entries {
-                m.insert(o, id);
-            }
-        }
-        for (n, entries) in outs {
-            let m = &mut self.outs[n];
-            for (o, id) in entries {
-                m.insert(o, id);
-            }
-        }
-        for n in self.svfg.node_ids() {
-            if !clean[n] {
-                continue;
-            }
-            let pairs: Vec<(SvfgNodeId, ObjId)> = self.svfg.indirect_succs_expanded(n).collect();
-            for (k, (succ, o)) in pairs.into_iter().enumerate() {
-                let val = self.out_val(n, o);
-                if clean[succ] {
-                    self.edge_frontier[n][k] = val.unwrap_or(EMPTY);
-                } else if val.is_some_and(|v| v != EMPTY) {
-                    self.dirty[n].insert(o);
-                    self.worklist.push(n);
-                }
-            }
-        }
+        self.carried = Carried { ins, outs, clean };
+        let svfg = self.svfg;
         // Re-wire the dynamic edges of retained activations (indirect
         // calls only; direct-call edges are static), same frontier rule.
         for &(call, callee) in &activations {
-            let Some(binding) = self.svfg.call_binding(call, callee) else { continue };
-            let binding = binding.clone();
-            let call_node = self.svfg.inst_node(call);
-            let ret_node = self.svfg.callret_node(call);
+            let Some(binding) = svfg.call_binding(call, callee) else { continue };
             let f = &self.prog.functions[callee];
-            let entry_node = self.svfg.inst_node(f.entry_inst);
-            let exit_node = self.svfg.inst_node(f.exit_inst);
-            let pairs = [(call_node, entry_node, binding.ins), (exit_node, ret_node, binding.outs)];
+            let pairs = [
+                (svfg.inst_node(call), svfg.inst_node(f.entry_inst), &binding.ins),
+                (svfg.inst_node(f.exit_inst), svfg.callret_node(call), &binding.outs),
+            ];
             for (src, dst, objs) in pairs {
-                for o in objs {
-                    self.dyn_succs[src].push((dst, o));
-                    let val = if clean[src] { self.out_val(src, o) } else { None };
-                    let frontier =
-                        if clean[src] && clean[dst] { val.unwrap_or(EMPTY) } else { EMPTY };
-                    self.dyn_frontier[src].push(frontier);
+                let s = self.touch(src);
+                for &o in objs {
+                    let src_clean = self.carried.is_clean(src);
+                    let val = if src_clean { self.out_val(src, o) } else { None };
+                    let frontier = if src_clean && self.carried.is_clean(dst) {
+                        val.unwrap_or(EMPTY)
+                    } else {
+                        EMPTY
+                    };
+                    let state = &mut self.states[s];
+                    state.dyn_edges.push((dst, o, frontier));
                     if frontier == EMPTY && val.is_some_and(|v| v != EMPTY) {
-                        self.dirty[src].insert(o);
+                        state.dirty.insert(o);
                         self.worklist.push(src);
                     }
                 }
             }
         }
-        for n in self.svfg.node_ids() {
-            if !clean[n] || self.svfg.direct_succs(n).iter().any(|&s| !clean[s]) {
-                self.worklist.push(n);
+        for n in svfg.node_ids() {
+            if self.carried.clean[n] {
+                continue;
             }
+            self.worklist.push(n);
+            for &(p, set) in svfg.indirect_preds(n) {
+                if !self.carried.is_clean(p) {
+                    continue;
+                }
+                for &o in svfg.obj_set(set) {
+                    if self.out_val(p, o).is_some_and(|v| v != EMPTY) {
+                        let s = self.touch(p);
+                        self.states[s].dirty.insert(o);
+                        self.worklist.push(p);
+                    }
+                }
+            }
+        }
+        for p in direct_preds {
+            self.worklist.push(p);
         }
     }
 
-    /// Extracts the converged `IN`/`OUT` tables in object-sorted order.
-    fn harvest(&self) -> SfsHarvest {
-        let collect = |maps: &IndexVec<SvfgNodeId, ObjMap>| {
-            maps.iter()
-                .map(|m| {
-                    let mut v: Vec<(ObjId, PtsId)> = m.iter().map(|(&o, &id)| (o, id)).collect();
-                    v.sort_unstable_by_key(|e| e.0);
-                    v
-                })
-                .collect()
-        };
-        SfsHarvest { ins: collect(&self.ins), outs: collect(&self.outs) }
+    /// The state of `node`, created on first touch.
+    fn touch(&mut self, node: SvfgNodeId) -> usize {
+        let slot = self.slot[node];
+        if slot != UNTOUCHED {
+            return slot as usize;
+        }
+        let state = self.first_touch(node);
+        self.slot[node] = self.states.len() as u32;
+        self.states.push(state);
+        self.states.len() - 1
+    }
+
+    /// The state a node starts from when the solve first touches it: its
+    /// carried rows, and per static indirect edge the frontier rule of
+    /// [`SfsSolver::apply_seed`] — the carried value the edge exposes
+    /// when both endpoints are clean, `EMPTY` otherwise. On a cold solve
+    /// nothing is carried and every frontier is `EMPTY`.
+    fn first_touch(&self, node: SvfgNodeId) -> NodeState {
+        let carried = &self.carried;
+        let clean = carried.is_clean(node);
+        let exposed = if self.is_store(node) { &carried.outs } else { &carried.ins };
+        let edges = self.svfg.indirect_succs(node).iter().map(|&(_, s)| self.svfg.obj_set(s).len());
+        let mut edge_frontier = Vec::with_capacity(edges.sum());
+        edge_frontier.extend(self.svfg.indirect_succs_expanded(node).map(|(succ, o)| {
+            let frontier = (clean && carried.is_clean(succ)).then(|| exposed.get(node, o));
+            frontier.flatten().unwrap_or(EMPTY)
+        }));
+        NodeState {
+            ins: carried.ins.row(node).iter().copied().collect(),
+            outs: carried.outs.row(node).iter().copied().collect(),
+            edge_frontier,
+            ..NodeState::default()
+        }
+    }
+
+    /// The state of `node` if the solve has touched it.
+    fn state(&self, node: SvfgNodeId) -> Option<&NodeState> {
+        let slot = self.slot[node];
+        (slot != UNTOUCHED).then(|| &self.states[slot as usize])
+    }
+
+    /// Extracts the converged `IN`/`OUT` tables in object-sorted order:
+    /// the carried tables move across whole, and each touched node's row
+    /// is replaced by its map's entries — so a seeded wave pays only for
+    /// what it touched. On a cold solve every node is touched, in node
+    /// order.
+    fn harvest(&mut self) -> SfsHarvest {
+        let Carried { mut ins, mut outs, .. } = std::mem::take(&mut self.carried);
+        ins.reserve_patched(self.states.iter().map(|s| s.ins.len()).sum());
+        outs.reserve_patched(self.states.iter().map(|s| s.outs.len()).sum());
+        let mut row: Vec<(ObjId, PtsId)> = Vec::new();
+        for (node, &slot) in self.slot.iter_enumerated() {
+            let Some(state) = self.states.get(slot as usize) else { continue };
+            for (table, map) in [(&mut ins, &state.ins), (&mut outs, &state.outs)] {
+                row.extend(map.iter().map(|(&o, &id)| (o, id)));
+                row.sort_unstable_by_key(|e| e.0);
+                table.set_row(node, row.drain(..));
+            }
+        }
+        SfsHarvest { ins, outs }
     }
 
     /// The fixpoint loop, with one cooperative governor checkpoint per
@@ -299,16 +479,17 @@ impl<'a> SfsSolver<'a> {
     }
 
     fn process(&mut self, node: SvfgNodeId) {
+        let s = self.touch(node);
         match self.svfg.kind(node) {
-            SvfgNodeKind::Inst(inst) => self.process_inst(node, inst),
+            SvfgNodeKind::Inst(inst) => self.process_inst(node, s, inst),
             SvfgNodeKind::CallRet(_) | SvfgNodeKind::MemPhi(_) => {
                 // Pure relays: propagate dirty IN entries onward.
-                self.propagate_dirty(node);
+                self.propagate_dirty(node, s);
             }
         }
     }
 
-    fn process_inst(&mut self, node: SvfgNodeId, inst: InstId) {
+    fn process_inst(&mut self, node: SvfgNodeId, s: usize, inst: InstId) {
         let mut newly_activated = Vec::new();
         self.top.transfer(inst, &mut self.worklist, &mut newly_activated);
         for (call, callee) in newly_activated {
@@ -319,11 +500,11 @@ impl<'a> SfsSolver<'a> {
                 // [LOAD]: pt(dst) ⊇ IN[node][o] for each o ∈ pt(addr).
                 let objs: Vec<ObjId> = self.top.value_pt_iter(*addr).collect();
                 for o in objs {
-                    if let Some(&s) = self.ins[node].get(&o) {
-                        self.top.union_pt(*dst, s, &mut self.worklist);
+                    if let Some(&set) = self.states[s].ins.get(&o) {
+                        self.top.union_pt(*dst, set, &mut self.worklist);
                     }
                 }
-                self.propagate_dirty(node); // loads relay their IN onward
+                self.propagate_dirty(node, s); // loads relay their IN onward
             }
             InstKind::Store { addr, val } => {
                 // [STORE] + [SU/WU]: recompute OUT for the chi objects.
@@ -340,7 +521,7 @@ impl<'a> SfsSolver<'a> {
                         self.stats.strong_updates += 1;
                         out = gen; // kill: IN not propagated
                     } else {
-                        if let Some(&input) = self.ins[node].get(&o) {
+                        if let Some(&input) = self.states[s].ins.get(&o) {
                             out = input;
                         }
                         if self.top.store.contains(targets, o) {
@@ -348,71 +529,77 @@ impl<'a> SfsSolver<'a> {
                         }
                     }
                     self.stats.object_propagations += 1;
-                    let cur = *self.outs[node].entry(o).or_insert(EMPTY);
+                    let state = &mut self.states[s];
+                    let cur = *state.outs.entry(o).or_insert(EMPTY);
                     let new = self.top.store.union(cur, out);
                     if new != cur {
-                        self.outs[node].insert(o, new);
-                        self.dirty[node].insert(o);
+                        state.outs.insert(o, new);
+                        state.dirty.insert(o);
                     }
                 }
-                self.propagate_dirty(node);
+                self.propagate_dirty(node, s);
             }
             _ => {
-                self.propagate_dirty(node);
+                self.propagate_dirty(node, s);
             }
         }
     }
 
-    /// The set id a node exposes to its successors for object `o`.
+    fn is_store(&self, node: SvfgNodeId) -> bool {
+        matches!(self.svfg.kind(node), SvfgNodeKind::Inst(i) if self.prog.insts[i].kind.is_store())
+    }
+
+    /// The set id a node exposes to its successors for object `o`: its
+    /// `OUT` entry for a STORE, its `IN` entry otherwise — read from the
+    /// carried rows while the node is untouched.
     fn out_val(&self, node: SvfgNodeId, o: ObjId) -> Option<PtsId> {
-        let is_store = matches!(
-            self.svfg.kind(node),
-            SvfgNodeKind::Inst(i) if self.prog.insts[i].kind.is_store()
-        );
-        if is_store {
-            self.outs[node].get(&o).copied()
-        } else {
-            self.ins[node].get(&o).copied()
+        let is_store = self.is_store(node);
+        match self.state(node) {
+            Some(state) => if is_store { &state.outs } else { &state.ins }.get(&o).copied(),
+            None => if is_store { &self.carried.outs } else { &self.carried.ins }.get(node, o),
         }
     }
 
-    /// Pushes the dirty objects of `node` along its (static + activated)
-    /// indirect out-edges, then clears the dirty set.
+    /// `IN[node][o]`, read from the carried rows while `node` is
+    /// untouched.
+    fn in_val(&self, node: SvfgNodeId, o: ObjId) -> Option<PtsId> {
+        match self.state(node) {
+            Some(state) => state.ins.get(&o).copied(),
+            None => self.carried.ins.get(node, o),
+        }
+    }
+
+    /// Pushes the dirty objects of `node` (at state index `s`) along its
+    /// (static + activated) indirect out-edges, then clears the dirty
+    /// set.
     ///
     /// Propagation is *differential*: each edge remembers the set id it
     /// last shipped, and only `diff(value, last)` crosses again. This is
     /// exact, not approximate — edge values grow monotonically, so the
     /// target already holds everything shipped before, and
     /// `target ∪ (value \ last) = target ∪ value`.
-    fn propagate_dirty(&mut self, node: SvfgNodeId) {
-        if self.dirty[node].is_empty() {
+    fn propagate_dirty(&mut self, node: SvfgNodeId, s: usize) {
+        if self.states[s].dirty.is_empty() {
             return;
         }
-        let dirty = std::mem::take(&mut self.dirty[node]);
+        let dirty = std::mem::take(&mut self.states[s].dirty);
+        let svfg = self.svfg;
         let mut k = 0;
-        for gi in 0..self.svfg.indirect_succs(node).len() {
-            let (succ, s) = self.svfg.indirect_succs(node)[gi];
-            let set_len = self.svfg.obj_set(s).len();
-            for oi in 0..set_len {
-                let o = self.svfg.obj_set(s)[oi];
-                if !dirty.contains(o) {
-                    k += 1;
-                    continue;
+        for &(succ, set) in svfg.indirect_succs(node) {
+            for &o in svfg.obj_set(set) {
+                if dirty.contains(o) {
+                    let last = self.states[s].edge_frontier[k];
+                    let shipped = self.ship_delta(node, succ, o, last);
+                    self.states[s].edge_frontier[k] = shipped;
                 }
-                let last = self.edge_frontier[node][k];
-                let shipped = self.ship_delta(node, succ, o, last);
-                self.edge_frontier[node][k] = shipped;
                 k += 1;
             }
         }
-        for i in 0..self.dyn_succs[node].len() {
-            let (succ, o) = self.dyn_succs[node][i];
-            if !dirty.contains(o) {
-                continue;
+        for i in 0..self.states[s].dyn_edges.len() {
+            let (succ, o, last) = self.states[s].dyn_edges[i];
+            if dirty.contains(o) {
+                self.states[s].dyn_edges[i].2 = self.ship_delta(node, succ, o, last);
             }
-            let last = self.dyn_frontier[node][i];
-            let shipped = self.ship_delta(node, succ, o, last);
-            self.dyn_frontier[node][i] = shipped;
         }
     }
 
@@ -430,7 +617,7 @@ impl<'a> SfsSolver<'a> {
         self.stats.full_bytes += self.top.store.flat_bytes(val);
         let delta = self.top.store.diff(val, last);
         self.stats.delta_bytes += self.top.store.flat_bytes(delta);
-        let cur = self.ins[succ].get(&o).copied().unwrap_or(EMPTY);
+        let cur = self.in_val(succ, o).unwrap_or(EMPTY);
         // Memoized no-growth fast path: repeated (cur, delta) pairs are
         // answered from the store's union memo without allocating.
         if delta == EMPTY || !self.top.store.union_would_change(cur, delta) {
@@ -438,8 +625,9 @@ impl<'a> SfsSolver<'a> {
             return val;
         }
         let new = self.top.store.union(cur, delta);
-        self.ins[succ].insert(o, new);
-        self.dirty[succ].insert(o);
+        let t = self.touch(succ);
+        self.states[t].ins.insert(o, new);
+        self.states[t].dirty.insert(o);
         self.worklist.push(succ);
         val
     }
@@ -448,27 +636,24 @@ impl<'a> SfsSolver<'a> {
     /// activated `(call, callee)` pair.
     fn activate_binding(&mut self, call: InstId, callee: FuncId) {
         self.stats.calls_activated += 1;
-        let Some(binding) = self.svfg.call_binding(call, callee) else {
+        let svfg = self.svfg;
+        let Some(binding) = svfg.call_binding(call, callee) else {
             return; // direct call: edges already in the static SVFG
         };
-        let binding = binding.clone();
-        let call_node = self.svfg.inst_node(call);
-        let ret_node = self.svfg.callret_node(call);
-        let entry_node = self.svfg.inst_node(self.prog.functions[callee].entry_inst);
-        let exit_node = self.svfg.inst_node(self.prog.functions[callee].exit_inst);
-        for o in binding.ins {
-            self.dyn_succs[call_node].push((entry_node, o));
-            self.dyn_frontier[call_node].push(EMPTY);
-            // Anything already known at the call must flow now.
-            if self.ins[call_node].contains_key(&o) {
-                self.dirty[call_node].insert(o);
-            }
-        }
-        for o in binding.outs {
-            self.dyn_succs[exit_node].push((ret_node, o));
-            self.dyn_frontier[exit_node].push(EMPTY);
-            if self.ins[exit_node].contains_key(&o) {
-                self.dirty[exit_node].insert(o);
+        let f = &self.prog.functions[callee];
+        let pairs = [
+            (svfg.inst_node(call), svfg.inst_node(f.entry_inst), &binding.ins),
+            (svfg.inst_node(f.exit_inst), svfg.callret_node(call), &binding.outs),
+        ];
+        for (src, dst, objs) in pairs {
+            let s = self.touch(src);
+            let state = &mut self.states[s];
+            for &o in objs {
+                state.dyn_edges.push((dst, o, EMPTY));
+                // Anything already known at the source must flow now.
+                if state.ins.contains_key(&o) {
+                    state.dirty.insert(o);
+                }
             }
         }
         // No worklist pushes here: activation only happens while the call
@@ -477,14 +662,14 @@ impl<'a> SfsSolver<'a> {
         // callee's entry and exit nodes.
     }
 
-    /// `(set count, total elements, approximate heap bytes)` across all
-    /// IN/OUT entries — the storage the paper's Table III memory column
-    /// tracks.
+    /// `(set count, total elements, approximate heap bytes)` across the
+    /// IN/OUT entries of every node the run touched (every node on a cold
+    /// solve) — the storage the paper's Table III memory column tracks.
     fn storage_stats(&self) -> (usize, usize, usize) {
         let mut sets = 0;
         let mut elems = 0;
         let mut bytes = 0;
-        for m in self.ins.iter().chain(self.outs.iter()) {
+        for m in self.states.iter().flat_map(|s| [&s.ins, &s.outs]) {
             sets += m.len();
             for &id in m.values() {
                 elems += self.top.store.set_len(id);

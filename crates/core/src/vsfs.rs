@@ -19,7 +19,7 @@
 
 use crate::result::{FlowSensitiveResult, SolveStats};
 use crate::schedule::{node_worklist, slot_worklist};
-use crate::sfs::SfsHarvest;
+use crate::sfs::{Rows, SfsHarvest};
 use crate::solver::{SolveRequest, SolverKind};
 use crate::toplevel::{TopLevel, EMPTY};
 use crate::versioning::{VersionSlot, VersionTables};
@@ -370,33 +370,29 @@ impl<'a> VsfsSolver<'a> {
     /// row holds every χ object.
     fn harvest(&self) -> SfsHarvest {
         let slot_set = |s: VersionSlot| self.vpts[s as usize];
-        let ins = self
-            .svfg
-            .node_ids()
-            .map(|n| {
-                let consumed = self.tables.consume_entries(n).iter();
-                consumed.map(|&(o, c)| (o, slot_set(c))).filter(|e| e.1 != EMPTY).collect()
-            })
-            .collect();
-        let outs = self
-            .svfg
-            .node_ids()
-            .map(|n| match self.svfg.kind(n) {
-                SvfgNodeKind::Inst(i) if self.prog.insts[i].kind.is_store() => {
-                    let mut row: Vec<(ObjId, PtsId)> = self
-                        .mssa
-                        .chis(i)
-                        .iter()
-                        .map(|chi| {
-                            (chi.obj, self.tables.yield_slot(n, chi.obj).map_or(EMPTY, slot_set))
-                        })
-                        .collect();
+        let n = self.svfg.node_count();
+        let stores = self.svfg.node_ids().filter_map(|node| match self.svfg.kind(node) {
+            SvfgNodeKind::Inst(i) if self.prog.insts[i].kind.is_store() => Some(i),
+            _ => None,
+        });
+        let out_entries = stores.map(|i| self.mssa.chis(i).len()).sum();
+        let in_bound = self.svfg.node_ids().map(|node| self.tables.consume_entries(node).len());
+        let mut ins = Rows::with_capacity(n, in_bound.sum());
+        let mut outs = Rows::with_capacity(n, out_entries);
+        let mut row: Vec<(ObjId, PtsId)> = Vec::new();
+        for node in self.svfg.node_ids() {
+            let consumed = self.tables.consume_entries(node).iter();
+            ins.push_row(consumed.map(|&(o, c)| (o, slot_set(c))).filter(|e| e.1 != EMPTY));
+            if let SvfgNodeKind::Inst(i) = self.svfg.kind(node) {
+                if self.prog.insts[i].kind.is_store() {
+                    row.extend(self.mssa.chis(i).iter().map(|chi| {
+                        (chi.obj, self.tables.yield_slot(node, chi.obj).map_or(EMPTY, slot_set))
+                    }));
                     row.sort_unstable_by_key(|e| e.0);
-                    row
                 }
-                _ => Vec::new(),
-            })
-            .collect();
+            }
+            outs.push_row(row.drain(..));
+        }
         SfsHarvest { ins, outs }
     }
 

@@ -24,12 +24,13 @@
 
 use crate::incremental::{
     build_front, deliver, solve_front, value_def_nodes, Front, Outcome, ProgramState, SolveError,
-    SolveReport,
+    SolveReport, StageSeconds,
 };
 use crate::result::{FlowSensitiveResult, GovernedAnalysis};
-use crate::sfs::{run_sfs_seeded, SfsSeed};
+use crate::sfs::{run_sfs_seeded, Rows, SfsSeed};
 use crate::solver::SolverKind;
 use crate::{result_fingerprint, IncrementalOptions};
+use std::time::Instant;
 use vsfs_adt::govern::Governor;
 use vsfs_adt::{FxHashMap, PointsToSet, PtsId, PtsStore};
 use vsfs_ir::{FuncId, InstId, InstKind, ObjId, ValueId};
@@ -89,13 +90,9 @@ pub fn export_warm(state: &ProgramState) -> Option<WarmExport> {
     for (v, _) in state.prog.values.iter_enumerated() {
         pt.push((keys.value_key[v], index_of(result.pt[v], result)));
     }
-    let mut export_table = |table: &vsfs_adt::IndexVec<
-        vsfs_svfg::SvfgNodeId,
-        Vec<(ObjId, PtsId)>,
-    >|
-     -> Vec<(u64, Vec<(u64, u32)>)> {
+    let mut export_table = |table: &Rows| -> Vec<(u64, Vec<(u64, u32)>)> {
         let mut out = Vec::new();
-        for (node, entries) in table.iter_enumerated() {
+        for (node, entries) in table.iter() {
             if entries.is_empty() {
                 continue;
             }
@@ -150,12 +147,21 @@ pub fn restore_program(
     if !opts.solver.is_staged() || SolverKind::parse(&export.solver) != Some(opts.solver) {
         return Ok(solve_front(source, front, fs_governor));
     }
+    let t = Instant::now();
     let Some((seed, carried_sets)) = assemble_restore_seed(&front, export) else {
         return Ok(solve_front(source, front, fs_governor));
     };
+    let seed_seconds = t.elapsed().as_secs_f64();
     let staged = front.staged.as_ref().expect("a staged solver has a staged front");
-    let (result, completion, harvest) =
+    let t = Instant::now();
+    let (result, completion, harvest, harvest_seconds) =
         run_sfs_seeded(&front.prog, &front.aux, &staged.mssa, &staged.svfg, fs_governor, seed);
+    let stages = StageSeconds {
+        seed: seed_seconds,
+        wave: t.elapsed().as_secs_f64() - harvest_seconds,
+        harvest: harvest_seconds,
+        ..StageSeconds::default()
+    };
     if completion.is_complete()
         && result_fingerprint(&front.prog, &front.keys, &result) != export.fingerprint
     {
@@ -171,6 +177,7 @@ pub fn restore_program(
         carried_sets,
         waves: 0,
         prior_seconds: 0.0,
+        stages,
     };
     let analysis = GovernedAnalysis::from_run(&front.prog, &front.aux, result, completion, "solve");
     Ok(deliver(source, front, analysis, harvest, outcome))
@@ -219,21 +226,24 @@ fn assemble_restore_seed(front: &Front, export: &WarmExport) -> Option<(SfsSeed,
         pt.push((v, set_id(idx)?));
     }
 
-    // IN/OUT tables: every exported row must land on a node of this
-    // parse with every object resolved.
-    type MappedTable = Vec<(vsfs_svfg::SvfgNodeId, Vec<(ObjId, PtsId)>)>;
-    let map_table = |rows: &[(u64, Vec<(u64, u32)>)]| -> Option<MappedTable> {
-        let mut out = Vec::with_capacity(rows.len());
+    // IN/OUT tables: every exported row must land on a distinct node of
+    // this parse with every object resolved.
+    let map_table = |rows: &[(u64, Vec<(u64, u32)>)]| -> Option<Rows> {
+        let mut table = Rows::with_capacity(svfg.node_count(), 0);
+        table.reserve_patched(rows.iter().map(|(_, row)| row.len()).sum());
+        let mut entries: Vec<(ObjId, PtsId)> = Vec::new();
         for (node_key, row) in rows {
             let node = keys.node_of_key(*node_key)?;
-            let mut entries: Vec<(ObjId, PtsId)> = Vec::with_capacity(row.len());
+            if !table.row(node).is_empty() {
+                return None; // two rows for one node: not this text
+            }
             for &(obj_key, idx) in row {
                 entries.push((keys.obj_of_key(obj_key)?, set_id(idx)?));
             }
             entries.sort_unstable_by_key(|&(o, _)| o);
-            out.push((node, entries));
+            table.set_row(node, entries.drain(..));
         }
-        Some(out)
+        Some(table)
     };
     let ins = map_table(&export.ins)?;
     let outs = map_table(&export.outs)?;
@@ -256,8 +266,20 @@ fn assemble_restore_seed(front: &Front, export: &WarmExport) -> Option<(SfsSeed,
     }
 
     let carried_sets = ids.len();
-    let clean = vsfs_adt::IndexVec::from_elem_n(true, svfg.node_count());
-    Some((SfsSeed { store, pt, ins, outs, activations, clean }, carried_sets))
+    let n = svfg.node_count();
+    let seed = SfsSeed {
+        store,
+        pt,
+        ins,
+        outs,
+        activations,
+        clean: vsfs_adt::IndexVec::from_elem_n(true, n),
+        direct_preds: Vec::new(),
+        // Every node is clean, so the wave schedules nothing: one rank
+        // serves.
+        ranks: vec![0; n],
+    };
+    Some((seed, carried_sets))
 }
 
 #[cfg(test)]

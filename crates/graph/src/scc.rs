@@ -171,6 +171,15 @@ impl Tarjan {
         &self.members
             [self.comp_start[c as usize] as usize..self.comp_start[c as usize + 1] as usize]
     }
+
+    /// Topological ranks of the last run's nodes, as
+    /// [`crate::condensation_ranks`] assigns them: members of one
+    /// component share a rank, and an edge between components goes from
+    /// a lower rank to a higher one.
+    pub fn ranks(&self) -> Vec<u32> {
+        let count = self.count() as u32;
+        self.comp.iter().map(|&c| count - 1 - c).collect()
+    }
 }
 
 #[cfg(test)]
@@ -240,6 +249,22 @@ mod tests {
         let sccs = Sccs::compute(&g);
         assert_eq!(sccs.count(), 2);
         assert!(sccs.component(n(2)) < sccs.component(n(0)));
+    }
+
+    #[test]
+    fn tarjan_ranks_match_condensation_ranks() {
+        // 0 -> 1 <-> 2 -> 3, plus 4 -> 0.
+        let edges = [(0, 1), (1, 2), (2, 1), (2, 3), (4, 0)];
+        let mut g: DiGraph<N> = DiGraph::with_nodes(5);
+        for (a, b) in edges {
+            g.add_edge(n(a), n(b));
+        }
+        let mut t = Tarjan::default();
+        t.run(5, |v, pos| {
+            let succs = g.successors(n(v));
+            succs.get(pos as usize).map(|w| (pos + 1, w.index() as u32))
+        });
+        assert_eq!(t.ranks(), crate::condensation_ranks(&g));
     }
 
     #[test]

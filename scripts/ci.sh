@@ -12,6 +12,20 @@ cd "$(dirname "$0")/.."
 scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
 
+echo "== tracked markdown stays small: no *.md file over 1 MiB =="
+big=""
+while IFS= read -r -d '' f; do
+  if [ -f "$f" ] && [ "$(wc -c < "$f")" -gt 1048576 ]; then
+    big="$big $f"
+  fi
+done < <(git ls-files -z '*.md')
+if [ -n "$big" ]; then
+  echo "FAIL: tracked markdown over 1 MiB:$big" >&2
+  exit 1
+fi
+echo "ok: every tracked *.md file is at most 1 MiB"
+
+echo
 echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release
 cargo test -q
@@ -109,9 +123,9 @@ echo "== incremental equivalence: differential edit-sequence property suite =="
 VSFS_PROP_CASES=8 cargo test --release -q --test incremental_equivalence
 
 echo
-echo "== incremental gate: median edit speedup >= 5x vs from-scratch =="
+echo "== incremental gate: median edit speedup >= 5x vs from-scratch, >= 2.4x vs a vsfs load =="
 cargo run --release -p vsfs-bench --bin incremental_bench -- ninja,bake --edits 3 --gate 5 \
-  --out "$scratch/BENCH_incremental.json"
+  --gate-vsfs-load 2.4 --out "$scratch/BENCH_incremental.json"
 
 echo
 echo "== parallel versioning gate: --jobs 2 >= 1.2x --jobs 1 on lynx =="

@@ -11,7 +11,8 @@
 //!   VSFS at `jobs` 1, 2 and 8;
 //! * sampled may-alias queries;
 //! * the full memory-safety finding set;
-//! * the deterministic result fingerprint.
+//! * the deterministic result fingerprint;
+//! * the resident warm `IN`/`OUT` tables, against a cold SFS solve's.
 //!
 //! The sequence, no-op and locality properties run in both staged
 //! workspace kinds. An `sfs` workspace re-solves every edit with seeded
@@ -21,12 +22,14 @@
 //! Seeds honour the shared property-test env knobs: replay one case
 //! with `VSFS_PROP_SEED=0x…`, scale the count with `VSFS_PROP_CASES`.
 
+mod common;
+
 use vsfs_checkers::{run_checkers, FlowView};
 use vsfs_core::queries::AliasQueries;
 use vsfs_core::result::precision_diff;
 use vsfs_core::{
-    resolve_edit, result_fingerprint, solve_program, FlowSensitiveResult, IncrementalOptions,
-    ProgramState, SolveReport, SolveRequest, SolverKind,
+    export_warm, resolve_edit, result_fingerprint, solve_program, FlowSensitiveResult,
+    IncrementalOptions, ProgramState, SolveReport, SolveRequest, SolverKind,
 };
 use vsfs_ir::Program;
 use vsfs_testkit::Rng;
@@ -132,6 +135,17 @@ fn assert_matches(
     );
 }
 
+/// The resident warm `IN`/`OUT` tables equal a cold SFS solve's, entry
+/// for entry by stable key. A stale carried row would show in no
+/// fingerprint until some later edit read it; this catches it at once.
+fn assert_warm_tables_match_cold(label: &str, state: &ProgramState, text: &str) {
+    let resident = export_warm(state).expect("a complete solve keeps warm tables");
+    let opts = IncrementalOptions { solver: SolverKind::Sfs };
+    let (cold, _) = solve_program(text, opts, None, None).expect("cold sfs solve");
+    let cold = export_warm(&cold).expect("a complete cold solve exports");
+    common::assert_same_tables(&format!("{label} warm tables"), &cold, &resident);
+}
+
 /// The core property: for a random base program and a random 3-edit
 /// script, every incrementally solved state equals a from-scratch solve
 /// of the same text — under SFS and VSFS (jobs 1/2/8) — in both staged
@@ -168,6 +182,7 @@ fn edit_sequences_match_from_scratch_solves() {
                     let ctx = format!("{label} vs {}/j{jobs}", kind.name());
                     assert_matches(&ctx, &next, &cold, &r, rng);
                 }
+                assert_warm_tables_match_cold(&label, &next, &text);
                 state = next;
             }
         }

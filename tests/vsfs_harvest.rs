@@ -10,11 +10,11 @@
 //! then as encoded snapshot bytes, which must be identical apart from
 //! the solver tag.
 
+mod common;
+
 use vsfs_core::{export_warm, solve_program, IncrementalOptions, SolverKind, WarmExport};
 use vsfs_server::snapshot::{encode, Snapshot};
 use vsfs_workloads::gen::{generate, WorkloadConfig};
-
-type Row = (u64, Vec<(u64, u32)>);
 
 /// Solves `source` cold as a workspace of `solver` and exports its warm
 /// tables.
@@ -25,37 +25,12 @@ fn export(source: &str, solver: SolverKind) -> WarmExport {
     export_warm(&state).expect("a complete solve exports its warm tables")
 }
 
-/// Asserts two tables hold the same rows, entries and set contents.
-fn assert_same_table(label: &str, table: &str, sfs: &WarmExport, vsfs: &WarmExport) {
-    let rows = |e: &WarmExport| -> Vec<Row> {
-        match table {
-            "IN" => e.ins.clone(),
-            _ => e.outs.clone(),
-        }
-    };
-    let (sfs_rows, vsfs_rows) = (rows(sfs), rows(vsfs));
-    for (i, (s, v)) in sfs_rows.iter().zip(&vsfs_rows).enumerate() {
-        assert_eq!(s.0, v.0, "{label}: {table} row {i} is for another node");
-        assert_eq!(s.1.len(), v.1.len(), "{label}: {table} of node {:016x} differs in size", s.0);
-        for (&(so, si), &(vo, vi)) in s.1.iter().zip(&v.1) {
-            assert_eq!(so, vo, "{label}: {table} of node {:016x} differs in objects", s.0);
-            assert_eq!(
-                sfs.sets[si as usize], vsfs.sets[vi as usize],
-                "{label}: {table}[{:016x}][{so:016x}] differs",
-                s.0
-            );
-        }
-    }
-    assert_eq!(sfs_rows.len(), vsfs_rows.len(), "{label}: {table} row counts differ");
-}
-
 /// The lemma on one program: equal tables, equal exports, and equal
 /// snapshot bytes apart from the solver tag.
 fn check(label: &str, source: &str) {
     let sfs = export(source, SolverKind::Sfs);
     let vsfs = export(source, SolverKind::Vsfs);
-    assert_same_table(label, "IN", &sfs, &vsfs);
-    assert_same_table(label, "OUT", &sfs, &vsfs);
+    common::assert_same_tables(label, &sfs, &vsfs);
     assert_eq!(sfs.fingerprint, vsfs.fingerprint, "{label}: fingerprints differ");
     assert_eq!((sfs.solver.as_str(), vsfs.solver.as_str()), ("sfs", "vsfs"));
     let retagged = WarmExport { solver: sfs.solver.clone(), ..vsfs };
