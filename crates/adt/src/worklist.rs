@@ -91,7 +91,7 @@ pub struct WorklistStats {
 /// forces re-iteration.
 ///
 /// Typical use: ranks are topological numbers of SCCs in a dependence
-/// graph (see `vsfs_graph::condensation_ranks`), which makes a fixpoint
+/// graph (see `vsfs_graph::Tarjan::ranks`), which makes a fixpoint
 /// visit producers before consumers.
 ///
 /// # Examples

@@ -15,6 +15,7 @@
 
 use crate::callgraph::CallGraph;
 use crate::pag::{CallSiteId, Constraint, Pag, PagNodeId};
+use crate::singletons::compute_singletons;
 use vsfs_adt::govern::{Completion, Governor, Outcome};
 use vsfs_adt::{FifoWorklist, FlatReader, FxHashSet, PointsToSet, PtsId, PtsStore, PtsStoreStats};
 use vsfs_graph::{DiGraph, Sccs};
@@ -58,6 +59,10 @@ pub struct AndersenResult {
     value_count: usize,
     /// The (over-approximate) call graph.
     pub callgraph: CallGraph,
+    /// The singleton objects (`SN`, [`compute_singletons`] over
+    /// `callgraph`): the strong-update candidates every flow-sensitive
+    /// solver and the incremental signatures read.
+    pub singletons: PointsToSet<ObjId>,
     /// Run counters.
     pub stats: AndersenStats,
 }
@@ -231,6 +236,7 @@ impl<'p> Solver<'p> {
         AndersenResult {
             uf: self.uf,
             value_count: self.prog.values.len(),
+            singletons: compute_singletons(self.prog, &self.callgraph),
             callgraph: self.callgraph,
             stats: AndersenStats {
                 copy_edges: self.copy_succs.iter().map(Vec::len).sum(),

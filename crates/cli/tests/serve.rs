@@ -89,8 +89,9 @@ fn field<'a>(resp: &'a str, key: &str) -> &'a str {
 
 #[test]
 fn full_session_over_stdio() {
-    // An `sfs` server: every edit below, rewrite of @make included, is
-    // a seeded wave (a `vsfs` one would solve the rewrite cold).
+    // An `sfs` server: the rewrite of @make below dirties most of the
+    // graph and is solved cold with SFS; adding an uncalled function is
+    // a seeded wave.
     let mut d = Daemon::spawn(&["--solver", "sfs"]);
     assert!(d.request("{\"op\":\"ping\"}").contains("\"ok\":true"));
 
@@ -128,12 +129,12 @@ fn full_session_over_stdio() {
         quote(body)
     ));
     assert!(resp.contains("\"ok\":true"), "{resp}");
-    assert!(resp.contains("\"incremental\":true"), "{resp}");
-    assert!(resp.contains("\"engine\":\"sfs-wave\""), "{resp}");
+    assert!(resp.contains("\"incremental\":false"), "{resp}");
+    assert!(resp.contains("\"engine\":\"sfs\""), "{resp}");
     assert_ne!(field(&resp, "fingerprint"), fp0, "edit must change the result");
     let dirty: usize = field(&resp, "dirty_nodes").parse().unwrap();
     let total: usize = field(&resp, "total_nodes").parse().unwrap();
-    assert!(dirty > 0 && dirty < total, "dirty {dirty}/{total}");
+    assert!(dirty * 2 > total && dirty < total, "dirty {dirty}/{total}");
 
     // The query surface reflects the edit.
     let resp = d.request("{\"op\":\"pts\",\"id\":\"p\",\"func\":\"main\",\"value\":\"%b\"}");
@@ -146,6 +147,8 @@ fn full_session_over_stdio() {
         quote(extra)
     ));
     assert!(resp.contains("\"ok\":true"), "{resp}");
+    assert!(resp.contains("\"incremental\":true"), "{resp}");
+    assert!(resp.contains("\"engine\":\"sfs-wave\""), "{resp}");
     assert_eq!(field(&resp, "functions"), "3", "{resp}"); // make, main, extra
     let resp = d.request(
         "{\"op\":\"edit\",\"id\":\"p\",\"delta\":[{\"action\":\"remove\",\"name\":\"extra\"}]}",

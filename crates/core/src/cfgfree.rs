@@ -39,11 +39,11 @@
 //! them (enforced by `tests/equivalence.rs` and the CI solver gate).
 
 use crate::result::{FlowSensitiveResult, SolveStats};
+use crate::schedule::{sccs, Adjacency};
 use std::time::Instant;
 use vsfs_adt::govern::{Completion, Governor};
-use vsfs_adt::{FxHashMap, FxHashSet, IndexVec, PointsToSet, PtsId, PtsStore, Worklist};
+use vsfs_adt::{FxHashMap, FxHashSet, IndexVec, PtsId, PtsStore, Worklist};
 use vsfs_andersen::AndersenResult;
-use vsfs_graph::{condensation_ranks, DiGraph};
 use vsfs_ir::{Callee, Cfg, DefUse, FuncId, InstId, InstKind, ObjId, Program, ValueId};
 use vsfs_mssa::annot::{annotate, Annotations};
 use vsfs_mssa::ModRef;
@@ -124,7 +124,6 @@ struct CfgFreeSolver<'a> {
     store: PtsStore<ObjId>,
     /// Global points-to set per top-level value.
     pt: IndexVec<ValueId, PtsId>,
-    singletons: PointsToSet<ObjId>,
     active_callees: FxHashMap<InstId, Vec<FuncId>>,
     active_callers: FxHashMap<FuncId, Vec<InstId>>,
     activated: FxHashSet<(InstId, FuncId)>,
@@ -155,7 +154,6 @@ impl<'a> CfgFreeSolver<'a> {
     fn new(prog: &'a Program, aux: &'a AndersenResult) -> Self {
         let modref = ModRef::compute(prog, aux);
         let annots = annotate(prog, aux, &modref);
-        let singletons = vsfs_andersen::compute_singletons(prog, &aux.callgraph);
         let mut pt: IndexVec<ValueId, PtsId> = (0..prog.values.len()).map(|_| EMPTY).collect();
         let mut store = PtsStore::new();
         for &(g, obj) in &prog.globals {
@@ -168,7 +166,6 @@ impl<'a> CfgFreeSolver<'a> {
             defuse: DefUse::compute(prog),
             store,
             pt,
-            singletons,
             active_callees: FxHashMap::default(),
             active_callers: FxHashMap::default(),
             activated: FxHashSet::default(),
@@ -401,43 +398,43 @@ impl<'a> CfgFreeSolver<'a> {
     }
 
     /// Topological ranks over instructions, from the static dependence
-    /// graph: SSA def-use edges, memory reach edges, parameter flow,
-    /// and every *candidate* call binding from the auxiliary call
-    /// graph (so edges activated mid-solve are already ranked —
-    /// mirroring `schedule::node_worklist`).
+    /// graph ([`CfgFreeSolver::dep_edges`]), mirroring
+    /// `schedule::node_worklist`.
     fn inst_ranks(&self) -> Vec<u32> {
-        let mut g: DiGraph<InstId> = DiGraph::with_nodes(self.prog.insts.len());
-        for v in self.prog.values.indices() {
-            if let Some(d) = DefUse::def_inst(self.prog, v) {
-                for &u in self.defuse.uses(v) {
-                    g.add_edge(d, u);
-                }
-            }
-        }
-        for (d, edges) in self.reach.iter().enumerate() {
-            let di = self.defs[d].inst;
-            for &(u, _) in edges {
-                g.add_edge(di, self.uses[u as usize].inst);
-            }
-        }
-        for (_, func) in self.prog.functions.iter_enumerated() {
-            for &p in &func.params {
-                for &u in self.defuse.uses(p) {
-                    g.add_edge(func.entry_inst, u);
-                }
-            }
-        }
-        for (call, inst) in self.prog.insts.iter_enumerated() {
-            if !matches!(inst.kind, InstKind::Call { .. }) {
-                continue;
-            }
-            for &f in self.aux.callgraph.callees(call) {
-                let func = &self.prog.functions[f];
-                g.add_edge(call, func.entry_inst);
-                g.add_edge(func.exit_inst, call);
-            }
-        }
-        condensation_ranks(&g)
+        let n = self.prog.insts.len();
+        let succs = Adjacency::new(n, || self.dep_edges());
+        sccs(n, |v, pos| succs.of(InstId::new(v)).get(pos).map(|w| w.raw())).ranks()
+    }
+
+    /// The static dependence edges between instructions: SSA def-use
+    /// edges, memory reach edges, parameter flow, and every *candidate*
+    /// call binding from the auxiliary call graph (so edges activated
+    /// mid-solve are already ranked).
+    fn dep_edges(&self) -> impl Iterator<Item = (InstId, InstId)> + '_ {
+        let (prog, defuse) = (self.prog, &self.defuse);
+        let def_use = prog.values.indices().flat_map(move |v| {
+            let d = DefUse::def_inst(prog, v);
+            d.into_iter().flat_map(move |d| defuse.uses(v).iter().map(move |&u| (d, u)))
+        });
+        let reach = self.reach.iter().zip(&self.defs).flat_map(move |(edges, def)| {
+            edges.iter().map(move |&(u, _)| (def.inst, self.uses[u as usize].inst))
+        });
+        let params = prog.functions.iter().flat_map(move |func| {
+            func.params
+                .iter()
+                .flat_map(move |&p| defuse.uses(p).iter().map(move |&u| (func.entry_inst, u)))
+        });
+        let calls = prog
+            .insts
+            .iter_enumerated()
+            .filter(|(_, inst)| matches!(inst.kind, InstKind::Call { .. }))
+            .flat_map(move |(call, _)| {
+                self.aux.callgraph.callees(call).iter().flat_map(move |&f| {
+                    let func = &prog.functions[f];
+                    [(call, func.entry_inst), (func.exit_inst, call)]
+                })
+            });
+        def_use.chain(reach).chain(params).chain(calls)
     }
 
     fn solve_governed(&mut self, governor: Option<&Governor>) -> Completion {
@@ -562,7 +559,7 @@ impl<'a> CfgFreeSolver<'a> {
     }
 
     fn is_strong_update(&self, p: ValueId, o: ObjId) -> bool {
-        self.singletons.contains(o) && self.aux.value_pts(p).as_singleton() == Some(o)
+        self.aux.singletons.contains(o) && self.aux.value_pts(p).as_singleton() == Some(o)
     }
 
     fn transfer_top(&mut self, inst: InstId) {

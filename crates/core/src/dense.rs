@@ -63,7 +63,6 @@ struct DenseSolver<'a> {
     aux: &'a AndersenResult,
     icfg: Icfg,
     defuse: DefUse,
-    singletons: PointsToSet<ObjId>,
     pt: IndexVec<ValueId, PointsToSet<ObjId>>,
     ins: IndexVec<InstId, ObjMap>,
     /// OUT entries for objects a store (re)defines; all other objects
@@ -92,7 +91,6 @@ impl<'a> DenseSolver<'a> {
             aux,
             icfg,
             defuse: DefUse::compute(prog),
-            singletons: vsfs_andersen::compute_singletons(prog, &aux.callgraph),
             pt,
             ins: (0..n).map(|_| ObjMap::default()).collect(),
             outs: (0..n).map(|_| ObjMap::default()).collect(),
@@ -190,7 +188,7 @@ impl<'a> DenseSolver<'a> {
                 let gen = self.pt[val].clone();
                 let targets = self.pt[addr].clone();
                 for o in targets.iter().collect::<Vec<_>>() {
-                    let su = self.singletons.contains(o)
+                    let su = self.aux.singletons.contains(o)
                         && self.aux.value_pts(addr).as_singleton() == Some(o);
                     let mut out = PointsToSet::new();
                     if su {

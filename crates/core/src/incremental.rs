@@ -30,41 +30,38 @@
 //!    removed nodes need no handling of their own because removal changes
 //!    every surviving neighbour's signature.
 //! 3. **Invalidation by audited waves.** Seeds are closed over their
-//!    strongly-connected components of the *conservative* value-flow
-//!    graph — static direct and indirect edges plus the candidate
-//!    dynamic edges on-the-fly call resolution could activate
+//!    strongly-connected components of the SVFG dependence graph
+//!    (`crate::schedule`) — static direct and indirect edges plus the
+//!    candidate dynamic edges on-the-fly call resolution could activate
 //!    (`call → FUNENTRY` and `FUNEXIT → return side` for every deferred
-//!    binding pair, plus `call → return side`). Tarjan walks that graph
-//!    once per edit, reading the static edges off the SVFG, and the same
-//!    SCCs rank the seeded wave's worklist: the graph holds every edge a
-//!    solve can use, so its condensation order is topological for the
-//!    wave. The dirty region is
-//!    re-solved from the carried frontier; an *audit* then compares, by
-//!    stable key, every dirty node's recomputed outputs — top-level sets
-//!    of the values it publishes (defs, call arguments, returns), the
-//!    per-object value on each indirect edge into a clean node, and its
-//!    resolved call activations — against the warm values. Clean
-//!    successors whose incoming contributions actually changed are
-//!    dirtied (again SCC-closed) and the solve repeats from the enlarged
-//!    region. Once an audit passes untouched the combined state is the
-//!    exact global least fixpoint: each clean SCC has bit-identical
-//!    equations (signature) and boundary inputs (audit), so by induction
-//!    over the SCC condensation it keeps its previous solution, and the
-//!    dirty region was solved against exactly those values. SCC closure
-//!    is what makes the frontier acyclic — it rules out stale facts that
-//!    would otherwise sustain themselves around a cycle spanning the
-//!    clean/dirty boundary. After `MAX_AUDIT_WAVES` audits, or once
-//!    the region covers half the graph, the loop switches to the plain
-//!    forward closure of the dirty set (audit-free and exact, at the
-//!    price of re-solving everything downstream). The half-graph rule
-//!    is checked before the first wave as well: a full-body rewrite's
-//!    seed region usually covers most of the graph, and auditing it
-//!    would only buy a failed audit and a second near-whole-graph wave,
-//!    so it is forward-closed up front and solved once, unaudited. A
-//!    VSFS workspace instead solves a region past the half-graph rule
-//!    cold: one VSFS solve (versioning included) costs less than one
-//!    seeded SFS wave over most of the graph. Local edits stay on the
-//!    audited SFS wave whatever the workspace's engine.
+//!    binding pair, plus `call → return side`). It is the graph every
+//!    cold solve ranks its node worklist by; Tarjan walks it once per
+//!    edit, reading the static edges off the SVFG, and the same SCCs rank
+//!    the seeded wave's worklist: the graph holds every edge a solve can
+//!    use, so its condensation order is topological for the wave. The
+//!    dirty region is re-solved from the carried frontier; an *audit*
+//!    then compares, by stable key, every dirty node's recomputed
+//!    outputs — top-level sets of the values it publishes (defs, call
+//!    arguments, returns), the per-object value on each indirect edge
+//!    into a clean node, and its resolved call activations — against the
+//!    warm values. Clean successors whose incoming contributions actually
+//!    changed are dirtied (again SCC-closed) and the solve repeats from
+//!    the enlarged region. Once an audit passes untouched the combined
+//!    state is the exact global least fixpoint: each clean SCC has
+//!    bit-identical equations (signature) and boundary inputs (audit), so
+//!    by induction over the SCC condensation it keeps its previous
+//!    solution, and the dirty region was solved against exactly those
+//!    values. SCC closure is what makes the frontier acyclic — it rules
+//!    out stale facts that would otherwise sustain themselves around a
+//!    cycle spanning the clean/dirty boundary. Every seeded wave is
+//!    audited. The loop has one other exit: a region that covers more
+//!    than half the graph (checked before the first wave and after every
+//!    audit), or that is still growing after `MAX_AUDIT_WAVES` audits, is
+//!    solved cold by the workspace's own engine, SFS or VSFS. A full-body
+//!    rewrite's seed region usually covers most of the graph, and a wave
+//!    over it would cost about as much as the cold solve and then fail
+//!    its audit. Local edits stay on the audited SFS wave whatever the
+//!    workspace's engine.
 //!    Signatures are computed once per front: invalidation reads them
 //!    and delivery moves the same table into the new warm state.
 //! 4. **Seeding.** Clean nodes' `IN`/`OUT` rows, clean-defined
@@ -95,14 +92,14 @@
 //! from-scratch solves of the same text.
 
 use crate::result::{FlowSensitiveResult, GovernedAnalysis};
-use crate::schedule::sorted_binding_pairs;
+use crate::schedule::{node_sccs, Adjacency};
 use crate::sfs::{run_sfs_seeded, Rows, SfsHarvest, SfsSeed};
 use crate::solver::{solve, solve_harvested, SolveRequest, SolverKind};
 use std::cell::{Cell, OnceCell};
 use std::fmt;
 use std::time::Instant;
 use vsfs_adt::govern::{Completion, DegradeReason, Governor};
-use vsfs_adt::{FxHashMap, IndexVec, PointsToSet, PtsCarry, PtsId};
+use vsfs_adt::{FxHashMap, IndexVec, PtsCarry, PtsId};
 use vsfs_andersen::{analyze_unify, analyze_with, AndersenResult};
 use vsfs_graph::Tarjan;
 use vsfs_ir::{Callee, FuncId, InstId, InstKind, ObjId, ObjKind, Program, ValueId};
@@ -110,12 +107,11 @@ use vsfs_mssa::MemorySsa;
 use vsfs_svfg::stable::{fnv1a, mix, mssa_def_node, KeyMap, KeySet};
 use vsfs_svfg::{ObjSetId, StableKeys, Svfg, SvfgNodeId, SvfgNodeKind};
 
-/// Audit waves before giving up on change-driven invalidation and
-/// switching to the (exact but pessimistic) forward closure. Each wave
-/// re-solves the dirty region, so the cap bounds worst-case re-solve
-/// work at a small multiple of the final region's cost. Regions past
-/// the half-graph rule never reach it: they run one unaudited wave, or
-/// a cold solve in a VSFS workspace.
+/// Audit waves before giving up on change-driven invalidation: a region
+/// still growing after this many audits is solved cold by the
+/// workspace's engine. Each wave re-solves the dirty region, so the cap
+/// bounds the work discarded before the cold solve at a small multiple
+/// of the region's cost.
 const MAX_AUDIT_WAVES: usize = 4;
 
 /// Knobs for [`solve_program`]/[`resolve_edit`].
@@ -175,8 +171,9 @@ pub struct SolveReport {
     /// SVFG).
     pub total_nodes: usize,
     /// Nodes in the invalidated region: `total_nodes` on a cold load,
-    /// and on an edit the region the edit dirtied — also when a VSFS
-    /// workspace solved that region cold past the half-graph rule.
+    /// and on an edit the region the edit dirtied — also when that region
+    /// was solved cold (past the half-graph rule, or after the last
+    /// audit).
     pub dirty_nodes: usize,
     /// `true` if the solve was seeded from surviving warm state.
     pub incremental: bool,
@@ -185,10 +182,10 @@ pub struct SolveReport {
     pub restored: bool,
     /// Points-to sets carried across the epoch boundary.
     pub carried_sets: usize,
-    /// Re-solve waves the incremental engine ran: 0 on a cold solve, 1
-    /// when the first audit already passed *or* when the region was
-    /// past the half-graph rule from the start and ran one unaudited
-    /// wave over its forward closure.
+    /// Audited seeded waves the incremental engine ran: 0 on a cold load
+    /// and on an edit solved cold before its first wave, 1 when the first
+    /// audit already passed. An edit solved cold after some waves
+    /// (`incremental == false`) counts the waves it discarded.
     pub waves: usize,
     /// Flow-sensitive solve wall-clock seconds.
     pub solve_seconds: f64,
@@ -206,7 +203,7 @@ pub struct StageSeconds {
     pub front: f64,
     /// [`node_signatures`].
     pub signatures: f64,
-    /// Invalidation: old/new correspondence, the conservative graph's
+    /// Invalidation: old/new correspondence, the dependence graph's
     /// SCCs and the dirty seeds, then each wave's audit and growth of the
     /// region.
     pub invalidate: f64,
@@ -502,7 +499,7 @@ fn unify_rung_state(
 }
 
 /// [`result_fingerprint`], with its seconds recorded in `stages`.
-fn timed_fingerprint(
+pub(crate) fn timed_fingerprint(
     prog: &Program,
     keys: &StableKeys,
     result: &FlowSensitiveResult,
@@ -527,6 +524,26 @@ pub(crate) struct Outcome {
     /// Stage seconds so far; [`deliver`] adds the front, signature and
     /// fingerprint stages.
     pub(crate) stages: StageSeconds,
+    /// [`result_fingerprint`] of the delivered result when the caller
+    /// already computed it (its seconds in `stages`); [`deliver`]
+    /// computes it otherwise.
+    pub(crate) fingerprint: Option<u64>,
+}
+
+impl Outcome {
+    /// A cold solve that invalidated `dirty_nodes`.
+    pub(crate) fn cold(dirty_nodes: usize) -> Outcome {
+        Outcome {
+            incremental: false,
+            restored: false,
+            dirty_nodes,
+            carried_sets: 0,
+            waves: 0,
+            prior_seconds: 0.0,
+            stages: StageSeconds::default(),
+            fingerprint: None,
+        }
+    }
 }
 
 /// Runs the flow-sensitive stage cold over `front` and packages the
@@ -541,34 +558,24 @@ pub(crate) fn solve_front(
         return solve_cold_only(source, front, fs_governor);
     };
     let total = staged.svfg.node_count();
-    solve_staged_cold(source, front, fs_governor, total, 0.0, StageSeconds::default())
+    solve_staged_cold(source, front, fs_governor, Outcome::cold(total))
 }
 
-/// A cold staged solve, reported with `dirty_nodes` invalidated, the
-/// `prior_seconds` of discarded audit waves and the `stages` before it.
+/// A cold staged solve with the workspace's own engine, reported with
+/// the invalidated region, the discarded audit waves and the stages
+/// `outcome` brings from before it.
 fn solve_staged_cold(
     source: &str,
     front: Front,
     fs_governor: Option<&Governor>,
-    dirty_nodes: usize,
-    prior_seconds: f64,
-    mut stages: StageSeconds,
+    mut outcome: Outcome,
 ) -> (ProgramState, SolveReport) {
     let staged = front.staged.as_ref().expect("a staged front");
     let req = SolveRequest { governor: fs_governor, ..SolveRequest::new(front.solver) };
     let graphs = Some((&staged.mssa, &staged.svfg));
     let t = Instant::now();
     let (analysis, harvest) = solve_harvested(&front.prog, &front.aux, graphs, req, true);
-    stages.wave += t.elapsed().as_secs_f64();
-    let outcome = Outcome {
-        incremental: false,
-        restored: false,
-        dirty_nodes,
-        carried_sets: 0,
-        waves: 0,
-        prior_seconds,
-        stages,
-    };
+    outcome.stages.wave += t.elapsed().as_secs_f64();
     deliver(source, front, analysis, harvest, outcome)
 }
 
@@ -645,7 +652,10 @@ pub(crate) fn deliver(
         outs: h.outs,
     });
     let engine = engine_name(&analysis, solver, outcome.incremental || outcome.restored);
-    let (fingerprint, stages) = timed_fingerprint(&prog, &keys, &analysis.result, stages);
+    let (fingerprint, stages) = match outcome.fingerprint {
+        Some(fingerprint) => (fingerprint, stages),
+        None => timed_fingerprint(&prog, &keys, &analysis.result, stages),
+    };
     let report = SolveReport {
         total_nodes,
         dirty_nodes: outcome.dirty_nodes,
@@ -688,9 +698,8 @@ fn engine_name(analysis: &GovernedAnalysis, solver: SolverKind, seeded: bool) ->
 }
 
 /// The invalidation state of one audited-wave solve: the correspondence
-/// with the previous parse, the SCCs of the conservative value-flow
-/// graph, the (always SCC-closed) dirty set, and whether the next wave
-/// still needs an audit. None of it outlives the edit.
+/// with the previous parse, the SCCs of the SVFG dependence graph and
+/// the (always SCC-closed) dirty set. None of it outlives the edit.
 struct WaveCtx {
     /// `old_node[n]`: the previous parse's node with `n`'s stable key.
     old_node: IndexVec<SvfgNodeId, Option<SvfgNodeId>>,
@@ -698,16 +707,10 @@ struct WaveCtx {
     new_obj: IndexVec<ObjId, Option<ObjId>>,
     /// [`value_def_nodes`] of the new parse.
     def_node: IndexVec<ValueId, Option<SvfgNodeId>>,
-    /// The conservative graph's candidate dynamic edges
-    /// ([`ConservativeGraph`]).
-    graph: ConservativeGraph,
-    /// SCCs of the conservative graph.
+    /// SCCs of the SVFG dependence graph ([`node_sccs`]).
     sccs: Tarjan,
     dirty: IndexVec<SvfgNodeId, bool>,
     dirty_count: usize,
-    /// `false` once the dirty set is forward-closed: no clean node then
-    /// has a dirty predecessor, so a wave's result is final unaudited.
-    audited: bool,
 }
 
 impl WaveCtx {
@@ -723,11 +726,6 @@ impl WaveCtx {
             return None;
         }
         let sigs = front.signatures();
-        let graph = ConservativeGraph::build(&front.prog, svfg);
-        let mut sccs = Tarjan::default();
-        sccs.run(svfg.node_count(), |v, pos| {
-            graph.successor(svfg, SvfgNodeId::new(v), pos as usize).map(|w| (pos + 1, w.raw()))
-        });
         let mut ctx = WaveCtx {
             old_node: svfg
                 .node_ids()
@@ -735,11 +733,9 @@ impl WaveCtx {
                 .collect(),
             new_obj: prev.keys.obj_key.iter().map(|&k| front.keys.obj_of_key(k)).collect(),
             def_node: value_def_nodes(&front.prog, svfg),
-            graph,
-            sccs,
+            sccs: node_sccs(&front.prog, svfg),
             dirty: IndexVec::from_elem_n(false, svfg.node_count()),
             dirty_count: 0,
-            audited: true,
         };
         for node in svfg.node_ids() {
             let seed = match ctx.old_node[node] {
@@ -818,119 +814,19 @@ impl WaveCtx {
         self.dirty_count * 2 > self.dirty.len()
     }
 
-    /// Extends the dirty set to its forward closure — the pre-audit
-    /// invalidation rule, used as the exact fallback when auditing stops
-    /// paying for itself — and turns auditing off.
-    fn forward_close(&mut self, svfg: &Svfg) {
-        self.audited = false;
-        let mut queue: Vec<SvfgNodeId> = self.dirty.indices().filter(|&v| self.dirty[v]).collect();
-        while let Some(node) = queue.pop() {
-            let mut pos = 0;
-            while let Some(s) = self.graph.successor(svfg, node, pos) {
-                pos += 1;
-                if !self.dirty[s] {
-                    self.dirty[s] = true;
-                    self.dirty_count += 1;
-                    queue.push(s);
-                }
-            }
-        }
-    }
-
     /// The clean mask (`!dirty`) for seeding.
     fn clean_mask(&self) -> IndexVec<SvfgNodeId, bool> {
         self.dirty.iter().map(|&d| !d).collect()
     }
 }
 
-/// The conservative value-flow graph dirtiness must respect: static
-/// direct and indirect SVFG edges, plus the candidate dynamic edges
-/// on-the-fly call-graph resolution could wire during a solve
-/// (`call → FUNENTRY` / `FUNEXIT → return side` per deferred binding
-/// pair, `call → return side` per call). Only the candidate edges are
-/// stored; the static ones are read off the SVFG. The graph contains
-/// every edge a solve can use, so its SCC condensation also ranks the
-/// seeded wave's worklist topologically.
-struct ConservativeGraph {
-    /// Candidate dynamic successors per node.
-    dynamic: Adjacency,
-}
-
-impl ConservativeGraph {
-    fn build(prog: &Program, svfg: &Svfg) -> ConservativeGraph {
-        let mut edges: Vec<(SvfgNodeId, SvfgNodeId)> = Vec::new();
-        for (call, callee) in sorted_binding_pairs(svfg) {
-            let f = &prog.functions[callee];
-            edges.push((svfg.inst_node(call), svfg.inst_node(f.entry_inst)));
-            edges.push((svfg.inst_node(f.exit_inst), svfg.callret_node(call)));
-        }
-        for (inst, i) in prog.insts.iter_enumerated() {
-            if matches!(i.kind, InstKind::Call { .. }) {
-                edges.push((svfg.inst_node(inst), svfg.callret_node(inst)));
-            }
-        }
-        ConservativeGraph { dynamic: Adjacency::new(svfg.node_count(), || edges.iter().copied()) }
-    }
-
-    /// The `pos`-th successor of `node`: its direct successors, then its
-    /// indirect ones, then its candidate dynamic ones.
-    fn successor(&self, svfg: &Svfg, node: SvfgNodeId, pos: usize) -> Option<SvfgNodeId> {
-        let direct = svfg.direct_succs(node);
-        if let Some(&s) = direct.get(pos) {
-            return Some(s);
-        }
-        let indirect = svfg.indirect_succs(node);
-        if let Some(&(s, _)) = indirect.get(pos - direct.len()) {
-            return Some(s);
-        }
-        self.dynamic.of(node).get(pos - direct.len() - indirect.len()).copied()
-    }
-}
-
-/// Per-node lists of nodes stored flat: the list of node `n` is
-/// `targets[start[n]..start[n + 1]]`, in the order its edges came.
-struct Adjacency {
-    start: Vec<u32>,
-    targets: Vec<SvfgNodeId>,
-}
-
-impl Adjacency {
-    /// Groups the `(node, target)` pairs `edges()` yields (called twice)
-    /// by node, for nodes `0..nodes`.
-    fn new<I>(nodes: usize, edges: impl Fn() -> I) -> Adjacency
-    where
-        I: Iterator<Item = (SvfgNodeId, SvfgNodeId)>,
-    {
-        let mut start = vec![0u32; nodes + 1];
-        for (node, _) in edges() {
-            start[node.index() + 1] += 1;
-        }
-        for i in 1..start.len() {
-            start[i] += start[i - 1];
-        }
-        let mut next = start.clone();
-        let mut targets = vec![SvfgNodeId::new(0); start[nodes] as usize];
-        for (node, target) in edges() {
-            targets[next[node.index()] as usize] = target;
-            next[node.index()] += 1;
-        }
-        Adjacency { start, targets }
-    }
-
-    /// The list of `node`.
-    fn of(&self, node: SvfgNodeId) -> &[SvfgNodeId] {
-        &self.targets[self.start[node.index()] as usize..self.start[node.index() + 1] as usize]
-    }
-}
-
 /// The audited-wave loop (step 3 of the module docs): re-solve the dirty
 /// region seeded from the carried frontier, audit the clean side of the
 /// boundary for values that actually changed, extend the region and
-/// repeat. Falls back to the forward closure after [`MAX_AUDIT_WAVES`]
-/// audits or once the region covers half the graph (checked before the
-/// first wave too), and to a cold solve whenever the seed fails to
-/// assemble. A VSFS workspace solves a region past half the graph cold
-/// instead of running the wave.
+/// repeat. A region past the half-graph rule (before the first wave or
+/// after an audit), or still growing after [`MAX_AUDIT_WAVES`] audits,
+/// is solved cold by the workspace's own engine, and so is any edit
+/// whose seed fails to assemble.
 fn solve_incremental(
     prev: &ProgramState,
     source: &str,
@@ -944,26 +840,14 @@ fn solve_incremental(
     let mut waves = 0;
     let mut prior_seconds = 0.0;
     loop {
-        if ctx.past_half() {
-            if front.solver == SolverKind::Vsfs {
-                let dirty_nodes = ctx.dirty_count;
-                return solve_staged_cold(
-                    source,
-                    front,
-                    fs_governor,
-                    dirty_nodes,
-                    prior_seconds,
-                    stages,
-                );
-            }
-            // A region this large (a full-body rewrite's usually is)
-            // would fail its audit and pay for another near-whole-graph
-            // wave, so solve its forward closure once, unaudited.
-            if ctx.audited {
-                let t = Instant::now();
-                ctx.forward_close(&staged.svfg);
-                stages.invalidate += t.elapsed().as_secs_f64();
-            }
+        // A region this large (a full-body rewrite's usually is) would
+        // fail its audit and pay for another near-whole-graph wave; one
+        // still growing after the last audit has stopped paying for its
+        // waves. One cold solve costs less than either.
+        if ctx.past_half() || waves == MAX_AUDIT_WAVES {
+            let outcome =
+                Outcome { waves, prior_seconds, stages, ..Outcome::cold(ctx.dirty_count) };
+            return solve_staged_cold(source, front, fs_governor, outcome);
         }
         waves += 1;
         let t = Instant::now();
@@ -973,30 +857,22 @@ fn solve_incremental(
             return solve_front(source, front, fs_governor);
         };
         stages.seed += t.elapsed().as_secs_f64();
-        let dirty_nodes = ctx.dirty_count;
         let t = Instant::now();
         let (result, completion, harvest, harvest_seconds) =
             run_sfs_seeded(&front.prog, &front.aux, &staged.mssa, &staged.svfg, fs_governor, seed);
         stages.wave += t.elapsed().as_secs_f64() - harvest_seconds;
         stages.harvest += harvest_seconds;
-        if completion.is_complete() && ctx.audited {
+        if completion.is_complete() {
             let t = Instant::now();
             let h = harvest.as_ref().expect("complete solves always harvest");
             let newly = audit_frontier(prev, warm, &front, &ctx, &result, h);
             let grew = !newly.is_empty();
-            if grew {
-                prior_seconds += result.stats.solve_seconds;
-                for node in newly {
-                    ctx.mark_scc(node);
-                }
-                // Once auditing stops paying for itself, the next wave
-                // solves the full forward closure, unaudited.
-                if waves >= MAX_AUDIT_WAVES {
-                    ctx.forward_close(&staged.svfg);
-                }
+            for node in newly {
+                ctx.mark_scc(node);
             }
             stages.invalidate += t.elapsed().as_secs_f64();
             if grew {
+                prior_seconds += result.stats.solve_seconds;
                 continue;
             }
         }
@@ -1004,12 +880,11 @@ fn solve_incremental(
         // into the fallback (auditing a partial fixpoint is meaningless).
         let outcome = Outcome {
             incremental: true,
-            restored: false,
-            dirty_nodes,
             carried_sets,
             waves,
             prior_seconds,
             stages,
+            ..Outcome::cold(ctx.dirty_count)
         };
         let analysis =
             GovernedAnalysis::from_run(&front.prog, &front.aux, result, completion, "solve");
@@ -1480,9 +1355,8 @@ struct SigInputs<'a> {
     mssa: &'a MemorySsa,
     svfg: &'a Svfg,
     keys: &'a StableKeys,
-    singletons: PointsToSet<ObjId>,
     /// Direct predecessors per node.
-    direct_preds: Adjacency,
+    direct_preds: Adjacency<SvfgNodeId>,
     /// [`objs_hash`] of each interned object-label set.
     set_hash: Vec<u64>,
     /// Per call site with deferred bindings: the callee's name hash and
@@ -1543,7 +1417,6 @@ impl<'a> SigInputs<'a> {
             mssa,
             svfg,
             keys,
-            singletons: vsfs_andersen::compute_singletons(prog, &aux.callgraph),
             direct_preds,
             set_hash,
             bindings,
@@ -1609,7 +1482,7 @@ impl<'a> SigInputs<'a> {
                             }
                             let strong = match kind {
                                 InstKind::Store { addr, .. } => {
-                                    self.singletons.contains(chi.obj)
+                                    self.aux.singletons.contains(chi.obj)
                                         && self.aux.value_pts(*addr).as_singleton() == Some(chi.obj)
                                 }
                                 _ => false,
@@ -1878,7 +1751,8 @@ entry:
     #[test]
     fn localized_edit_dirties_a_strict_subset_and_matches_cold() {
         let (state, _) = cold(BASE);
-        let edited = BASE.replace("%h = alloc heap H", "%h = alloc heap H2");
+        // Renaming `@use`'s private box re-signs only its own nodes.
+        let edited = BASE.replace("alloc stack BOX", "alloc stack BOX2");
         let (next, report) =
             resolve_edit(&state, &edited, IncrementalOptions::default(), None, None).unwrap();
         assert!(report.incremental);

@@ -1,5 +1,5 @@
-//! Fixpoint scheduling: the topological ranks behind the solvers'
-//! worklists.
+//! Fixpoint scheduling: the SVFG dependence graph, and the topological
+//! ranks behind the solvers' worklists.
 //!
 //! The flow-sensitive solvers drain monotone constraint systems, so the
 //! worklist order changes only *when* work happens — the final fixpoint
@@ -10,16 +10,17 @@
 //! schedule; EXPERIMENTS.md ("Mechanism audit") compares it with FIFO.
 //!
 //! Ranks are computed once per solve from the *static* dependence graph
-//! (SVFG edges plus every possible on-the-fly call binding for node
-//! scheduling; version reliance edges plus candidate activation pairs for
-//! VSFS slot scheduling). Edges activated during solving are therefore
-//! already ranked, and a newly activated edge can never make the order
-//! unsound — only locally non-topological, costing at worst extra
-//! re-visits.
+//! (`DepGraph` for node scheduling; version reliance edges plus
+//! candidate activation pairs for VSFS slot scheduling). Edges activated
+//! during solving are therefore already ranked, and a newly activated
+//! edge can never make the order unsound — only locally non-topological,
+//! costing at worst extra re-visits. Every graph is walked in place by
+//! [`Tarjan`]; none is materialised.
 
+use vsfs_adt::index::Idx;
 use vsfs_adt::Worklist;
-use vsfs_graph::{condensation_ranks, DiGraph};
-use vsfs_ir::{InstId, Program};
+use vsfs_graph::Tarjan;
+use vsfs_ir::{InstId, InstKind, Program};
 use vsfs_svfg::{Svfg, SvfgNodeId};
 
 use crate::versioning::VersionTables;
@@ -33,33 +34,70 @@ pub(crate) fn sorted_binding_pairs(svfg: &Svfg) -> Vec<(InstId, vsfs_ir::FuncId)
     pairs
 }
 
-/// The solve-dependence graph behind the SVFG node worklist: every
-/// direct and indirect SVFG edge, plus — for each *possible*
-/// indirect-call activation — the `call → FUNENTRY` and
-/// `FUNEXIT → return-side` edges the solver may wire up on the fly.
-/// Including candidate activations keeps the derived order topological
-/// even after δ-node edges appear mid-solve.
-fn svfg_dep_graph(prog: &Program, svfg: &Svfg) -> DiGraph<SvfgNodeId> {
-    let mut g: DiGraph<SvfgNodeId> = DiGraph::with_nodes(svfg.node_count());
-    for n in svfg.node_ids() {
-        for &s in svfg.direct_succs(n) {
-            g.add_edge(n, s);
+/// The SVFG dependence graph: static direct and indirect SVFG edges,
+/// plus the candidate dynamic edges on-the-fly call-graph resolution
+/// could wire during a solve (`call → FUNENTRY` / `FUNEXIT → return
+/// side` per deferred binding pair, `call → return side` per call). Only
+/// the candidate edges are stored; the static ones are read off the
+/// SVFG. It holds every edge a solve can use, so its SCC condensation
+/// ranks the node worklist of every solve, cold or seeded, and
+/// incremental invalidation closes dirtiness over its SCCs.
+struct DepGraph {
+    /// Candidate dynamic successors per node.
+    dynamic: Adjacency<SvfgNodeId>,
+}
+
+impl DepGraph {
+    fn build(prog: &Program, svfg: &Svfg) -> DepGraph {
+        let mut edges: Vec<(SvfgNodeId, SvfgNodeId)> = Vec::new();
+        for (call, callee) in sorted_binding_pairs(svfg) {
+            let f = &prog.functions[callee];
+            edges.push((svfg.inst_node(call), svfg.inst_node(f.entry_inst)));
+            edges.push((svfg.inst_node(f.exit_inst), svfg.callret_node(call)));
         }
-        for &(s, _) in svfg.indirect_succs(n) {
-            g.add_edge(n, s);
+        for (inst, i) in prog.insts.iter_enumerated() {
+            if matches!(i.kind, InstKind::Call { .. }) {
+                edges.push((svfg.inst_node(inst), svfg.callret_node(inst)));
+            }
         }
+        DepGraph { dynamic: Adjacency::new(svfg.node_count(), || edges.iter().copied()) }
     }
-    for (call, callee) in sorted_binding_pairs(svfg) {
-        let f = &prog.functions[callee];
-        g.add_edge(svfg.inst_node(call), svfg.inst_node(f.entry_inst));
-        g.add_edge(svfg.inst_node(f.exit_inst), svfg.callret_node(call));
+
+    /// The `pos`-th successor of `node`: its direct successors, then its
+    /// indirect ones, then its candidate dynamic ones.
+    fn successor(&self, svfg: &Svfg, node: SvfgNodeId, pos: usize) -> Option<SvfgNodeId> {
+        let direct = svfg.direct_succs(node);
+        if let Some(&s) = direct.get(pos) {
+            return Some(s);
+        }
+        let indirect = svfg.indirect_succs(node);
+        if let Some(&(s, _)) = indirect.get(pos - direct.len()) {
+            return Some(s);
+        }
+        self.dynamic.of(node).get(pos - direct.len() - indirect.len()).copied()
     }
-    g
+}
+
+/// The SCCs of `svfg`'s dependence graph ([`DepGraph`]), indexed by
+/// node.
+pub(crate) fn node_sccs(prog: &Program, svfg: &Svfg) -> Tarjan {
+    let graph = DepGraph::build(prog, svfg);
+    sccs(svfg.node_count(), |v, pos| {
+        graph.successor(svfg, SvfgNodeId::new(v), pos).map(|w| w.raw())
+    })
+}
+
+/// The SCCs of the graph on `0..n` whose `pos`-th successor of `v` is
+/// `successor(v, pos)` (`None` past the last).
+pub(crate) fn sccs(n: usize, successor: impl Fn(u32, usize) -> Option<u32>) -> Tarjan {
+    let mut t = Tarjan::default();
+    t.run(n, |v, pos| successor(v, pos as usize).map(|w| (pos + 1, w)));
+    t
 }
 
 /// The SVFG node worklist, ranked by the dependence graph.
 pub(crate) fn node_worklist(prog: &Program, svfg: &Svfg) -> Worklist<SvfgNodeId> {
-    Worklist::new(condensation_ranks(&svfg_dep_graph(prog, svfg)))
+    Worklist::new(node_sccs(prog, svfg).ranks())
 }
 
 /// The VSFS version-slot worklist, ranked by [`slot_ranks`].
@@ -75,15 +113,10 @@ pub(crate) fn slot_worklist(
 ///
 /// The dependence graph is the static version reliance relation plus the
 /// candidate `(yield, consume)` pairs an on-the-fly call activation could
-/// add, mirroring `VsfsSolver::activate_binding`.
+/// add, mirroring `VsfsSolver::activate_binding`. A slot's successors
+/// are its reliance edges, then its candidate pairs.
 fn slot_ranks(prog: &Program, svfg: &Svfg, tables: &VersionTables) -> Vec<u32> {
-    let n = tables.slot_count() as usize;
-    let mut g: DiGraph<usize> = DiGraph::with_nodes(n);
-    for y in 0..n {
-        for &c in tables.reliance(y as u32) {
-            g.add_edge(y, c as usize);
-        }
-    }
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
     for (call, callee) in sorted_binding_pairs(svfg) {
         let binding =
             svfg.call_binding(call, callee).expect("binding pair came from the binding map");
@@ -96,18 +129,63 @@ fn slot_ranks(prog: &Program, svfg: &Svfg, tables: &VersionTables) -> Vec<u32> {
             if let (Some(y), Some(c)) =
                 (tables.yield_slot(call_node, o), tables.consume_slot(entry_node, o))
             {
-                g.add_edge(y as usize, c as usize);
+                pairs.push((y, c));
             }
         }
         for &o in &binding.outs {
             if let (Some(y), Some(c)) =
                 (tables.yield_slot(exit_node, o), tables.consume_slot(ret_node, o))
             {
-                g.add_edge(y as usize, c as usize);
+                pairs.push((y, c));
             }
         }
     }
-    condensation_ranks(&g)
+    let n = tables.slot_count() as usize;
+    let candidates = Adjacency::new(n, || pairs.iter().copied());
+    let ranks = sccs(n, |y, pos| {
+        let reliance = tables.reliance(y);
+        match reliance.get(pos) {
+            Some(&c) => Some(c),
+            None => candidates.of(y).get(pos - reliance.len()).copied(),
+        }
+    });
+    ranks.ranks()
+}
+
+/// Per-node lists of nodes stored flat: the list of node `n` is
+/// `targets[start[n]..start[n + 1]]`, in the order its edges came.
+pub(crate) struct Adjacency<I> {
+    start: Vec<u32>,
+    targets: Vec<I>,
+}
+
+impl<I: Idx> Adjacency<I> {
+    /// Groups the `(node, target)` pairs `edges()` yields (called twice)
+    /// by node, for nodes `0..nodes`.
+    pub(crate) fn new<E>(nodes: usize, edges: impl Fn() -> E) -> Adjacency<I>
+    where
+        E: Iterator<Item = (I, I)>,
+    {
+        let mut start = vec![0u32; nodes + 1];
+        for (node, _) in edges() {
+            start[node.index() + 1] += 1;
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        let mut next = start.clone();
+        let mut targets = vec![I::from_index(0); start[nodes] as usize];
+        for (node, target) in edges() {
+            targets[next[node.index()] as usize] = target;
+            next[node.index()] += 1;
+        }
+        Adjacency { start, targets }
+    }
+
+    /// The list of `node`.
+    pub(crate) fn of(&self, node: I) -> &[I] {
+        &self.targets[self.start[node.index()] as usize..self.start[node.index() + 1] as usize]
+    }
 }
 
 #[cfg(test)]
@@ -134,7 +212,7 @@ mod tests {
         let aux = vsfs_andersen::analyze(&prog);
         let mssa = MemorySsa::build(&prog, &aux);
         let svfg = Svfg::build(&prog, &aux, &mssa);
-        let ranks = condensation_ranks(&svfg_dep_graph(&prog, &svfg));
+        let ranks = node_sccs(&prog, &svfg).ranks();
         assert_eq!(ranks.len(), svfg.node_count());
         // Every static edge is (weakly) rank-ordered.
         for n in svfg.node_ids() {

@@ -13,7 +13,7 @@
 //! `IN`/`OUT` entries, VSFS version slots), so identical sets across
 //! layers are stored once and repeated unions hit the store's memo.
 
-use vsfs_adt::{FxHashMap, FxHashSet, IndexVec, PointsToSet, PtsId, PtsStore, Worklist};
+use vsfs_adt::{FxHashMap, FxHashSet, IndexVec, PtsId, PtsStore, Worklist};
 use vsfs_andersen::AndersenResult;
 use vsfs_ir::{Callee, DefUse, FuncId, InstId, InstKind, ObjId, Program, ValueId};
 use vsfs_svfg::{Svfg, SvfgNodeId};
@@ -36,8 +36,6 @@ pub struct TopLevel<'a> {
     /// Flow-sensitively activated call sites per function.
     active_callers: FxHashMap<FuncId, Vec<InstId>>,
     activated: FxHashSet<(InstId, FuncId)>,
-    /// Singleton objects (strong-update eligible).
-    pub singletons: PointsToSet<ObjId>,
 }
 
 impl<'a> TopLevel<'a> {
@@ -59,7 +57,6 @@ impl<'a> TopLevel<'a> {
             active_callees: FxHashMap::default(),
             active_callers: FxHashMap::default(),
             activated: FxHashSet::default(),
-            singletons: vsfs_andersen::compute_singletons(prog, &aux.callgraph),
         }
     }
 
@@ -278,6 +275,6 @@ impl<'a> TopLevel<'a> {
     /// means `p` can only ever hold `o` (or be uninitialised, which
     /// makes the store undefined behaviour at runtime).
     pub fn is_strong_update(&self, p: ValueId, o: ObjId) -> bool {
-        self.singletons.contains(o) && self.aux.value_pts(p).as_singleton() == Some(o)
+        self.aux.singletons.contains(o) && self.aux.value_pts(p).as_singleton() == Some(o)
     }
 }

@@ -17,19 +17,21 @@
 //! hand the result to the seeded SFS solver with *every* node clean —
 //! exactly the no-op-edit path of `crate::incremental`, which does zero
 //! fixpoint work when the seed is already converged. The restored result
-//! is validated against the export's recorded [`result_fingerprint`];
-//! any remap failure or fingerprint mismatch falls back to a cold solve,
-//! so restoration — like incrementality — is a pure optimisation that
-//! can never change results and never turns a bad snapshot into a crash.
+//! is validated, once, against the export's recorded
+//! [`result_fingerprint`](crate::result_fingerprint), and the same value
+//! becomes the restored state's fingerprint; any remap failure or
+//! fingerprint mismatch falls back to a cold solve, so restoration — like
+//! incrementality — is a pure optimisation that can never change results
+//! and never turns a bad snapshot into a crash.
 
 use crate::incremental::{
-    build_front, deliver, solve_front, value_def_nodes, Front, Outcome, ProgramState, SolveError,
-    SolveReport, StageSeconds,
+    build_front, deliver, solve_front, timed_fingerprint, value_def_nodes, Front, Outcome,
+    ProgramState, SolveError, SolveReport, StageSeconds,
 };
 use crate::result::{FlowSensitiveResult, GovernedAnalysis};
 use crate::sfs::{run_sfs_seeded, Rows, SfsSeed};
 use crate::solver::SolverKind;
-use crate::{result_fingerprint, IncrementalOptions};
+use crate::IncrementalOptions;
 use std::time::Instant;
 use vsfs_adt::govern::Governor;
 use vsfs_adt::{FxHashMap, PointsToSet, PtsId, PtsStore};
@@ -46,8 +48,8 @@ pub struct WarmExport {
     /// the seed and re-solve cold — warm tables are staged-engine state
     /// and never cross a solver boundary.
     pub solver: String,
-    /// [`result_fingerprint`] of the exported result; restores validate
-    /// against it.
+    /// [`result_fingerprint`](crate::result_fingerprint) of the exported
+    /// result; restores validate against it.
     pub fingerprint: u64,
     /// Deduplicated points-to sets, each a sorted list of object keys.
     pub sets: Vec<Vec<u64>>,
@@ -156,29 +158,28 @@ pub fn restore_program(
     let t = Instant::now();
     let (result, completion, harvest, harvest_seconds) =
         run_sfs_seeded(&front.prog, &front.aux, &staged.mssa, &staged.svfg, fs_governor, seed);
-    let stages = StageSeconds {
+    let mut stages = StageSeconds {
         seed: seed_seconds,
         wave: t.elapsed().as_secs_f64() - harvest_seconds,
         harvest: harvest_seconds,
         ..StageSeconds::default()
     };
-    if completion.is_complete()
-        && result_fingerprint(&front.prog, &front.keys, &result) != export.fingerprint
-    {
-        // The seeded state converged to something other than what the
-        // snapshot recorded — stale or corrupt beyond what the checksum
-        // caught. The snapshot is worthless; solve from scratch.
-        return Ok(solve_front(source, front, fs_governor));
+    // A budget trip delivers the fallback, whose fingerprint `deliver`
+    // computes; a complete result is validated here, once.
+    let mut fingerprint = None;
+    if completion.is_complete() {
+        let (fp, timed) = timed_fingerprint(&front.prog, &front.keys, &result, stages);
+        if fp != export.fingerprint {
+            // The seeded state converged to something other than what
+            // the snapshot recorded — stale or corrupt beyond what the
+            // checksum caught. The snapshot is worthless; solve from
+            // scratch.
+            return Ok(solve_front(source, front, fs_governor));
+        }
+        fingerprint = Some(fp);
+        stages = timed;
     }
-    let outcome = Outcome {
-        incremental: false,
-        restored: true,
-        dirty_nodes: 0,
-        carried_sets,
-        waves: 0,
-        prior_seconds: 0.0,
-        stages,
-    };
+    let outcome = Outcome { restored: true, carried_sets, fingerprint, stages, ..Outcome::cold(0) };
     let analysis = GovernedAnalysis::from_run(&front.prog, &front.aux, result, completion, "solve");
     Ok(deliver(source, front, analysis, harvest, outcome))
 }

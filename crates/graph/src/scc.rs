@@ -172,10 +172,27 @@ impl Tarjan {
             [self.comp_start[c as usize] as usize..self.comp_start[c as usize + 1] as usize]
     }
 
-    /// Topological ranks of the last run's nodes, as
-    /// [`crate::condensation_ranks`] assigns them: members of one
-    /// component share a rank, and an edge between components goes from
-    /// a lower rank to a higher one.
+    /// Topological ranks of the last run's nodes by the SCC
+    /// condensation: members of one component share a rank, and an edge
+    /// between components goes from a lower rank to a higher one. Ranks
+    /// are dense (`0..count`) and depend only on the node order and the
+    /// successor order, so they can seed a [`vsfs_adt::Worklist`]
+    /// without introducing any schedule nondeterminism.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use vsfs_graph::Tarjan;
+    ///
+    /// // 0 -> 1 <-> 2 -> 3: the {1,2} cycle shares a rank.
+    /// let succs: [&[u32]; 4] = [&[1], &[2], &[1, 3], &[]];
+    /// let mut t = Tarjan::default();
+    /// t.run(4, |v, pos| succs[v as usize].get(pos as usize).map(|&w| (pos + 1, w)));
+    /// let ranks = t.ranks();
+    /// assert!(ranks[0] < ranks[1]);
+    /// assert_eq!(ranks[1], ranks[2]);
+    /// assert!(ranks[2] < ranks[3]);
+    /// ```
     pub fn ranks(&self) -> Vec<u32> {
         let count = self.count() as u32;
         self.comp.iter().map(|&c| count - 1 - c).collect()
@@ -251,20 +268,60 @@ mod tests {
         assert!(sccs.component(n(2)) < sccs.component(n(0)));
     }
 
-    #[test]
-    fn tarjan_ranks_match_condensation_ranks() {
-        // 0 -> 1 <-> 2 -> 3, plus 4 -> 0.
-        let edges = [(0, 1), (1, 2), (2, 1), (2, 3), (4, 0)];
-        let mut g: DiGraph<N> = DiGraph::with_nodes(5);
-        for (a, b) in edges {
+    /// [`Tarjan::ranks`] of the graph on `0..count` with `edges`, in
+    /// order.
+    fn ranks(count: usize, edges: &[(u32, u32)]) -> Vec<u32> {
+        let mut g: DiGraph<N> = DiGraph::with_nodes(count);
+        for &(a, b) in edges {
             g.add_edge(n(a), n(b));
         }
         let mut t = Tarjan::default();
-        t.run(5, |v, pos| {
+        t.run(count, |v, pos| {
             let succs = g.successors(n(v));
             succs.get(pos as usize).map(|w| (pos + 1, w.index() as u32))
         });
-        assert_eq!(t.ranks(), crate::condensation_ranks(&g));
+        t.ranks()
+    }
+
+    #[test]
+    fn empty_graph_has_no_ranks() {
+        assert!(ranks(0, &[]).is_empty());
+    }
+
+    #[test]
+    fn chain_ranks_are_dense_and_topological() {
+        assert_eq!(ranks(3, &[(0, 1), (1, 2)]), vec![0, 1, 2]);
+        // Diamond: 0 -> {1, 2} -> 3.
+        let edges = [(0, 1), (0, 2), (1, 3), (2, 3)];
+        let r = ranks(4, &edges);
+        for (f, t) in edges {
+            assert!(r[f as usize] < r[t as usize], "edge {f}->{t} out of order");
+        }
+    }
+
+    #[test]
+    fn cycle_members_share_a_rank() {
+        // 0 -> 1 <-> 2 -> 3, plus an unreachable node 4.
+        let r = ranks(5, &[(0, 1), (1, 2), (2, 1), (2, 3)]);
+        assert_eq!(r[1], r[2]);
+        assert!(r[0] < r[1]);
+        assert!(r[2] < r[3]);
+        assert!(r[4] < 4, "unreachable node still gets a dense rank");
+    }
+
+    #[test]
+    fn ranks_are_deterministic() {
+        // 0 -> 1 <-> 2 -> 3, plus 4 -> 0: the same graph in the same
+        // successor order ranks identically, and so does a reused Tarjan.
+        let edges = [(0, 1), (1, 2), (2, 1), (2, 3), (4, 0)];
+        let first = ranks(5, &edges);
+        assert_eq!(ranks(5, &edges), first);
+        let mut t = Tarjan::default();
+        let succs: [&[u32]; 5] = [&[1], &[2], &[1, 3], &[], &[0]];
+        for _ in 0..2 {
+            t.run(5, |v, pos| succs[v as usize].get(pos as usize).map(|&w| (pos + 1, w)));
+            assert_eq!(t.ranks(), first);
+        }
     }
 
     #[test]

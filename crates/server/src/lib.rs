@@ -20,7 +20,7 @@
 //! |----|--------|--------|
 //! | `ping` | | liveness check |
 //! | `load` | `id`, `source`, \[`solver`\] | parse + solve (VSFS unless `solver` says otherwise) or snapshot-restore, keep resident |
-//! | `edit` | `id`, `delta`, \[`solver`\] | apply function deltas, re-solve incrementally (a `vsfs` workspace solves a half-graph rewrite cold with VSFS) |
+//! | `edit` | `id`, `delta`, \[`solver`\] | apply function deltas, re-solve incrementally (an edit that dirties more than half the graph is solved cold with the workspace's engine) |
 //! | `pts` | `id`, `value`, \[`func`\] | points-to set of a value |
 //! | `alias` | `id`, `p`, `q`, \[`func`\] | may-alias query |
 //! | `check` | `id` | run the memory-safety checkers |
@@ -40,9 +40,10 @@
 //! a different one switches the workspace by an exact cold re-solve.
 //! Staged solvers (`sfs`, `vsfs`) re-solve edits incrementally and
 //! persist warm snapshots: a cold solve runs the named engine, a local
-//! edit re-solves its dirty region with the seeded SFS wave, and in a
-//! `vsfs` workspace an edit that dirties more than half the graph is
-//! solved cold with VSFS. Cold-only solvers (`dense`, `cfgfree`) build
+//! edit re-solves its dirty region with audited seeded SFS waves, and an
+//! edit that dirties more than half the graph (or keeps growing past the
+//! last audit) is solved cold with the workspace's engine. Cold-only
+//! solvers (`dense`, `cfgfree`) build
 //! no SVFG and serve every edit by an exact cold re-solve
 //! (`"incremental": false`). `load` and `edit` responses name the
 //! `"engine"` that ran: the solver's name for a cold solve, `"sfs-wave"`
@@ -1233,12 +1234,13 @@ mod tests {
         assert_eq!(engine(&vsfs), "vsfs");
         assert_eq!(stats_engine(&mut server, "v"), "vsfs");
 
-        // An `sfs` workspace runs the same rewrite as one seeded wave.
+        // An `sfs` workspace solves the same rewrite cold with SFS.
         let sfs_load = vec![("op", s("load")), ("id", s("s")), ("source", s(PROG))];
         request(&mut server, [sfs_load, vec![("solver", s("sfs"))]].concat());
         let sfs = rewrite_make(&mut server, "s");
-        assert_eq!(sfs.get("incremental"), Some(&Json::Bool(true)));
-        assert_eq!(engine(&sfs), "sfs-wave");
+        assert_eq!(sfs.get("incremental"), Some(&Json::Bool(false)));
+        assert_eq!(engine(&sfs), "sfs");
+        assert_eq!(stats_engine(&mut server, "s"), "sfs");
         assert_eq!(sfs.get("fingerprint"), vsfs.get("fingerprint"));
     }
 

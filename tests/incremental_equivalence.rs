@@ -15,9 +15,9 @@
 //! * the resident warm `IN`/`OUT` tables, against a cold SFS solve's.
 //!
 //! The sequence, no-op and locality properties run in both staged
-//! workspace kinds. An `sfs` workspace re-solves every edit with seeded
-//! SFS waves; a `vsfs` workspace solves cold loads, and edits whose
-//! region passes the half-graph rule, with VSFS instead.
+//! workspace kinds. Both re-solve a local edit with audited seeded SFS
+//! waves, and solve cold loads, and edits whose region passes the
+//! half-graph rule or outgrows the audit cap, with their own engine.
 //!
 //! Seeds honour the shared property-test env knobs: replay one case
 //! with `VSFS_PROP_SEED=0x…`, scale the count with `VSFS_PROP_CASES`.
@@ -43,11 +43,10 @@ const CASES: u32 = 10;
 const STAGED: [SolverKind; 2] = [SolverKind::Sfs, SolverKind::Vsfs];
 
 /// Whether `report` is a legitimate non-incremental edit of a
-/// `solver` workspace: a VSFS workspace solves a region past the
-/// half-graph rule cold.
+/// `solver` workspace: a region past the half-graph rule is solved cold
+/// by the workspace's own engine.
 fn solved_cold_past_half(solver: SolverKind, state: &ProgramState, report: &SolveReport) -> bool {
-    solver == SolverKind::Vsfs
-        && state.engine == "vsfs"
+    state.engine == solver.name()
         && report.waves == 0
         && report.dirty_nodes * 2 > report.total_nodes
 }
@@ -274,38 +273,26 @@ fn salted_texts(salt: u64) -> (String, String) {
 
 /// A full-body rewrite (odd salt) whose seed region already covers more
 /// than half the SVFG takes the half-graph rule before its first wave:
-/// one unaudited wave over the forward closure, not an audited wave
-/// that fails and a second near-whole-graph one.
-#[test]
-fn half_graph_rewrites_solve_in_one_wave() {
-    let (base, edited) = salted_texts(3);
-    let report = edit_against_cold("rewrite of f0", &base, &edited);
-    assert!(
-        report.dirty_nodes * 2 > report.total_nodes,
-        "the rewrite must cover more than half the graph ({}/{} dirty)",
-        report.dirty_nodes,
-        report.total_nodes
-    );
-    assert_eq!(report.waves, 1, "a half-graph region runs exactly one wave");
-}
-
-/// The same rewrite in a `vsfs` workspace is solved cold with VSFS —
-/// no seeded wave — and still equals a from-scratch SFS solve; the
+/// it is solved cold by the workspace's own engine — no seeded wave —
+/// and still equals a from-scratch SFS solve, in both staged kinds; the
 /// report keeps the region the edit invalidated.
 #[test]
-fn vsfs_half_graph_rewrites_solve_cold() {
+fn half_graph_rewrites_solve_cold() {
     let (base, edited) = salted_texts(3);
-    let (next, report) = edit_against_cold_as(SolverKind::Vsfs, "vsfs rewrite", &base, &edited);
-    assert!(!report.incremental, "a half-graph region is solved cold, not seeded");
-    assert_eq!(report.waves, 0, "no seeded wave runs");
-    assert_eq!(next.engine, "vsfs");
-    assert!(
-        report.dirty_nodes * 2 > report.total_nodes,
-        "the rewrite must cover more than half the graph ({}/{} dirty)",
-        report.dirty_nodes,
-        report.total_nodes
-    );
-    assert!(next.has_warm_state(), "the VSFS harvest re-arms the next edit");
+    for solver in STAGED {
+        let label = format!("{} rewrite", solver.name());
+        let (next, report) = edit_against_cold_as(solver, &label, &base, &edited);
+        assert!(!report.incremental, "{label}: a half-graph region is solved cold, not seeded");
+        assert_eq!(report.waves, 0, "{label}: no seeded wave runs");
+        assert_eq!(next.engine, solver.name());
+        assert!(
+            report.dirty_nodes * 2 > report.total_nodes,
+            "{label}: the rewrite must cover more than half the graph ({}/{} dirty)",
+            report.dirty_nodes,
+            report.total_nodes
+        );
+        assert!(next.has_warm_state(), "{label}: the cold harvest re-arms the next edit");
+    }
 }
 
 /// A local edit in a `vsfs` workspace runs the audited SFS wave, seeded
@@ -336,23 +323,32 @@ fn local_edits_stay_audited() {
     assert_eq!(report.waves, 1, "the epilogue is private, so the first audit passes");
 }
 
-/// A rewrite that deletes an object mentioned by clean nodes' warm state
-/// (`H` flows through `@g` into `@reader`, whose text is unchanged). The
-/// dead-object scan must dirty those clean nodes even though it skips
-/// already-dirty ones, or the seed could not be carried and the edit
-/// would fall back to a cold solve. Padding keeps the region below half
+/// `count` padding functions, each with its own objects and a store/load
+/// cycle, and the calls to them: they keep an edit's region below half
 /// the graph, so the audited path runs.
-#[test]
-fn deleted_objects_dirty_the_clean_nodes_that_mention_them() {
+fn padding(count: usize) -> (String, String) {
     let mut pads = String::new();
     let mut calls = String::new();
-    for k in 0..12 {
+    for k in 0..count {
         pads.push_str(&format!(
             "func @pad{k}() {{\nentry:\n  %c = alloc stack P{k}\n  %d = alloc heap Q{k}\n  \
              store %d, %c\n  %e = load %c\n  store %c, %e\n  %f = load %e\n  ret\n}}\n\n"
         ));
         calls.push_str(&format!("  call @pad{k}()\n"));
     }
+    (pads, calls)
+}
+
+/// A rewrite that deletes an object mentioned by clean nodes' warm state
+/// (`H` flows through `@g` into `@reader`, whose text is unchanged). The
+/// dead-object scan must dirty those clean nodes even though it skips
+/// already-dirty ones, or the seed could not be carried and the edit
+/// would fall back to a cold solve. Padding keeps the region below half
+/// the graph, so the audited path runs: the first audit finds `@main`'s
+/// call return changed and the second passes, in both staged kinds.
+#[test]
+fn deleted_objects_dirty_the_clean_nodes_that_mention_them() {
+    let (pads, calls) = padding(12);
     let program = |make: &str| {
         format!(
             "global @g\n\n{make}\n\
@@ -364,11 +360,66 @@ fn deleted_objects_dirty_the_clean_nodes_that_mention_them() {
     };
     let base = program("func @make() {\nentry:\n  %h = alloc heap H\n  ret %h\n}\n");
     let edited = program("func @make() {\nentry:\n  %n = alloc heap FRESH\n  ret %n\n}\n");
-    let report = edit_against_cold("rewrite of @make", &base, &edited);
-    assert!(
-        report.dirty_nodes * 2 < report.total_nodes,
-        "padding must keep the region audited ({}/{} dirty)",
-        report.dirty_nodes,
-        report.total_nodes
+    for solver in STAGED {
+        let label = format!("{} rewrite of @make", solver.name());
+        let (next, report) = edit_against_cold_as(solver, &label, &base, &edited);
+        assert!(report.incremental, "{label}: the edit must be solved incrementally");
+        assert_eq!(next.engine, "sfs-wave");
+        assert!(
+            report.dirty_nodes * 2 < report.total_nodes,
+            "{label}: padding must keep the region audited ({}/{} dirty)",
+            report.dirty_nodes,
+            report.total_nodes
+        );
+        assert_eq!(report.waves, 2, "{label}: one audit grows the region, the next passes");
+    }
+}
+
+/// An edit that grows `@g`'s set from `{H}` to `{H, K}`, which a chain
+/// of readers copies global to global. Each audit finds the next hop of
+/// the chain changed, so the region is still growing after the last
+/// audit the engine allows, while padding keeps it below half the
+/// graph. That edit is solved cold by the workspace's own engine, in
+/// both staged kinds, and equals a from-scratch solve.
+#[test]
+fn regions_still_growing_after_the_last_audit_solve_cold() {
+    const READERS: usize = 6;
+    let (pads, calls) = padding(24);
+    let mut globals = String::from("global @g0\n");
+    let mut readers = String::new();
+    let mut reads = String::new();
+    for i in 1..=READERS {
+        globals.push_str(&format!("global @g{i}\n"));
+        readers.push_str(&format!(
+            "func @r{i}() {{\nentry:\n  %v = load @g{}\n  store %v, @g{i}\n  ret\n}}\n\n",
+            i - 1
+        ));
+        reads.push_str(&format!("  call @r{i}()\n"));
+    }
+    let program = |make: &str| {
+        format!(
+            "{globals}\n{make}\n{readers}{pads}\
+             func @main() {{\nentry:\n  %a = call @make()\n  store %a, @g0\n{reads}{calls}  \
+             ret\n}}\n"
+        )
+    };
+    let base = program("func @make() {\nentry:\n  %h = alloc heap H\n  ret %h\n}\n");
+    let edited = program(
+        "func @make() {\nentry:\n  %h = alloc heap H\n  %k = alloc heap K\n  \
+         %box = alloc stack B array\n  store %h, %box\n  store %k, %box\n  \
+         %m = load %box\n  ret %m\n}\n",
     );
+    for solver in STAGED {
+        let label = format!("{} growing @g0", solver.name());
+        let (next, report) = edit_against_cold_as(solver, &label, &base, &edited);
+        assert!(!report.incremental, "{label}: a region outgrowing the audits is solved cold");
+        assert_eq!(next.engine, solver.name());
+        assert_eq!(report.waves, 4, "{label}: four audited waves ran before the cold solve");
+        assert!(
+            report.dirty_nodes * 2 < report.total_nodes,
+            "{label}: padding must keep the region below half the graph ({}/{} dirty)",
+            report.dirty_nodes,
+            report.total_nodes
+        );
+    }
 }
