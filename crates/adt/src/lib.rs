@@ -10,6 +10,9 @@
 //!   [`SparseBitVector`].
 //! * [`index`] — typed `u32` indices ([`define_index!`](crate::define_index)) and dense
 //!   index-keyed vectors ([`IndexVec`]).
+//! * [`csr`] — [`Adjacency`], per-node lists stored flat (one offsets
+//!   array plus one item array): the one grouped-edge representation of
+//!   graph construction.
 //! * [`worklist`] — a FIFO worklist and the counted rank-bucketed
 //!   [`Worklist`] of the flow-sensitive solvers, both with membership
 //!   dedup.
@@ -52,6 +55,7 @@
 //! assert_eq!(a.iter().collect::<Vec<_>>(), vec![3, 7, 400]);
 //! ```
 
+pub mod csr;
 pub mod fxhash;
 pub mod govern;
 pub mod index;
@@ -63,6 +67,7 @@ pub mod sbv;
 pub mod stats;
 pub mod worklist;
 
+pub use csr::Adjacency;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use govern::{
     Budget, CancelToken, Completion, DegradeReason, FaultKind, FaultSpec, Governor, Outcome,

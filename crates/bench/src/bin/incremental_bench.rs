@@ -177,7 +177,11 @@ fn main() {
             timer.count(&key("speedup_vs_vsfs_load_x100"), (vsfs_speedup * 100.0) as u64);
             let s = report.stages;
             for (stage, secs) in [
-                ("front", s.front),
+                ("parse", s.parse),
+                ("andersen", s.andersen),
+                ("mssa", s.mssa),
+                ("svfg", s.svfg),
+                ("keys", s.keys),
                 ("signatures", s.signatures),
                 ("invalidate", s.invalidate),
                 ("seed", s.seed),

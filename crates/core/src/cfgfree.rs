@@ -39,10 +39,10 @@
 //! them (enforced by `tests/equivalence.rs` and the CI solver gate).
 
 use crate::result::{FlowSensitiveResult, SolveStats};
-use crate::schedule::{sccs, Adjacency};
+use crate::schedule::sccs;
 use std::time::Instant;
 use vsfs_adt::govern::{Completion, Governor};
-use vsfs_adt::{FxHashMap, FxHashSet, IndexVec, PtsId, PtsStore, Worklist};
+use vsfs_adt::{Adjacency, FxHashMap, FxHashSet, IndexVec, PtsId, PtsStore, Worklist};
 use vsfs_andersen::AndersenResult;
 use vsfs_ir::{Callee, Cfg, DefUse, FuncId, InstId, InstKind, ObjId, Program, ValueId};
 use vsfs_mssa::annot::{annotate, Annotations};

@@ -92,14 +92,14 @@
 //! from-scratch solves of the same text.
 
 use crate::result::{FlowSensitiveResult, GovernedAnalysis};
-use crate::schedule::{node_sccs, Adjacency};
+use crate::schedule::node_sccs;
 use crate::sfs::{run_sfs_seeded, Rows, SfsHarvest, SfsSeed};
 use crate::solver::{solve, solve_harvested, SolveRequest, SolverKind};
 use std::cell::{Cell, OnceCell};
 use std::fmt;
 use std::time::Instant;
 use vsfs_adt::govern::{Completion, DegradeReason, Governor};
-use vsfs_adt::{FxHashMap, IndexVec, PtsCarry, PtsId};
+use vsfs_adt::{Adjacency, FxHashMap, IndexVec, PtsCarry, PtsId};
 use vsfs_andersen::{analyze_unify, analyze_with, AndersenResult};
 use vsfs_graph::Tarjan;
 use vsfs_ir::{Callee, FuncId, InstId, InstKind, ObjId, ObjKind, Program, ValueId};
@@ -196,11 +196,20 @@ pub struct SolveReport {
 }
 
 /// Wall-clock seconds of each stage of one (re-)solve, summed over its
-/// waves. A stage the path did not run reads 0.
+/// waves. A stage the path did not run reads 0. The first five are the
+/// front, timed at its stage boundaries.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageSeconds {
-    /// Parse, verification, Andersen, memory SSA, SVFG and stable keys.
-    pub front: f64,
+    /// Parsing and verification.
+    pub parse: f64,
+    /// The auxiliary Andersen analysis.
+    pub andersen: f64,
+    /// Memory SSA construction (staged solvers only).
+    pub mssa: f64,
+    /// SVFG construction (staged solvers only).
+    pub svfg: f64,
+    /// Stable cross-parse keys.
+    pub keys: f64,
     /// [`node_signatures`].
     pub signatures: f64,
     /// Invalidation: old/new correspondence, the dependence graph's
@@ -217,6 +226,20 @@ pub struct StageSeconds {
     pub harvest: f64,
     /// [`result_fingerprint`].
     pub fingerprint: f64,
+}
+
+impl StageSeconds {
+    /// `self` with the front stages taken from `front`.
+    fn with_front(self, front: &StageSeconds) -> StageSeconds {
+        StageSeconds {
+            parse: front.parse,
+            andersen: front.andersen,
+            mssa: front.mssa,
+            svfg: front.svfg,
+            keys: front.keys,
+            ..self
+        }
+    }
 }
 
 /// Warm state of a *completed* flow-sensitive solve: what the next edit
@@ -306,8 +329,8 @@ pub fn solve_program(
 ) -> Result<(ProgramState, SolveReport), SolveError> {
     match build_front_ladder(source, opts, aux_governor)? {
         FrontBuild::Complete(front) => Ok(solve_front(source, *front, fs_governor)),
-        FrontBuild::AuxDegraded { prog, aux, reason, seconds } => {
-            Ok(unify_rung_state(source, *prog, *aux, opts, reason, seconds))
+        FrontBuild::AuxDegraded { prog, aux, reason, stages } => {
+            Ok(unify_rung_state(source, *prog, *aux, opts, reason, stages))
         }
     }
 }
@@ -356,8 +379,8 @@ pub(crate) struct Front {
     /// [`WaveCtx::prepare`] reads it and [`deliver`] moves it into the
     /// next [`WarmState`], so every front pays for one pass at most.
     sigs: OnceCell<IndexVec<SvfgNodeId, u64>>,
-    /// Seconds the front took to build.
-    front_seconds: f64,
+    /// Seconds of each front stage (the rest read 0).
+    front_stages: StageSeconds,
     /// Seconds the signatures took, once computed.
     sig_seconds: Cell<f64>,
 }
@@ -383,12 +406,12 @@ pub(crate) enum FrontBuild {
     Complete(Box<Front>),
     /// The auxiliary stage tripped: the parsed program, the *partial*
     /// (unsound, never to be served) Andersen result, the reason, and
-    /// the seconds the front ran.
+    /// the seconds of the front stages that ran.
     AuxDegraded {
         prog: Box<Program>,
         aux: Box<AndersenResult>,
         reason: DegradeReason,
-        seconds: f64,
+        stages: StageSeconds,
     },
 }
 
@@ -410,23 +433,34 @@ pub(crate) fn build_front_ladder(
     opts: IncrementalOptions,
     aux_governor: Option<&Governor>,
 ) -> Result<FrontBuild, SolveError> {
-    let t = Instant::now();
+    let mut stages = StageSeconds::default();
+    let mut t = Instant::now();
+    // Seconds since the previous stage boundary.
+    let mut lap = || {
+        let secs = t.elapsed().as_secs_f64();
+        t = Instant::now();
+        secs
+    };
     let prog = vsfs_ir::parse_program_all(source)
         .map_err(|errs| SolveError::Parse(errs.iter().map(|e| e.to_string()).collect()))?;
     vsfs_ir::verify::verify(&prog).map_err(|e| SolveError::Verify(e.to_string()))?;
+    stages.parse = lap();
     let outcome = analyze_with(&prog, aux_governor);
+    stages.andersen = lap();
     if let Completion::Degraded(reason) = outcome.completion {
         return Ok(FrontBuild::AuxDegraded {
             prog: Box::new(prog),
             aux: Box::new(outcome.result),
             reason,
-            seconds: t.elapsed().as_secs_f64(),
+            stages,
         });
     }
     let aux = outcome.result;
     let (staged, keys) = if opts.solver.is_staged() {
         let mssa = MemorySsa::build(&prog, &aux);
+        stages.mssa = lap();
         let svfg = Svfg::build(&prog, &aux, &mssa);
+        stages.svfg = lap();
         let keys = StableKeys::build(&prog, &mssa, &svfg);
         (Some(Staged { mssa, svfg }), keys)
     } else {
@@ -434,6 +468,7 @@ pub(crate) fn build_front_ladder(
         // program-level keys still back fingerprints and lookups.
         (None, StableKeys::build_program(&prog))
     };
+    stages.keys = lap();
     Ok(FrontBuild::Complete(Box::new(Front {
         prog,
         aux,
@@ -441,7 +476,7 @@ pub(crate) fn build_front_ladder(
         keys,
         solver: opts.solver,
         sigs: OnceCell::new(),
-        front_seconds: t.elapsed().as_secs_f64(),
+        front_stages: stages,
         sig_seconds: Cell::new(0.0),
     })))
 }
@@ -463,14 +498,13 @@ fn unify_rung_state(
     aux: AndersenResult,
     opts: IncrementalOptions,
     reason: DegradeReason,
-    front_seconds: f64,
+    front_stages: StageSeconds,
 ) -> (ProgramState, SolveReport) {
     let unify = analyze_unify(&prog);
     let analysis = GovernedAnalysis::unify_fallback(&prog, &unify, "andersen", reason);
     let keys = StableKeys::build_program(&prog);
     let total = prog.insts.len();
-    let stages =
-        StageSeconds { front: front_seconds, wave: unify.stats.seconds, ..StageSeconds::default() };
+    let stages = StageSeconds { wave: unify.stats.seconds, ..front_stages };
     let (fingerprint, stages) = timed_fingerprint(&prog, &keys, &analysis.result, stages);
     let report = SolveReport {
         total_nodes: total,
@@ -590,11 +624,7 @@ fn solve_cold_only(
     let req = SolveRequest { governor: fs_governor, ..SolveRequest::new(front.solver) };
     let t = Instant::now();
     let analysis = solve(&front.prog, &front.aux, None, req);
-    let stages = StageSeconds {
-        front: front.front_seconds,
-        wave: t.elapsed().as_secs_f64(),
-        ..StageSeconds::default()
-    };
+    let stages = StageSeconds { wave: t.elapsed().as_secs_f64(), ..front.front_stages };
     let Front { prog, aux, keys, solver, .. } = front;
     let total = prog.insts.len();
     let (fingerprint, stages) = timed_fingerprint(&prog, &keys, &analysis.result, stages);
@@ -640,8 +670,7 @@ pub(crate) fn deliver(
     if harvest.is_some() {
         front.signatures();
     }
-    let mut stages = outcome.stages;
-    stages.front = front.front_seconds;
+    let mut stages = outcome.stages.with_front(&front.front_stages);
     stages.signatures = front.sig_seconds.get();
     let Front { prog, aux, staged, keys, solver, sigs, .. } = front;
     let staged = staged.expect("deliver is only reached by staged solvers");

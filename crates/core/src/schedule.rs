@@ -17,8 +17,7 @@
 //! costing at worst extra re-visits. Every graph is walked in place by
 //! [`Tarjan`]; none is materialised.
 
-use vsfs_adt::index::Idx;
-use vsfs_adt::Worklist;
+use vsfs_adt::{Adjacency, Worklist};
 use vsfs_graph::Tarjan;
 use vsfs_ir::{InstId, InstKind, Program};
 use vsfs_svfg::{Svfg, SvfgNodeId};
@@ -150,42 +149,6 @@ fn slot_ranks(prog: &Program, svfg: &Svfg, tables: &VersionTables) -> Vec<u32> {
         }
     });
     ranks.ranks()
-}
-
-/// Per-node lists of nodes stored flat: the list of node `n` is
-/// `targets[start[n]..start[n + 1]]`, in the order its edges came.
-pub(crate) struct Adjacency<I> {
-    start: Vec<u32>,
-    targets: Vec<I>,
-}
-
-impl<I: Idx> Adjacency<I> {
-    /// Groups the `(node, target)` pairs `edges()` yields (called twice)
-    /// by node, for nodes `0..nodes`.
-    pub(crate) fn new<E>(nodes: usize, edges: impl Fn() -> E) -> Adjacency<I>
-    where
-        E: Iterator<Item = (I, I)>,
-    {
-        let mut start = vec![0u32; nodes + 1];
-        for (node, _) in edges() {
-            start[node.index() + 1] += 1;
-        }
-        for i in 1..start.len() {
-            start[i] += start[i - 1];
-        }
-        let mut next = start.clone();
-        let mut targets = vec![I::from_index(0); start[nodes] as usize];
-        for (node, target) in edges() {
-            targets[next[node.index()] as usize] = target;
-            next[node.index()] += 1;
-        }
-        Adjacency { start, targets }
-    }
-
-    /// The list of `node`.
-    pub(crate) fn of(&self, node: I) -> &[I] {
-        &self.targets[self.start[node.index()] as usize..self.start[node.index() + 1] as usize]
-    }
 }
 
 #[cfg(test)]

@@ -26,7 +26,8 @@ pub struct TopLevel<'a> {
     pub(crate) prog: &'a Program,
     aux: &'a AndersenResult,
     svfg: &'a Svfg,
-    defuse: DefUse,
+    /// The SVFG's def-use chains.
+    defuse: &'a DefUse,
     /// The shared hash-consed points-to store for the whole run.
     pub store: PtsStore<ObjId>,
     /// Global points-to set per top-level value (ids into [`TopLevel::store`]).
@@ -51,7 +52,7 @@ impl<'a> TopLevel<'a> {
             prog,
             aux,
             svfg,
-            defuse: DefUse::compute(prog),
+            defuse: svfg.defuse(),
             store,
             pt,
             active_callees: FxHashMap::default(),

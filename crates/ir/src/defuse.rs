@@ -2,36 +2,35 @@
 //!
 //! Because top-level variables are in SSA form, their def-use chains are
 //! trivial to compute (Section II-B: "direct edges ... can be determined
-//! trivially"); this module materialises them once for reuse by the SVFG
-//! builder and the verifier.
+//! trivially"); this module materialises them once per program. The
+//! staged pipeline keeps the SVFG builder's copy on the SVFG for the
+//! solvers; the dense and CFG-free solvers compute their own.
 
 use crate::ids::{InstId, ValueId};
 use crate::program::{Program, ValueDef};
-use vsfs_adt::IndexVec;
+use vsfs_adt::Adjacency;
 
 /// Def and use sites of every top-level value.
 #[derive(Debug, Clone)]
 pub struct DefUse {
     /// Instructions using each value, in program order of discovery.
-    uses: IndexVec<ValueId, Vec<InstId>>,
+    uses: Adjacency<ValueId, InstId>,
 }
 
 impl DefUse {
     /// Computes def-use information for `prog`.
     pub fn compute(prog: &Program) -> Self {
-        let mut uses: IndexVec<ValueId, Vec<InstId>> =
-            (0..prog.values.len()).map(|_| Vec::new()).collect();
-        for (id, inst) in prog.insts.iter_enumerated() {
-            for v in inst.kind.uses() {
-                uses[v].push(id);
-            }
-        }
+        let uses = Adjacency::new(prog.values.len(), || {
+            prog.insts
+                .iter_enumerated()
+                .flat_map(|(id, inst)| inst.kind.uses().into_iter().map(move |v| (v, id)))
+        });
         DefUse { uses }
     }
 
     /// The instructions that use `value`.
     pub fn uses(&self, value: ValueId) -> &[InstId] {
-        &self.uses[value]
+        self.uses.of(value)
     }
 
     /// The instruction defining `value`, if it is instruction-defined.

@@ -13,7 +13,6 @@
 //!    other phis).
 
 use crate::cfg::Cfg;
-use crate::defuse::DefUse;
 use crate::ids::{FuncId, InstId};
 use crate::inst::{Callee, InstKind, Terminator};
 use crate::program::{Program, ValueDef};
@@ -262,7 +261,6 @@ fn verify_values(prog: &Program) -> Result<(), VerifyError> {
             }
         }
     }
-    let _ = DefUse::compute(prog); // exercise; cheap sanity
     Ok(())
 }
 

@@ -123,15 +123,15 @@ impl MemorySsa {
     pub fn build(prog: &Program, aux: &vsfs_andersen::AndersenResult) -> Self {
         let modref = ModRef::compute(prog, aux);
         let annotations = annot::annotate(prog, aux, &modref);
-        ssa::rename(prog, &modref, annotations)
+        ssa::rename(prog, modref, annotations)
     }
 
-    /// The µ annotations of `inst`.
+    /// The µ annotations of `inst`, in ascending object order.
     pub fn mus(&self, inst: InstId) -> &[Mu] {
         &self.mus[inst]
     }
 
-    /// The χ annotations of `inst`.
+    /// The χ annotations of `inst`, in ascending object order.
     pub fn chis(&self, inst: InstId) -> &[Chi] {
         &self.chis[inst]
     }

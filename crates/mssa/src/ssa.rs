@@ -8,34 +8,93 @@
 //!   definition blocks;
 //! * a dominator-tree walk with per-object version stacks wires every
 //!   µ/χ/MEMPHI operand to its unique reaching definition.
+//!
+//! All per-object and per-block state lives in dense vectors indexed by
+//! object id and local block, allocated once and reused across
+//! functions; the walk undoes its stack pushes from one shared log.
+//! Every instruction's µs and χs come out in ascending object order.
 
 use crate::annot::Annotations;
 use crate::modref::ModRef;
 use crate::{Chi, MemPhi, MemPhiId, MemorySsa, MssaDef, Mu};
-use vsfs_adt::{FxHashMap, IndexVec};
-use vsfs_ir::{BlockId, Cfg, FuncId, InstId, InstKind, ObjId, Program};
+use vsfs_adt::IndexVec;
+use vsfs_ir::{Cfg, FuncId, InstId, InstKind, ObjId, Program};
 
 /// Runs MEMPHI insertion and renaming, producing the final [`MemorySsa`].
-pub fn rename(prog: &Program, modref: &ModRef, annotations: Annotations) -> MemorySsa {
-    let mut mus: IndexVec<InstId, Vec<Mu>> = (0..prog.insts.len()).map(|_| Vec::new()).collect();
-    let mut chis: IndexVec<InstId, Vec<Chi>> = (0..prog.insts.len()).map(|_| Vec::new()).collect();
-    let mut memphis: IndexVec<MemPhiId, MemPhi> = IndexVec::new();
-
+pub fn rename(prog: &Program, modref: ModRef, annotations: Annotations) -> MemorySsa {
+    let mut out = Output {
+        mus: (0..prog.insts.len()).map(|_| Vec::new()).collect(),
+        chis: (0..prog.insts.len()).map(|_| Vec::new()).collect(),
+        memphis: IndexVec::new(),
+    };
+    let mut scratch = Scratch::new(prog.objects.len());
     for func in prog.functions.indices() {
-        rename_function(prog, modref, &annotations, func, &mut mus, &mut chis, &mut memphis);
+        rename_function(prog, &modref, &annotations, func, &mut scratch, &mut out);
     }
-    MemorySsa { mus, chis, memphis, modref: modref.clone() }
+    let Output { mus, chis, memphis } = out;
+    MemorySsa { mus, chis, memphis, modref }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The annotations being filled in.
+struct Output {
+    mus: IndexVec<InstId, Vec<Mu>>,
+    chis: IndexVec<InstId, Vec<Chi>>,
+    memphis: IndexVec<MemPhiId, MemPhi>,
+}
+
+/// Working state of one function's renaming, reused across functions.
+/// Every vector is empty (or all-clear) between functions.
+struct Scratch {
+    /// Local definition blocks per object.
+    def_blocks: IndexVec<ObjId, Vec<u32>>,
+    /// Objects whose `def_blocks` entry is non-empty.
+    defined: Vec<ObjId>,
+    /// Version stack per object.
+    stacks: IndexVec<ObjId, Vec<MssaDef>>,
+    /// Every stack push of the walk, in order, so a finished subtree
+    /// pops exactly what it pushed.
+    pushed: Vec<ObjId>,
+    /// MEMPHIs per local block.
+    phis: Vec<Vec<MemPhiId>>,
+}
+
+impl Scratch {
+    fn new(objects: usize) -> Self {
+        Scratch {
+            def_blocks: (0..objects).map(|_| Vec::new()).collect(),
+            defined: Vec::new(),
+            stacks: (0..objects).map(|_| Vec::new()).collect(),
+            pushed: Vec::new(),
+            phis: Vec::new(),
+        }
+    }
+
+    fn add_def_block(&mut self, o: ObjId, local: u32) {
+        let blocks = &mut self.def_blocks[o];
+        if blocks.is_empty() {
+            self.defined.push(o);
+        }
+        blocks.push(local);
+    }
+
+    /// The current reaching definition of `o`.
+    fn top(&self, o: ObjId) -> Option<MssaDef> {
+        self.stacks[o].last().copied()
+    }
+
+    fn push(&mut self, o: ObjId, def: MssaDef) {
+        self.stacks[o].push(def);
+        self.pushed.push(o);
+    }
+}
+
 fn rename_function(
     prog: &Program,
     modref: &ModRef,
     ann: &Annotations,
     func: FuncId,
-    mus: &mut IndexVec<InstId, Vec<Mu>>,
-    chis: &mut IndexVec<InstId, Vec<Chi>>,
-    memphis: &mut IndexVec<MemPhiId, MemPhi>,
+    scratch: &mut Scratch,
+    out: &mut Output,
 ) {
     let relevant = modref.relevant(func);
     if relevant.is_empty() {
@@ -47,144 +106,112 @@ fn rename_function(
 
     // Definition blocks per object (entry always defines everything
     // relevant through the FUNENTRY χ).
-    let mut def_blocks: FxHashMap<ObjId, Vec<u32>> = FxHashMap::default();
     for o in relevant.iter() {
-        def_blocks.insert(o, vec![0]);
+        scratch.add_def_block(o, 0);
     }
-    for &b in &prog.functions[func].blocks {
-        for &i in &prog.blocks[b].insts {
-            if ann.chi_objs[i].is_empty() {
-                continue;
-            }
-            if matches!(prog.insts[i].kind, InstKind::FunEntry { .. }) {
-                continue; // already seeded
+    for local in 0..cfg.block_count() as u32 {
+        for &i in &prog.blocks[cfg.block(local)].insts {
+            if ann.chi_objs[i].is_empty() || matches!(prog.insts[i].kind, InstKind::FunEntry { .. })
+            {
+                continue; // nothing defined, or already seeded
             }
             for o in ann.chi_objs[i].iter() {
-                def_blocks.entry(o).or_default().push(cfg.local(b));
+                scratch.add_def_block(o, local);
             }
         }
     }
 
-    // MEMPHI placement at iterated dominance frontiers.
-    let mut phis_by_block: FxHashMap<BlockId, Vec<MemPhiId>> = FxHashMap::default();
-    let mut objs: Vec<ObjId> = relevant.iter().collect();
-    objs.sort_unstable();
-    for o in objs {
-        let defs = &def_blocks[&o];
-        let idf = dt.iterated_dominance_frontier(&df, defs);
-        for local in idf {
-            let block = cfg.block(local);
-            let id = memphis.push(MemPhi { func, block, obj: o, incoming: Vec::new() });
-            phis_by_block.entry(block).or_default().push(id);
+    // MEMPHI placement at iterated dominance frontiers, by ascending
+    // object.
+    scratch.phis.resize_with(scratch.phis.len().max(cfg.block_count()), Vec::new);
+    for o in relevant.iter() {
+        for local in dt.iterated_dominance_frontier(&df, &scratch.def_blocks[o]) {
+            let id = out.memphis.push(MemPhi {
+                func,
+                block: cfg.block(local),
+                obj: o,
+                incoming: Vec::new(),
+            });
+            scratch.phis[local as usize].push(id);
         }
     }
+    for o in scratch.defined.drain(..) {
+        scratch.def_blocks[o].clear();
+    }
 
-    // Renaming: iterative dominator-tree walk with per-object stacks.
-    let mut stacks: FxHashMap<ObjId, Vec<MssaDef>> = FxHashMap::default();
-    // (local block, next dom child index, number of pushes per object done
-    // at this block in visit order).
-    let mut walk: Vec<(u32, usize, Vec<ObjId>)> = Vec::new();
-    walk.push((0, 0, Vec::new()));
-    visit_block(
-        prog,
-        ann,
-        &cfg,
-        &phis_by_block,
-        &mut stacks,
-        mus,
-        chis,
-        memphis,
-        0,
-        &mut walk.last_mut().expect("just pushed").2,
-    );
-
+    // Renaming: iterative dominator-tree walk. A frame is (local block,
+    // next dominator-tree child, length of the push log on entry).
+    let mut walk: Vec<(u32, usize, usize)> = vec![(0, 0, 0)];
+    visit_block(prog, ann, &cfg, scratch, out, 0);
     while let Some(&mut (local, ref mut next_child, _)) = walk.last_mut() {
         let children = dt.children(local);
         if *next_child < children.len() {
             let child = children[*next_child];
             *next_child += 1;
-            let mut pushed = Vec::new();
-            visit_block(
-                prog,
-                ann,
-                &cfg,
-                &phis_by_block,
-                &mut stacks,
-                mus,
-                chis,
-                memphis,
-                child,
-                &mut pushed,
-            );
-            walk.push((child, 0, pushed));
+            walk.push((child, 0, scratch.pushed.len()));
+            visit_block(prog, ann, &cfg, scratch, out, child);
         } else {
-            let (_, _, pushed) = walk.pop().expect("walk non-empty");
-            for o in pushed.into_iter().rev() {
-                stacks.get_mut(&o).expect("stack exists for pushed object").pop();
+            let (_, _, mark) = walk.pop().expect("walk non-empty");
+            for k in (mark..scratch.pushed.len()).rev() {
+                let o = scratch.pushed[k];
+                scratch.stacks[o].pop();
             }
+            scratch.pushed.truncate(mark);
         }
+    }
+    for phis in &mut scratch.phis[..cfg.block_count()] {
+        phis.clear();
     }
 }
 
 /// Processes one block: pushes MEMPHI defs, renames instruction
-/// annotations, and feeds successor MEMPHIs. Records every stack push in
-/// `pushed` so the caller can undo them.
-#[allow(clippy::too_many_arguments)]
+/// annotations, and feeds successor MEMPHIs.
 fn visit_block(
     prog: &Program,
     ann: &Annotations,
     cfg: &Cfg,
-    phis_by_block: &FxHashMap<BlockId, Vec<MemPhiId>>,
-    stacks: &mut FxHashMap<ObjId, Vec<MssaDef>>,
-    mus: &mut IndexVec<InstId, Vec<Mu>>,
-    chis: &mut IndexVec<InstId, Vec<Chi>>,
-    memphis: &mut IndexVec<MemPhiId, MemPhi>,
+    scratch: &mut Scratch,
+    out: &mut Output,
     local: u32,
-    pushed: &mut Vec<ObjId>,
 ) {
     let block = cfg.block(local);
     // MEMPHI defs at block start.
-    if let Some(phis) = phis_by_block.get(&block) {
-        for &p in phis {
-            let o = memphis[p].obj;
-            stacks.entry(o).or_default().push(MssaDef::MemPhi(p));
-            pushed.push(o);
-        }
+    for k in 0..scratch.phis[local as usize].len() {
+        let p = scratch.phis[local as usize][k];
+        scratch.push(out.memphis[p].obj, MssaDef::MemPhi(p));
     }
     // Instructions in order.
     for &i in &prog.blocks[block].insts {
-        let mu_objs: Vec<ObjId> = ann.mu_objs[i].iter().collect();
-        for o in mu_objs {
-            if let Some(def) = stacks.get(&o).and_then(|s| s.last()) {
-                mus[i].push(Mu { obj: o, def: *def });
+        if !ann.mu_objs[i].is_empty() {
+            out.mus[i].reserve_exact(ann.mu_objs[i].len());
+        }
+        for o in ann.mu_objs[i].iter() {
+            if let Some(def) = scratch.top(o) {
+                out.mus[i].push(Mu { obj: o, def });
             }
         }
         if ann.chi_objs[i].is_empty() {
             continue;
         }
-        let is_entry = matches!(prog.insts[i].kind, InstKind::FunEntry { .. });
-        let def_of = |inst: InstId| match prog.insts[inst].kind {
-            InstKind::Call { .. } => MssaDef::CallRet(inst),
-            _ => MssaDef::Inst(inst),
+        out.chis[i].reserve_exact(ann.chi_objs[i].len());
+        let (is_entry, def) = match prog.insts[i].kind {
+            InstKind::FunEntry { .. } => (true, MssaDef::Inst(i)),
+            InstKind::Call { .. } => (false, MssaDef::CallRet(i)),
+            _ => (false, MssaDef::Inst(i)),
         };
-        let chi_objs: Vec<ObjId> = ann.chi_objs[i].iter().collect();
-        for o in chi_objs {
-            let prev = if is_entry { None } else { stacks.get(&o).and_then(|s| s.last()).copied() };
-            chis[i].push(Chi { obj: o, prev });
-            stacks.entry(o).or_default().push(def_of(i));
-            pushed.push(o);
+        for o in ann.chi_objs[i].iter() {
+            let prev = if is_entry { None } else { scratch.top(o) };
+            out.chis[i].push(Chi { obj: o, prev });
+            scratch.push(o, def);
         }
     }
     // Feed successor MEMPHIs.
-    for succ in cfg.successors(block) {
-        if let Some(phis) = phis_by_block.get(&succ) {
-            for &p in phis {
-                let o = memphis[p].obj;
-                if let Some(def) = stacks.get(&o).and_then(|s| s.last()) {
-                    if !memphis[p].incoming.contains(def) {
-                        let def = *def;
-                        memphis[p].incoming.push(def);
-                    }
+    for &succ in cfg.graph().successors(local) {
+        for &p in &scratch.phis[succ as usize] {
+            let phi = &mut out.memphis[p];
+            if let Some(def) = scratch.stacks[phi.obj].last() {
+                if !phi.incoming.contains(def) {
+                    phi.incoming.push(*def);
                 }
             }
         }
@@ -232,7 +259,7 @@ mod tests {
         let aux = vsfs_andersen::analyze(&prog);
         let modref = ModRef::compute(&prog, &aux);
         let ann = annotate(&prog, &aux, &modref);
-        let mssa = rename(&prog, &modref, ann);
+        let mssa = rename(&prog, modref, ann);
 
         let check_def = |def: &MssaDef, obj: ObjId| match def {
             MssaDef::Inst(i) => {

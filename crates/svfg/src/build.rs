@@ -1,9 +1,19 @@
 //! SVFG construction from the IR, auxiliary results, and memory SSA.
+//!
+//! Every adjacency is built by linear passes over flat arrays
+//! ([`Adjacency`]). Indirect edges are generated twice — a counting pass
+//! and a fill pass — straight into per-source buckets of packed
+//! `(to, obj)` keys, so the raw labelled edges are held once, 8 bytes
+//! each, and never sorted globally: each source's small bucket is sorted
+//! on its own, then grouped into one edge per `(from, to)` pair.
+//! Because sources are visited in ascending order and each bucket in
+//! ascending `(to, obj)` order, label sets are interned — and their
+//! [`ObjSetId`]s numbered — in `(from, to)` order.
 
 use crate::{CallBinding, ObjSetId, Svfg, SvfgNodeId, SvfgNodeKind};
-use vsfs_adt::{FxHashMap, FxHashSet, IndexVec};
+use vsfs_adt::{Adjacency, FxHashMap, IndexVec, PointsToSet};
 use vsfs_andersen::AndersenResult;
-use vsfs_ir::{Callee, DefUse, InstId, InstKind, ObjId, Program, ValueDef};
+use vsfs_ir::{Callee, DefUse, FuncId, InstId, InstKind, ObjId, Program, ValueDef, ValueId};
 use vsfs_mssa::{MemorySsa, MssaDef};
 
 impl Svfg {
@@ -13,32 +23,32 @@ impl Svfg {
     }
 }
 
+/// A callee's `FUNENTRY` χ objects and `FUNEXIT` µ objects.
+type CalleeObjs = (PointsToSet<ObjId>, PointsToSet<ObjId>);
+
 struct Builder<'a> {
     prog: &'a Program,
     aux: &'a AndersenResult,
     mssa: &'a MemorySsa,
     svfg: Svfg,
-    seen_dir: FxHashSet<(SvfgNodeId, SvfgNodeId)>,
-    /// Raw labelled indirect edges, possibly with duplicates. Grouping
-    /// and dedup happen in one sort at the end of construction —
-    /// markedly cheaper in peak heap than a per-edge dedup set (the
-    /// label space repeats each `(from, to)` pair hundreds of times on
-    /// large workloads).
-    raw_ind: Vec<(SvfgNodeId, SvfgNodeId, ObjId)>,
+    /// The auxiliary call graph's `(call, callee)` edges, in its order.
+    calls: Vec<(InstId, FuncId)>,
+    /// Entry and exit objects of every callee in `calls`, computed once.
+    callee_objs: IndexVec<FuncId, Option<CalleeObjs>>,
 }
 
 impl<'a> Builder<'a> {
     fn new(prog: &'a Program, aux: &'a AndersenResult, mssa: &'a MemorySsa) -> Self {
-        // Allocate nodes.
+        // Allocate nodes: each call's return side directly follows its
+        // call side.
         let mut nodes: IndexVec<SvfgNodeId, SvfgNodeKind> = IndexVec::new();
         let mut node_of_inst: IndexVec<InstId, SvfgNodeId> = IndexVec::new();
-        let mut node_of_callret: FxHashMap<InstId, SvfgNodeId> = FxHashMap::default();
         for (i, inst) in prog.insts.iter_enumerated() {
             let id = nodes.push(SvfgNodeKind::Inst(i));
             debug_assert_eq!(node_of_inst.next_index(), i);
             node_of_inst.push(id);
             if matches!(inst.kind, InstKind::Call { .. }) {
-                node_of_callret.insert(i, nodes.push(SvfgNodeKind::CallRet(i)));
+                nodes.push(SvfgNodeKind::CallRet(i));
             }
         }
         let mut node_of_memphi: IndexVec<vsfs_mssa::MemPhiId, SvfgNodeId> = IndexVec::new();
@@ -51,230 +61,259 @@ impl<'a> Builder<'a> {
         let svfg = Svfg {
             nodes,
             node_of_inst,
-            node_of_callret,
             node_of_memphi,
-            direct_succs: (0..n).map(|_| Vec::new()).collect(),
-            ind_succs: (0..n).map(|_| Vec::new()).collect(),
-            ind_preds: (0..n).map(|_| Vec::new()).collect(),
+            direct_succs: Adjacency::default(),
+            ind_succs: Adjacency::default(),
+            ind_preds: Adjacency::default(),
             obj_set_arena: Vec::new(),
             obj_set_spans: Vec::new(),
             call_bindings: FxHashMap::default(),
             delta: IndexVec::from_elem_n(false, n),
-            direct_edges: 0,
             indirect_edges: 0,
+            defuse: DefUse::compute(prog),
         };
-        Builder { prog, aux, mssa, svfg, seen_dir: FxHashSet::default(), raw_ind: Vec::new() }
+        let calls: Vec<(InstId, FuncId)> = aux.callgraph.edges().collect();
+        let mut callee_objs: IndexVec<FuncId, Option<CalleeObjs>> =
+            (0..prog.functions.len()).map(|_| None).collect();
+        for &(_, callee) in &calls {
+            callee_objs[callee].get_or_insert_with(|| {
+                (mssa.entry_objects(prog, callee), mssa.exit_objects(prog, callee))
+            });
+        }
+        Builder { prog, aux, mssa, svfg, calls, callee_objs }
     }
 
     fn run(mut self) -> Svfg {
-        self.direct_edges();
-        self.indirect_intra_edges();
-        self.interprocedural_indirect();
+        self.svfg.direct_succs = self.direct_edges();
+        self.call_bindings();
         self.group_indirect_edges();
         self.mark_delta_nodes();
         self.svfg
     }
 
-    fn add_direct(&mut self, from: SvfgNodeId, to: SvfgNodeId) {
-        if from == to || !self.seen_dir.insert((from, to)) {
-            return;
-        }
-        self.svfg.direct_succs[from].push(to);
-        self.svfg.direct_edges += 1;
+    fn inst_node(&self, i: InstId) -> SvfgNodeId {
+        self.svfg.node_of_inst[i]
     }
 
-    fn add_indirect(&mut self, from: SvfgNodeId, to: SvfgNodeId, obj: ObjId) {
-        self.raw_ind.push((from, to, obj));
-    }
-
-    /// Dedups the raw labelled edges, groups them into one edge per
-    /// `(from, to)` pair, interns the label sets, and emits the grouped
-    /// succ/pred adjacency.
-    fn group_indirect_edges(&mut self) {
-        let mut raw = std::mem::take(&mut self.raw_ind);
-        raw.sort_unstable();
-        raw.dedup();
-        self.svfg.indirect_edges += raw.len();
-
-        let mut set_ids: FxHashMap<Box<[ObjId]>, ObjSetId> = FxHashMap::default();
-        let mut intern = |svfg: &mut Svfg, objs: &[ObjId]| -> ObjSetId {
-            if let Some(&s) = set_ids.get(objs) {
-                return s;
-            }
-            let start = svfg.obj_set_arena.len() as u32;
-            svfg.obj_set_arena.extend_from_slice(objs);
-            let s = ObjSetId::new(svfg.obj_set_spans.len() as u32);
-            svfg.obj_set_spans.push((start, objs.len() as u32));
-            set_ids.insert(objs.into(), s);
-            s
-        };
-
-        // One pass over runs of equal (from, to); `raw` is sorted, so
-        // each run's labels are already ascending and distinct.
-        let mut grouped: Vec<(SvfgNodeId, SvfgNodeId, ObjSetId)> = Vec::new();
-        let mut i = 0;
-        let mut objs: Vec<ObjId> = Vec::new();
-        while i < raw.len() {
-            let (f, t, _) = raw[i];
-            objs.clear();
-            while i < raw.len() && raw[i].0 == f && raw[i].1 == t {
-                objs.push(raw[i].2);
-                i += 1;
-            }
-            let s = intern(&mut self.svfg, &objs);
-            self.svfg.ind_succs[f].push((t, s));
-            grouped.push((f, t, s));
-        }
-        drop(raw);
-
-        // Mirror into preds, sorted by (to, from), sharing the set ids.
-        grouped.sort_unstable_by_key(|&(f, t, _)| (t, f));
-        for (f, t, s) in grouped {
-            self.svfg.ind_preds[t].push((f, s));
-        }
+    /// The return side of call `i`: the node after its call side.
+    fn ret_node(&self, i: InstId) -> SvfgNodeId {
+        SvfgNodeId::new(self.svfg.node_of_inst[i].raw() + 1)
     }
 
     /// The SVFG node at which a top-level value becomes available.
-    fn def_node_of_value(&self, v: vsfs_ir::ValueId) -> Option<SvfgNodeId> {
+    fn def_node_of_value(&self, v: ValueId) -> Option<SvfgNodeId> {
         match self.prog.values[v].def {
             ValueDef::Inst(i) => Some(match self.prog.insts[i].kind {
                 // A call's destination is defined at the return side.
-                InstKind::Call { .. } => self.svfg.callret_node(i),
-                _ => self.svfg.inst_node(i),
+                InstKind::Call { .. } => self.ret_node(i),
+                _ => self.inst_node(i),
             }),
-            ValueDef::Param(f, _) => Some(self.svfg.inst_node(self.prog.functions[f].entry_inst)),
+            ValueDef::Param(f, _) => Some(self.inst_node(self.prog.functions[f].entry_inst)),
             ValueDef::GlobalPtr(_) | ValueDef::Undefined => None,
         }
     }
 
     fn def_node_of_mssa(&self, d: MssaDef) -> SvfgNodeId {
         match d {
-            MssaDef::Inst(i) => self.svfg.inst_node(i),
-            MssaDef::CallRet(i) => self.svfg.callret_node(i),
-            MssaDef::MemPhi(p) => self.svfg.memphi_node(p),
+            MssaDef::Inst(i) => self.inst_node(i),
+            MssaDef::CallRet(i) => self.ret_node(i),
+            MssaDef::MemPhi(p) => self.svfg.node_of_memphi[p],
         }
     }
 
-    fn direct_edges(&mut self) {
-        let du = DefUse::compute(self.prog);
-        for (v, _) in self.prog.values.iter_enumerated() {
-            let Some(def) = self.def_node_of_value(v) else { continue };
-            for &u in du.uses(v) {
-                let use_node = self.svfg.inst_node(u);
-                self.add_direct(def, use_node);
-            }
-        }
-        // Interprocedural parameter/return bindings per the auxiliary call
-        // graph (both direct and indirect call sites; used for statistics
-        // and scheduling — top-level flow is resolved by the solver's own
-        // call graph).
-        for (call, callee) in self.aux.callgraph.edges().collect::<Vec<_>>() {
-            let f = &self.prog.functions[callee];
-            let InstKind::Call { dst, ref args, .. } = self.prog.insts[call].kind else {
-                continue;
-            };
-            if !args.is_empty() && !f.params.is_empty() {
-                let entry = self.svfg.inst_node(f.entry_inst);
-                let call_node = self.svfg.inst_node(call);
-                self.add_direct(call_node, entry);
-            }
-            if dst.is_some() {
-                if let InstKind::FunExit { ret: Some(_), .. } = self.prog.insts[f.exit_inst].kind {
-                    let exit = self.svfg.inst_node(f.exit_inst);
-                    let ret_node = self.svfg.callret_node(call);
-                    self.add_direct(exit, ret_node);
-                }
-            }
-        }
+    fn is_indirect_call(&self, call: InstId) -> bool {
+        matches!(self.prog.insts[call].kind, InstKind::Call { callee: Callee::Indirect(_), .. })
     }
 
-    fn indirect_intra_edges(&mut self) {
-        for (i, inst) in self.prog.insts.iter_enumerated() {
-            // µ uses: value arrives at the instruction (call side).
-            for mu in self.mssa.mus(i) {
-                let from = self.def_node_of_mssa(mu.def);
-                let to = self.svfg.inst_node(i);
-                self.add_indirect(from, to, mu.obj);
-            }
-            // χ weak-update inputs.
-            for chi in self.mssa.chis(i) {
-                let Some(prev) = chi.prev else { continue };
-                let from = self.def_node_of_mssa(prev);
-                let to = match inst.kind {
-                    InstKind::Call { .. } => self.svfg.callret_node(i),
-                    _ => self.svfg.inst_node(i),
+    /// Direct edges: SSA def-use chains, then interprocedural
+    /// parameter/return bindings per the auxiliary call graph (both
+    /// direct and indirect call sites; used for statistics and
+    /// scheduling — top-level flow is resolved by the solver's own call
+    /// graph). Self-loops and repeats are dropped; each node's list keeps
+    /// the order its edges were first generated in.
+    fn direct_edges(&self) -> Adjacency<SvfgNodeId> {
+        let (prog, du) = (self.prog, &self.svfg.defuse);
+        let def_use = move || {
+            prog.values
+                .indices()
+                .filter_map(|v| Some((v, self.def_node_of_value(v)?)))
+                .flat_map(move |(v, def)| du.uses(v).iter().map(move |&u| (def, self.inst_node(u))))
+        };
+        let bindings = move || {
+            self.calls.iter().flat_map(move |&(call, callee)| {
+                let f = &prog.functions[callee];
+                let InstKind::Call { dst, ref args, .. } = prog.insts[call].kind else {
+                    unreachable!("call-graph edges start at calls")
                 };
-                self.add_indirect(from, to, chi.obj);
+                let args = (!args.is_empty() && !f.params.is_empty())
+                    .then(|| (self.inst_node(call), self.inst_node(f.entry_inst)));
+                let ret = (dst.is_some()
+                    && matches!(
+                        prog.insts[f.exit_inst].kind,
+                        InstKind::FunExit { ret: Some(_), .. }
+                    ))
+                .then(|| (self.inst_node(f.exit_inst), self.ret_node(call)));
+                args.into_iter().chain(ret)
+            })
+        };
+        let mut succs = Adjacency::new(self.svfg.nodes.len(), || def_use().chain(bindings()));
+        // `seen[to] == from` while `from`'s list is being filtered.
+        let mut seen = vec![u32::MAX; self.svfg.nodes.len()];
+        succs.retain(|from, &to| {
+            let fresh = from != to && seen[to.index()] != from.raw();
+            seen[to.index()] = from.raw();
+            fresh
+        });
+        succs
+    }
+
+    /// Records the deferred interprocedural bindings of indirect call
+    /// sites: the caller's µ objects the callee's `FUNENTRY` takes in,
+    /// and the caller's χ objects its `FUNEXIT` hands back.
+    fn call_bindings(&mut self) {
+        for &(call, callee) in &self.calls {
+            if !self.is_indirect_call(call) {
+                continue;
             }
-        }
-        // MEMPHI operands.
-        for (p, phi) in self.mssa.memphis().iter_enumerated() {
-            let to = self.svfg.memphi_node(p);
-            for &d in &phi.incoming {
-                let from = self.def_node_of_mssa(d);
-                self.add_indirect(from, to, phi.obj);
-            }
+            let (entry, exit) = self.callee_objs[callee].as_ref().expect("callee objects");
+            let binding = CallBinding {
+                ins: self
+                    .mssa
+                    .mus(call)
+                    .iter()
+                    .map(|mu| mu.obj)
+                    .filter(|&o| entry.contains(o))
+                    .collect(),
+                outs: self
+                    .mssa
+                    .chis(call)
+                    .iter()
+                    .map(|chi| chi.obj)
+                    .filter(|&o| exit.contains(o))
+                    .collect(),
+            };
+            self.svfg.indirect_edges += binding.ins.len() + binding.outs.len();
+            self.svfg.call_bindings.insert((call, callee), binding);
         }
     }
 
-    fn interprocedural_indirect(&mut self) {
-        for (call, callee) in self.aux.callgraph.edges().collect::<Vec<_>>() {
-            let is_indirect = matches!(
-                self.prog.insts[call].kind,
-                InstKind::Call { callee: Callee::Indirect(_), .. }
-            );
-            let entry_objs = self.mssa.entry_objects(self.prog, callee);
-            let exit_objs = self.mssa.exit_objects(self.prog, callee);
-            let entry_node = self.svfg.inst_node(self.prog.functions[callee].entry_inst);
-            let exit_node = self.svfg.inst_node(self.prog.functions[callee].exit_inst);
-            let call_node = self.svfg.inst_node(call);
-            let ret_node = self.svfg.callret_node(call);
+    /// Every raw labelled indirect edge `(from, to, obj)`, possibly with
+    /// repeats, as `(from, to << 32 | obj)`: memory-SSA def-use chains
+    /// (µ uses, χ weak-update inputs, MEMPHI operands), then the eager
+    /// interprocedural edges of direct call sites. The order only
+    /// matters for speed: it is chosen so that most sources see their
+    /// edges in ascending `(to, obj)` order.
+    fn raw_indirect_edges(&self) -> impl Iterator<Item = (SvfgNodeId, u64)> + '_ {
+        let (prog, mssa) = (self.prog, self.mssa);
+        // Per instruction, its µ uses (the value arrives at the call
+        // side), then its χ weak-update inputs (at the return side of a
+        // call): targets ascend with the instruction, and each
+        // annotation list ascends by object.
+        let annotations = prog.insts.iter_enumerated().flat_map(move |(i, inst)| {
+            let at = self.inst_node(i);
+            let chi_at = match inst.kind {
+                InstKind::Call { .. } => self.ret_node(i),
+                _ => at,
+            };
+            let mus = mssa.mus(i).iter().map(move |mu| (self.def_node_of_mssa(mu.def), at, mu.obj));
+            let chis = mssa
+                .chis(i)
+                .iter()
+                .filter_map(move |chi| Some((self.def_node_of_mssa(chi.prev?), chi_at, chi.obj)));
+            mus.chain(chis)
+        });
+        let memphis = mssa.memphis().iter_enumerated().flat_map(move |(p, phi)| {
+            let to = self.svfg.node_of_memphi[p];
+            phi.incoming.iter().map(move |&d| (self.def_node_of_mssa(d), to, phi.obj))
+        });
+        // Direct call sites: `call --o--> FUNENTRY`, `FUNEXIT --o--> ret`.
+        let calls = self.calls.iter().filter(|&&(call, _)| !self.is_indirect_call(call)).flat_map(
+            move |&(call, callee)| {
+                let (entry, exit) = self.callee_objs[callee].as_ref().expect("callee objects");
+                let f = &prog.functions[callee];
+                let (call_node, entry_node) = (self.inst_node(call), self.inst_node(f.entry_inst));
+                let (exit_node, ret_node) = (self.inst_node(f.exit_inst), self.ret_node(call));
+                let ins = mssa.mus(call).iter().filter(|mu| entry.contains(mu.obj));
+                let outs = mssa.chis(call).iter().filter(|chi| exit.contains(chi.obj));
+                ins.map(move |mu| (call_node, entry_node, mu.obj))
+                    .chain(outs.map(move |chi| (exit_node, ret_node, chi.obj)))
+            },
+        );
+        annotations
+            .chain(memphis)
+            .chain(calls)
+            .map(|(from, to, obj)| (from, u64::from(to.raw()) << 32 | u64::from(obj.raw())))
+    }
 
-            let mut binding = CallBinding::default();
-            for mu in self.mssa.mus(call) {
-                if !entry_objs.contains(mu.obj) {
-                    continue;
-                }
-                if is_indirect {
-                    if !binding.ins.contains(&mu.obj) {
-                        binding.ins.push(mu.obj);
-                        self.svfg.indirect_edges += 1;
+    /// Buckets the raw labelled edges by source, sorts and dedups each
+    /// bucket, groups it into one edge per `(from, to)` pair, interns the
+    /// label sets, and emits the grouped succ/pred adjacency.
+    fn group_indirect_edges(&mut self) {
+        let n = self.svfg.nodes.len();
+        let mut raw = Adjacency::new(n, || self.raw_indirect_edges());
+        let mut set_ids: FxHashMap<Box<[ObjId]>, ObjSetId> = FxHashMap::default();
+        let (arena, spans) = (&mut self.svfg.obj_set_arena, &mut self.svfg.obj_set_spans);
+        let mut intern = |objs: &[ObjId]| -> ObjSetId {
+            if let Some(&s) = set_ids.get(objs) {
+                return s;
+            }
+            let start = arena.len() as u32;
+            arena.extend_from_slice(objs);
+            let s = ObjSetId::new(spans.len() as u32);
+            spans.push((start, objs.len() as u32));
+            set_ids.insert(objs.into(), s);
+            s
+        };
+        let mut labelled = 0;
+        let mut objs: Vec<ObjId> = Vec::new();
+        let succs = Adjacency::from_rows(n, |from, out| {
+            let bucket = raw.of_mut(from);
+            // Generation order leaves almost every bucket sorted already.
+            if !bucket.is_sorted() {
+                bucket.sort_unstable();
+            }
+            // One pass over runs of equal `to`; each run's labels are
+            // ascending, with repeats adjacent.
+            let mut k = 0;
+            while k < bucket.len() {
+                let to = (bucket[k] >> 32) as u32;
+                objs.clear();
+                while k < bucket.len() && (bucket[k] >> 32) as u32 == to {
+                    let o = ObjId::new(bucket[k] as u32);
+                    if objs.last() != Some(&o) {
+                        objs.push(o);
                     }
-                } else {
-                    self.add_indirect(call_node, entry_node, mu.obj);
+                    k += 1;
                 }
+                labelled += objs.len();
+                out.push((SvfgNodeId::new(to), intern(&objs)));
             }
-            for chi in self.mssa.chis(call) {
-                if !exit_objs.contains(chi.obj) {
-                    continue;
-                }
-                if is_indirect {
-                    if !binding.outs.contains(&chi.obj) {
-                        binding.outs.push(chi.obj);
-                        self.svfg.indirect_edges += 1;
-                    }
-                } else {
-                    self.add_indirect(exit_node, ret_node, chi.obj);
-                }
-            }
-            if is_indirect {
-                self.svfg.call_bindings.insert((call, callee), binding);
-            }
-        }
+        });
+        drop(raw);
+        self.svfg.indirect_edges += labelled;
+        // Mirror into preds: sources are visited ascending, so each
+        // predecessor list comes out sorted by source.
+        self.svfg.ind_preds = Adjacency::new(n, || {
+            (0..n as u32).flat_map(|f| {
+                let from = SvfgNodeId::new(f);
+                succs.of(from).iter().map(move |&(to, s)| (to, (from, s)))
+            })
+        });
+        self.svfg.ind_succs = succs;
     }
 
     fn mark_delta_nodes(&mut self) {
         // FUNENTRY of address-taken functions.
         for (f, fun) in self.prog.functions.iter_enumerated() {
             if self.aux.callgraph.is_address_taken(f) {
-                let n = self.svfg.inst_node(fun.entry_inst);
+                let n = self.inst_node(fun.entry_inst);
                 self.svfg.delta[n] = true;
             }
         }
         // Return sides of indirect calls.
-        for (i, inst) in self.prog.insts.iter_enumerated() {
-            if matches!(inst.kind, InstKind::Call { callee: Callee::Indirect(_), .. }) {
-                let n = self.svfg.callret_node(i);
+        for i in self.prog.insts.indices() {
+            if self.is_indirect_call(i) {
+                let n = self.ret_node(i);
                 self.svfg.delta[n] = true;
             }
         }
@@ -488,7 +527,7 @@ mod more_tests {
 
     #[test]
     fn edge_counts_are_consistent() {
-        let (_, svfg) = pipeline(vsfs_workloads_src());
+        let (prog, svfg) = pipeline(vsfs_workloads_src());
         let counted: usize =
             svfg.node_ids().map(|n| svfg.indirect_succs_expanded(n).count()).sum::<usize>()
                 + svfg.call_bindings().map(|(_, b)| b.ins.len() + b.outs.len()).sum::<usize>();
@@ -514,16 +553,37 @@ mod more_tests {
         preds.sort_unstable();
         assert_eq!(succs, preds);
         // Grouped edges are deduplicated: one entry per (from, to) pair,
-        // and every label set is non-empty and strictly ascending.
+        // sorted by successor (and predecessors by source), and every
+        // label set is non-empty and strictly ascending.
         for n in svfg.node_ids() {
             let g = svfg.indirect_succs(n);
             assert!(g.windows(2).all(|w| w[0].0 < w[1].0));
+            let p = svfg.indirect_preds(n);
+            assert!(p.windows(2).all(|w| w[0].0 < w[1].0), "preds of {n:?} not sorted by source");
             for &(_, s) in g {
                 let objs = svfg.obj_set(s);
                 assert!(!objs.is_empty());
                 assert!(objs.windows(2).all(|w| w[0] < w[1]));
             }
         }
+        // Every flat adjacency has one span per node, and the spans tile
+        // its item array: starting at 0, non-decreasing, ending at its
+        // length.
+        fn tiles<T>(adj: &Adjacency<SvfgNodeId, T>, nodes: usize) -> bool {
+            let o = adj.offsets();
+            o.len() == nodes + 1
+                && o[0] == 0
+                && o.windows(2).all(|w| w[0] <= w[1])
+                && o[nodes] as usize == adj.items().len()
+        }
+        let nodes = svfg.node_count();
+        assert!(tiles(&svfg.direct_succs, nodes), "direct successors");
+        assert!(tiles(&svfg.ind_succs, nodes), "indirect successors");
+        assert!(tiles(&svfg.ind_preds, nodes), "indirect predecessors");
+        let uses = svfg.defuse();
+        let counted_uses: usize = prog.values.indices().map(|v| uses.uses(v).len()).sum::<usize>();
+        let all_uses: usize = prog.insts.iter().map(|i| i.kind.uses().len()).sum();
+        assert_eq!(counted_uses, all_uses);
     }
 
     fn vsfs_workloads_src() -> &'static str {

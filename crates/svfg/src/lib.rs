@@ -48,8 +48,8 @@ pub mod stable;
 pub use dot::{DotAnnotations, DotRole};
 pub use stable::StableKeys;
 
-use vsfs_adt::{define_index, FxHashMap, IndexVec};
-use vsfs_ir::{FuncId, InstId, ObjId};
+use vsfs_adt::{define_index, Adjacency, FxHashMap, IndexVec};
+use vsfs_ir::{DefUse, FuncId, InstId, ObjId};
 use vsfs_mssa::MemPhiId;
 
 define_index!(
@@ -92,25 +92,30 @@ pub struct CallBinding {
 }
 
 /// The sparse value-flow graph.
+///
+/// Every per-node list is stored flat ([`Adjacency`]: one offsets array
+/// plus one item array).
 #[derive(Debug, Clone)]
 pub struct Svfg {
     pub(crate) nodes: IndexVec<SvfgNodeId, SvfgNodeKind>,
+    /// The node of each instruction (its call side, for calls; the return
+    /// side of call `i` is always the node after it).
     pub(crate) node_of_inst: IndexVec<InstId, SvfgNodeId>,
-    pub(crate) node_of_callret: FxHashMap<InstId, SvfgNodeId>,
     pub(crate) node_of_memphi: IndexVec<MemPhiId, SvfgNodeId>,
-    pub(crate) direct_succs: IndexVec<SvfgNodeId, Vec<SvfgNodeId>>,
+    pub(crate) direct_succs: Adjacency<SvfgNodeId>,
     /// Grouped indirect edges: one entry per `(from, to)` pair, labelled
     /// by an interned object set.
-    pub(crate) ind_succs: IndexVec<SvfgNodeId, Vec<(SvfgNodeId, ObjSetId)>>,
-    pub(crate) ind_preds: IndexVec<SvfgNodeId, Vec<(SvfgNodeId, ObjSetId)>>,
+    pub(crate) ind_succs: Adjacency<SvfgNodeId, (SvfgNodeId, ObjSetId)>,
+    pub(crate) ind_preds: Adjacency<SvfgNodeId, (SvfgNodeId, ObjSetId)>,
     /// Interned label sets: arena of sorted object ids plus per-set
     /// `(start, len)` spans, indexed by [`ObjSetId`].
     pub(crate) obj_set_arena: Vec<ObjId>,
     pub(crate) obj_set_spans: Vec<(u32, u32)>,
     pub(crate) call_bindings: FxHashMap<(InstId, FuncId), CallBinding>,
     pub(crate) delta: IndexVec<SvfgNodeId, bool>,
-    pub(crate) direct_edges: usize,
     pub(crate) indirect_edges: usize,
+    /// Top-level def-use chains of the program, shared with the solvers.
+    pub(crate) defuse: DefUse,
 }
 
 impl Svfg {
@@ -122,7 +127,7 @@ impl Svfg {
     /// Number of direct (top-level) edges, including call/return bindings
     /// resolved by the auxiliary analysis.
     pub fn direct_edge_count(&self) -> usize {
-        self.direct_edges
+        self.direct_succs.len()
     }
 
     /// Number of indirect (address-taken) edges, including the
@@ -152,7 +157,12 @@ impl Svfg {
     ///
     /// Panics if `call` is not a call instruction.
     pub fn callret_node(&self, call: InstId) -> SvfgNodeId {
-        self.node_of_callret[&call]
+        let n = SvfgNodeId::new(self.node_of_inst[call].raw() + 1);
+        assert!(
+            self.nodes.get(n) == Some(&SvfgNodeKind::CallRet(call)),
+            "{call:?} is not a call instruction"
+        );
+        n
     }
 
     /// The node of a `MEMPHI`.
@@ -162,7 +172,7 @@ impl Svfg {
 
     /// Direct successors of `node`.
     pub fn direct_succs(&self, node: SvfgNodeId) -> &[SvfgNodeId] {
-        &self.direct_succs[node]
+        self.direct_succs.of(node)
     }
 
     /// Grouped indirect successors of `node`: one entry per successor,
@@ -170,12 +180,12 @@ impl Svfg {
     /// (intraprocedural + direct-call interprocedural). Sorted by
     /// successor id.
     pub fn indirect_succs(&self, node: SvfgNodeId) -> &[(SvfgNodeId, ObjSetId)] {
-        &self.ind_succs[node]
+        self.ind_succs.of(node)
     }
 
     /// Grouped indirect predecessors of `node`, sorted by predecessor id.
     pub fn indirect_preds(&self, node: SvfgNodeId) -> &[(SvfgNodeId, ObjSetId)] {
-        &self.ind_preds[node]
+        self.ind_preds.of(node)
     }
 
     /// The object labels behind an interned set id, sorted ascending.
@@ -195,7 +205,8 @@ impl Svfg {
         &self,
         node: SvfgNodeId,
     ) -> impl Iterator<Item = (SvfgNodeId, ObjId)> + '_ {
-        self.ind_succs[node]
+        self.ind_succs
+            .of(node)
             .iter()
             .flat_map(move |&(t, s)| self.obj_set(s).iter().map(move |&o| (t, o)))
     }
@@ -206,7 +217,8 @@ impl Svfg {
         &self,
         node: SvfgNodeId,
     ) -> impl Iterator<Item = (SvfgNodeId, ObjId)> + '_ {
-        self.ind_preds[node]
+        self.ind_preds
+            .of(node)
             .iter()
             .flat_map(move |&(f, s)| self.obj_set(s).iter().map(move |&o| (f, o)))
     }
@@ -227,5 +239,11 @@ impl Svfg {
     /// on-the-fly call-graph resolution.
     pub fn is_delta(&self, node: SvfgNodeId) -> bool {
         self.delta[node]
+    }
+
+    /// The program's top-level def-use chains, computed once by
+    /// [`Svfg::build`] (its direct edges come from them).
+    pub fn defuse(&self) -> &DefUse {
+        &self.defuse
     }
 }

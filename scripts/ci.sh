@@ -123,9 +123,9 @@ echo "== incremental equivalence: differential edit-sequence property suite =="
 VSFS_PROP_CASES=8 cargo test --release -q --test incremental_equivalence
 
 echo
-echo "== incremental gate: median edit speedup >= 5x vs from-scratch, >= 2.4x vs a vsfs load =="
+echo "== incremental gate: median edit speedup >= 5x vs from-scratch, >= 3x vs a vsfs load =="
 cargo run --release -p vsfs-bench --bin incremental_bench -- ninja,bake --edits 3 --gate 5 \
-  --gate-vsfs-load 2.4 --out "$scratch/BENCH_incremental.json"
+  --gate-vsfs-load 3.0 --out "$scratch/BENCH_incremental.json"
 
 echo
 echo "== parallel versioning gate: --jobs 2 >= 1.2x --jobs 1 on lynx =="
